@@ -1313,35 +1313,23 @@ let bench006 () =
   Printf.printf "wrote %s\n%!" !bench006_out
 
 (* ------------------------------------------------------------------ *)
-(* bench007: lock-free hot path + work-stealing executors. Two sections:
-
-   - sim (deterministic): the execution-bound workload of bench002 at 4
-     executors, swept over client skew (fraction of "hot" clients whose
-     conflict keys all home on executor 0) with the work-stealing pool
-     on and off. Fixed routing convoys the hot lanes on one executor;
-     stealing spreads their tokens over the pool. Gate:
-     steal_speedup_hot >= 1.5 at skew 0.9.
-
-   - live: a 3-replica in-process cluster under closed-loop load, once
-     with the mutex spine ([Config.lockfree = false]) and once with the
-     lock-free rings. The four-state thread accounting (paper §VI-B) is
-     reset after warm-up; the spine's summed Blocked time — lock
-     acquisition — is the figure of merit. Gate: blocked_reduction >= 5.
-     (Executor-count scaling itself is a simulator claim: this host
-     serialises OCaml threads, so the live section measures lock
-     behaviour, not parallel speedup.) *)
+(* bench007: work-stealing executors (simulator). The execution-bound
+   workload of bench002 at 4 executors, swept over client skew (fraction
+   of "hot" clients whose conflict keys all home on executor 0) with the
+   work-stealing pool on and off. Fixed routing convoys the hot lanes on
+   one executor; stealing spreads their tokens over the pool. Gate:
+   steal_speedup_hot >= 1.5 at skew 0.9. *)
 
 let bench007_out = ref "bench/BENCH_007.json"
 
 let bench007 () =
   heading "bench007"
     (Printf.sprintf
-       "Lock-free spine & work-stealing executors -> %s%s"
+       "Work-stealing executors -> %s%s"
        !bench007_out
        (if !bench_quick then " (--quick)" else ""));
   let module J = Msmr_obs.Json in
   let quick = !bench_quick in
-  (* --- sim: steal on/off across skew --- *)
   let warmup, duration = if quick then (0.05, 0.1) else (0.2, 0.5) in
   (* 150 clients: enough to saturate the 4-executor pool (80 K req/s)
      when balanced, few enough that the cold minority cannot mask the
@@ -1386,74 +1374,6 @@ let bench007 () =
   in
   Printf.printf "steal speedup at skew 0.9: %.2fx (gate >= 1.5)\n%!"
     hot_speedup;
-  (* --- live: spine Blocked time, mutex vs lock-free rings --- *)
-  let module R = Msmr_runtime in
-  let live_dur = if quick then 0.6 else 1.5 in
-  let n_clients = 8 in
-  let live_measure ~lockfree =
-    let cfg =
-      { (Msmr_consensus.Config.default ~n:3) with
-        max_batch_delay_s = 0.001;
-        lockfree;
-        steal = lockfree }
-    in
-    let cluster =
-      R.Replica.Cluster.create ~cfg ~executor_threads:2
-        ~service:(fun () -> R.Service.null ())
-        ()
-    in
-    Fun.protect ~finally:(fun () -> R.Replica.Cluster.stop cluster)
-    @@ fun () ->
-    ignore (R.Replica.Cluster.await_leader cluster);
-    let stop_at =
-      Int64.add (Msmr_platform.Mclock.now_ns ())
-        (Msmr_platform.Mclock.ns_of_s live_dur)
-    in
-    let completed = Atomic.make 0 in
-    let workers =
-      List.init n_clients (fun i ->
-          Thread.create
-            (fun () ->
-               let client =
-                 R.Client.create ~timeout_s:0.5 ~cluster ~client_id:(i + 1) ()
-               in
-               let payload = Bytes.make 112 'x' in
-               while
-                 Int64.compare (Msmr_platform.Mclock.now_ns ()) stop_at < 0
-               do
-                 ignore (R.Client.call client payload);
-                 ignore (Atomic.fetch_and_add completed 1)
-               done)
-            ())
-    in
-    (* Discard warm-up, as the paper's profiling does; everything after
-       the reset is the measured window. *)
-    Msmr_platform.Mclock.sleep_s (0.25 *. live_dur);
-    Msmr_platform.Thread_state.reset_all ();
-    Atomic.set completed 0;
-    let t0 = Msmr_platform.Mclock.now_ns () in
-    List.iter Thread.join workers;
-    let measured_s =
-      Int64.to_float (Int64.sub (Msmr_platform.Mclock.now_ns ()) t0) /. 1e9
-    in
-    (* Snapshot before [Cluster.stop]: stopping unregisters handles. *)
-    let blocked_ns =
-      List.fold_left
-        (fun acc ((_ : string), (tot : Msmr_platform.Thread_state.totals)) ->
-           Int64.add acc tot.Msmr_platform.Thread_state.blocked_ns)
-        0L
-        (Msmr_platform.Thread_state.snapshot_all ())
-    in
-    (Atomic.get completed, measured_s, Int64.to_float blocked_ns /. 1e6)
-  in
-  let mu_completed, mu_s, mu_blocked_ms = live_measure ~lockfree:false in
-  let lf_completed, lf_s, lf_blocked_ms = live_measure ~lockfree:true in
-  let blocked_reduction = mu_blocked_ms /. Float.max lf_blocked_ms 1e-3 in
-  Printf.printf
-    "live spine (n=3, %d clients): mutex %d reqs, blocked %.2f ms | \
-     lock-free %d reqs, blocked %.2f ms | reduction %.1fx (gate >= 5)\n%!"
-    n_clients mu_completed mu_blocked_ms lf_completed lf_blocked_ms
-    blocked_reduction;
   let sim_point (skew, (off : Jp.result), (on : Jp.result)) =
     J.Obj
       [ ("skew", J.Float skew);
@@ -1461,12 +1381,6 @@ let bench007 () =
         ("steal_rps", J.Float on.throughput);
         ("speedup", J.Float (on.throughput /. off.throughput));
         ("steals", J.Int on.steals) ]
-  in
-  let live_obj completed s blocked_ms =
-    J.Obj
-      [ ("completed", J.Int completed);
-        ("throughput_rps", J.Float (float_of_int completed /. s));
-        ("blocked_ms", J.Float blocked_ms) ]
   in
   let json =
     J.Obj
@@ -1481,15 +1395,7 @@ let bench007 () =
               ("n_clients", J.Int 150);
               ("exec_per_req_us", J.Float 50.0);
               ("points", J.List (List.map sim_point rows));
-              ("steal_speedup_hot", J.Float hot_speedup) ] );
-        ( "live",
-          J.Obj
-            [ ("n", J.Int 3);
-              ("n_clients", J.Int n_clients);
-              ("executor_threads", J.Int 2);
-              ("mutex", live_obj mu_completed mu_s mu_blocked_ms);
-              ("lockfree", live_obj lf_completed lf_s lf_blocked_ms);
-              ("blocked_reduction", J.Float blocked_reduction) ] ) ]
+              ("steal_speedup_hot", J.Float hot_speedup) ] ) ]
   in
   let oc = open_out !bench007_out in
   output_string oc (J.to_string json);

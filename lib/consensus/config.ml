@@ -16,8 +16,6 @@ type t = {
   wnd_min : int;
   wnd_max : int;
   tune_epoch_s : float;
-  lockfree : bool;
-  steal : bool;
   lease_enabled : bool;
   lease_duration_s : float;
   clock_skew_bound_s : float;
@@ -45,8 +43,6 @@ let default ~n =
     wnd_min = 1;
     wnd_max = 64;
     tune_epoch_s = 0.01;
-    lockfree = true;
-    steal = true;
     lease_enabled = false;
     lease_duration_s = 2.0;
     clock_skew_bound_s = 0.1;

@@ -30,14 +30,6 @@ type t = {
   wnd_min : int;                  (** static lower bound for tuned WND *)
   wnd_max : int;                  (** static upper bound for tuned WND *)
   tune_epoch_s : float;           (** controller epoch (tick cadence) *)
-  lockfree : bool;                (** stage-spine queues on lock-free rings
-                                      ({!Msmr_platform.Channel}); [false]
-                                      keeps the mutex+condvar path, whose
-                                      behaviour the goldens pin *)
-  steal : bool;                   (** executors steal work from siblings
-                                      when idle (only meaningful with
-                                      [executor_threads > 1]); [false]
-                                      keeps static hash-sharding *)
   lease_enabled : bool;           (** quorum-granted leader lease enabling
                                       the local read fast path (DESIGN.md
                                       section 15); [false] leaves the
@@ -83,7 +75,7 @@ val default : n:int -> t
     retransmission 100 ms, heartbeats 100 ms / timeout 500 ms, catch-up
     50 ms, snapshot every 10_000 instances, retain 1_000 entries.
     Auto-tuning off; bounds 256..65536 bytes, 1..64 instances, 10 ms
-    controller epoch. Lock-free spine and work-stealing executors on.
+    controller epoch.
     Leases off (duration 2 s, skew bound 100 ms when enabled).
     Speculation off. *)
 

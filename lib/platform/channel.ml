@@ -4,7 +4,7 @@ type kind = Spsc | Mpmc
 
 type 'a core = S of 'a Lf_queue.Spsc.t | M of 'a Lf_queue.Mpmc.t
 
-type 'a ring = {
+type 'a t = {
   core : 'a core;
   (* The mutex/condvars exist only for parking: the data path never takes
      them. [sleepers]/[space_sleepers] let the fast path skip the lock
@@ -16,8 +16,6 @@ type 'a ring = {
   space_sleepers : int Atomic.t;
   closed : bool Atomic.t;
 }
-
-type 'a t = Mutex_q of 'a Bounded_queue.t | Ring of 'a ring
 
 (* How many failed polls (each a [Thread.yield]) before parking. With
    systhreads a yield is the only way to make progress anyway; the budget
@@ -40,38 +38,26 @@ let core_capacity c = match c with
   | S q -> Lf_queue.Spsc.capacity q
   | M q -> Lf_queue.Mpmc.capacity q
 
-let create ~lockfree ~kind ~capacity =
-  if lockfree then
-    let core = match kind with
-      | Spsc -> S (Lf_queue.Spsc.create ~capacity)
-      | Mpmc -> M (Lf_queue.Mpmc.create ~capacity)
-    in
-    Ring
-      {
-        core;
-        mu = Mutex.create ();
-        nonempty = Condition.create ();
-        nonfull = Condition.create ();
-        sleepers = Atomic.make 0;
-        space_sleepers = Atomic.make 0;
-        closed = Atomic.make false;
-      }
-  else Mutex_q (Bounded_queue.create ~capacity)
+let create ~kind ~capacity =
+  let core = match kind with
+    | Spsc -> S (Lf_queue.Spsc.create ~capacity)
+    | Mpmc -> M (Lf_queue.Mpmc.create ~capacity)
+  in
+  {
+    core;
+    mu = Mutex.create ();
+    nonempty = Condition.create ();
+    nonfull = Condition.create ();
+    sleepers = Atomic.make 0;
+    space_sleepers = Atomic.make 0;
+    closed = Atomic.make false;
+  }
 
-let capacity = function
-  | Mutex_q q -> Bounded_queue.capacity q
-  | Ring r -> core_capacity r.core
-
-let length = function
-  | Mutex_q q -> Bounded_queue.length q
-  | Ring r -> core_length r.core
-
+let capacity r = core_capacity r.core
+let length r = core_length r.core
 let is_empty t = length t = 0
 let is_full t = length t >= capacity t
-
-let is_closed = function
-  | Mutex_q q -> Bounded_queue.is_closed q
-  | Ring r -> Atomic.get r.closed
+let is_closed r = Atomic.get r.closed
 
 let wake mu cv =
   Mutex.lock mu;
@@ -96,136 +82,121 @@ let wait_acct ?st cond mu =
     Thread_state.enter st Thread_state.Waiting (fun () ->
         Condition.wait cond mu)
 
-let put ?st t v =
-  match t with
-  | Mutex_q q -> Bounded_queue.put ?st q v
-  | Ring r ->
-    let pushed () =
-      if Atomic.get r.closed then raise Closed;
-      core_push r.core v
-    in
-    if pushed () then wake_consumer r
-    else begin
-      (* Spin a bounded number of rounds, then park on [nonfull]. *)
-      let rec spin n =
-        if n = 0 then false
-        else begin
-          Waitstats.note_spin ();
-          Thread.yield ();
-          pushed () || spin (n - 1)
-        end
-      in
-      if spin spin_budget then wake_consumer r
-      else begin
-        Atomic.incr r.space_sleepers;
-        Mutex.lock r.mu;
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.unlock r.mu;
-            Atomic.decr r.space_sleepers)
-          (fun () ->
-            while not (pushed ()) do
-              wait_acct ?st r.nonfull r.mu
-            done);
-        wake_consumer r
-      end
-    end
-
-let try_put t v =
-  match t with
-  | Mutex_q q -> Bounded_queue.try_put q v
-  | Ring r ->
+let put ?st r v =
+  let pushed () =
     if Atomic.get r.closed then raise Closed;
-    if core_push r.core v then begin
-      wake_consumer r;
-      true
+    core_push r.core v
+  in
+  if pushed () then wake_consumer r
+  else begin
+    (* Spin a bounded number of rounds, then park on [nonfull]. *)
+    let rec spin n =
+      if n = 0 then false
+      else begin
+        Waitstats.note_spin ();
+        Thread.yield ();
+        pushed () || spin (n - 1)
+      end
+    in
+    if spin spin_budget then wake_consumer r
+    else begin
+      Atomic.incr r.space_sleepers;
+      Mutex.lock r.mu;
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.unlock r.mu;
+          Atomic.decr r.space_sleepers)
+        (fun () ->
+          while not (pushed ()) do
+            wait_acct ?st r.nonfull r.mu
+          done);
+      wake_consumer r
     end
-    else false
+  end
+
+let try_put r v =
+  if Atomic.get r.closed then raise Closed;
+  if core_push r.core v then begin
+    wake_consumer r;
+    true
+  end
+  else false
 
 (* Read [closed] before the poll: items pushed before close stay
    drainable, and a [None] seen after the flag was already up means the
    channel is done. (A put racing [close] itself may be dropped; the
    spine only closes at shutdown, where in-flight work is discarded
    anyway.) *)
-let take ?st t =
-  match t with
-  | Mutex_q q -> Bounded_queue.take ?st q
-  | Ring r ->
-    (* [poll] must not signal: the park loop calls it with [r.mu] held,
-       and the wake helper takes [r.mu]. The producer-side wake happens
-       once, after any lock is released. *)
-    let poll () =
-      let closed = Atomic.get r.closed in
-      match core_pop r.core with
-      | Some v -> Some v
-      | None -> if closed then raise Closed else None
-    in
-    let v =
-      match poll () with
-      | Some v -> v
-      | None ->
-        let rec spin n =
-          if n = 0 then None
-          else begin
-            Waitstats.note_spin ();
-            Thread.yield ();
-            match poll () with Some v -> Some v | None -> spin (n - 1)
-          end
-        in
-        (match spin spin_budget with
-         | Some v -> v
-         | None ->
-           Atomic.incr r.sleepers;
-           Mutex.lock r.mu;
-           Fun.protect
-             ~finally:(fun () ->
-               Mutex.unlock r.mu;
-               Atomic.decr r.sleepers)
-             (fun () ->
-               let rec loop () =
-                 match poll () with
-                 | Some v -> v
-                 | None ->
-                   wait_acct ?st r.nonempty r.mu;
-                   loop ()
-               in
-               loop ()))
-    in
-    wake_producer r;
-    v
-
-let try_take t =
-  match t with
-  | Mutex_q q -> Bounded_queue.try_take q
-  | Ring r ->
-    (match core_pop r.core with
-     | Some v ->
-       wake_producer r;
-       Some v
-     | None -> None)
-
-let take_timeout ?st t ~timeout_s =
-  match t with
-  | Mutex_q q -> Bounded_queue.take_timeout ?st q ~timeout_s
-  | Ring r ->
-    let deadline = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s timeout_s) in
-    let bo = Backoff.create ~max_sleep_s:0.0002 () in
-    let rec loop () =
-      let closed = Atomic.get r.closed in
-      match core_pop r.core with
-      | Some v ->
-        wake_producer r;
-        Some v
-      | None ->
-        if closed then raise Closed
-        else if Int64.compare (Mclock.now_ns ()) deadline >= 0 then None
+let take ?st r =
+  (* [poll] must not signal: the park loop calls it with [r.mu] held,
+     and the wake helper takes [r.mu]. The producer-side wake happens
+     once, after any lock is released. *)
+  let poll () =
+    let closed = Atomic.get r.closed in
+    match core_pop r.core with
+    | Some v -> Some v
+    | None -> if closed then raise Closed else None
+  in
+  let v =
+    match poll () with
+    | Some v -> v
+    | None ->
+      let rec spin n =
+        if n = 0 then None
         else begin
           Waitstats.note_spin ();
-          Backoff.once ?st bo;
-          loop ()
+          Thread.yield ();
+          match poll () with Some v -> Some v | None -> spin (n - 1)
         end
-    in
-    loop ()
+      in
+      (match spin spin_budget with
+       | Some v -> v
+       | None ->
+         Atomic.incr r.sleepers;
+         Mutex.lock r.mu;
+         Fun.protect
+           ~finally:(fun () ->
+             Mutex.unlock r.mu;
+             Atomic.decr r.sleepers)
+           (fun () ->
+             let rec loop () =
+               match poll () with
+               | Some v -> v
+               | None ->
+                 wait_acct ?st r.nonempty r.mu;
+                 loop ()
+             in
+             loop ()))
+  in
+  wake_producer r;
+  v
+
+let try_take r =
+  match core_pop r.core with
+  | Some v ->
+    wake_producer r;
+    Some v
+  | None -> None
+
+let take_timeout ?st r ~timeout_s =
+  let deadline = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s timeout_s) in
+  let bo = Backoff.create ~max_sleep_s:0.0002 () in
+  let rec loop () =
+    let closed = Atomic.get r.closed in
+    match core_pop r.core with
+    | Some v ->
+      wake_producer r;
+      Some v
+    | None ->
+      if closed then raise Closed
+      else if Int64.compare (Mclock.now_ns ()) deadline >= 0 then None
+      else begin
+        Waitstats.note_spin ();
+        Backoff.once ?st bo;
+        loop ()
+      end
+  in
+  loop ()
 
 let drain_count r ~max =
   (* Pop up to [max]; stop at the first miss. Caller saw at least one
@@ -239,65 +210,47 @@ let drain_count r ~max =
   in
   go max []
 
-let take_batch ?st t ~max =
-  match t with
-  | Mutex_q q -> Bounded_queue.take_batch ?st q ~max
-  | Ring r ->
-    if max <= 0 then invalid_arg "Channel.take_batch: max <= 0";
-    let first = take ?st t in
-    let rest = drain_count r ~max:(max - 1) in
-    if rest <> [] then wake_producer r;
-    first :: rest
+let take_batch ?st r ~max =
+  if max <= 0 then invalid_arg "Channel.take_batch: max <= 0";
+  let first = take ?st r in
+  let rest = drain_count r ~max:(max - 1) in
+  if rest <> [] then wake_producer r;
+  first :: rest
 
-let take_batch_into ?st t ~buf =
-  match t with
-  | Mutex_q q -> Bounded_queue.take_batch_into ?st q ~buf
-  | Ring r ->
-    let max = Array.length buf in
-    if max <= 0 then invalid_arg "Channel.take_batch_into: empty buf";
-    let first = take ?st t in
-    buf.(0) <- Some first;
-    let n = ref 1 in
-    let continue = ref true in
-    while !continue && !n < max do
-      match core_pop r.core with
-      | None -> continue := false
-      | Some v ->
-        buf.(!n) <- Some v;
-        incr n
-    done;
-    for i = !n to max - 1 do
-      buf.(i) <- None
-    done;
-    if !n > 1 then wake_producer r;
-    !n
+(* Pop into [buf] from index [from] until a miss or a full buffer, then
+   reset the unused tail to [None]. Returns the filled count. *)
+let fill_from r ~buf from =
+  let max = Array.length buf in
+  let n = ref from in
+  let continue = ref true in
+  while !continue && !n < max do
+    match core_pop r.core with
+    | None -> continue := false
+    | Some v ->
+      buf.(!n) <- Some v;
+      incr n
+  done;
+  for i = !n to max - 1 do
+    buf.(i) <- None
+  done;
+  !n
 
-let drain_into t ~buf =
-  match t with
-  | Mutex_q q -> Bounded_queue.drain_into q ~buf
-  | Ring r ->
-    let max = Array.length buf in
-    if max <= 0 then invalid_arg "Channel.drain_into: empty buf";
-    let n = ref 0 in
-    let continue = ref true in
-    while !continue && !n < max do
-      match core_pop r.core with
-      | None -> continue := false
-      | Some v ->
-        buf.(!n) <- Some v;
-        incr n
-    done;
-    for i = !n to max - 1 do
-      buf.(i) <- None
-    done;
-    if !n > 0 then wake_producer r;
-    !n
+let take_batch_into ?st r ~buf =
+  if Array.length buf <= 0 then invalid_arg "Channel.take_batch_into: empty buf";
+  buf.(0) <- Some (take ?st r);
+  let n = fill_from r ~buf 1 in
+  if n > 1 then wake_producer r;
+  n
 
-let close = function
-  | Mutex_q q -> Bounded_queue.close q
-  | Ring r ->
-    Atomic.set r.closed true;
-    Mutex.lock r.mu;
-    Condition.broadcast r.nonempty;
-    Condition.broadcast r.nonfull;
-    Mutex.unlock r.mu
+let drain_into r ~buf =
+  if Array.length buf <= 0 then invalid_arg "Channel.drain_into: empty buf";
+  let n = fill_from r ~buf 0 in
+  if n > 0 then wake_producer r;
+  n
+
+let close r =
+  Atomic.set r.closed true;
+  Mutex.lock r.mu;
+  Condition.broadcast r.nonempty;
+  Condition.broadcast r.nonfull;
+  Mutex.unlock r.mu

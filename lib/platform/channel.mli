@@ -2,24 +2,19 @@
     lock-free rings of {!Lf_queue}.
 
     Every inter-stage edge of the replica (RequestQueue, ProposalQueue,
-    DispatcherQueue, DecisionQueue, SendQueues, LogQueue, executor
-    lanes) goes through this type. [create ~lockfree] picks the engine:
-
-    - [lockfree:false] — the original mutex+condvar {!Bounded_queue};
-      this path is pinned byte-for-byte by the goldens.
-    - [lockfree:true] — an SPSC or MPMC ring. The data path is a few
-      atomic operations; blocking is *spin-then-park*: a short bounded
-      burst of polls (counted in {!Waitstats} as spins), then a park on
-      a fallback condition variable (counted as a park and accounted as
-      [Waiting] in {!Thread_state}). Because the data path never takes
-      a lock, tracer-attributed [Blocked] time on the spine collapses
-      toward zero — the effect bench007 measures.
+    DispatcherQueue, DecisionQueue, SendQueues, LogQueue) goes through
+    this type. A channel is an SPSC or MPMC ring. The data path is a few
+    atomic operations; blocking is *spin-then-park*: a short bounded
+    burst of polls (counted in {!Waitstats} as spins), then a park on a
+    fallback condition variable (counted as a park and accounted as
+    [Waiting] in {!Thread_state}). Because the data path never takes a
+    lock, tracer-attributed [Blocked] time on the spine stays near zero.
 
     Semantics mirror {!Bounded_queue} exactly (same [Closed] exception,
     so {!Worker.spawn}'s shutdown handling applies unchanged), with one
-    carve-out: a [put] racing [close] itself may drop the element on the
-    ring path. The spine only closes queues at shutdown, where in-flight
-    work is discarded anyway.
+    carve-out: a [put] racing [close] itself may drop the element. The
+    spine only closes queues at shutdown, where in-flight work is
+    discarded anyway.
 
     [kind] declares the producer/consumer discipline. [Spsc] is a
     contract, not a guard: callers must guarantee a single producer
@@ -32,7 +27,7 @@ type kind = Spsc | Mpmc
 exception Closed
 (** Physically equal to {!Bounded_queue.Closed}. *)
 
-val create : lockfree:bool -> kind:kind -> capacity:int -> 'a t
+val create : kind:kind -> capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity <= 0]. Note the MPMC ring
     rounds [capacity] up to a power of two (see {!Lf_queue}). *)
 

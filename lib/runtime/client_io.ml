@@ -132,13 +132,13 @@ let metric_names =
   [ "msmr_client_io_requests_total"; "msmr_client_io_replies_total";
     "msmr_client_io_malformed_total"; "msmr_client_io_flushes" ]
 
-let create ?(name_prefix = "") ?(lockfree = true) ?on_fresh ~pool_size
+let create ?(name_prefix = "") ?on_fresh ~pool_size
     ~request_queue ~reply_cache () =
   if pool_size <= 0 then invalid_arg "Client_io.create: pool_size <= 0";
   let workers =
     (* Ingress is many connection threads -> one worker: MPMC ring. *)
     Array.init pool_size (fun _ ->
-        { ingress = Bq.create ~lockfree ~kind:Bq.Mpmc ~capacity:256;
+        { ingress = Bq.create ~kind:Bq.Mpmc ~capacity:256;
           replies = Mpsc.create () })
   in
   let m_labels =

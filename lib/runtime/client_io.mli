@@ -28,7 +28,6 @@ type batch_sink = bytes list -> unit
 
 val create :
   ?name_prefix:string ->
-  ?lockfree:bool ->
   ?on_fresh:
     (Msmr_wire.Client_msg.request -> Service.conflict option -> unit) ->
   pool_size:int ->
@@ -36,9 +35,7 @@ val create :
   reply_cache:Reply_cache.t ->
   unit ->
   t
-(** Starts [pool_size] threads named [<prefix>ClientIO-<i>]. [lockfree]
-    (default true) picks the engine for the per-worker ingress channels;
-    the RequestQueue's engine is the caller's choice at its creation.
+(** Starts [pool_size] threads named [<prefix>ClientIO-<i>].
 
     [on_fresh] (default none) is the speculative pre-dispatch hook: it
     runs on the worker thread for every fresh request — after the reply

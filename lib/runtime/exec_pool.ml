@@ -1,16 +1,10 @@
-module Ch = Msmr_platform.Channel
 module Lf = Msmr_platform.Lf_queue
 module Thread_state = Msmr_platform.Thread_state
 module Waitstats = Msmr_platform.Waitstats
 module Backoff = Msmr_platform.Backoff
 module Counter = Msmr_platform.Rate_meter.Counter
 
-(* Hash-shard variant: one queue per executor, a key's lane IS its
-   executor. This is PR 6's pool, kept verbatim behind [steal = false]
-   (and as the only option on the mutex path, which the goldens pin). *)
-type 'a shard = { exec_qs : 'a Ch.t array }
-
-(* Work-stealing variant. Naively stealing *requests* from a sibling's
+(* Work-stealing pool. Naively stealing *requests* from a sibling's
    queue would break the ordering contract (two same-key requests could
    run concurrently on two executors), so stealing is done at lane
    granularity:
@@ -30,7 +24,9 @@ type 'a shard = { exec_qs : 'a Ch.t array }
    Items are pushed to the lane ring *before* the [lane_pending]
    increment, so a freshly minted or re-checked token always finds its
    items published. *)
-type 'a steal_st = {
+type 'a t = {
+  n_exec : int;
+  n_lanes : int;
   lanes : 'a Lf.Spsc.t array;
   lane_pending : int Atomic.t array;
   token_qs : int Lf.Mpmc.t array; (* lane ids; one ring per executor *)
@@ -39,14 +35,6 @@ type 'a steal_st = {
   work_sleepers : int Atomic.t;
   closed : bool Atomic.t;
   seeds : int array; (* per-executor LCG state for victim choice *)
-}
-
-type 'a impl = Shard of 'a shard | Steal of 'a steal_st
-
-type 'a t = {
-  n_exec : int;
-  n_lanes : int;
-  impl : 'a impl;
   (* Quiescence barrier state: dispatched-but-unfinished requests. *)
   pending : int Atomic.t;
   mu : Mutex.t;
@@ -58,47 +46,28 @@ type 'a t = {
   mutable rr : int; (* round-robin lane cursor; scheduler-private *)
 }
 
-(* Lanes per executor in steal mode: enough that a hot executor's lanes
-   can be split among siblings, few enough that the token rings and the
-   scheduler's routing table stay tiny. *)
+(* Lanes per executor: enough that a hot executor's lanes can be split
+   among siblings, few enough that the token rings and the scheduler's
+   routing table stay tiny. *)
 let lanes_per_exec = 8
 
 let lane_capacity = 1024
 
-let create ~lockfree ~steal ~n_exec () =
+let create ~n_exec () =
   if n_exec < 1 then invalid_arg "Exec_pool.create: n_exec < 1";
-  (* Stealing rides the lock-free rings; on the pinned mutex path (and
-     with a single executor, where there is nobody to steal from) it
-     degrades to hash-sharding. *)
-  let steal = steal && lockfree && n_exec > 1 in
-  let n_lanes = if steal then lanes_per_exec * n_exec else n_exec in
-  let impl =
-    if steal then
-      Steal
-        {
-          lanes = Array.init n_lanes (fun _ ->
-              Lf.Spsc.create ~capacity:lane_capacity);
-          lane_pending = Array.init n_lanes (fun _ -> Atomic.make 0);
-          (* Every live token could in principle sit in one ring. *)
-          token_qs = Array.init n_exec (fun _ ->
-              Lf.Mpmc.create ~capacity:n_lanes);
-          work_mu = Mutex.create ();
-          work_cv = Condition.create ();
-          work_sleepers = Atomic.make 0;
-          closed = Atomic.make false;
-          seeds = Array.init n_exec (fun i -> (i * 2654435761) lor 1);
-        }
-    else
-      Shard
-        {
-          exec_qs = Array.init n_exec (fun _ ->
-              Ch.create ~lockfree ~kind:Ch.Spsc ~capacity:lane_capacity);
-        }
-  in
+  let n_lanes = lanes_per_exec * n_exec in
   {
     n_exec;
     n_lanes;
-    impl;
+    lanes = Array.init n_lanes (fun _ -> Lf.Spsc.create ~capacity:lane_capacity);
+    lane_pending = Array.init n_lanes (fun _ -> Atomic.make 0);
+    (* Every live token could in principle sit in one ring. *)
+    token_qs = Array.init n_exec (fun _ -> Lf.Mpmc.create ~capacity:n_lanes);
+    work_mu = Mutex.create ();
+    work_cv = Condition.create ();
+    work_sleepers = Atomic.make 0;
+    closed = Atomic.make false;
+    seeds = Array.init n_exec (fun i -> (i * 2654435761) lor 1);
     pending = Atomic.make 0;
     mu = Mutex.create ();
     cv = Condition.create ();
@@ -111,16 +80,12 @@ let create ~lockfree ~steal ~n_exec () =
 
 let n_exec t = t.n_exec
 let lanes t = t.n_lanes
-let stealing t = match t.impl with Steal _ -> true | Shard _ -> false
 let dispatched t = Counter.get t.dispatched
 let barriers t = Counter.get t.barriers
 let steals t = Counter.get t.steals
 let steal_fails t = Counter.get t.steal_fails
 
-let depth t =
-  match t.impl with
-  | Shard s -> Array.fold_left (fun acc q -> acc + Ch.length q) 0 s.exec_qs
-  | Steal s -> Array.fold_left (fun acc l -> acc + Lf.Spsc.length l) 0 s.lanes
+let depth t = Array.fold_left (fun acc l -> acc + Lf.Spsc.length l) 0 t.lanes
 
 (* Executor-side completion: the last in-flight request wakes the
    scheduler if it is blocked in a barrier. The broadcast takes the
@@ -146,52 +111,45 @@ let quiesce t st =
         done;
         Mutex.unlock t.mu)
 
-let wake_executors s =
-  if Atomic.get s.work_sleepers > 0 then begin
-    Mutex.lock s.work_mu;
-    Condition.broadcast s.work_cv;
-    Mutex.unlock s.work_mu
+let wake_executors t =
+  if Atomic.get t.work_sleepers > 0 then begin
+    Mutex.lock t.work_mu;
+    Condition.broadcast t.work_cv;
+    Mutex.unlock t.work_mu
   end
 
 (* Mint the lane's token into its home executor's ring. The ring is
    sized for every live token, so the push cannot fail. *)
-let mint_token s ~n_exec lane =
-  ignore (Lf.Mpmc.try_push s.token_qs.(lane mod n_exec) lane);
-  wake_executors s
+let mint_token t lane =
+  ignore (Lf.Mpmc.try_push t.token_qs.(lane mod t.n_exec) lane);
+  wake_executors t
 
 let send ?st t ~lane v =
   Atomic.incr t.pending;
   Counter.incr t.dispatched;
-  match t.impl with
-  | Shard s -> (
-      match Ch.put ?st s.exec_qs.(lane) v with
-      | () -> ()
-      | exception Ch.Closed ->
-        (* Shutdown mid-dispatch: the request is dropped (as the serial
-           loop drops queued decisions), but the counter must not leak. *)
-        ignore (Atomic.fetch_and_add t.pending (-1)))
-  | Steal s ->
-    if Atomic.get s.closed then ignore (Atomic.fetch_and_add t.pending (-1))
-    else begin
-      let bo = Backoff.create () in
-      let rec push () =
-        if Lf.Spsc.try_push s.lanes.(lane) v then begin
-          (* 0 -> 1: the lane just became non-empty; give it a token. *)
-          if Atomic.fetch_and_add s.lane_pending.(lane) 1 = 0 then
-            mint_token s ~n_exec:t.n_exec lane
-        end
-        else if Atomic.get s.closed then
-          ignore (Atomic.fetch_and_add t.pending (-1))
-        else begin
-          (* Lane ring full: its token is live somewhere, so an executor
-             is (or will be) draining it — back off and retry. *)
-          Waitstats.note_spin ();
-          Backoff.once ?st bo;
-          push ()
-        end
-      in
-      push ()
-    end
+  (* Shutdown mid-dispatch: the request is dropped (as the serial loop
+     drops queued decisions), but the counter must not leak. *)
+  if Atomic.get t.closed then ignore (Atomic.fetch_and_add t.pending (-1))
+  else begin
+    let bo = Backoff.create () in
+    let rec push () =
+      if Lf.Spsc.try_push t.lanes.(lane) v then begin
+        (* 0 -> 1: the lane just became non-empty; give it a token. *)
+        if Atomic.fetch_and_add t.lane_pending.(lane) 1 = 0 then
+          mint_token t lane
+      end
+      else if Atomic.get t.closed then
+        ignore (Atomic.fetch_and_add t.pending (-1))
+      else begin
+        (* Lane ring full: its token is live somewhere, so an executor
+           is (or will be) draining it — back off and retry. *)
+        Waitstats.note_spin ();
+        Backoff.once ?st bo;
+        push ()
+      end
+    in
+    push ()
+  end
 
 let send_rr ?st t v =
   t.rr <- (t.rr + 1) mod t.n_lanes;
@@ -199,36 +157,19 @@ let send_rr ?st t v =
 
 (* --- executor bodies ------------------------------------------------ *)
 
-let run_exec t exec v =
-  match exec v with
-  | () -> complete t
-  | exception e ->
-    (* Never leave the barrier counter stuck. *)
-    complete t;
-    raise e
-
-let shard_loop t s ~idx ~exec ~st =
-  let q = s.exec_qs.(idx) in
-  let continue = ref true in
-  while !continue do
-    match Ch.take ~st q with
-    | v -> run_exec t exec v
-    | exception Ch.Closed -> continue := false
-  done
-
 (* How many requests one token grant may drain before the lane is
    re-queued behind the executor's other tokens (keeps one hot lane from
    starving the rest of the ring). *)
 let drain_budget = 64
 
-let steal_loop t s ~idx ~exec ~st =
-  let my_tokens = s.token_qs.(idx) in
+let executor_loop t ~idx ~exec ~st =
+  let my_tokens = t.token_qs.(idx) in
   (* Drain [lane] while holding its token. Returns with the token either
      retired (lane empty) or re-queued (budget exhausted). *)
   let drain lane =
-    let pend = s.lane_pending.(lane) in
+    let pend = t.lane_pending.(lane) in
     let rec go budget =
-      match Lf.Spsc.try_pop s.lanes.(lane) with
+      match Lf.Spsc.try_pop t.lanes.(lane) with
       | None ->
         (* While [lane_pending] > 0 the token guarantees published items
            (pushes precede increments and only we decrement), so a miss
@@ -261,19 +202,19 @@ let steal_loop t s ~idx ~exec ~st =
      the rest into our own ring (and wake siblings — we just became a
      victim worth robbing). *)
   let try_steal () =
-    s.seeds.(idx) <- (s.seeds.(idx) * 25214903917 + 11) land max_int;
-    let start = s.seeds.(idx) mod t.n_exec in
+    t.seeds.(idx) <- (t.seeds.(idx) * 25214903917 + 11) land max_int;
+    let start = t.seeds.(idx) mod t.n_exec in
     let found = ref None in
     for off = 0 to t.n_exec - 1 do
       if !found = None then begin
         let v = (start + off) mod t.n_exec in
         if v <> idx then begin
-          let k = Lf.Mpmc.length s.token_qs.(v) in
+          let k = Lf.Mpmc.length t.token_qs.(v) in
           if k > 0 then begin
             let want = max 1 ((k + 1) / 2) in
             let got = ref [] in
             for _ = 1 to want do
-              match Lf.Mpmc.try_pop s.token_qs.(v) with
+              match Lf.Mpmc.try_pop t.token_qs.(v) with
               | Some l -> got := l :: !got
               | None -> ()
             done;
@@ -283,7 +224,7 @@ let steal_loop t s ~idx ~exec ~st =
               List.iter
                 (fun l -> ignore (Lf.Mpmc.try_push my_tokens l))
                 rest;
-              if rest <> [] then wake_executors s;
+              if rest <> [] then wake_executors t;
               Counter.incr t.steals;
               found := Some first
           end
@@ -303,7 +244,7 @@ let steal_loop t s ~idx ~exec ~st =
     match next_token () with
     | Some lane -> drain lane
     | None ->
-      if Atomic.get s.closed then continue := false
+      if Atomic.get t.closed then continue := false
       else begin
         (* Spin briefly, then park. Parking re-checks only our own ring
            under the mutex: any token minted or re-queued after we bump
@@ -322,37 +263,29 @@ let steal_loop t s ~idx ~exec ~st =
         match spin 16 with
         | Some lane -> drain lane
         | None ->
-          if Atomic.get s.closed then continue := false
+          if Atomic.get t.closed then continue := false
           else begin
-            Atomic.incr s.work_sleepers;
-            Mutex.lock s.work_mu;
+            Atomic.incr t.work_sleepers;
+            Mutex.lock t.work_mu;
             Fun.protect
               ~finally:(fun () ->
-                Mutex.unlock s.work_mu;
-                Atomic.decr s.work_sleepers)
+                Mutex.unlock t.work_mu;
+                Atomic.decr t.work_sleepers)
               (fun () ->
                 while
-                  (not (Atomic.get s.closed))
+                  (not (Atomic.get t.closed))
                   && Lf.Mpmc.length my_tokens = 0
                 do
                   Waitstats.note_park ();
                   Thread_state.enter st Thread_state.Waiting (fun () ->
-                      Condition.wait s.work_cv s.work_mu)
+                      Condition.wait t.work_cv t.work_mu)
                 done)
           end
       end
   done
 
-let executor_loop t ~idx ~exec ~st =
-  match t.impl with
-  | Shard s -> shard_loop t s ~idx ~exec ~st
-  | Steal s -> steal_loop t s ~idx ~exec ~st
-
 let close t =
-  match t.impl with
-  | Shard s -> Array.iter Ch.close s.exec_qs
-  | Steal s ->
-    Atomic.set s.closed true;
-    Mutex.lock s.work_mu;
-    Condition.broadcast s.work_cv;
-    Mutex.unlock s.work_mu
+  Atomic.set t.closed true;
+  Mutex.lock t.work_mu;
+  Condition.broadcast t.work_cv;
+  Mutex.unlock t.work_mu

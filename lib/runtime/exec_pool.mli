@@ -2,23 +2,19 @@
 
     The scheduler thread (the replica's DecisionQueue consumer) routes
     each decided request to a *lane* — [Hashtbl.hash key mod lanes] —
-    and the pool runs the lanes on [n_exec] executor threads. Two
-    variants behind one interface:
-
-    - hash-shard ([steal = false], or whenever [lockfree = false] /
-      [n_exec = 1]): lane = executor, one queue each — PR 6's pool,
-      pinned by the goldens on the mutex path.
-    - work-stealing ([steal = true] on the lock-free path): many more
-      lanes than executors, each lane an SPSC ring owned by whichever
-      executor holds its unique *token*; idle executors steal half of a
-      random victim's tokens. A zipfian-hot shard therefore spreads over
-      idle siblings — the convoy the paper's single-queue profile shows
-      — while same-key requests still execute one at a time, in decide
-      order, because only the token holder drains a lane.
+    and the pool runs the lanes on [n_exec] executor threads. There are
+    many more lanes than executors; each lane is an SPSC ring owned by
+    whichever executor holds its unique *token*, and idle executors
+    steal half of a random victim's tokens. A zipfian-hot shard
+    therefore spreads over idle siblings — the convoy the paper's
+    single-queue profile shows — while same-key requests still execute
+    one at a time, in decide order, because only the token holder
+    drains a lane. With [n_exec = 1] the same path runs; the single
+    executor holds every token and its steal scans find no victim.
 
     Invariants relied on by the replica:
     - per-lane execution order = dispatch order (so per-key decide
-      order), in both variants;
+      order);
     - {!quiesce} returns only when every {!send}-dispatched request has
       finished executing (snapshots, state install, multi-key/global
       commands);
@@ -27,17 +23,13 @@
 
 type 'a t
 
-val create : lockfree:bool -> steal:bool -> n_exec:int -> unit -> 'a t
+val create : n_exec:int -> unit -> 'a t
 (** @raise Invalid_argument if [n_exec < 1]. *)
 
 val n_exec : 'a t -> int
 
 val lanes : 'a t -> int
 (** Route keys with [Hashtbl.hash key mod lanes t]. *)
-
-val stealing : 'a t -> bool
-(** Whether the work-stealing variant is active (it requires
-    [lockfree && steal && n_exec > 1]). *)
 
 val send : ?st:Msmr_platform.Thread_state.t -> 'a t -> lane:int -> 'a -> unit
 (** Dispatch to a lane (blocking under back-pressure). During shutdown

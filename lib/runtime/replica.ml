@@ -92,11 +92,10 @@ type stable = {
    consumes the DecisionQueue in decide order and routes each request to
    a lane of the {!Exec_pool} by hashing its conflict key, so commands on
    the same key always land on the same lane and keep their decide order,
-   while commands on different keys run concurrently. With [Config.steal]
-   the pool runs many lanes over the executors and idle executors steal
-   lane tokens from busy siblings; without it a lane is an executor
-   (static hash-sharding). Global / multi-lane commands and snapshots
-   first quiesce the pool. *)
+   while commands on different keys run concurrently. The pool runs many
+   lanes over the executors and idle executors steal lane tokens from
+   busy siblings. Global / multi-lane commands and snapshots first
+   quiesce the pool. *)
 (* Work items flowing through the executor lanes. [W_exec] is the
    ordered path; the other three belong to the speculative path
    (Config.speculate, DESIGN.md section 16). All items for one conflict
@@ -179,10 +178,6 @@ type t = {
   request_q : Client_msg.request Bq.t;
   decision_q : decision Bq.t;
   send_qs : Msg.t Bq.t array;           (* one per node id; own slot unused *)
-  proxy_q : (Types.node_id list * Msg.t) Bq.t option;
-      (* compartmentalized fan-out (proxy_leaders > 0): multi-destination
-         sends leave the Protocol thread as one enqueue; the ProxyLeader
-         threads expand them into the per-peer send queues *)
   rtx_dq : rtx_entry Dq.t;
   (* Modules. *)
   links : (Types.node_id * Transport.link) list;
@@ -202,7 +197,6 @@ type t = {
   decided : Counter.t;
   send_q_drops : Counter.t;
   sender_flushes : Counter.t;   (* coalesced sender-drain passes *)
-  proxy_fanout : Counter.t;     (* per-destination expansions by ProxyLeaders *)
   view_changes : Counter.t;     (* views installed after view 0 *)
   suspects : Counter.t;         (* local failure-detector verdicts acted on *)
   (* Read fast path accounting + follower freshness (lease mode). *)
@@ -253,7 +247,6 @@ let decided_count t = Counter.get t.decided
 let view_changes_count t = Counter.get t.view_changes
 let suspects_count t = Counter.get t.suspects
 let reconnects_count t = t.reconnects ()
-let proxy_fanout_count t = Counter.get t.proxy_fanout
 let reads_served_count t = Counter.get t.reads_served
 let reads_rejected_count t = Counter.get t.reads_rejected
 let stale_reads_served_count t = Counter.get t.stale_served
@@ -348,7 +341,7 @@ let stall_stable_storage t stalled =
 (* ------------------------------------------------------------------ *)
 (* Protocol thread: executes engine actions. *)
 
-let enqueue_send_direct t dest msg =
+let enqueue_send t dest msg =
   List.iter
     (fun d ->
        if d <> t.me then begin
@@ -361,40 +354,6 @@ let enqueue_send_direct t dest msg =
          | exception Bq.Closed -> ()
        end)
     dest
-
-(* With ProxyLeaders enabled, a multi-destination send costs the calling
-   thread one enqueue instead of one per peer; the expansion happens on
-   the ProxyLeader threads. Single-destination sends keep the direct
-   path — there is nothing to fan out. *)
-let enqueue_send t dest msg =
-  match t.proxy_q with
-  | None -> enqueue_send_direct t dest msg
-  | Some pq -> (
-      match List.filter (fun d -> d <> t.me) dest with
-      | [] -> ()
-      | [ d ] -> enqueue_send_direct t [ d ] msg
-      | dests -> (
-          match Bq.try_put pq (dests, msg) with
-          | true -> ()
-          | false -> Counter.incr t.send_q_drops
-          | exception Bq.Closed -> ()))
-
-let proxy_leader_loop t st =
-  let pq = Option.get t.proxy_q in
-  let continue = ref true in
-  while !continue do
-    match Bq.take ~st pq with
-    | dests, msg ->
-      List.iter
-        (fun d ->
-           Counter.incr t.proxy_fanout;
-           match Bq.try_put t.send_qs.(d) msg with
-           | true -> ()
-           | false -> Counter.incr t.send_q_drops
-           | exception Bq.Closed -> ())
-        dests
-    | exception Bq.Closed -> continue := false
-  done
 
 (* Which messages witness state that must be on stable storage before
    they reach the wire: a [Prepare_ok] carries a promise, an [Accepted]
@@ -1428,8 +1387,6 @@ let metric_names =
     "msmr_executor_spec_requeue_total";
     "msmr_replica_spec_lead_s";
     "msmr_replica_sender_flushes";
-    "msmr_replica_proxy_fanout_total";
-    "msmr_replica_proxy_queue_depth";
     "msmr_replica_log_queue_depth";
     "msmr_replica_durable_hold_s";
     "msmr_replica_bsz_now";
@@ -1519,10 +1476,6 @@ let register_metrics t =
   Msmr_obs.Metrics.gauge ~labels:[ ("mode", "live") ] "msmr_queue_park_total"
     (fun () -> fi (Waitstats.park_total ()));
   g "msmr_replica_sender_flushes" (fun () -> fi (Counter.get t.sender_flushes));
-  g "msmr_replica_proxy_fanout_total" (fun () ->
-      fi (Counter.get t.proxy_fanout));
-  g "msmr_replica_proxy_queue_depth" (fun () ->
-      match t.proxy_q with Some pq -> fi (Bq.length pq) | None -> 0.);
   g "msmr_replica_log_queue_depth" (fun () ->
       match t.stable with
       | Some ss -> fi (Bq.length ss.log_q)
@@ -1571,17 +1524,19 @@ let unregister_metrics t =
   let labels = metric_labels t in
   List.iter (fun name -> Msmr_obs.Metrics.remove ~labels name) metric_names
 
+(* RequestQueue capacity in requests (the paper's setting);
+   ProposalQueue capacity in batches. *)
+let request_queue_capacity = 1000
+let proposal_queue_capacity = 20
+
 let create ?(client_io_threads = 3) ?(batcher_threads = 1)
-    ?(executor_threads = 1) ?(proxy_leaders = 0) ?gid
-    ?(request_queue_capacity = 1000)
-    ?(proposal_queue_capacity = 20) ?(durability = Ephemeral)
+    ?(executor_threads = 1) ?gid ?(durability = Ephemeral)
     ?(reconnects = fun () -> 0) ~cfg ~me ~links ~service () =
   (match Config.validate cfg with
    | Ok () -> ()
    | Error e -> invalid_arg ("Replica.create: " ^ e));
   if executor_threads < 1 then
     invalid_arg "Replica.create: executor_threads < 1";
-  if proxy_leaders < 0 then invalid_arg "Replica.create: proxy_leaders < 0";
   (match gid with
    | Some g when g < 0 || g >= cfg.Config.groups ->
      invalid_arg "Replica.create: gid outside [0, cfg.groups)"
@@ -1608,8 +1563,7 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
       Some
         { log_q =
             (* Protocol + Retransmitter produce, StableStorage consumes. *)
-            Bq.create ~lockfree:cfg.Config.lockfree ~kind:Bq.Mpmc
-              ~capacity:8192;
+            Bq.create ~kind:Bq.Mpmc ~capacity:8192;
           ss_lsn = Atomic.make 0;
           ss_stall = Atomic.make false;
           ss_hold = Msmr_obs.Metrics.histogram ~labels "msmr_replica_durable_hold_s" }
@@ -1632,27 +1586,25 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
           ?tuned_bsz:(if cfg.Config.auto_tune then Some tuned_bsz else None)
           cfg ~src:(me + (cfg.Config.n * idx)))
   in
-  (* Producer/consumer discipline per edge (lock-free mode): receivers,
-     FD, batchers and the scheduler all feed the dispatcher (MPMC); N
-     batchers feed the Protocol thread (SPSC when N = 1); ClientIO
-     workers share the RequestQueue with the batchers (MPMC); the
-     DecisionQueue is strictly Protocol -> scheduler (SPSC); send, proxy
-     and log queues have several producer threads (MPMC). *)
-  let lf = cfg.Config.lockfree in
+  (* Producer/consumer discipline per edge: receivers, FD, batchers and
+     the scheduler all feed the dispatcher (MPMC); N batchers feed the
+     Protocol thread (SPSC when N = 1); ClientIO workers share the
+     RequestQueue with the batchers (MPMC); the DecisionQueue is
+     strictly Protocol -> scheduler (SPSC); send and log queues have
+     several producer threads (MPMC). *)
   let t =
     { cfg; me; gid; service;
-      dispatcher_q = Bq.create ~lockfree:lf ~kind:Bq.Mpmc ~capacity:4096;
+      dispatcher_q = Bq.create ~kind:Bq.Mpmc ~capacity:4096;
       proposal_q =
-        Bq.create ~lockfree:lf
+        Bq.create
           ~kind:(if max 1 batcher_threads = 1 then Bq.Spsc else Bq.Mpmc)
           ~capacity:proposal_queue_capacity;
-      request_q =
-        Bq.create ~lockfree:lf ~kind:Bq.Mpmc ~capacity:request_queue_capacity;
+      request_q = Bq.create ~kind:Bq.Mpmc ~capacity:request_queue_capacity;
       decision_q =
         (* Lease mode adds client threads as read producers (submit_read)
            and speculation adds the ClientIO workers (the pre-dispatch
            hook); otherwise the Protocol thread is the only producer. *)
-        Bq.create ~lockfree:lf
+        Bq.create
           ~kind:
             (if cfg.Config.lease_enabled || cfg.Config.speculate then
                Bq.Mpmc
@@ -1660,11 +1612,7 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
           ~capacity:1024;
       send_qs =
         Array.init cfg.Config.n (fun _ ->
-            Bq.create ~lockfree:lf ~kind:Bq.Mpmc ~capacity:4096);
-      proxy_q =
-        (if proxy_leaders > 0 then
-           Some (Bq.create ~lockfree:lf ~kind:Bq.Mpmc ~capacity:4096)
-         else None);
+            Bq.create ~kind:Bq.Mpmc ~capacity:4096);
       rtx_dq = Dq.create ();
       links;
       store;
@@ -1675,9 +1623,7 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
       exec_pool =
         (if executor_threads > 1 then
            Some
-             { pool =
-                 Exec_pool.create ~lockfree:lf ~steal:cfg.Config.steal
-                   ~n_exec:executor_threads ();
+             { pool = Exec_pool.create ~n_exec:executor_threads ();
                exec_frontier = Hashtbl.create 256;
                conflict_cache = Cmap.create ~shards:16 ();
                spec =
@@ -1715,7 +1661,6 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
       decided = Counter.create ();
       send_q_drops = Counter.create ();
       sender_flushes = Counter.create ();
-      proxy_fanout = Counter.create ();
       view_changes = Counter.create ();
       suspects = Counter.create ();
       reads_served = Counter.create ();
@@ -1769,7 +1714,7 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
   let cio =
     Client_io.create
       ~name_prefix:(Printf.sprintf "r%d/" me)
-      ~lockfree:lf ?on_fresh ~pool_size:client_io_threads
+      ?on_fresh ~pool_size:client_io_threads
       ~request_queue:t.request_q ~reply_cache:t.reply_cache ()
   in
   t.client_io <- Some cio;
@@ -1817,18 +1762,6 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
            else Printf.sprintf "Batcher-%d" i)
           (batcher_loop i))
   in
-  let proxies =
-    match t.proxy_q with
-    | None -> []
-    | Some _ ->
-      (* More than one ProxyLeader may reorder two multicasts of the
-         same group relative to each other; the engine tolerates
-         reordering (retransmission covers losses), so this only trades
-         a little ordering for fan-out parallelism. *)
-      List.init (max 1 proxy_leaders) (fun i ->
-          Worker.spawn ~name:(Printf.sprintf "r%d/ProxyLeader-%d" me i)
-            (fun st -> proxy_leader_loop t st))
-  in
   let service_manager =
     match t.exec_pool with
     | None -> [ spawn "Replica" service_manager_loop ]
@@ -1846,7 +1779,7 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
     [ spawn "Protocol" protocol_loop;
       spawn "FailureDetector" fd_loop;
       spawn "Retransmitter" retransmitter_loop ]
-    @ stable_storage @ proxies @ service_manager @ batchers @ io_threads
+    @ stable_storage @ service_manager @ batchers @ io_threads
     @ syncer;
   register_metrics t;
   t
@@ -1863,7 +1796,6 @@ let stop t =
     Bq.close t.dispatcher_q;
     Bq.close t.decision_q;
     (match t.stable with Some ss -> Bq.close ss.log_q | None -> ());
-    (match t.proxy_q with Some pq -> Bq.close pq | None -> ());
     (* The scheduler also closes the pool on exit; closing here too
        unblocks it even if the scheduler is wedged. Close is idempotent. *)
     (match t.exec_pool with
@@ -1888,7 +1820,7 @@ module Cluster = struct
     make : int -> replica;   (* factory, reused by [restart] *)
   }
 
-  let create ?client_io_threads ?executor_threads ?proxy_leaders ?gid
+  let create ?client_io_threads ?executor_threads ?gid
       ?durability ~cfg ~service () =
     let n = cfg.Config.n in
     let hub = Transport.Hub.create ~n () in
@@ -1903,7 +1835,7 @@ module Cluster = struct
       let durability =
         match durability with Some f -> f me | None -> Ephemeral
       in
-      create ?client_io_threads ?executor_threads ?proxy_leaders ?gid
+      create ?client_io_threads ?executor_threads ?gid
         ~durability ~cfg ~me ~links ~service:(service ()) ()
     in
     { hub; replicas = Array.init n make; make }

@@ -44,10 +44,7 @@ val create :
   ?client_io_threads:int ->
   ?batcher_threads:int ->
   ?executor_threads:int ->
-  ?proxy_leaders:int ->
   ?gid:int ->
-  ?request_queue_capacity:int ->
-  ?proposal_queue_capacity:int ->
   ?durability:durability ->
   ?reconnects:(unit -> int) ->
   cfg:Msmr_consensus.Config.t ->
@@ -58,9 +55,9 @@ val create :
   t
 (** Build and start a replica. [links] must contain one link per peer
     (every node in [0, cfg.n) except [me]). Defaults: 3 ClientIO threads,
-    1 Batcher thread (more is the paper's Section VI-B extension),
-    RequestQueue capacity 1000 (the paper's setting), ProposalQueue
-    capacity 20.
+    1 Batcher thread (more is the paper's Section VI-B extension). The
+    RequestQueue holds 1000 requests (the paper's setting), the
+    ProposalQueue 20 batches.
 
     [executor_threads] sizes the ServiceManager. The default [1] is the
     paper's single Replica thread executing decisions inline. With [k > 1]
@@ -77,13 +74,6 @@ val create :
     that classify commands with [Keys]; a service using the default
     [Global] classifier degenerates to serial execution plus barrier
     overhead.
-
-    [proxy_leaders] compartmentalizes the Protocol thread's fan-out
-    (Whittaker-style proxy leaders): with [k > 0], a multi-destination
-    send (the leader's [Accept]/[Decide] broadcasts) costs the Protocol
-    thread one enqueue onto a ProxyLeader queue, and [k] ProxyLeader
-    threads expand it into the per-peer send queues. The default [0]
-    keeps the original direct path byte-for-byte (no queue, no threads).
 
     [gid] is this replica's consensus group in a multi-group deployment
     (see {!Replica_group} and [Config.groups]): the engine bootstraps at
@@ -145,12 +135,6 @@ val suspects_count : t -> int
 val reconnects_count : t -> int
 (** Peer-link reconnections reported by the transport's [reconnects]
     callback; always [0] over a {!Transport.Hub}. *)
-
-val proxy_fanout_count : t -> int
-(** Per-destination message expansions performed by this replica's
-    ProxyLeader threads (the value behind
-    [msmr_replica_proxy_fanout_total]); always [0] when the replica was
-    created with [proxy_leaders = 0]. *)
 
 val lease_held : t -> bool
 (** Does this replica hold a currently valid leader lease (own clock)?
@@ -262,7 +246,6 @@ module Cluster : sig
   val create :
     ?client_io_threads:int ->
     ?executor_threads:int ->
-    ?proxy_leaders:int ->
     ?gid:int ->
     ?durability:(int -> durability) ->
     cfg:Msmr_consensus.Config.t ->
@@ -270,8 +253,8 @@ module Cluster : sig
     unit ->
     t
   (** Fresh service instance per replica; [durability] maps a node id to
-      its storage mode (default: all ephemeral); [executor_threads],
-      [proxy_leaders] and [gid] are passed to every replica's {!create}
+      its storage mode (default: all ephemeral); [executor_threads] and
+      [gid] are passed to every replica's {!create}
       (a cluster with [gid = g] is one group of a multi-group deployment;
       see {!Replica_group} for the assembled sharded cluster). *)
 

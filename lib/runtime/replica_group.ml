@@ -30,7 +30,7 @@ let reads_routed_count t = Counter.get t.reads_routed
 let m_labels = [ ("mode", "live") ]
 let m_group_labels g = ("group", string_of_int g) :: m_labels
 
-let create ?client_io_threads ?executor_threads ?proxy_leaders ?conflict
+let create ?client_io_threads ?executor_threads ?conflict
     ?durability ~groups ~cfg ~service () =
   if groups < 1 then invalid_arg "Replica_group.create: groups < 1";
   let cfg = { cfg with Msmr_consensus.Config.groups } in
@@ -46,8 +46,8 @@ let create ?client_io_threads ?executor_threads ?proxy_leaders ?conflict
           | Some f -> Some (fun node -> f ~gid ~node)
           | None -> None
         in
-        Replica.Cluster.create ?client_io_threads ?executor_threads
-          ?proxy_leaders ~gid ?durability ~cfg
+        Replica.Cluster.create ?client_io_threads ?executor_threads ~gid
+          ?durability ~cfg
           ~service:(fun () -> service ~gid)
           ())
   in

@@ -36,7 +36,6 @@ type t
 val create :
   ?client_io_threads:int ->
   ?executor_threads:int ->
-  ?proxy_leaders:int ->
   ?conflict:(Msmr_wire.Client_msg.request -> Service.conflict) ->
   ?durability:(gid:int -> node:int -> Replica.durability) ->
   groups:int ->

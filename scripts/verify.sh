@@ -281,19 +281,13 @@ if command -v jq >/dev/null 2>&1; then
   pts=$(jq '.sim.points | length' "$bench7_file")
   bad=$(jq '[.sim.points[] | select(.nosteal_rps <= 0 or .steal_rps <= 0)]
             | length' "$bench7_file")
-  # The tentpole's claims hold even on the quick run: stealing recovers
-  # the skew-0.9 convoy, and the lock-free spine collapses the summed
-  # Blocked (lock-acquisition) time of the live replica threads.
+  # The claim holds even on the quick run: stealing recovers the
+  # skew-0.9 convoy.
   speedup_ok=$(jq '.sim.steal_speedup_hot >= 1.5' "$bench7_file")
-  blocked_ok=$(jq '.live.blocked_reduction >= 5' "$bench7_file")
-  live_ok=$(jq '.live.mutex.completed > 0 and .live.lockfree.completed > 0' \
-            "$bench7_file")
-  echo "bench007 smoke: $pts skew points, steal>=1.5x: $speedup_ok, blocked/5: $blocked_ok"
+  echo "bench007 smoke: $pts skew points, steal>=1.5x: $speedup_ok"
   [ "$pts" -eq 3 ] || { echo "FAIL: expected 3 skew points" >&2; exit 1; }
   [ "$bad" -eq 0 ] || { echo "FAIL: non-positive throughput in bench007 smoke" >&2; exit 1; }
   [ "$speedup_ok" = "true" ] || { echo "FAIL: steal speedup at skew 0.9 below 1.5x" >&2; exit 1; }
-  [ "$blocked_ok" = "true" ] || { echo "FAIL: lock-free spine blocked-time reduction below 5x" >&2; exit 1; }
-  [ "$live_ok" = "true" ] || { echo "FAIL: a live bench007 section completed no requests" >&2; exit 1; }
 else
   [ -s "$bench7_file" ] || { echo "FAIL: $bench7_file empty" >&2; exit 1; }
   case "$(head -c1 "$bench7_file")" in
@@ -316,14 +310,12 @@ if command -v jq >/dev/null 2>&1; then
   speedup_ok=$(jq '.sim.steal_speedup_hot >= 1.5' "$bench7_committed")
   steals_ok=$(jq '[.sim.points[] | select(.skew >= 0.5 and .steals > 0)]
                | length >= 1' "$bench7_committed")
-  blocked_ok=$(jq '.live.blocked_reduction >= 5' "$bench7_committed")
-  echo "bench007 committed: $pts points, steal>=1.5x: $speedup_ok, blocked/5: $blocked_ok"
+  echo "bench007 committed: $pts points, steal>=1.5x: $speedup_ok"
   [ "$quick" = "false" ] || { echo "FAIL: committed bench007 was a --quick run" >&2; exit 1; }
   [ "$pts" -eq 3 ] || { echo "FAIL: expected 3 committed skew points" >&2; exit 1; }
   [ "$schema_bad" -eq 0 ] || { echo "FAIL: bench007 point missing required fields" >&2; exit 1; }
   [ "$speedup_ok" = "true" ] || { echo "FAIL: committed steal speedup below 1.5x" >&2; exit 1; }
   [ "$steals_ok" = "true" ] || { echo "FAIL: no skewed committed point recorded steals" >&2; exit 1; }
-  [ "$blocked_ok" = "true" ] || { echo "FAIL: committed blocked-time reduction below 5x" >&2; exit 1; }
 else
   [ -s "$bench7_committed" ] || { echo "FAIL: $bench7_committed empty" >&2; exit 1; }
   echo "bench007 committed: jq not installed, checked file is non-empty"

@@ -225,7 +225,7 @@ let test_mc_mpmc_push_pop_race () =
 (* ------------------------------------------------------------------ *)
 (* Channel facade: blocking semantics on the ring path. *)
 
-let ch kind capacity = Channel.create ~lockfree:true ~kind ~capacity
+let ch kind capacity = Channel.create ~kind ~capacity
 
 let test_ch_fifo () =
   let q = ch Channel.Mpmc 8 in
@@ -438,8 +438,8 @@ let test_bq_drain_into () =
 (* ------------------------------------------------------------------ *)
 (* Work-stealing executor pool. *)
 
-let run_pool ?(slow = false) ~lockfree ~steal ~n_exec ~sends check =
-  let pool = Exec_pool.create ~lockfree ~steal ~n_exec () in
+let run_pool ?(slow = false) ~n_exec ~sends check =
+  let pool = Exec_pool.create ~n_exec () in
   let mu = Mutex.create () in
   let seen : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
   let exec (key, seq) =
@@ -494,19 +494,10 @@ let send_keys pool ~n_keys ~per_key =
     done
   done
 
-let test_pool_shard_order () =
-  run_pool ~lockfree:true ~steal:false ~n_exec:3
-    ~sends:(send_keys ~n_keys:8 ~per_key:100)
-    (fun pool seen ->
-      Alcotest.(check bool) "sharded" false (Exec_pool.stealing pool);
-      Alcotest.(check int) "lane per executor" 3 (Exec_pool.lanes pool);
-      check_per_key_order ~per_key:100 pool seen)
-
 let test_pool_steal_order () =
-  run_pool ~lockfree:true ~steal:true ~n_exec:4
+  run_pool ~n_exec:4
     ~sends:(send_keys ~n_keys:16 ~per_key:100)
     (fun pool seen ->
-      Alcotest.(check bool) "stealing" true (Exec_pool.stealing pool);
       Alcotest.(check int) "8 lanes per executor" 32 (Exec_pool.lanes pool);
       check_per_key_order ~per_key:100 pool seen;
       Alcotest.(check int) "all dispatched" 1600 (Exec_pool.dispatched pool))
@@ -515,7 +506,7 @@ let test_pool_steal_spreads_hot_shard () =
   (* Every request lands on a lane homed on executor 0 (lane ≡ 0 mod
      n_exec); the only way executors 1..3 ever run anything is by
      stealing tokens. *)
-  run_pool ~slow:true ~lockfree:true ~steal:true ~n_exec:4
+  run_pool ~slow:true ~n_exec:4
     ~sends:(fun pool ->
       let n_exec = Exec_pool.n_exec pool in
       for seq = 0 to 99 do
@@ -530,21 +521,14 @@ let test_pool_steal_spreads_hot_shard () =
         true
         (Exec_pool.steals pool > 0))
 
-let test_pool_mutex_path_degrades_to_shard () =
-  run_pool ~lockfree:false ~steal:true ~n_exec:2
-    ~sends:(send_keys ~n_keys:4 ~per_key:50)
-    (fun pool seen ->
-      Alcotest.(check bool) "no stealing on the mutex path" false
-        (Exec_pool.stealing pool);
-      Alcotest.(check int) "no steal counters" 0 (Exec_pool.steals pool);
-      check_per_key_order ~per_key:50 pool seen)
-
 let test_pool_quiesce_single_exec () =
-  run_pool ~lockfree:true ~steal:true ~n_exec:1
+  run_pool ~n_exec:1
     ~sends:(send_keys ~n_keys:2 ~per_key:20)
     (fun pool seen ->
-      (* steal && n_exec = 1 degrades: nobody to steal from. *)
-      Alcotest.(check bool) "degraded" false (Exec_pool.stealing pool);
+      (* One executor runs the same token/lane path and holds every
+         token; with no sibling there is nothing to steal. *)
+      Alcotest.(check int) "8 lanes" 8 (Exec_pool.lanes pool);
+      Alcotest.(check int) "no steals" 0 (Exec_pool.steals pool);
       check_per_key_order ~per_key:20 pool seen)
 
 (* ------------------------------------------------------------------ *)
@@ -556,7 +540,7 @@ let prop_mpmc_channel_exactly_once =
     QCheck.(
       triple (int_range 1 3) (int_range 0 60) (int_range 1 8))
     (fun (n_producers, per, capacity) ->
-      let q = Channel.create ~lockfree:true ~kind:Channel.Mpmc ~capacity in
+      let q = Channel.create ~kind:Channel.Mpmc ~capacity in
       let out = Array.init 2 (fun _ -> ref []) in
       let consumers =
         Array.to_list
@@ -619,7 +603,7 @@ let prop_spsc_channel_fifo =
     ~count:stress_count
     QCheck.(pair (int_range 0 200) (int_range 1 8))
     (fun (n, capacity) ->
-      let q = Channel.create ~lockfree:true ~kind:Channel.Spsc ~capacity in
+      let q = Channel.create ~kind:Channel.Spsc ~capacity in
       let producer =
         Thread.create
           (fun () ->
@@ -645,7 +629,7 @@ let prop_steal_pool_per_key_order =
       triple (int_range 2 4) (int_range 1 12) (int_range 1 60))
     (fun (n_exec, n_keys, per_key) ->
       let ok = ref true in
-      run_pool ~lockfree:true ~steal:true ~n_exec
+      run_pool ~n_exec
         ~sends:(send_keys ~n_keys ~per_key)
         (fun _pool seen ->
           Hashtbl.iter
@@ -698,14 +682,10 @@ let suite =
     Alcotest.test_case "bqueue: take_batch_into" `Quick
       test_bq_take_batch_into;
     Alcotest.test_case "bqueue: drain_into" `Quick test_bq_drain_into;
-    Alcotest.test_case "pool: shard per-key order" `Quick
-      test_pool_shard_order;
     Alcotest.test_case "pool: steal per-key order" `Quick
       test_pool_steal_order;
     Alcotest.test_case "pool: steals spread a hot shard" `Quick
       test_pool_steal_spreads_hot_shard;
-    Alcotest.test_case "pool: mutex path degrades to shard" `Quick
-      test_pool_mutex_path_degrades_to_shard;
     Alcotest.test_case "pool: steal with one executor degrades" `Quick
       test_pool_quiesce_single_exec;
   ]

@@ -701,22 +701,23 @@ let test_cluster_executors_global_service () =
     (string_of_int (Atomic.get sum))
     (Bytes.to_string (Client.call probe (Bytes.of_string "0")))
 
-(* The mutex spine ([lockfree = false]) and the lock-free spine with
-   work-stealing executors must be observably identical: same replies,
-   same final replicated state for the same workload. *)
-let test_cluster_lockfree_matches_mutex () =
-  let run ~lockfree ~steal =
-    let cfg = { (test_cfg 3) with Config.lockfree; steal } in
-    with_cluster ~cfg ~executor_threads:4 ~service:(fun () -> Kv.make ())
-    @@ fun cluster ->
-    ignore (Replica.Cluster.await_leader cluster);
-    let client = Client.create ~cluster ~client_id:1 () in
-    for i = 1 to 40 do
-      let key = Printf.sprintf "k%d" (i mod 5) in
-      match kv_call client (Kv.Incr { key; by = i }) with
-      | Kv.Ok_int _ -> ()
-      | _ -> Alcotest.fail "expected Ok_int"
-    done;
+(* Four work-stealing executors on the lock-free spine reach exactly
+   the kv state the workload defines: key [k(i mod 5)] holds the sum of
+   its [i]s, and every Incr reply is that key's running sum. *)
+let test_cluster_stealing_kv_state () =
+  with_cluster ~executor_threads:4 ~service:(fun () -> Kv.make ())
+  @@ fun cluster ->
+  ignore (Replica.Cluster.await_leader cluster);
+  let client = Client.create ~cluster ~client_id:1 () in
+  let expected = Array.make 5 0 in
+  for i = 1 to 40 do
+    let r = i mod 5 in
+    expected.(r) <- expected.(r) + i;
+    match kv_call client (Kv.Incr { key = Printf.sprintf "k%d" r; by = i }) with
+    | Kv.Ok_int n -> Alcotest.(check int) "running sum" expected.(r) n
+    | _ -> Alcotest.fail "expected Ok_int"
+  done;
+  let state =
     match kv_call client (Kv.List_keys "") with
     | Kv.Ok_keys keys ->
       List.sort compare
@@ -728,10 +729,10 @@ let test_cluster_lockfree_matches_mutex () =
            keys)
     | _ -> Alcotest.fail "expected Ok_keys"
   in
-  let mutex_state = run ~lockfree:false ~steal:false in
-  let lf_state = run ~lockfree:true ~steal:true in
   Alcotest.(check (list (pair string string)))
-    "same final state" mutex_state lf_state
+    "final state"
+    (List.init 5 (fun r -> (Printf.sprintf "k%d" r, string_of_int expected.(r))))
+    state
 
 (* ------------------------------------------------------------------ *)
 (* Fault controller: crash-shaped kill/restart of live replicas. *)
@@ -1001,8 +1002,8 @@ let suite =
         test_cluster_executors_pipelined_client;
       Alcotest.test_case "cluster: executors suppress duplicates" `Quick
         test_cluster_executors_duplicate_suppression;
-      Alcotest.test_case "cluster: lock-free spine matches mutex spine" `Quick
-        test_cluster_lockfree_matches_mutex;
+      Alcotest.test_case "cluster: stealing executors kv state" `Quick
+        test_cluster_stealing_kv_state;
       Alcotest.test_case "cluster: executors quiesce for snapshots" `Quick
         test_cluster_executors_snapshot_quiescence;
       Alcotest.test_case "cluster: executors with Global-only service" `Quick
@@ -1105,9 +1106,9 @@ let keyed_counter () =
           (String.split_on_char ';' (Bytes.to_string b)))
     ()
 
-let with_group ?(groups = 2) ?proxy_leaders f =
+let with_group f =
   let rg =
-    Replica_group.create ?proxy_leaders ~groups ~cfg:(test_cfg 3)
+    Replica_group.create ~groups:2 ~cfg:(test_cfg 3)
       ~service:(fun ~gid:_ -> keyed_counter ())
       ()
   in
@@ -1177,28 +1178,6 @@ let test_replica_group_global_barrier () =
   Alcotest.(check string) "traffic resumes" "6"
     (rg_call rg ~client_id:1 ~seq:4 (k0 ^ ":1"))
 
-let test_replica_group_proxy_leaders () =
-  (* Same workload through the ProxyLeader fan-out stage: multicasts
-     leave via proxy threads instead of the Protocol thread. *)
-  with_group ~proxy_leaders:1 @@ fun rg ->
-  Replica_group.await_leaders rg;
-  let k0 = key_in_group ~groups:2 0 and k1 = key_in_group ~groups:2 1 in
-  for i = 1 to 10 do
-    let k = if i mod 2 = 0 then k0 else k1 in
-    ignore (rg_call rg ~client_id:1 ~seq:i (k ^ ":1"))
-  done;
-  Alcotest.(check int) "all routed" 10 (Replica_group.routed_count rg);
-  (* The proxies actually carried fan-out: each group's leader multicast
-     its Accepts through the proxy queue. *)
-  let fanout gid =
-    let leader = Replica.Cluster.await_leader (Replica_group.cluster rg ~gid) in
-    Replica.proxy_fanout_count leader
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "proxy fan-out counted (%d, %d)" (fanout 0) (fanout 1))
-    true
-    (fanout 0 > 0 && fanout 1 > 0)
-
 let suite =
   suite
   @ [ Alcotest.test_case "router: key partition" `Quick test_router_partition;
@@ -1206,9 +1185,7 @@ let suite =
       Alcotest.test_case "replica group: partitions and replies" `Quick
         test_replica_group_partitions;
       Alcotest.test_case "replica group: cross-group Global barrier" `Quick
-        test_replica_group_global_barrier;
-      Alcotest.test_case "replica group: proxy-leader fan-out" `Quick
-        test_replica_group_proxy_leaders ]
+        test_replica_group_global_barrier ]
 
 (* ------------------------------------------------------------------ *)
 (* Read fast path (leases) on the live cluster *)
