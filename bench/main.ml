@@ -1558,7 +1558,7 @@ let bench009 () =
         warmup;
         duration;
         exec_threads = 4;
-        steal = groups = 1;
+        steal = true;
         skew;
         speculate = spec }
   in

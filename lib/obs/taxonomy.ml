@@ -16,12 +16,10 @@ let module_of_thread name =
   if has_prefix ~prefix:"ClientIO" name
      || has_prefix ~prefix:"ClientAcceptor" name
      || has_prefix ~prefix:"conn-" name
-     || has_prefix ~prefix:"Router" name
   then "ClientIO"
   else if has_prefix ~prefix:"ReplicaIO" name then "ReplicaIO"
   else if has_prefix ~prefix:"Batcher" name
           || has_prefix ~prefix:"Protocol" name
-          || has_prefix ~prefix:"ProxyLeader" name
           || has_prefix ~prefix:"FailureDetector" name
           || name = "Retransmitter"
           || name = "StableStorage"

@@ -18,12 +18,12 @@
 val module_of_thread : string -> string
 (** [module_of_thread name] maps a thread name to its module boundary:
 
-    - ["ClientIO-0"], ["r1/ClientIO-2"], ["ClientAcceptor"], ["conn-3"],
-      ["Router"] (the multi-group request router) → ["ClientIO"]
+    - ["ClientIO-0"], ["r1/ClientIO-2"], ["ClientAcceptor"], ["conn-3"]
+      → ["ClientIO"]
     - ["ReplicaIOSnd-1"], ["ReplicaIORcv-0"] → ["ReplicaIO"]
     - ["Batcher"], ["Batcher-2"], ["Protocol"], ["Protocol-g3"],
-      ["ProxyLeader-g0"], ["FailureDetector"], ["Retransmitter"],
-      ["StableStorage"] → ["ReplicationCore"]
+      ["FailureDetector"], ["Retransmitter"], ["StableStorage"]
+      → ["ReplicationCore"]
     - ["Replica"], ["Replica-g2"], ["Syncer"], ["Executor-1"]
       → ["ServiceManager"]
     - anything else → ["Other"]

@@ -6,7 +6,10 @@
     [ClientIO-0..k], [Batcher], [Protocol], [Replica] (ServiceManager)
     and one [ReplicaIOSnd-p]/[ReplicaIORcv-p] pair per peer — and drives
     them with a closed-loop client population attached to the leader
-    (node 0), as in the paper's evaluation setup.
+    (node 0), as in the paper's evaluation setup. With
+    [Params.groups > 1] the per-group stages are replicated per
+    consensus group (thread names gain a [-g<g>] suffix) while the
+    CPU, NIC, ReplicaIO and StableStorage stay shared per node.
 
     One call to {!run} is one experiment run; it returns every quantity
     the paper's figures and tables report. *)
@@ -45,12 +48,13 @@ type result = {
           batching factor ([1.0] under [Sync_serial] by construction) *)
   tuned_bsz_final : int;
       (** BSZ in force at the end of the run: the {!Msmr_consensus.Autotune}
-          controller's last published value under [auto_tune], the static
-          [bsz] otherwise *)
+          controller's last published value under [auto_tune] (group 0's
+          controller when [groups > 1]), the static [bsz] otherwise *)
   tuned_wnd_final : int;         (** likewise for WND *)
   view_changes : int;
-      (** distinct views (> 0) any node installed — [0] on a fault-free
-          run, where node 0 leads view 0 throughout *)
+      (** distinct (group, view) pairs any node installed past the
+          group's bootstrap view (group [g] starts in view [g]) — [0] on a
+          fault-free run, where every group keeps its first leader *)
   unavailable_s : float;
       (** widest window of the measured interval with no committing
           leader (max commit gap on the acting leader, including the
@@ -87,20 +91,18 @@ type result = {
   events : int;                  (** simulation events processed *)
   group_throughputs : float array;
       (** per-group requests completed / second; [[| throughput |]] when
-          [groups = 1] (the single-group path reports itself as one
-          group) *)
+          [groups = 1] *)
   globals_executed : int;
-      (** cross-group Global commands executed through the quiescence
-          barrier (multi-group runs with [conflict_ratio > 0.]);
-          [0] on the single-group path, whose Global accounting lives in
-          the parallel-ServiceManager model *)
+      (** Global commands executed through the node's quiescence barrier
+          (measured; [conflict_ratio > 0.] with [groups > 1] or
+          [exec_threads > 1] — a serial single-group ServiceManager runs
+          every command alone, so it classifies none) *)
   steals : int;
-      (** successful token steals in the work-stealing executor pool
+      (** successful token steals in the work-stealing executor pools
           over the whole run, warm-up included ([Params.steal] with
           [exec_threads > 1] — at saturation no executor idles, so
           steals concentrate in the ramp); [0] on the fixed-route and
-          serial paths, and on multi-group runs (which model the
-          fixed-route pool) *)
+          serial paths *)
   spec_dispatched : int;
       (** speculation frames the leader pre-dispatched ahead of commit,
           whole run ([Params.speculate]); [0] with speculation off *)
@@ -117,8 +119,7 @@ type result = {
           [0.] when unmeasured (serial path, or no completions) *)
   reconfigs_applied : int;
       (** [Membership_changed] adoptions summed over all nodes, whole run
-          ([Params.reconfig_at] on the single-group path); [0] with a
-          static membership and on multi-group runs *)
+          ([Params.reconfig_at]); [0] with a static membership *)
   final_epoch : int;
       (** highest membership epoch any node had adopted by the end of the
           run; [0] with a static membership *)
@@ -136,14 +137,19 @@ val run : ?trace:bool -> Params.t -> result
     also published to {!Msmr_obs.Metrics.default} with [mode="sim"]
     labels.
 
-    With [Params.groups <= 1] this is the classic single-group model,
-    byte-for-byte the pre-multi-group path (golden-pinned). With
-    [groups > 1] it runs the compartmentalized multi-group model:
-    [groups] independent Paxos instances per node (group [g] led by node
-    [g mod n]), a Router stage hash-partitioning client requests to
-    groups, a per-group ProxyLeader stage fanning out multi-destination
-    sends, per-group logs multiplexed over shared per-peer links, and a
-    cross-group quiescence barrier for Global commands (classified on
-    group 0's decide stream at [conflict_ratio]). Multi-group runs
-    support crash-only fault schedules; [auto_tune] and [n_batchers]
-    are ignored (static tuning, one Batcher per group). *)
+    [Params.groups] is one parameter of one model: every node holds a
+    Paxos engine, Batcher(s), queues, ServiceManager (and executor
+    pool), lease and failure detector per group; group [g] bootstraps
+    in view [g], led by node [g mod n]. ClientIO routes each request
+    inline to its group by client id (one [dispatch_per_req] when
+    [groups > 1]); Protocol fans out inline; per-group logs are
+    multiplexed over the shared per-peer links and StableStorage. A
+    Global command (classified on group 0's decide stream at
+    [conflict_ratio]) closes a node-local barrier that quiesces every
+    group's in-flight execution before it runs alone. Every fault kind,
+    [auto_tune], [n_batchers], [exec_threads], [steal], [skew],
+    [speculate] and leases work at any group count.
+
+    @raise Invalid_argument if [groups < 1], or if [groups > 1] and
+    [reconfig_at <> []] (the live Replica_group does not coordinate
+    epoch walks across groups either). *)

@@ -57,14 +57,17 @@ type t = {
   costs : costs;
   n : int;                  (** replicas *)
   groups : int;
-      (** independent consensus groups (compartmentalized multi-group
-          Paxos). [1] (the default) is the classic single-group model,
-          simulated on the exact pre-multi-group path (golden-pinned).
-          With [groups > 1] each group runs its own Paxos engine,
-          Batcher, ProxyLeader and log on every node; group [g] is led
-          by node [g mod n], spreading leader work (and leader NIC
-          load) round-robin over the cluster. Clients are partitioned
-          over groups by key hash (modelled as [cid mod groups]). *)
+      (** independent consensus groups (multi-group Paxos, as the live
+          [Replica_group]). [1] (the default) is the paper's single
+          group. Each group runs its own Paxos engine, Batcher(s),
+          ServiceManager, lease, failure detector and log on every node,
+          sharing the node's CPU, NIC, ReplicaIO links and
+          StableStorage; group [g] is led by node [g mod n], spreading
+          leader work (and leader NIC load) round-robin over the
+          cluster. Clients are partitioned over groups by conflict key
+          (modelled as [cid mod groups]). Every other field applies
+          per group, except [reconfig_at], which requires
+          [groups = 1]. *)
   cores : int;              (** cores per node *)
   client_io_threads : int;
   wnd : int;                (** max parallel ballots (WND) *)
@@ -94,8 +97,8 @@ type t = {
           each lane is owned by a token held by exactly one executor at
           a time, and an executor whose token queue runs dry steals
           half the victim's tokens. [false] (the default, also used
-          when [exec_threads <= 1]) keeps the exact fixed-route
-          [sm_parallel] path (golden-pinned). Deterministic: victims
+          when [exec_threads <= 1]) keeps the fixed-route pool
+          (golden-pinned). Deterministic: victims
           are scanned in ring order, no RNG. *)
   speculate : bool;
       (** extension (DESIGN.md section 16): early scheduling +
@@ -103,8 +106,10 @@ type t = {
           each fresh request into its executor lane at ingress and
           executes it optimistically against the predicted (log-append)
           order; the decide then confirms the staged result or rolls it
-          back and re-executes ordered. [false] (the default) is
-          byte-for-byte the ordered path (golden-pinned). *)
+          back and re-executes ordered. Needs an executor pool
+          ([exec_threads > 1]); a serial ServiceManager never
+          speculates. [false] (the default) is byte-for-byte the ordered
+          path (golden-pinned). *)
   mispredict_ratio : float;
       (** fraction of speculations whose prediction is forced wrong
           (deterministic floor-counter pattern, no RNG) — models
@@ -191,7 +196,8 @@ type t = {
           current leader. [[]] (the default) disables the reconfig
           driver; like [faults], a non-empty schedule enables the chaos
           machinery (failure detector, retransmissions, safety
-          checking) and stays fully deterministic. *)
+          checking) and stays fully deterministic. Requires
+          [groups = 1]. *)
   chaos_seed : int;  (** seeds the per-run chaos PRNG ({!Sfault.make_net}) *)
   chaos_fd_interval : float;
       (** failure-detector heartbeat interval under chaos (overrides

@@ -698,9 +698,9 @@ let test_reconfig_chaos_golden () =
 (* Compartmentalized multi-group Paxos in the model. *)
 
 let test_multigroup_single_group_unchanged () =
-  (* groups = 1 must dispatch to the exact pre-multi-group simulation
-     path: the serial-baseline golden still holds, the per-group split
-     degenerates to the total, and no Global barrier ever runs. *)
+  (* groups = 1 is the single-group model: the serial-baseline golden
+     still holds, the per-group split degenerates to the total, and no
+     Global barrier ever runs. *)
   let r = Jpaxos_model.run { (small_params ()) with groups = 1 } in
   let lo = 33_500. *. 0.95 and hi = 33_500. *. 1.05 in
   Alcotest.(check bool)
@@ -784,6 +784,42 @@ let test_multigroup_chaos_one_group_crash_isolated () =
   let r2 = Jpaxos_model.run p in
   Alcotest.(check int) "chaos multi-group deterministic" r.events r2.events
 
+let test_multigroup_rejects_reconfig () =
+  (* The live Replica_group does not coordinate epoch walks across its
+     groups, so the model refuses the combination instead of ignoring
+     the schedule. *)
+  let p =
+    { (reconfig_params [ (0.3, [ 0; 1; 2; 3; 4 ]) ]) with groups = 2 }
+  in
+  match Jpaxos_model.run p with
+  | _ -> Alcotest.fail "groups > 1 with reconfig_at must be rejected"
+  | exception Invalid_argument _ -> ()
+
+let test_multigroup_composed_chaos () =
+  (* Every single-group feature at groups = 2, under a partition and a
+     crash: per-group heartbeat failure detectors, autotune, two
+     Batchers and a two-executor stealing pool per group, zipfian
+     skew. *)
+  let p =
+    { (chaos_params ~duration:1.0
+         [ Sfault.Partition
+             { group_a = [ 1 ]; group_b = [ 0; 2 ]; at = 0.2; heal_at = 0.45;
+               symmetric = true };
+           Sfault.Crash { node = 0; at = 0.55; restart_at = Some 0.8 } ])
+      with
+      groups = 2; cores = 8; auto_tune = true; n_batchers = 2;
+      exec_threads = 2; steal = true; skew = 0.9 }
+  in
+  let r1 = Jpaxos_model.run p in
+  Alcotest.(check bool) "linearizable in every group" true r1.safety_ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "views moved (%d)" r1.view_changes)
+    true (r1.view_changes >= 1);
+  Alcotest.(check bool) "clients completed requests" true (r1.completed > 1000);
+  let r2 = Jpaxos_model.run p in
+  Alcotest.(check int) "golden: same events" r1.events r2.events;
+  Alcotest.(check int) "golden: same completed" r1.completed r2.completed
+
 (* Read-heavy fast path: leases + local reads in the model. *)
 
 let read_params ?(stale = false) ratio =
@@ -846,7 +882,7 @@ let test_reads_stale_speedup () =
   Alcotest.(check int) "no stale answers" 0 r.stale_answers
 
 let test_reads_multigroup () =
-  (* Per-group leases: reads route through the Router to their group's
+  (* Per-group leases: ClientIO routes reads to their group's
      decision queue and are served against that group's lease. *)
   let p = { (read_params ~stale:true 0.5) with groups = 2 } in
   let r1 = Jpaxos_model.run p in
@@ -895,7 +931,7 @@ let test_chaos_reads_partition_golden () =
 
 let spec_params ?(threads = 4) ?(mis = 0.0) ?(groups = 1) () =
   { (small_params ~cores:8 ()) with
-    exec_threads = threads; steal = groups = 1; groups;
+    exec_threads = threads; steal = true; groups;
     speculate = true; mispredict_ratio = mis }
 
 let test_spec_off_counters_inert () =
@@ -1004,6 +1040,114 @@ let test_chaos_spec_crash_golden () =
     r2.spec_confirmed;
   Alcotest.(check int) "golden: same aborted" r1.spec_aborted r2.spec_aborted
 
+(* groups = 1 fingerprints: seven single-group runs pinned to the values
+   the model produced before the single- and multi-group paths were
+   merged into one model. Any drift in the groups = 1 event stream
+   (process spawn order, costs, queue wiring) moves [events] first. *)
+
+type fingerprint = {
+  fp_events : int;
+  fp_completed : int;
+  fp_throughput : float;
+  fp_view_changes : int;
+  fp_steals : int;
+  fp_spec_confirmed : int;
+  fp_reconfigs_applied : int;
+  fp_final_epoch : int;
+}
+
+let fingerprint_of (r : Jpaxos_model.result) =
+  { fp_events = r.events;
+    fp_completed = r.completed;
+    fp_throughput = r.throughput;
+    fp_view_changes = r.view_changes;
+    fp_steals = r.steals;
+    fp_spec_confirmed = r.spec_confirmed;
+    fp_reconfigs_applied = r.reconfigs_applied;
+    fp_final_epoch = r.final_epoch }
+
+let fingerprint_runs () =
+  [ ("small", small_params ());
+    ( "crash+partition",
+      chaos_params ~duration:0.8
+        [ Sfault.Crash { node = 0; at = 0.3; restart_at = Some 0.5 };
+          Sfault.Partition
+            { group_a = [ 2 ]; group_b = [ 0; 1 ]; at = 0.55; heal_at = 0.7;
+              symmetric = true } ] );
+    ("auto_tune", autotune_params ());
+    ( "exec4+steal+skew",
+      { (small_params ~cores:8 ()) with
+        exec_threads = 4; steal = true; skew = 0.9 } );
+    ("lease+stale", read_params ~stale:true 0.5);
+    ( "spec+global+group-commit",
+      { (small_params ~cores:8 ()) with
+        exec_threads = 4; speculate = true; mispredict_ratio = 0.1;
+        conflict_ratio = 0.05; sync_policy = Params.Sync_group } );
+    ( "reconfig walk",
+      reconfig_params ~duration:0.8 [ (0.3, [ 0; 1; 2; 3; 4 ]) ] ) ]
+
+(* Captured from the pre-merge model; throughput as an exact hex float. *)
+let pinned_fingerprints =
+  [
+    ( "small",
+      { fp_events = 639518; fp_completed = 10050;
+        fp_throughput = 0x1.05b8p+15; fp_view_changes = 0; fp_steals = 0;
+        fp_spec_confirmed = 0; fp_reconfigs_applied = 0;
+        fp_final_epoch = 0 } );
+    ( "crash+partition",
+      { fp_events = 758040; fp_completed = 12264;
+        fp_throughput = 0x1.df1p+13; fp_view_changes = 4; fp_steals = 0;
+        fp_spec_confirmed = 0; fp_reconfigs_applied = 0;
+        fp_final_epoch = 0 } );
+    ( "auto_tune",
+      { fp_events = 1165952; fp_completed = 33436;
+        fp_throughput = 0x1.4686p+16; fp_view_changes = 0; fp_steals = 0;
+        fp_spec_confirmed = 0; fp_reconfigs_applied = 0;
+        fp_final_epoch = 0 } );
+    ( "exec4+steal+skew",
+      { fp_events = 2248139; fp_completed = 32486;
+        fp_throughput = 0x1.a6feaaaaaaaabp+16; fp_view_changes = 0;
+        fp_steals = 47143;
+        fp_spec_confirmed = 0; fp_reconfigs_applied = 0;
+        fp_final_epoch = 0 } );
+    ( "lease+stale",
+      { fp_events = 749161; fp_completed = 16751;
+        fp_throughput = 0x1.b439555555556p+15; fp_view_changes = 0;
+        fp_steals = 0;
+        fp_spec_confirmed = 0; fp_reconfigs_applied = 0;
+        fp_final_epoch = 0 } );
+    ( "spec+global+group-commit",
+      { fp_events = 78817; fp_completed = 900;
+        fp_throughput = 0x1.77p+11; fp_view_changes = 0; fp_steals = 0;
+        fp_spec_confirmed = 163; fp_reconfigs_applied = 0;
+        fp_final_epoch = 0 } );
+    ( "reconfig walk",
+      { fp_events = 1787032; fp_completed = 24460;
+        fp_throughput = 0x1.ddbcp+14; fp_view_changes = 0; fp_steals = 0;
+        fp_spec_confirmed = 0; fp_reconfigs_applied = 20;
+        fp_final_epoch = 4 } ) ]
+
+let test_single_group_fingerprints () =
+  List.iter2
+    (fun (name, p) (pinned_name, want) ->
+       assert (name = pinned_name);
+       let got = fingerprint_of (Jpaxos_model.run p) in
+       let check_int what a b =
+         Alcotest.(check int) (Printf.sprintf "%s: %s" name what) a b
+       in
+       check_int "events" want.fp_events got.fp_events;
+       check_int "completed" want.fp_completed got.fp_completed;
+       Alcotest.(check (float 0.))
+         (Printf.sprintf "%s: throughput" name)
+         want.fp_throughput got.fp_throughput;
+       check_int "view_changes" want.fp_view_changes got.fp_view_changes;
+       check_int "steals" want.fp_steals got.fp_steals;
+       check_int "spec_confirmed" want.fp_spec_confirmed got.fp_spec_confirmed;
+       check_int "reconfigs_applied" want.fp_reconfigs_applied
+         got.fp_reconfigs_applied;
+       check_int "final_epoch" want.fp_final_epoch got.fp_final_epoch)
+    (fingerprint_runs ()) pinned_fingerprints
+
 let suite =
   [
     Alcotest.test_case "engine: delay ordering" `Quick test_engine_delay_ordering;
@@ -1068,6 +1212,8 @@ let suite =
     Alcotest.test_case "chaos: seeded random soak" `Slow test_chaos_random_soak;
     Alcotest.test_case "chaos: fsync stall (durable)" `Quick
       test_chaos_fsync_stall_durable;
+    Alcotest.test_case "jpaxos model: groups=1 fingerprints pinned" `Slow
+      test_single_group_fingerprints;
     Alcotest.test_case "multigroup: groups=1 path unchanged" `Quick
       test_multigroup_single_group_unchanged;
     Alcotest.test_case "multigroup: deterministic" `Quick
@@ -1078,6 +1224,10 @@ let suite =
       test_multigroup_global_barrier;
     Alcotest.test_case "multigroup: crash in one group isolated" `Slow
       test_multigroup_chaos_one_group_crash_isolated;
+    Alcotest.test_case "multigroup: reconfig_at rejected" `Quick
+      test_multigroup_rejects_reconfig;
+    Alcotest.test_case "multigroup: composed features under chaos" `Slow
+      test_multigroup_composed_chaos;
     Alcotest.test_case "reads: lease-off path identical" `Quick
       test_reads_lease_off_identity;
     Alcotest.test_case "reads: lease-off multi-group path identical" `Quick
