@@ -543,7 +543,10 @@ let live_mono () =
           Thread.create
             (fun () ->
                let payload = Bytes.make 112 'x' in
-               let reply_box = Msmr_platform.Bounded_queue.create ~capacity:1 in
+               let reply_box =
+                 Msmr_platform.Channel.create ~kind:Msmr_platform.Channel.Spsc
+                   ~capacity:1
+               in
                let seq = ref 0 in
                while Unix.gettimeofday () < stop_at do
                  incr seq;
@@ -553,9 +556,9 @@ let live_mono () =
                  in
                  let t0 = Unix.gettimeofday () in
                  Mono.submit leader ~raw ~reply_to:(fun b ->
-                     ignore (Msmr_platform.Bounded_queue.try_put reply_box b));
+                     ignore (Msmr_platform.Channel.try_put reply_box b));
                  match
-                   Msmr_platform.Bounded_queue.take_timeout reply_box
+                   Msmr_platform.Channel.take_timeout reply_box
                      ~timeout_s:2.0
                  with
                  | Some _ ->
@@ -586,12 +589,14 @@ let micro () =
   heading "micro" "Substrate micro-benchmarks (bechamel)";
   let open Bechamel in
   let open Toolkit in
-  let bq = Msmr_platform.Bounded_queue.create ~capacity:1024 in
-  let bench_bq =
-    Test.make ~name:"bounded_queue put+take"
+  let ch =
+    Msmr_platform.Channel.create ~kind:Msmr_platform.Channel.Mpmc ~capacity:1024
+  in
+  let bench_ch =
+    Test.make ~name:"channel put+take"
       (Staged.stage (fun () ->
-           Msmr_platform.Bounded_queue.put bq 42;
-           ignore (Msmr_platform.Bounded_queue.take bq)))
+           Msmr_platform.Channel.put ch 42;
+           ignore (Msmr_platform.Channel.take ch)))
   in
   let mpsc = Msmr_platform.Mpsc_queue.create () in
   let bench_mpsc =
@@ -664,7 +669,7 @@ let micro () =
   in
   let test =
     Test.make_grouped ~name:"substrate"
-      [ bench_bq; bench_mpsc; bench_cmap; bench_cache; bench_req_codec;
+      [ bench_ch; bench_mpsc; bench_cmap; bench_cache; bench_req_codec;
         bench_msg_codec; bench_batcher; bench_delayq ]
   in
   let ols =

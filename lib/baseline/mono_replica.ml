@@ -1,4 +1,4 @@
-module Bq = Msmr_platform.Bounded_queue
+module Bq = Msmr_platform.Channel
 module Worker = Msmr_platform.Worker
 module Thread_state = Msmr_platform.Thread_state
 module Mclock = Msmr_platform.Mclock
@@ -128,14 +128,17 @@ let event_loop t st =
     | Suspect -> apply (Paxos.suspect_leader engine)
   in
   let last_catchup = ref (Mclock.now_ns ()) in
+  let catchup_ns = Mclock.ns_of_s t.cfg.catchup_interval_s in
   while Atomic.get t.running do
-    let timeout_s =
+    (* Park until the next event, the open batch's deadline or the next
+       catch-up tick, whichever comes first. *)
+    let until = Int64.add !last_catchup catchup_ns in
+    let until =
       match Batcher.deadline_ns batcher with
-      | None -> 0.001
-      | Some d ->
-        Float.max 0.0001
-          (Float.min 0.001 (Mclock.s_of_ns (Int64.sub d (Mclock.now_ns ()))))
+      | Some d when Int64.compare d until < 0 -> d
+      | _ -> until
     in
+    let timeout_s = Mclock.s_of_ns (Int64.sub until (Mclock.now_ns ())) in
     (match Bq.take_timeout ~st t.events ~timeout_s with
      | Some ev -> handle ev
      | None -> ()
@@ -144,9 +147,7 @@ let event_loop t st =
      | Some batch -> apply (Paxos.propose engine batch)
      | None -> ());
     let now = Mclock.now_ns () in
-    if
-      Int64.sub now !last_catchup >= Mclock.ns_of_s t.cfg.catchup_interval_s
-    then begin
+    if Int64.sub now !last_catchup >= catchup_ns then begin
       last_catchup := now;
       apply (Paxos.tick_catchup engine)
     end
@@ -223,8 +224,9 @@ let retransmitter_loop t st =
 let create ~cfg ~me ~links ~service () =
   let t =
     { cfg; me; service;
-      events = Bq.create ~capacity:8192;
-      send_qs = Array.init cfg.Config.n (fun _ -> Bq.create ~capacity:4096);
+      events = Bq.create ~kind:Bq.Mpmc ~capacity:8192;
+      send_qs =
+        Array.init cfg.Config.n (fun _ -> Bq.create ~kind:Bq.Mpmc ~capacity:4096);
       rtx_dq = Msmr_platform.Delay_queue.create ();
       links;
       fd = Failure_detector.create cfg ~me ~now_ns:(Mclock.now_ns ());

@@ -1,26 +1,30 @@
-exception Closed = Bounded_queue.Closed
+exception Closed
 
 type kind = Spsc | Mpmc
 
 type 'a core = S of 'a Lf_queue.Spsc.t | M of 'a Lf_queue.Mpmc.t
 
+(* A timed sleeper selects on a self-pipe: OCaml 5.1's [Condition] has
+   no timed wait. Wakers write one byte to [wr]. *)
+type pipe = { rd : Unix.file_descr; wr : Unix.file_descr }
+
 type 'a t = {
   core : 'a core;
   (* The mutex/condvars exist only for parking: the data path never takes
-     them. [sleepers]/[space_sleepers] let the fast path skip the lock
-     entirely when nobody is parked (the common case). *)
+     them. The sleeper counts let the fast path skip the lock entirely
+     when nobody is parked (the common case). *)
   mu : Mutex.t;
   nonempty : Condition.t;
   nonfull : Condition.t;
   sleepers : int Atomic.t;
   space_sleepers : int Atomic.t;
+  timed_sleepers : int Atomic.t;
+  (* Created by the first timed wait; released by [close] once no timed
+     sleeper remains, or by the GC if the channel is never closed.
+     Guarded by [mu]. *)
+  mutable pipe : pipe option;
   closed : bool Atomic.t;
 }
-
-(* How many failed polls (each a [Thread.yield]) before parking. With
-   systhreads a yield is the only way to make progress anyway; the budget
-   just bounds how long we burn the scheduler before paying a futex. *)
-let spin_budget = 16
 
 let core_push c x = match c with
   | S q -> Lf_queue.Spsc.try_push q x
@@ -50,6 +54,8 @@ let create ~kind ~capacity =
     nonfull = Condition.create ();
     sleepers = Atomic.make 0;
     space_sleepers = Atomic.make 0;
+    timed_sleepers = Atomic.make 0;
+    pipe = None;
     closed = Atomic.make false;
   }
 
@@ -59,60 +65,81 @@ let is_empty t = length t = 0
 let is_full t = length t >= capacity t
 let is_closed r = Atomic.get r.closed
 
-let wake mu cv =
-  Mutex.lock mu;
-  Condition.signal cv;
-  Mutex.unlock mu
+(* One byte is the whole message; the read side discards it. *)
+let byte = Bytes.make 1 '\000'
+
+let release_pipe r =
+  match r.pipe with
+  | Some p ->
+    r.pipe <- None;
+    Unix.close p.rd;
+    Unix.close p.wr
+  | None -> ()
+
+(* With [mu] held. Non-blocking: a full pipe already holds a wake. *)
+let ring r =
+  match r.pipe with
+  | Some p when Atomic.get r.timed_sleepers > 0 -> (
+      try ignore (Unix.single_write p.wr byte 0 1)
+      with Unix.Unix_error _ -> ())
+  | _ -> ()
 
 (* A waker must take [mu] before signalling: the parked side re-polls the
    ring while holding [mu] immediately before each [Condition.wait], so
    either the re-poll observes the state change, or the wait is entered
    before the waker can acquire [mu] and the signal lands. Combined with
-   incrementing the sleeper count before taking [mu], no wakeup is lost. *)
-let wake_consumer r = if Atomic.get r.sleepers > 0 then wake r.mu r.nonempty
+   incrementing the sleeper count before taking [mu], no wakeup is lost.
+   Timed sleepers are covered by the byte instead (see [take_timeout]). *)
+let wake_consumer r =
+  if Atomic.get r.sleepers > 0 || Atomic.get r.timed_sleepers > 0 then begin
+    Mutex.lock r.mu;
+    Condition.signal r.nonempty;
+    ring r;
+    Mutex.unlock r.mu
+  end
 
 let wake_producer r =
-  if Atomic.get r.space_sleepers > 0 then wake r.mu r.nonfull
+  if Atomic.get r.space_sleepers > 0 then begin
+    Mutex.lock r.mu;
+    Condition.signal r.nonfull;
+    Mutex.unlock r.mu
+  end
 
-let wait_acct ?st cond mu =
+let accounted ?st f =
   Waitstats.note_park ();
   match st with
-  | None -> Condition.wait cond mu
-  | Some st ->
-    Thread_state.enter st Thread_state.Waiting (fun () ->
-        Condition.wait cond mu)
+  | None -> f ()
+  | Some st -> Thread_state.enter st Thread_state.Waiting f
+
+(* Park on [cond] until [attempt] succeeds: register as a sleeper, then
+   re-run [attempt] under [mu] before every wait. *)
+let park ?st r sleepers cond attempt =
+  Atomic.incr sleepers;
+  Mutex.lock r.mu;
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.unlock r.mu;
+      Atomic.decr sleepers)
+    (fun () ->
+      let rec loop () =
+        match attempt () with
+        | Some v -> v
+        | None ->
+          accounted ?st (fun () -> Condition.wait cond r.mu);
+          loop ()
+      in
+      loop ())
 
 let put ?st r v =
-  let pushed () =
+  (* [attempt] must not signal: [park] calls it with [r.mu] held. *)
+  let attempt () =
     if Atomic.get r.closed then raise Closed;
-    core_push r.core v
+    if core_push r.core v then Some () else None
   in
-  if pushed () then wake_consumer r
-  else begin
-    (* Spin a bounded number of rounds, then park on [nonfull]. *)
-    let rec spin n =
-      if n = 0 then false
-      else begin
-        Waitstats.note_spin ();
-        Thread.yield ();
-        pushed () || spin (n - 1)
-      end
-    in
-    if spin spin_budget then wake_consumer r
-    else begin
-      Atomic.incr r.space_sleepers;
-      Mutex.lock r.mu;
-      Fun.protect
-        ~finally:(fun () ->
-          Mutex.unlock r.mu;
-          Atomic.decr r.space_sleepers)
-        (fun () ->
-          while not (pushed ()) do
-            wait_acct ?st r.nonfull r.mu
-          done);
-      wake_consumer r
-    end
-  end
+  (match attempt () with
+   | Some () -> ()
+   | None -> park ?st r r.space_sleepers r.nonfull attempt);
+  wake_consumer r
 
 let try_put r v =
   if Atomic.get r.closed then raise Closed;
@@ -127,46 +154,17 @@ let try_put r v =
    channel is done. (A put racing [close] itself may be dropped; the
    spine only closes at shutdown, where in-flight work is discarded
    anyway.) *)
+let poll r =
+  let closed = Atomic.get r.closed in
+  match core_pop r.core with
+  | Some v -> Some v
+  | None -> if closed then raise Closed else None
+
 let take ?st r =
-  (* [poll] must not signal: the park loop calls it with [r.mu] held,
-     and the wake helper takes [r.mu]. The producer-side wake happens
-     once, after any lock is released. *)
-  let poll () =
-    let closed = Atomic.get r.closed in
-    match core_pop r.core with
-    | Some v -> Some v
-    | None -> if closed then raise Closed else None
-  in
   let v =
-    match poll () with
+    match poll r with
     | Some v -> v
-    | None ->
-      let rec spin n =
-        if n = 0 then None
-        else begin
-          Waitstats.note_spin ();
-          Thread.yield ();
-          match poll () with Some v -> Some v | None -> spin (n - 1)
-        end
-      in
-      (match spin spin_budget with
-       | Some v -> v
-       | None ->
-         Atomic.incr r.sleepers;
-         Mutex.lock r.mu;
-         Fun.protect
-           ~finally:(fun () ->
-             Mutex.unlock r.mu;
-             Atomic.decr r.sleepers)
-           (fun () ->
-             let rec loop () =
-               match poll () with
-               | Some v -> v
-               | None ->
-                 wait_acct ?st r.nonempty r.mu;
-                 loop ()
-             in
-             loop ()))
+    | None -> park ?st r r.sleepers r.nonempty (fun () -> poll r)
   in
   wake_producer r;
   v
@@ -178,25 +176,78 @@ let try_take r =
     Some v
   | None -> None
 
-let take_timeout ?st r ~timeout_s =
-  let deadline = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s timeout_s) in
-  let bo = Backoff.create ~max_sleep_s:0.0002 () in
-  let rec loop () =
-    let closed = Atomic.get r.closed in
-    match core_pop r.core with
-    | Some v ->
-      wake_producer r;
-      Some v
+(* The timed park. The waiter counts itself in [timed_sleepers] (and
+   gets the pipe) under [mu], then polls again, then selects on the pipe
+   until the deadline. A waker that pushed first and then saw the count
+   at 0 pushed before the waiter's poll, which finds the item; one that
+   saw it positive writes a byte after its push, and the byte stays in
+   the pipe until a timed sleeper reads it — and every reader polls
+   again. Readers take one byte each, under [mu] and only while open:
+   the byte [close] writes is never consumed, so it wakes every timed
+   sleeper, and the last one to leave releases the pipe. *)
+let enter_timed r =
+  Mutex.lock r.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock r.mu) @@ fun () ->
+  let rd =
+    match r.pipe with
+    | Some p -> Some p.rd
+    | None when Atomic.get r.closed -> None
     | None ->
-      if closed then raise Closed
-      else if Int64.compare (Mclock.now_ns ()) deadline >= 0 then None
-      else begin
-        Waitstats.note_spin ();
-        Backoff.once ?st bo;
-        loop ()
-      end
+      let rd, wr = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock rd;
+      Unix.set_nonblock wr;
+      r.pipe <- Some { rd; wr };
+      Gc.finalise release_pipe r;
+      Some rd
   in
-  loop ()
+  Atomic.incr r.timed_sleepers;
+  rd
+
+let leave_timed r =
+  Mutex.lock r.mu;
+  Atomic.decr r.timed_sleepers;
+  if Atomic.get r.closed && Atomic.get r.timed_sleepers = 0 then
+    release_pipe r;
+  Mutex.unlock r.mu
+
+let sleep_on ?st r rd ~timeout_s =
+  accounted ?st (fun () ->
+      match Unix.select [ rd ] [] [] timeout_s with
+      | [], _, _ -> ()
+      | _ ->
+        Mutex.lock r.mu;
+        (if not (Atomic.get r.closed) then
+           try ignore (Unix.read rd byte 0 1) with Unix.Unix_error _ -> ());
+        Mutex.unlock r.mu
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+
+let take_timeout ?st r ~timeout_s =
+  let v =
+    match poll r with
+    | Some _ as v -> v
+    | None when timeout_s <= 0. -> None
+    | None ->
+      let deadline = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s timeout_s) in
+      let rd = enter_timed r in
+      Fun.protect ~finally:(fun () -> leave_timed r) (fun () ->
+          (* [rd = None] only once closed: [poll] then ends the loop. *)
+          let rec loop () =
+            match poll r with
+            | Some _ as v -> v
+            | None ->
+              let left = Int64.sub deadline (Mclock.now_ns ()) in
+              if Int64.compare left 0L <= 0 then None
+              else begin
+                Option.iter
+                  (fun rd -> sleep_on ?st r rd ~timeout_s:(Mclock.s_of_ns left))
+                  rd;
+                loop ()
+              end
+          in
+          loop ())
+  in
+  if Option.is_some v then wake_producer r;
+  v
 
 let drain_count r ~max =
   (* Pop up to [max]; stop at the first miss. Caller saw at least one
@@ -253,4 +304,5 @@ let close r =
   Mutex.lock r.mu;
   Condition.broadcast r.nonempty;
   Condition.broadcast r.nonfull;
+  if Atomic.get r.timed_sleepers = 0 then release_pipe r else ring r;
   Mutex.unlock r.mu

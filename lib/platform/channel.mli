@@ -1,20 +1,23 @@
-(** Stage-spine channel: a {!Bounded_queue}-compatible facade over the
-    lock-free rings of {!Lf_queue}.
+(** Stage-spine channel: a bounded blocking FIFO over the lock-free
+    rings of {!Lf_queue}. It is the only blocking queue of the live
+    runtime.
 
     Every inter-stage edge of the replica (RequestQueue, ProposalQueue,
-    DispatcherQueue, DecisionQueue, SendQueues, LogQueue) goes through
-    this type. A channel is an SPSC or MPMC ring. The data path is a few
-    atomic operations; blocking is *spin-then-park*: a short bounded
-    burst of polls (counted in {!Waitstats} as spins), then a park on a
-    fallback condition variable (counted as a park and accounted as
-    [Waiting] in {!Thread_state}). Because the data path never takes a
-    lock, tracer-attributed [Blocked] time on the spine stays near zero.
+    DispatcherQueue, DecisionQueue, SendQueues, LogQueue), the in-process
+    transport's pipes and the executor pool's lanes and token rings go
+    through this type. The data path is a few atomic operations. A
+    thread that cannot proceed parks at once: on a condition variable
+    for {!take} and {!put}, on a self-pipe for {!take_timeout} (OCaml
+    5.1's [Condition] has no timed wait). Every park is counted in
+    {!Waitstats} and, given a {!Thread_state.t}, accounted as
+    [Waiting]. The bound is what makes back-pressure flow control work
+    (Section V-E of the paper): a stage that cannot keep up fills its
+    input channel and its producers block.
 
-    Semantics mirror {!Bounded_queue} exactly (same [Closed] exception,
-    so {!Worker.spawn}'s shutdown handling applies unchanged), with one
-    carve-out: a [put] racing [close] itself may drop the element. The
-    spine only closes queues at shutdown, where in-flight work is
-    discarded anyway.
+    [close] makes [put] raise {!Closed} and lets [take] drain the
+    remainder before raising it, with one carve-out: a [put] racing
+    [close] itself may drop the element. The spine only closes queues
+    at shutdown, where in-flight work is discarded anyway.
 
     [kind] declares the producer/consumer discipline. [Spsc] is a
     contract, not a guard: callers must guarantee a single producer
@@ -25,7 +28,8 @@ type 'a t
 type kind = Spsc | Mpmc
 
 exception Closed
-(** Physically equal to {!Bounded_queue.Closed}. *)
+(** Raised by [put]/[take] on a closed channel; {!Worker.spawn} treats it
+    as a clean exit. *)
 
 val create : kind:kind -> capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity <= 0]. Note the MPMC ring
@@ -50,8 +54,12 @@ val try_take : 'a t -> 'a option
 (** Non-blocking; [None] when empty. Never raises. *)
 
 val take_timeout : ?st:Thread_state.t -> 'a t -> timeout_s:float -> 'a option
-(** Like {!take} with a deadline; [None] on timeout.
-    @raise Closed once closed and drained. *)
+(** Like {!take} with a deadline; [None] once [timeout_s] has passed
+    (at once when [timeout_s <= 0]). A [put] or {!close} wakes the
+    waiter early. The first timed wait creates the channel's self-pipe
+    (two file descriptors); {!close} releases it once no timed waiter
+    remains, and an unclosed channel's pipe is released when the
+    channel is collected. @raise Closed once closed and drained. *)
 
 val take_batch : ?st:Thread_state.t -> 'a t -> max:int -> 'a list
 (** Blocks for the first element, then drains up to [max] without

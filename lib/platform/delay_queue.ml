@@ -10,16 +10,18 @@ type 'a entry = {
 
 type 'a t = {
   lock : Mutex.t;
-  not_empty : Condition.t;
   heap : 'a entry Binary_heap.t;
+  (* The consumer parks on [wake] until the head's deadline; [schedule]
+     drops a token in when the new entry becomes the head. *)
+  wake : unit Channel.t;
   mutable closed : bool;
 }
 
 let cmp_entry a b = Int64.compare a.at_ns b.at_ns
 
 let create () =
-  { lock = Mutex.create (); not_empty = Condition.create ();
-    heap = Binary_heap.create ~cmp:cmp_entry (); closed = false }
+  { lock = Mutex.create (); heap = Binary_heap.create ~cmp:cmp_entry ();
+    wake = Channel.create ~kind:Channel.Mpmc ~capacity:1; closed = false }
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -27,10 +29,21 @@ let with_lock t f =
 
 let schedule t ~at_ns value =
   let cancelled = Atomic.make false in
-  with_lock t (fun () ->
-      if t.closed then raise Closed;
-      Binary_heap.add t.heap { at_ns; value; cancelled };
-      Condition.signal t.not_empty);
+  let new_head =
+    with_lock t (fun () ->
+        if t.closed then raise Closed;
+        let e = { at_ns; value; cancelled } in
+        let earlier =
+          match Binary_heap.min_elt t.heap with
+          | None -> true
+          | Some h -> cmp_entry e h < 0
+        in
+        Binary_heap.add t.heap e;
+        earlier)
+  in
+  (* A full channel already holds a token; a closed one has no waiter. *)
+  if new_head then
+    (try ignore (Channel.try_put t.wake ()) with Channel.Closed -> ());
   cancelled
 
 let cancel h = Atomic.set h true
@@ -61,51 +74,35 @@ let next_due_ns t =
   drop_cancelled t;
   Option.map (fun e -> e.at_ns) (Binary_heap.min_elt t.heap)
 
+(* Pop the head if due; otherwise say how long to wait. *)
+let step t =
+  with_lock t @@ fun () ->
+  if t.closed then raise Closed;
+  drop_cancelled t;
+  match Binary_heap.min_elt t.heap with
+  | None -> `Empty
+  | Some e when Int64.compare e.at_ns (Mclock.now_ns ()) <= 0 ->
+    ignore (Binary_heap.pop_min t.heap);
+    `Due e.value
+  | Some e -> `Until e.at_ns
+
+(* A token that arrived before we parked (an earlier [schedule] raced
+   [step]) is still in [wake], so the park returns at once and we look
+   again. *)
 let take ?st t =
   let rec loop () =
-    let action =
-      with_lock t @@ fun () ->
-      if t.closed then raise Closed;
-      drop_cancelled t;
-      match Binary_heap.min_elt t.heap with
-      | None -> `Wait
-      | Some e ->
-        let now = Mclock.now_ns () in
-        if Int64.compare e.at_ns now <= 0 then begin
-          ignore (Binary_heap.pop_min t.heap);
-          `Ready e.value
-        end
-        else `Sleep (Mclock.s_of_ns (Int64.sub e.at_ns now))
-    in
-    match action with
-    | `Ready v -> v
-    | `Wait ->
-      Mutex.lock t.lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () ->
-          if Binary_heap.is_empty t.heap && not t.closed then begin
-            match st with
-            | None -> Condition.wait t.not_empty t.lock
-            | Some st ->
-              Thread_state.enter st Thread_state.Waiting (fun () ->
-                  Condition.wait t.not_empty t.lock)
-          end);
+    match step t with
+    | `Due v -> v
+    | `Empty ->
+      Channel.take ?st t.wake;
       loop ()
-    | `Sleep s ->
-      (* An earlier entry may be scheduled while we sleep; cap the nap so
-         we notice within a bounded delay. Retransmission timeouts are
-         tens of milliseconds, so a 2 ms cap costs nothing. *)
-      let nap = Float.min s 0.002 in
-      (match st with
-       | None -> Mclock.sleep_s nap
-       | Some st ->
-         Thread_state.enter st Thread_state.Other (fun () -> Mclock.sleep_s nap));
+    | `Until at_ns ->
+      let timeout_s = Mclock.s_of_ns (Int64.sub at_ns (Mclock.now_ns ())) in
+      ignore (Channel.take_timeout ?st t.wake ~timeout_s);
       loop ()
   in
-  loop ()
+  try loop () with Channel.Closed -> raise Closed
 
 let close t =
-  with_lock t @@ fun () ->
-  if not t.closed then begin
-    t.closed <- true;
-    Condition.broadcast t.not_empty
-  end
+  with_lock t (fun () -> t.closed <- true);
+  Channel.close t.wake

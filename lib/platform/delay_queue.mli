@@ -35,7 +35,9 @@ val next_due_ns : 'a t -> int64 option
 (** Deadline of the earliest live entry, if any. *)
 
 val take : ?st:Thread_state.t -> 'a t -> 'a
-(** Block until the earliest live entry becomes due and return it.
+(** Block until the earliest live entry becomes due and return it. The
+    consumer parks until the head's deadline ({!Channel.take_timeout});
+    a {!schedule} that becomes the new head wakes it sooner.
     @raise Closed if the queue is closed. *)
 
 exception Closed

@@ -7,7 +7,7 @@
 
     This module provides the same accounting for the live runtime: each
     instrumented thread registers a handle and the synchronisation
-    primitives ({!Bounded_queue}, {!Delay_queue}, ...) mark state
+    primitives ({!Channel}, {!Delay_queue}, ...) mark state
     transitions through it. Accounting is cheap: one clock read and a
     few stores per transition, all on the owning thread (reads from
     other threads are racy-but-monotone snapshots, which is fine for

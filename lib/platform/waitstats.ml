@@ -1,11 +1,6 @@
-let spins = Atomic.make 0
 let parks = Atomic.make 0
 
-let note_spin () = Atomic.incr spins
 let note_park () = Atomic.incr parks
-let spin_total () = Atomic.get spins
+let spin_total () = 0
 let park_total () = Atomic.get parks
-
-let reset () =
-  Atomic.set spins 0;
-  Atomic.set parks 0
+let reset () = Atomic.set parks 0

@@ -1,20 +1,18 @@
-(** Process-wide wait accounting for the lock-free channels.
+(** Process-wide wait accounting for the channels.
 
     The paper's profiles attribute stall time per thread
-    ({!Thread_state}); these counters attribute it per *mechanism*: how
-    often a channel consumer had to spin one round, and how often it
-    gave up spinning and parked on the fallback condition variable. The
-    observability layer exposes them as [msmr_queue_spin_total] and
-    [msmr_queue_park_total] (docs/OBSERVABILITY.md); a healthy lock-free
-    spine shows a small park count against a large op count.
+    ({!Thread_state}); this counter attributes it per *mechanism*: how
+    often a {!Channel} waiter parked. The observability layer exposes it
+    as [msmr_queue_park_total] (docs/OBSERVABILITY.md).
 
-    Counters are plain atomics — one add per event, no labels — so the
-    rings can afford to bump them on their wait paths. *)
+    The counter is a plain atomic — one add per park, no labels. *)
 
-val note_spin : unit -> unit
 val note_park : unit -> unit
-val spin_total : unit -> int
 val park_total : unit -> int
 
+val spin_total : unit -> int
+(** Always 0: channels park without spinning. Kept for readers of the
+    former spin counter. *)
+
 val reset : unit -> unit
-(** Zero both counters (benchmarks discard warm-up with this). *)
+(** Zero the counter (benchmarks discard warm-up with this). *)

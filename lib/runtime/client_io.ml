@@ -1,5 +1,4 @@
 module Bq = Msmr_platform.Channel
-module Backoff = Msmr_platform.Backoff
 module Mpsc = Msmr_platform.Mpsc_queue
 module Cmap = Msmr_platform.Concurrent_map
 module Worker = Msmr_platform.Worker
@@ -11,9 +10,16 @@ module Codec = Msmr_wire.Codec
 type sink = bytes -> unit
 type batch_sink = bytes list -> unit
 
+(* A worker waits on its ingress alone: a reply hand-off adds a [Kick]
+   so the worker wakes to drain the reply queue. *)
+type ingress =
+  | Request of bytes * Service.conflict option * sink * batch_sink option
+  | Kick
+
 type worker_ctx = {
-  ingress : (bytes * Service.conflict option * sink * batch_sink option) Bq.t;
+  ingress : ingress Bq.t;
   replies : (Client_msg.reply * sink * batch_sink option) Mpsc.t;
+  kicked : bool Atomic.t; (* a Kick is queued and not yet taken *)
 }
 
 type t = {
@@ -51,7 +57,7 @@ let drain_replies t (ctx : worker_ctx) =
     | None -> List.rev acc
   in
   match collect [] with
-  | [] -> false
+  | [] -> ()
   | items ->
     (* (sink, batch_sink, payloads in reverse), newest group first. *)
     let groups : (sink * batch_sink option * bytes list ref) list ref =
@@ -71,62 +77,50 @@ let drain_replies t (ctx : worker_ctx) =
          | Some write_many, (_ :: _ :: _ as ps) -> write_many ps
          | _, ps -> List.iter sink ps)
       (List.rev !groups);
-    Msmr_obs.Metrics.incr t.m_flushes;
-    true
+    Msmr_obs.Metrics.incr t.m_flushes
 
-(* One ClientIO thread: drain replies eagerly (they are cheap and the
-   ServiceManager must never wait), push at most one decoded request at a
-   time into the RequestQueue, and only then accept new ingress. *)
+(* Decode one request, answer it from the reply cache or hand it to the
+   Batcher. The hand-off is a blocking [put]: a full RequestQueue stops
+   this worker from taking new ingress, and a full ingress blocks
+   [submit] (back-pressure, Section V-E). Nothing downstream of the
+   RequestQueue waits on ClientIO — replies come back through the
+   non-blocking [deliver_reply] — so the wait always ends. *)
+let accept t idx st ~raw ~conflict ~sink ~many =
+  match Client_msg.request_of_bytes raw with
+  | req -> (
+      Msmr_obs.Metrics.incr t.m_requests;
+      match Reply_cache.lookup t.reply_cache req.id with
+      | Reply_cache.Cached result ->
+        sink (Client_msg.reply_to_bytes { id = req.id; result })
+      | Reply_cache.Stale -> ()
+      | Reply_cache.Fresh ->
+        (* Hook before the Batcher hand-off: the pre-dispatch event must
+           precede the request's own decide in the DecisionQueue, and
+           queue FIFO gives exactly that. *)
+        (match t.on_fresh with Some f -> f req conflict | None -> ());
+        Cmap.set t.routes req.id.client_id (idx, sink, many);
+        Bq.put ~st t.request_queue req)
+  | exception (Codec.Underflow | Codec.Malformed _) ->
+    (* Malformed request: drop it, as a server would drop a corrupt
+       frame. *)
+    Msmr_obs.Metrics.incr t.m_malformed
+
+(* One ClientIO thread: park on ingress, handle what arrives, then drain
+   the replies queued meanwhile (coalesced per connection). *)
 let worker_loop t idx st =
   let ctx = t.workers.(idx) in
-  let pending : Client_msg.request option ref = ref None in
-  let bo = Backoff.create ~max_sleep_s:0.0005 () in
   let running = ref true in
   while !running do
-    (* 1. Replies out (coalesced per connection). *)
-    ignore (drain_replies t ctx);
-    (* 2. Back-pressured hand-off to the Batcher. *)
-    (match !pending with
-     | Some req ->
-       if Bq.try_put t.request_queue req then begin
-         pending := None;
-         Backoff.reset bo
-       end
-       else
-         (* RequestQueue full: the pipeline is saturated; stop pulling
-            new requests (back-pressure) but keep replies flowing. *)
-         Backoff.once ~st bo
-     | None -> (
-         (* 3. New requests in. The short timeout batches reply drains:
-            on loaded single-core hosts, waking per reply costs more in
-            context switches than it saves in latency. *)
-         match Bq.take_timeout ~st ctx.ingress ~timeout_s:0.001 with
-         | None -> ()
-         | Some (raw, conflict, sink, many) -> (
-             match Client_msg.request_of_bytes raw with
-             | req -> (
-                 Msmr_obs.Metrics.incr t.m_requests;
-                 match Reply_cache.lookup t.reply_cache req.id with
-                 | Reply_cache.Cached result ->
-                   sink (Client_msg.reply_to_bytes { id = req.id; result })
-                 | Reply_cache.Stale -> ()
-                 | Reply_cache.Fresh ->
-                   (* Hook before the Batcher hand-off: the pre-dispatch
-                      event must precede the request's own decide in the
-                      DecisionQueue, and queue FIFO gives exactly that. *)
-                   (match t.on_fresh with
-                    | Some f -> f req conflict
-                    | None -> ());
-                   Cmap.set t.routes req.id.client_id (idx, sink, many);
-                   pending := Some req)
-             | exception (Codec.Underflow | Codec.Malformed _) ->
-               (* Malformed request: drop it, as a server would drop a
-                  corrupt frame. *)
-               Msmr_obs.Metrics.incr t.m_malformed)
-         | exception Bq.Closed -> running := false))
-  done;
-  (* Shutdown: flush any replies already routed to us. *)
-  ignore (drain_replies t ctx)
+    (match Bq.take ~st ctx.ingress with
+     | Request (raw, conflict, sink, many) ->
+       accept t idx st ~raw ~conflict ~sink ~many
+     | Kick -> ()
+     | exception Bq.Closed -> running := false);
+    (* Lower the flag before draining: a reply queued after this drain
+       finds it down and queues a fresh Kick. *)
+    Atomic.set ctx.kicked false;
+    drain_replies t ctx
+  done
 
 let metric_names =
   [ "msmr_client_io_requests_total"; "msmr_client_io_replies_total";
@@ -139,7 +133,8 @@ let create ?(name_prefix = "") ?on_fresh ~pool_size
     (* Ingress is many connection threads -> one worker: MPMC ring. *)
     Array.init pool_size (fun _ ->
         { ingress = Bq.create ~kind:Bq.Mpmc ~capacity:256;
-          replies = Mpsc.create () })
+          replies = Mpsc.create ();
+          kicked = Atomic.make false })
   in
   let m_labels =
     [ ("mode", "live");
@@ -174,11 +169,18 @@ let submit ?reply_many ?conflict t ~raw ~reply_to =
     else 0
   in
   let idx = worker_of_client t (abs client_id) in
-  Bq.put t.workers.(idx).ingress (raw, conflict, reply_to, reply_many)
+  Bq.put t.workers.(idx).ingress (Request (raw, conflict, reply_to, reply_many))
 
+(* Never blocks: the ServiceManager must not wait on ClientIO. When the
+   ingress is full the Kick is skipped and the flag stays up; the worker
+   has items to take and drains replies after each one. *)
 let deliver_reply t (reply : Client_msg.reply) =
   match Cmap.find_opt t.routes reply.id.client_id with
-  | Some (idx, sink, many) -> Mpsc.push t.workers.(idx).replies (reply, sink, many)
+  | Some (idx, sink, many) ->
+    let w = t.workers.(idx) in
+    Mpsc.push w.replies (reply, sink, many);
+    if not (Atomic.exchange w.kicked true) then (
+      try ignore (Bq.try_put w.ingress Kick) with Bq.Closed -> ())
   | None -> ()
 
 let ingress_length t =

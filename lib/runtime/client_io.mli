@@ -7,12 +7,15 @@
     are handed back to the owning thread, which serialises them and
     invokes the connection's send function.
 
-    Two details keep the pipeline deadlock-free, mirroring the paper's
-    design: the ServiceManager never blocks handing a reply over (each
-    worker has an unbounded lock-free MPSC reply queue), and a worker
-    whose [try_put] into the bounded RequestQueue fails stops accepting
-    new requests while still draining replies — this is the back-pressure
-    that ultimately pushes back on clients (Section V-E). *)
+    Each worker waits on one source, its ingress channel. The
+    ServiceManager never blocks handing a reply over: it pushes onto the
+    worker's unbounded lock-free MPSC reply queue and adds one [Kick] to
+    the ingress, unless one is still pending. A worker hands a fresh
+    request to the bounded RequestQueue with a blocking [put], so a
+    saturated pipeline stops it taking new ingress and, once the ingress
+    fills, blocks {!submit} — the back-pressure that ultimately pushes
+    back on clients (Section V-E). This cannot deadlock: nothing
+    downstream of the RequestQueue waits on ClientIO. *)
 
 type t
 
@@ -53,7 +56,11 @@ val submit :
   unit
 (** Hand one serialised request to the pool (round-robin per client id,
     so one client always lands on the same thread, like a persistent
-    connection). Blocks when that thread's ingress queue is full —
+    connection). A client has at most one request outstanding: the
+    reply cache keeps only each client's latest sequence number, so
+    with more than one Batcher thread a pipelined client's older
+    requests can be decided after newer ones and are then dropped as
+    stale. Blocks when that thread's ingress queue is full —
     equivalent to TCP back-pressure on a real connection. When
     [reply_many] is given, runs of replies destined for this connection
     that are drained in the same pass are delivered through it instead of
@@ -68,7 +75,8 @@ val deliver_reply : t -> Msmr_wire.Client_msg.reply -> unit
     dropped (the client reconnected elsewhere). *)
 
 val ingress_length : t -> int
-(** Total queued ingress frames across workers (for statistics). *)
+(** Total queued ingress items across workers, pending reply kicks
+    included (for statistics). *)
 
 val stop : t -> unit
 (** Close ingress queues and join the worker threads. *)

@@ -1,7 +1,5 @@
-module Lf = Msmr_platform.Lf_queue
+module Ch = Msmr_platform.Channel
 module Thread_state = Msmr_platform.Thread_state
-module Waitstats = Msmr_platform.Waitstats
-module Backoff = Msmr_platform.Backoff
 module Counter = Msmr_platform.Rate_meter.Counter
 
 (* Work-stealing pool. Naively stealing *requests* from a sibling's
@@ -23,17 +21,21 @@ module Counter = Msmr_platform.Rate_meter.Counter
 
    Items are pushed to the lane ring *before* the [lane_pending]
    increment, so a freshly minted or re-checked token always finds its
-   items published. *)
+   items published.
+
+   Waiting is [Channel]'s park. A full lane parks the scheduler in
+   [put] until the token holder pops. An executor whose ring is empty
+   makes one steal scan, then parks in [take] on its own ring, so only
+   a token landing there wakes it. Steal semantics are those of the
+   condvar broadcast this replaced: that woke every parked executor,
+   but each parked again unless its own ring had filled, so the wake a
+   thief sent after stealing never had an effect. *)
 type 'a t = {
   n_exec : int;
   n_lanes : int;
-  lanes : 'a Lf.Spsc.t array;
+  lanes : 'a Ch.t array;
   lane_pending : int Atomic.t array;
-  token_qs : int Lf.Mpmc.t array; (* lane ids; one ring per executor *)
-  work_mu : Mutex.t;
-  work_cv : Condition.t;
-  work_sleepers : int Atomic.t;
-  closed : bool Atomic.t;
+  token_qs : int Ch.t array; (* lane ids; one ring per executor *)
   seeds : int array; (* per-executor LCG state for victim choice *)
   (* Quiescence barrier state: dispatched-but-unfinished requests. *)
   pending : int Atomic.t;
@@ -59,14 +61,12 @@ let create ~n_exec () =
   {
     n_exec;
     n_lanes;
-    lanes = Array.init n_lanes (fun _ -> Lf.Spsc.create ~capacity:lane_capacity);
+    lanes =
+      Array.init n_lanes (fun _ -> Ch.create ~kind:Ch.Spsc ~capacity:lane_capacity);
     lane_pending = Array.init n_lanes (fun _ -> Atomic.make 0);
     (* Every live token could in principle sit in one ring. *)
-    token_qs = Array.init n_exec (fun _ -> Lf.Mpmc.create ~capacity:n_lanes);
-    work_mu = Mutex.create ();
-    work_cv = Condition.create ();
-    work_sleepers = Atomic.make 0;
-    closed = Atomic.make false;
+    token_qs =
+      Array.init n_exec (fun _ -> Ch.create ~kind:Ch.Mpmc ~capacity:n_lanes);
     seeds = Array.init n_exec (fun i -> (i * 2654435761) lor 1);
     pending = Atomic.make 0;
     mu = Mutex.create ();
@@ -85,7 +85,7 @@ let barriers t = Counter.get t.barriers
 let steals t = Counter.get t.steals
 let steal_fails t = Counter.get t.steal_fails
 
-let depth t = Array.fold_left (fun acc l -> acc + Lf.Spsc.length l) 0 t.lanes
+let depth t = Array.fold_left (fun acc l -> acc + Ch.length l) 0 t.lanes
 
 (* Executor-side completion: the last in-flight request wakes the
    scheduler if it is blocked in a barrier. The broadcast takes the
@@ -111,45 +111,29 @@ let quiesce t st =
         done;
         Mutex.unlock t.mu)
 
-let wake_executors t =
-  if Atomic.get t.work_sleepers > 0 then begin
-    Mutex.lock t.work_mu;
-    Condition.broadcast t.work_cv;
-    Mutex.unlock t.work_mu
-  end
-
-(* Mint the lane's token into its home executor's ring. The ring is
-   sized for every live token, so the push cannot fail. *)
-let mint_token t lane =
-  ignore (Lf.Mpmc.try_push t.token_qs.(lane mod t.n_exec) lane);
-  wake_executors t
+(* Token rings are sized for every live token, so a push fails only
+   once the pool is closed; [false] then tells the caller to drain the
+   lane itself or drop its work. *)
+let push_token t ~ring lane =
+  match Ch.try_put t.token_qs.(ring) lane with
+  | _ -> true
+  | exception Ch.Closed -> false
 
 let send ?st t ~lane v =
   Atomic.incr t.pending;
   Counter.incr t.dispatched;
-  (* Shutdown mid-dispatch: the request is dropped (as the serial loop
-     drops queued decisions), but the counter must not leak. *)
-  if Atomic.get t.closed then ignore (Atomic.fetch_and_add t.pending (-1))
-  else begin
-    let bo = Backoff.create () in
-    let rec push () =
-      if Lf.Spsc.try_push t.lanes.(lane) v then begin
-        (* 0 -> 1: the lane just became non-empty; give it a token. *)
-        if Atomic.fetch_and_add t.lane_pending.(lane) 1 = 0 then
-          mint_token t lane
-      end
-      else if Atomic.get t.closed then
-        ignore (Atomic.fetch_and_add t.pending (-1))
-      else begin
-        (* Lane ring full: its token is live somewhere, so an executor
-           is (or will be) draining it — back off and retry. *)
-        Waitstats.note_spin ();
-        Backoff.once ?st bo;
-        push ()
-      end
-    in
-    push ()
-  end
+  match Ch.put ?st t.lanes.(lane) v with
+  | () ->
+    (* 0 -> 1: the lane just became non-empty; give it a token in its
+       home executor's ring. *)
+    if
+      Atomic.fetch_and_add t.lane_pending.(lane) 1 = 0
+      && not (push_token t ~ring:(lane mod t.n_exec) lane)
+    then ignore (Atomic.fetch_and_add t.pending (-1))
+  | exception Ch.Closed ->
+    (* Shutdown mid-dispatch: the request is dropped (as the serial loop
+       drops queued decisions), but the counter must not leak. *)
+    ignore (Atomic.fetch_and_add t.pending (-1))
 
 let send_rr ?st t v =
   t.rr <- (t.rr + 1) mod t.n_lanes;
@@ -169,7 +153,7 @@ let executor_loop t ~idx ~exec ~st =
   let drain lane =
     let pend = t.lane_pending.(lane) in
     let rec go budget =
-      match Lf.Spsc.try_pop t.lanes.(lane) with
+      match Ch.try_take t.lanes.(lane) with
       | None ->
         (* While [lane_pending] > 0 the token guarantees published items
            (pushes precede increments and only we decrement), so a miss
@@ -194,13 +178,12 @@ let executor_loop t ~idx ~exec ~st =
         complete t;
         if rem > 0 then
           if budget > 0 then go (budget - 1)
-          else ignore (Lf.Mpmc.try_push my_tokens lane)
+          else if not (push_token t ~ring:idx lane) then go drain_budget
     in
     go drain_budget
   in
   (* Steal up to half of some victim's tokens: keep one to drain, move
-     the rest into our own ring (and wake siblings — we just became a
-     victim worth robbing). *)
+     the rest into our own ring. *)
   let try_steal () =
     t.seeds.(idx) <- (t.seeds.(idx) * 25214903917 + 11) land max_int;
     let start = t.seeds.(idx) mod t.n_exec in
@@ -209,12 +192,12 @@ let executor_loop t ~idx ~exec ~st =
       if !found = None then begin
         let v = (start + off) mod t.n_exec in
         if v <> idx then begin
-          let k = Lf.Mpmc.length t.token_qs.(v) in
+          let k = Ch.length t.token_qs.(v) in
           if k > 0 then begin
             let want = max 1 ((k + 1) / 2) in
             let got = ref [] in
             for _ = 1 to want do
-              match Lf.Mpmc.try_pop t.token_qs.(v) with
+              match Ch.try_take t.token_qs.(v) with
               | Some l -> got := l :: !got
               | None -> ()
             done;
@@ -222,9 +205,8 @@ let executor_loop t ~idx ~exec ~st =
             | [] -> ()
             | first :: rest ->
               List.iter
-                (fun l -> ignore (Lf.Mpmc.try_push my_tokens l))
+                (fun l -> if not (push_token t ~ring:idx l) then drain l)
                 rest;
-              if rest <> [] then wake_executors t;
               Counter.incr t.steals;
               found := Some first
           end
@@ -234,58 +216,21 @@ let executor_loop t ~idx ~exec ~st =
     if !found = None then Counter.incr t.steal_fails;
     !found
   in
-  let next_token () =
-    match Lf.Mpmc.try_pop my_tokens with
-    | Some lane -> Some lane
-    | None -> try_steal ()
-  in
   let continue = ref true in
   while !continue do
-    match next_token () with
+    match Ch.try_take my_tokens with
     | Some lane -> drain lane
-    | None ->
-      if Atomic.get t.closed then continue := false
-      else begin
-        (* Spin briefly, then park. Parking re-checks only our own ring
-           under the mutex: any token minted or re-queued after we bump
-           [work_sleepers] broadcasts, and one minted before is either in
-           our ring (seen by the re-check) or owned by a sibling. *)
-        let rec spin n =
-          if n = 0 then None
-          else begin
-            Waitstats.note_spin ();
-            Thread.yield ();
-            match next_token () with
-            | Some lane -> Some lane
-            | None -> spin (n - 1)
-          end
-        in
-        match spin 16 with
+    | None -> (
+        match try_steal () with
         | Some lane -> drain lane
-        | None ->
-          if Atomic.get t.closed then continue := false
-          else begin
-            Atomic.incr t.work_sleepers;
-            Mutex.lock t.work_mu;
-            Fun.protect
-              ~finally:(fun () ->
-                Mutex.unlock t.work_mu;
-                Atomic.decr t.work_sleepers)
-              (fun () ->
-                while
-                  (not (Atomic.get t.closed))
-                  && Lf.Mpmc.length my_tokens = 0
-                do
-                  Waitstats.note_park ();
-                  Thread_state.enter st Thread_state.Waiting (fun () ->
-                      Condition.wait t.work_cv t.work_mu)
-                done)
-          end
-      end
+        | None -> (
+            (* Raises [Closed] once the pool is closed and our ring is
+               drained: the executor's clean exit. *)
+            match Ch.take ~st my_tokens with
+            | lane -> drain lane
+            | exception Ch.Closed -> continue := false))
   done
 
 let close t =
-  Atomic.set t.closed true;
-  Mutex.lock t.work_mu;
-  Condition.broadcast t.work_cv;
-  Mutex.unlock t.work_mu
+  Array.iter Ch.close t.lanes;
+  Array.iter Ch.close t.token_qs

@@ -837,25 +837,28 @@ let batcher_loop idx t st =
      further blocking (or list allocation). *)
   let buf = Array.make batcher_burst None in
   let running = ref true in
-  while !running && Atomic.get t.running do
-    let now = Mclock.now_ns () in
-    let timeout_s =
+  let publish batch =
+    try
+      Bq.put ~st t.proposal_q batch;
+      ignore (Bq.try_put t.dispatcher_q Proposal_ready)
+    with Bq.Closed -> running := false
+  in
+  let add req =
+    match Batcher.add policy req ~now_ns:(Mclock.now_ns ()) with
+    | Some batch -> publish batch
+    | None -> ()
+  in
+  while !running do
+    (* With no open batch there is nothing to time out: block. With one,
+       park only until its deadline. *)
+    let next =
       match Batcher.deadline_ns policy with
-      | None -> 0.002
-      | Some d -> Float.max 0.0001 (Float.min 0.002 (Mclock.s_of_ns (Int64.sub d now)))
+      | None -> Some (Bq.take ~st t.request_q)
+      | Some d ->
+        Bq.take_timeout ~st t.request_q
+          ~timeout_s:(Mclock.s_of_ns (Int64.sub d (Mclock.now_ns ())))
     in
-    let publish batch =
-      try
-        Bq.put ~st t.proposal_q batch;
-        ignore (Bq.try_put t.dispatcher_q Proposal_ready)
-      with Bq.Closed -> running := false
-    in
-    let add req =
-      match Batcher.add policy req ~now_ns:(Mclock.now_ns ()) with
-      | Some batch -> publish batch
-      | None -> ()
-    in
-    match Bq.take_timeout ~st t.request_q ~timeout_s with
+    match next with
     | Some req ->
       add req;
       let n = Bq.drain_into t.request_q ~buf in
@@ -1467,12 +1470,10 @@ let register_metrics t =
           let n = Atomic.get sc.lead_n in
           if n = 0 then 0.
           else fi (Atomic.get sc.lead_ns_sum) /. fi n /. 1e9));
-  (* Process-wide spin/park accounting for the lock-free channels.
-     Registered with process-global labels: re-registration by another
-     replica is a no-op replace of an identical closure, and the gauges
-     are deliberately not removed on [stop]. *)
-  Msmr_obs.Metrics.gauge ~labels:[ ("mode", "live") ] "msmr_queue_spin_total"
-    (fun () -> fi (Waitstats.spin_total ()));
+  (* Process-wide park accounting for the channels. Registered with
+     process-global labels: re-registration by another replica is a
+     no-op replace of an identical closure, and the gauge is
+     deliberately not removed on [stop]. *)
   Msmr_obs.Metrics.gauge ~labels:[ ("mode", "live") ] "msmr_queue_park_total"
     (fun () -> fi (Waitstats.park_total ()));
   g "msmr_replica_sender_flushes" (fun () -> fi (Counter.get t.sender_flushes));

@@ -103,6 +103,11 @@ val submit :
     {!Router} computes one to pick the group), so the spine classifies
     each request once (see {!Client_io.submit}).
 
+    A client has at most one request outstanding. The reply cache keeps
+    only each client's newest executed sequence number, so with
+    [batcher_threads > 1] a pipelined client's requests can be decided
+    out of order, and its older requests are then dropped as stale.
+
     Read frames ({!Msmr_wire.Client_msg.is_read_raw}) take the lease fast
     path instead: they bypass ClientIO/Batcher/Paxos and ride the
     DecisionQueue straight to the state machine, which answers through

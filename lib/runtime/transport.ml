@@ -1,4 +1,4 @@
-module Bq = Msmr_platform.Bounded_queue
+module Bq = Msmr_platform.Channel
 
 type link = {
   send_bytes : bytes -> unit;
@@ -10,6 +10,8 @@ type link = {
 }
 
 module Hub = struct
+  (* A pipe has one sender thread and one reader (ReplicaIO's), so its
+     queue is SPSC; [rng] relies on the single sender too. *)
   type pipe = {
     mutable queue : bytes Bq.t;
         (* replaced wholesale by [renew] when the destination replica
@@ -36,7 +38,7 @@ module Hub = struct
         pipes =
           Array.init n (fun src ->
               Array.init n (fun dst ->
-                  { queue = Bq.create ~capacity;
+                  { queue = Bq.create ~kind:Bq.Spsc ~capacity;
                     drop_rate = 0.;
                     severed = false;
                     rng = Random.State.make [| (src * 131) + dst |] }));
@@ -88,7 +90,7 @@ module Hub = struct
   let renew t node =
     for p = 0 to t.n - 1 do
       if p <> node then
-        t.pipes.(p).(node).queue <- Bq.create ~capacity:t.capacity
+        t.pipes.(p).(node).queue <- Bq.create ~kind:Bq.Spsc ~capacity:t.capacity
     done
 
   let close t =

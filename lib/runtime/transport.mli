@@ -29,7 +29,10 @@ module Hub : sig
   type t
 
   val create : ?capacity:int -> n:int -> unit -> t
-  (** [capacity] bounds each directed byte queue (default 4096 frames). *)
+  (** [capacity] bounds each directed byte queue (default 4096 frames).
+      A queue is a single-producer single-consumer {!Msmr_platform.Channel}:
+      each link endpoint has one sending and one receiving thread at a
+      time, as ReplicaIO runs them. *)
 
   val link : t -> me:int -> peer:int -> link
   (** The link endpoint at [me] towards [peer]. Each ordered pair has one

@@ -1,6 +1,7 @@
 (** Simulated bounded blocking queue.
 
-    Models the runtime's {!Msmr_platform.Bounded_queue} including its
+    Models a mutex-guarded blocking queue, the runtime's stage queue
+    before {!Msmr_platform.Channel}, including its
     internal lock: [put]/[take] acquire a per-queue {!Slock} and burn
     [op_cost] CPU inside the critical section, so threads hammering the
     same queue from different cores show genuine blocked time (this is

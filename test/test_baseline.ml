@@ -55,6 +55,7 @@ let suite =
 
 module Mono = Msmr_baseline.Mono_replica
 module Client_msg = Msmr_wire.Client_msg
+module Ch = Msmr_platform.Channel
 
 let mono_cfg =
   { (Msmr_consensus.Config.default ~n:3) with
@@ -64,14 +65,14 @@ let mono_cfg =
 
 (* Simple synchronous call helper against a mono replica. *)
 let mono_call replica ~client_id ~seq payload =
-  let reply_box = Msmr_platform.Bounded_queue.create ~capacity:1 in
+  let reply_box = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
   let raw =
     Client_msg.request_to_bytes { id = { client_id; seq }; payload }
   in
   Mono.submit replica ~raw ~reply_to:(fun b ->
-      ignore (Msmr_platform.Bounded_queue.try_put reply_box b));
+      ignore (Ch.try_put reply_box b));
   match
-    Msmr_platform.Bounded_queue.take_timeout reply_box ~timeout_s:3.0
+    Ch.take_timeout reply_box ~timeout_s:3.0
   with
   | Some b -> (Client_msg.reply_of_bytes b).result
   | None -> Alcotest.fail "mono call timed out"

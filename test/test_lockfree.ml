@@ -1,7 +1,7 @@
 (* Lock-free spine tests: model-checked interleavings of the ring cores
-   (via the Interleave DFS checker), unit tests for the Channel facade,
-   Backoff and the batch-drain paths, work-stealing Exec_pool tests, and
-   QCheck stress over real threads.
+   (via the Interleave DFS checker), unit tests for the Channel facade
+   (blocking, timed and batch-drain paths), work-stealing Exec_pool
+   tests, and QCheck stress over real threads.
 
    QCheck iteration counts scale with the MSMR_QCHECK_COUNT environment
    variable (the verify script's stress profile raises it). *)
@@ -270,11 +270,11 @@ let test_ch_close_drains () =
   Alcotest.check_raises "then raises" Channel.Closed (fun () ->
       ignore (Channel.take q))
 
-let test_ch_closed_is_bq_closed () =
-  (* Worker.spawn catches Bounded_queue.Closed for clean shutdown; the
-     Channel exception must be the same exception, physically. *)
-  Alcotest.(check bool) "same exception" true
-    (Channel.Closed = Bounded_queue.Closed)
+let test_worker_channel_closed_clean () =
+  (* A stage's input channel closing is its normal shutdown path. *)
+  let w = Worker.spawn ~name:"closed-body" (fun _ -> raise Channel.Closed) in
+  Worker.join w;
+  Alcotest.(check bool) "no failure recorded" true (Worker.failure w = None)
 
 let test_ch_close_wakes_consumer () =
   let q : int Channel.t = ch Channel.Mpmc 4 in
@@ -287,7 +287,7 @@ let test_ch_close_wakes_consumer () =
         | exception Channel.Closed -> Atomic.set witnessed true)
       ()
   in
-  (* Let the consumer spin through its poll budget and park. *)
+  (* Let the consumer park. *)
   Mclock.sleep_s 0.03;
   Channel.close q;
   Thread.join t;
@@ -324,7 +324,46 @@ let test_ch_take_batch_into () =
   Alcotest.(check int) "rest" 2 n2;
   Alcotest.(check (list int)) "tail reset to None" [ 4; 5 ]
     (List.filter_map Fun.id (Array.to_list buf2));
-  Alcotest.(check int) "drained" 0 (Channel.length q)
+  Alcotest.(check int) "drained" 0 (Channel.length q);
+  Channel.put q 9;
+  Channel.close q;
+  Alcotest.(check int) "close drains" 1 (Channel.take_batch_into q ~buf:buf2);
+  Alcotest.check_raises "then raises" Channel.Closed (fun () ->
+      ignore (Channel.take_batch_into q ~buf:buf2))
+
+let test_ch_take_batch () =
+  let q = ch Channel.Mpmc 16 in
+  List.iter (Channel.put q) [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check (list int)) "batch of 3" [ 1; 2; 3 ]
+    (Channel.take_batch q ~max:3);
+  Alcotest.(check (list int)) "rest" [ 4; 5 ] (Channel.take_batch q ~max:10)
+
+let elapsed_s t0 = Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0)
+
+(* The timed park: a deadline that passes, a put that ends the wait
+   early, and a close that ends it with [Closed]. *)
+let test_ch_take_timeout () =
+  let q : int Channel.t = ch Channel.Mpmc 4 in
+  let t0 = Mclock.now_ns () in
+  Alcotest.(check (option int)) "times out" None
+    (Channel.take_timeout q ~timeout_s:0.03);
+  Alcotest.(check bool) "not before the deadline" true (elapsed_s t0 >= 0.03);
+  let producer =
+    Thread.create (fun () -> Mclock.sleep_s 0.01; Channel.put q 7) ()
+  in
+  let t0 = Mclock.now_ns () in
+  Alcotest.(check (option int)) "put wakes it" (Some 7)
+    (Channel.take_timeout q ~timeout_s:1.0);
+  Alcotest.(check bool) "well before the deadline" true (elapsed_s t0 < 0.5);
+  Thread.join producer;
+  let closer =
+    Thread.create (fun () -> Mclock.sleep_s 0.01; Channel.close q) ()
+  in
+  let t0 = Mclock.now_ns () in
+  Alcotest.check_raises "close raises Closed" Channel.Closed (fun () ->
+      ignore (Channel.take_timeout q ~timeout_s:1.0));
+  Alcotest.(check bool) "close wakes it" true (elapsed_s t0 < 0.5);
+  Thread.join closer
 
 let test_ch_drain_into () =
   let q = ch Channel.Mpmc 16 in
@@ -338,17 +377,16 @@ let test_ch_drain_into () =
   Alcotest.(check int) "closed drain never raises" 0
     (Channel.drain_into q ~buf)
 
-let test_ch_spin_park_accounting () =
+let test_ch_park_accounting () =
   Waitstats.reset ();
   let q : int Channel.t = ch Channel.Mpmc 4 in
   let t = Thread.create (fun () -> ignore (Channel.take q)) () in
-  (* The consumer must burn its spin budget and park before the value
-     arrives. *)
+  (* The consumer parks before the value arrives. *)
   Mclock.sleep_s 0.05;
   Channel.put q 42;
   Thread.join t;
-  Alcotest.(check bool) "spins counted" true (Waitstats.spin_total () > 0);
-  Alcotest.(check bool) "parks counted" true (Waitstats.park_total () > 0)
+  Alcotest.(check bool) "parks counted" true (Waitstats.park_total () > 0);
+  Alcotest.(check int) "no spins" 0 (Waitstats.spin_total ())
 
 let test_ch_concurrent_sum () =
   let q = ch Channel.Mpmc 8 in
@@ -384,56 +422,6 @@ let test_ch_concurrent_sum () =
     done
   done;
   Alcotest.(check int) "sum preserved" !expected (Atomic.get sum)
-
-(* ------------------------------------------------------------------ *)
-(* Backoff and the mutex-path batch drains. *)
-
-let test_backoff_schedule () =
-  let bo =
-    Backoff.create ~yield_rounds:2 ~min_sleep_s:1e-6 ~max_sleep_s:4e-6 ()
-  in
-  Alcotest.(check (float 0.)) "yield phase" 0. (Backoff.current_sleep_s bo);
-  Backoff.once bo;
-  Backoff.once bo;
-  Alcotest.(check (float 1e-12)) "first sleep" 1e-6
-    (Backoff.current_sleep_s bo);
-  Backoff.once bo;
-  Alcotest.(check (float 1e-12)) "doubles" 2e-6 (Backoff.current_sleep_s bo);
-  Backoff.once bo;
-  Backoff.once bo;
-  Backoff.once bo;
-  Alcotest.(check (float 1e-12)) "capped" 4e-6 (Backoff.current_sleep_s bo);
-  Backoff.reset bo;
-  Alcotest.(check (float 0.)) "reset to yields" 0.
-    (Backoff.current_sleep_s bo)
-
-let test_bq_take_batch_into () =
-  let q = Bounded_queue.create ~capacity:16 in
-  List.iter (Bounded_queue.put q) [ 1; 2; 3; 4; 5 ];
-  let buf = Array.make 3 None in
-  Alcotest.(check int) "burst" 3 (Bounded_queue.take_batch_into q ~buf);
-  Alcotest.(check (list int)) "prefix" [ 1; 2; 3 ]
-    (List.filter_map Fun.id (Array.to_list buf));
-  let buf2 = Array.make 8 None in
-  Alcotest.(check int) "rest" 2 (Bounded_queue.take_batch_into q ~buf:buf2);
-  Alcotest.(check (list int)) "values + None tail" [ 4; 5 ]
-    (List.filter_map Fun.id (Array.to_list buf2));
-  Bounded_queue.put q 9;
-  Bounded_queue.close q;
-  Alcotest.(check int) "close drains" 1
-    (Bounded_queue.take_batch_into q ~buf:buf2);
-  Alcotest.check_raises "then raises" Bounded_queue.Closed (fun () ->
-      ignore (Bounded_queue.take_batch_into q ~buf:buf2))
-
-let test_bq_drain_into () =
-  let q = Bounded_queue.create ~capacity:16 in
-  let buf = Array.make 4 None in
-  Alcotest.(check int) "empty" 0 (Bounded_queue.drain_into q ~buf);
-  List.iter (Bounded_queue.put q) [ 1; 2 ];
-  Alcotest.(check int) "available" 2 (Bounded_queue.drain_into q ~buf);
-  Bounded_queue.close q;
-  Alcotest.(check int) "closed never raises" 0
-    (Bounded_queue.drain_into q ~buf)
 
 (* ------------------------------------------------------------------ *)
 (* Work-stealing executor pool. *)
@@ -622,6 +610,43 @@ let prop_spsc_channel_fifo =
       Thread.join producer;
       List.rev !got = List.init n Fun.id)
 
+(* Producer puts after random delays; the consumer waits with random
+   timeouts. Every item arrives once and in order, and a [None] never
+   comes before its deadline. *)
+let prop_channel_take_timeout =
+  QCheck.Test.make ~name:"channel: take_timeout delivers exactly once"
+    ~count:stress_count
+    QCheck.(
+      list_of_size Gen.(int_range 1 20)
+        (pair (int_range 0 2000) (int_range 0 3000)))
+    (fun steps ->
+      let steps = Array.of_list steps in
+      let n = Array.length steps in
+      let q = Channel.create ~kind:Channel.Spsc ~capacity:4 in
+      let producer =
+        Thread.create
+          (fun () ->
+            Array.iteri
+              (fun i (delay_us, _) ->
+                Mclock.sleep_s (float_of_int delay_us *. 1e-6);
+                Channel.put q i)
+              steps)
+          ()
+      in
+      let got = ref [] and early = ref false and k = ref 0 in
+      while List.length !got < n do
+        let timeout_s = float_of_int (snd steps.(!k mod n)) *. 1e-6 in
+        incr k;
+        let t0 = Mclock.now_ns () in
+        match Channel.take_timeout q ~timeout_s with
+        | Some v -> got := v :: !got
+        | None -> if elapsed_s t0 < timeout_s then early := true
+      done;
+      Thread.join producer;
+      Channel.close q;
+      (not !early) && List.rev !got = List.init n Fun.id
+      && Channel.try_take q = None)
+
 let prop_steal_pool_per_key_order =
   QCheck.Test.make ~name:"exec pool: per-key order under stealing"
     ~count:(max 5 (stress_count / 3))
@@ -646,6 +671,7 @@ let qsuite =
     [
       prop_mpmc_channel_exactly_once;
       prop_spsc_channel_fifo;
+      prop_channel_take_timeout;
       prop_steal_pool_per_key_order;
     ]
 
@@ -666,22 +692,20 @@ let suite =
       test_ch_mpmc_rounded_capacity;
     Alcotest.test_case "channel: close drains then raises" `Quick
       test_ch_close_drains;
-    Alcotest.test_case "channel: Closed = Bounded_queue.Closed" `Quick
-      test_ch_closed_is_bq_closed;
+    Alcotest.test_case "worker: Channel.Closed is a clean exit" `Quick
+      test_worker_channel_closed_clean;
     Alcotest.test_case "channel: close wakes parked consumer" `Quick
       test_ch_close_wakes_consumer;
     Alcotest.test_case "channel: blocking put resumes" `Quick
       test_ch_blocking_put_resumes;
     Alcotest.test_case "channel: take_batch_into" `Quick
       test_ch_take_batch_into;
+    Alcotest.test_case "channel: take_batch" `Quick test_ch_take_batch;
+    Alcotest.test_case "channel: take_timeout" `Quick test_ch_take_timeout;
     Alcotest.test_case "channel: drain_into" `Quick test_ch_drain_into;
-    Alcotest.test_case "channel: spin/park accounting" `Quick
-      test_ch_spin_park_accounting;
+    Alcotest.test_case "channel: park accounting" `Quick
+      test_ch_park_accounting;
     Alcotest.test_case "channel: concurrent sum" `Quick test_ch_concurrent_sum;
-    Alcotest.test_case "backoff: schedule" `Quick test_backoff_schedule;
-    Alcotest.test_case "bqueue: take_batch_into" `Quick
-      test_bq_take_batch_into;
-    Alcotest.test_case "bqueue: drain_into" `Quick test_bq_drain_into;
     Alcotest.test_case "pool: steal per-key order" `Quick
       test_pool_steal_order;
     Alcotest.test_case "pool: steals spread a hot shard" `Quick

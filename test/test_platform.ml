@@ -1,4 +1,4 @@
-(* Tests for msmr_platform: queues, heap, concurrent map, delay queue,
+(* Tests for msmr_platform: heap, MPSC queue, concurrent map, delay queue,
    thread-state accounting. *)
 
 open Msmr_platform
@@ -36,117 +36,6 @@ let prop_heap_sorts =
          | Some x -> drain (x :: acc)
        in
        drain [] = List.sort compare xs)
-
-let test_bq_fifo () =
-  let q = Bounded_queue.create ~capacity:10 in
-  List.iter (Bounded_queue.put q) [ 1; 2; 3 ];
-  Alcotest.(check int) "len" 3 (Bounded_queue.length q);
-  Alcotest.(check int) "t1" 1 (Bounded_queue.take q);
-  Alcotest.(check int) "t2" 2 (Bounded_queue.take q);
-  Alcotest.(check int) "t3" 3 (Bounded_queue.take q);
-  Alcotest.(check (option int)) "empty" None (Bounded_queue.try_take q)
-
-let test_bq_bounded () =
-  let q = Bounded_queue.create ~capacity:2 in
-  Alcotest.(check bool) "p1" true (Bounded_queue.try_put q 1);
-  Alcotest.(check bool) "p2" true (Bounded_queue.try_put q 2);
-  Alcotest.(check bool) "full" false (Bounded_queue.try_put q 3);
-  Alcotest.(check bool) "is_full" true (Bounded_queue.is_full q);
-  ignore (Bounded_queue.take q);
-  Alcotest.(check bool) "p3" true (Bounded_queue.try_put q 3)
-
-let test_bq_blocking_put () =
-  (* A producer blocked on a full queue resumes when space appears. *)
-  let q = Bounded_queue.create ~capacity:1 in
-  Bounded_queue.put q 0;
-  let done_flag = Atomic.make false in
-  let w =
-    Worker.spawn ~name:"producer" (fun _st ->
-        Bounded_queue.put q 1;
-        Atomic.set done_flag true)
-  in
-  Mclock.sleep_s 0.02;
-  Alcotest.(check bool) "still blocked" false (Atomic.get done_flag);
-  Alcotest.(check int) "consume" 0 (Bounded_queue.take q);
-  Worker.join w;
-  Alcotest.(check bool) "unblocked" true (Atomic.get done_flag);
-  Alcotest.(check int) "value arrived" 1 (Bounded_queue.take q)
-
-let test_bq_close_wakes_consumer () =
-  let q : int Bounded_queue.t = Bounded_queue.create ~capacity:4 in
-  let got_closed = Atomic.make false in
-  let w =
-    Worker.spawn ~name:"consumer" (fun _st ->
-        match Bounded_queue.take q with
-        | exception Bounded_queue.Closed -> Atomic.set got_closed true
-        | _ -> ())
-  in
-  Mclock.sleep_s 0.02;
-  Bounded_queue.close q;
-  Worker.join w;
-  Alcotest.(check bool) "woken with Closed" true (Atomic.get got_closed)
-
-let test_bq_close_drains () =
-  let q = Bounded_queue.create ~capacity:4 in
-  Bounded_queue.put q 1;
-  Bounded_queue.put q 2;
-  Bounded_queue.close q;
-  Alcotest.(check int) "drain 1" 1 (Bounded_queue.take q);
-  Alcotest.(check int) "drain 2" 2 (Bounded_queue.take q);
-  Alcotest.check_raises "then Closed" Bounded_queue.Closed (fun () ->
-      ignore (Bounded_queue.take q));
-  Alcotest.check_raises "put raises" Bounded_queue.Closed (fun () ->
-      Bounded_queue.put q 3)
-
-let test_bq_take_batch () =
-  let q = Bounded_queue.create ~capacity:10 in
-  List.iter (Bounded_queue.put q) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list int)) "batch of 3" [ 1; 2; 3 ]
-    (Bounded_queue.take_batch q ~max:3);
-  Alcotest.(check (list int)) "rest" [ 4; 5 ]
-    (Bounded_queue.take_batch q ~max:10)
-
-let test_bq_take_timeout () =
-  let q : int Bounded_queue.t = Bounded_queue.create ~capacity:4 in
-  let t0 = Mclock.now_ns () in
-  Alcotest.(check (option int)) "times out" None
-    (Bounded_queue.take_timeout q ~timeout_s:0.03);
-  let dt = Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0) in
-  Alcotest.(check bool) "waited >= 25ms" true (dt >= 0.025);
-  Bounded_queue.put q 7;
-  Alcotest.(check (option int)) "immediate" (Some 7)
-    (Bounded_queue.take_timeout q ~timeout_s:0.5)
-
-let test_bq_concurrent_sum () =
-  (* 4 producers, 2 consumers; every element is consumed exactly once. *)
-  let q = Bounded_queue.create ~capacity:16 in
-  let per_producer = 500 in
-  let producers =
-    List.init 4 (fun p ->
-        Worker.spawn ~name:(Printf.sprintf "prod-%d" p) (fun _ ->
-            for i = 0 to per_producer - 1 do
-              Bounded_queue.put q ((p * per_producer) + i)
-            done))
-  in
-  let seen = Atomic.make 0 and sum = Atomic.make 0 in
-  let total = 4 * per_producer in
-  let consumers =
-    List.init 2 (fun c ->
-        Worker.spawn ~name:(Printf.sprintf "cons-%d" c) (fun _ ->
-            let continue = ref true in
-            while !continue do
-              match Bounded_queue.take q with
-              | v ->
-                ignore (Atomic.fetch_and_add sum v);
-                if Atomic.fetch_and_add seen 1 = total - 1 then
-                  Bounded_queue.close q
-              | exception Bounded_queue.Closed -> continue := false
-            done))
-  in
-  Worker.join_all producers;
-  Worker.join_all consumers;
-  Alcotest.(check int) "count" total (Atomic.get seen);
-  Alcotest.(check int) "sum" (total * (total - 1) / 2) (Atomic.get sum)
 
 let test_mpsc_fifo () =
   let q = Mpsc_queue.create () in
@@ -289,6 +178,28 @@ let test_delay_queue_take_blocks_until_due () =
   let dt = Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0) in
   Alcotest.(check bool) "waited" true (dt >= 0.02)
 
+(* A consumer parked until a far head's deadline wakes for an entry
+   scheduled earlier, and takes it at that entry's own deadline. *)
+let test_delay_queue_earlier_entry () =
+  let dq = Delay_queue.create () in
+  let t0 = Mclock.now_ns () in
+  let at s = Int64.add t0 (Mclock.ns_of_s s) in
+  ignore (Delay_queue.schedule dq ~at_ns:(at 1.0) "late");
+  let got = ref ("", 0.) in
+  let w =
+    Worker.spawn ~name:"dq-consumer" (fun _ ->
+        let v = Delay_queue.take dq in
+        got := (v, Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0)))
+  in
+  Mclock.sleep_s 0.02;
+  ignore (Delay_queue.schedule dq ~at_ns:(at 0.06) "early");
+  Worker.join w;
+  let v, dt = !got in
+  Alcotest.(check string) "earlier entry first" "early" v;
+  Alcotest.(check bool) "not before its deadline" true (dt >= 0.06);
+  Alcotest.(check bool) "long before the parked head's" true (dt < 0.5);
+  Delay_queue.close dq
+
 let test_thread_state_accounting () =
   let st = Thread_state.create ~name:"probe" in
   Thread_state.enter st Thread_state.Waiting (fun () -> Mclock.sleep_s 0.03);
@@ -333,14 +244,6 @@ let suite =
   [
     Alcotest.test_case "heap: ordering" `Quick test_heap_ordering;
     Alcotest.test_case "heap: duplicates" `Quick test_heap_duplicates;
-    Alcotest.test_case "bqueue: fifo" `Quick test_bq_fifo;
-    Alcotest.test_case "bqueue: bounded" `Quick test_bq_bounded;
-    Alcotest.test_case "bqueue: blocking put" `Quick test_bq_blocking_put;
-    Alcotest.test_case "bqueue: close wakes consumer" `Quick test_bq_close_wakes_consumer;
-    Alcotest.test_case "bqueue: close drains" `Quick test_bq_close_drains;
-    Alcotest.test_case "bqueue: take_batch" `Quick test_bq_take_batch;
-    Alcotest.test_case "bqueue: take_timeout" `Quick test_bq_take_timeout;
-    Alcotest.test_case "bqueue: concurrent sum" `Quick test_bq_concurrent_sum;
     Alcotest.test_case "mpsc: fifo" `Quick test_mpsc_fifo;
     Alcotest.test_case "mpsc: concurrent producers" `Quick test_mpsc_concurrent;
     Alcotest.test_case "cmap: basic" `Quick test_cmap_basic;
@@ -350,6 +253,8 @@ let suite =
     Alcotest.test_case "delay queue: not due" `Quick test_delay_queue_not_due;
     Alcotest.test_case "delay queue: cancel" `Quick test_delay_queue_cancel;
     Alcotest.test_case "delay queue: take blocks" `Quick test_delay_queue_take_blocks_until_due;
+    Alcotest.test_case "delay queue: earlier entry wakes take" `Quick
+      test_delay_queue_earlier_entry;
     Alcotest.test_case "thread state: accounting" `Quick test_thread_state_accounting;
     Alcotest.test_case "thread state: registry" `Quick test_thread_state_registry;
     Alcotest.test_case "rate meter: counter/mean" `Quick test_counter_and_mean;

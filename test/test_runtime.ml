@@ -6,6 +6,7 @@ module Config = Msmr_consensus.Config
 module Msg = Msmr_consensus.Msg
 module Client_msg = Msmr_wire.Client_msg
 module Mclock = Msmr_platform.Mclock
+module Ch = Msmr_platform.Channel
 
 (* Fast-paced config so tests finish quickly. *)
 let test_cfg n =
@@ -157,21 +158,21 @@ let test_cluster_duplicate_suppression () =
   (* Send the exact same serialised request three times. *)
   let req = { Client_msg.id = rid 7 1; payload = Bytes.of_string "5" } in
   let raw = Client_msg.request_to_bytes req in
-  let replies = Msmr_platform.Bounded_queue.create ~capacity:8 in
-  let sink b = ignore (Msmr_platform.Bounded_queue.try_put replies b) in
+  let replies = Ch.create ~kind:Ch.Mpmc ~capacity:8 in
+  let sink b = ignore (Ch.try_put replies b) in
   Replica.submit leader ~raw ~reply_to:sink;
   await ~what:"first execution" (fun () -> Replica.executed_count leader = 1);
   Replica.submit leader ~raw ~reply_to:sink;
   Replica.submit leader ~raw ~reply_to:sink;
   await ~what:"duplicate replies" (fun () ->
-      Msmr_platform.Bounded_queue.length replies >= 3);
+      Ch.length replies >= 3);
   Mclock.sleep_s 0.05;
   Alcotest.(check int) "executed once" 1 (Replica.executed_count leader);
   (* All three replies carry the same result. *)
   let results = ref [] in
   (try
      while true do
-       match Msmr_platform.Bounded_queue.try_take replies with
+       match Ch.try_take replies with
        | Some raw ->
          let rep = Client_msg.reply_of_bytes raw in
          results := Bytes.to_string rep.result :: !results
@@ -439,17 +440,16 @@ let test_cluster_multi_batcher () =
   @@ fun () ->
   await ~what:"leader" (fun () -> Array.exists Replica.is_leader replicas);
   let leader = Array.get replicas 0 in
-  (* Concurrent clients exercise all three batchers. *)
-  let replies = Msmr_platform.Bounded_queue.create ~capacity:256 in
-  for c = 1 to 6 do
-    for s = 1 to 10 do
-      let raw =
-        Client_msg.request_to_bytes
-          { id = { client_id = c; seq = s }; payload = Bytes.of_string "1" }
-      in
-      Replica.submit leader ~raw ~reply_to:(fun b ->
-          ignore (Msmr_platform.Bounded_queue.try_put replies b))
-    done
+  (* Concurrent clients exercise all three batchers. Each client has
+     one request outstanding, the contract of [Replica.submit]: with
+     several batchers a pipelined client's requests may be decided out
+     of order, and the older ones are then dropped as stale. *)
+  for c = 1 to 60 do
+    let raw =
+      Client_msg.request_to_bytes
+        { id = { client_id = c; seq = 1 }; payload = Bytes.of_string "1" }
+    in
+    Replica.submit leader ~raw ~reply_to:ignore
   done;
   await ~what:"60 executions" (fun () -> Replica.executed_count leader = 60);
   await ~what:"replica convergence" (fun () ->
@@ -458,10 +458,62 @@ let test_cluster_multi_batcher () =
     (fun r -> Alcotest.(check int) "executed" 60 (Replica.executed_count r))
     replicas
 
+(* ClientIO waits on its ingress alone; a reply handed over from another
+   thread must wake it through the Kick. Delivering at varied moments
+   around the worker's return to its park exercises the race between
+   the worker lowering the Kick flag and a deliverer raising it. *)
+let test_client_io_reply_wakes_worker () =
+  let request_queue = Ch.create ~kind:Ch.Mpmc ~capacity:16 in
+  let cio =
+    Client_io.create ~pool_size:1 ~request_queue
+      ~reply_cache:(Reply_cache.create ()) ()
+  in
+  Fun.protect ~finally:(fun () -> Client_io.stop cio) @@ fun () ->
+  let box = Ch.create ~kind:Ch.Mpmc ~capacity:4 in
+  for seq = 1 to 200 do
+    let id = rid 1 seq in
+    let raw = Client_msg.request_to_bytes { id; payload = Bytes.empty } in
+    Client_io.submit cio ~raw ~reply_to:(fun b -> ignore (Ch.try_put box b));
+    (* The worker has routed the client once its request is here. *)
+    ignore (Ch.take request_queue);
+    let deliverer =
+      Thread.create
+        (fun () ->
+           if seq mod 2 = 0 then Mclock.sleep_s (float_of_int (seq mod 7) *. 1e-4);
+           Client_io.deliver_reply cio { id; result = Bytes.empty })
+        ()
+    in
+    (match Ch.take_timeout box ~timeout_s:0.1 with
+     | Some _ -> ()
+     | None -> Alcotest.failf "reply %d not delivered within 100 ms" seq);
+    Thread.join deliverer
+  done;
+  Ch.close box
+
+(* Timed parks hold a self-pipe per channel; stopping a cluster must
+   release every one of them. *)
+let test_cluster_fds_released () =
+  let fd_count () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    Gc.full_major ();
+    let before = fd_count () in
+    for i = 1 to 20 do
+      with_cluster (fun cluster ->
+          let client = Client.create ~cluster ~client_id:i () in
+          ignore (Client.call client (Bytes.of_string "1")))
+    done;
+    Gc.full_major ();
+    Alcotest.(check int) "fd count restored" before (fd_count ())
+  end
+
 let suite =
   suite
   @ [ Alcotest.test_case "cluster: multiple batcher threads" `Quick
-        test_cluster_multi_batcher ]
+        test_cluster_multi_batcher;
+      Alcotest.test_case "client_io: reply wakes parked worker" `Quick
+        test_client_io_reply_wakes_worker;
+      Alcotest.test_case "cluster: timed-park fds released" `Quick
+        test_cluster_fds_released ]
 
 (* Randomized fault-injection soak: cut and heal random replicas while
    closed-loop clients keep running; the cluster must keep making
@@ -581,8 +633,8 @@ let test_cluster_executors_pipelined_client () =
   @@ fun cluster ->
   let leader = Replica.Cluster.await_leader cluster in
   let n = 300 in
-  let replies = Msmr_platform.Bounded_queue.create ~capacity:(n + 8) in
-  let sink b = ignore (Msmr_platform.Bounded_queue.try_put replies b) in
+  let replies = Ch.create ~kind:Ch.Mpmc ~capacity:(n + 8) in
+  let sink b = ignore (Ch.try_put replies b) in
   for s = 1 to n do
     let raw =
       Client_msg.request_to_bytes
@@ -594,7 +646,7 @@ let test_cluster_executors_pipelined_client () =
     Replica.submit leader ~raw ~reply_to:sink
   done;
   await ~what:"all pipelined replies" (fun () ->
-      Msmr_platform.Bounded_queue.length replies >= n);
+      Ch.length replies >= n);
   Array.iter
     (fun r ->
        await ~what:"replica executed every command" (fun () ->
@@ -617,18 +669,18 @@ let test_cluster_executors_duplicate_suppression () =
     Client_msg.request_to_bytes
       { id = rid 7 1; payload = Kv.encode_command (Kv.Incr { key = "k"; by = 3 }) }
   in
-  let replies = Msmr_platform.Bounded_queue.create ~capacity:8 in
-  let sink b = ignore (Msmr_platform.Bounded_queue.try_put replies b) in
+  let replies = Ch.create ~kind:Ch.Mpmc ~capacity:8 in
+  let sink b = ignore (Ch.try_put replies b) in
   Replica.submit leader ~raw ~reply_to:sink;
   await ~what:"first execution" (fun () -> Replica.executed_count leader = 1);
   Replica.submit leader ~raw ~reply_to:sink;
   Replica.submit leader ~raw ~reply_to:sink;
   await ~what:"duplicate replies" (fun () ->
-      Msmr_platform.Bounded_queue.length replies >= 3);
+      Ch.length replies >= 3);
   Mclock.sleep_s 0.05;
   Alcotest.(check int) "executed once" 1 (Replica.executed_count leader);
   let rec check_all () =
-    match Msmr_platform.Bounded_queue.try_take replies with
+    match Ch.try_take replies with
     | None -> ()
     | Some raw ->
       let rep = Client_msg.reply_of_bytes raw in
@@ -1119,10 +1171,10 @@ let rg_call rg ~client_id ~seq payload =
     Client_msg.request_to_bytes
       { Client_msg.id = { client_id; seq }; payload = Bytes.of_string payload }
   in
-  let box = Msmr_platform.Bounded_queue.create ~capacity:1 in
+  let box = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
   Replica_group.submit rg ~raw ~reply_to:(fun b ->
-      ignore (Msmr_platform.Bounded_queue.try_put box b));
-  match Msmr_platform.Bounded_queue.take_timeout box ~timeout_s:5.0 with
+      ignore (Ch.try_put box b));
+  match Ch.take_timeout box ~timeout_s:5.0 with
   | Some raw -> Bytes.to_string (Client_msg.reply_of_bytes raw).result
   | None -> Alcotest.failf "no reply for %S" payload
 
@@ -1227,10 +1279,10 @@ let test_follower_rejects_linearizable_read () =
       { Client_msg.id = rid 1 1; staleness_ns = Client_msg.linearizable;
         payload = Bytes.of_string "0" }
   in
-  let box = Msmr_platform.Bounded_queue.create ~capacity:1 in
+  let box = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
   Replica.submit follower ~raw ~reply_to:(fun b ->
-      ignore (Msmr_platform.Bounded_queue.try_put box b));
-  (match Msmr_platform.Bounded_queue.take_timeout box ~timeout_s:5.0 with
+      ignore (Ch.try_put box b));
+  (match Ch.take_timeout box ~timeout_s:5.0 with
    | Some b ->
      (match (Client_msg.read_reply_of_bytes b).status with
       | Client_msg.Not_leaseholder hint ->
@@ -1284,11 +1336,11 @@ let test_read_storm_keeps_reply_cache () =
     Client_msg.request_to_bytes
       { Client_msg.id = rid 7 1; payload = Bytes.of_string "5" }
   in
-  let replies = Msmr_platform.Bounded_queue.create ~capacity:4 in
-  let sink b = ignore (Msmr_platform.Bounded_queue.try_put replies b) in
+  let replies = Ch.create ~kind:Ch.Mpmc ~capacity:4 in
+  let sink b = ignore (Ch.try_put replies b) in
   Replica.submit leader ~raw:wraw ~reply_to:sink;
   await ~what:"write executed" (fun () -> Replica.executed_count leader = 1);
-  ignore (Msmr_platform.Bounded_queue.take_timeout replies ~timeout_s:5.0);
+  ignore (Ch.take_timeout replies ~timeout_s:5.0);
   (* Read storm from the same client, between the write and its dup. *)
   let served = Atomic.make 0 in
   for i = 1 to 500 do
@@ -1306,7 +1358,7 @@ let test_read_storm_keeps_reply_cache () =
   await ~what:"storm served" (fun () -> Atomic.get served = 500);
   (* The duplicate write still hits the cache: same reply, no re-run. *)
   Replica.submit leader ~raw:wraw ~reply_to:sink;
-  (match Msmr_platform.Bounded_queue.take_timeout replies ~timeout_s:5.0 with
+  (match Ch.take_timeout replies ~timeout_s:5.0 with
    | Some b ->
      Alcotest.(check string) "cached reply preserved" "5"
        (Bytes.to_string (Client_msg.reply_of_bytes b).result)
@@ -1338,10 +1390,10 @@ let test_replica_group_reads () =
         { Client_msg.id = rid 2 1; staleness_ns = Client_msg.linearizable;
           payload = Bytes.of_string (k ^ ":0") }
     in
-    let box = Msmr_platform.Bounded_queue.create ~capacity:1 in
+    let box = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
     Replica_group.submit rg ~raw ~reply_to:(fun b ->
-        ignore (Msmr_platform.Bounded_queue.try_put box b));
-    match Msmr_platform.Bounded_queue.take_timeout box ~timeout_s:5.0 with
+        ignore (Ch.try_put box b));
+    match Ch.take_timeout box ~timeout_s:5.0 with
     | Some b ->
       (match (Client_msg.read_reply_of_bytes b).status with
        | Client_msg.Read_ok r -> Bytes.to_string r
@@ -1646,16 +1698,16 @@ let test_cluster_speculative_kv () =
       { Client_msg.id = rid 9 1;
         payload = Kv.encode_command (Kv.Incr { key = "d"; by = 5 }) }
   in
-  let box = Msmr_platform.Bounded_queue.create ~capacity:2 in
-  let sink b = ignore (Msmr_platform.Bounded_queue.try_put box b) in
+  let box = Ch.create ~kind:Ch.Mpmc ~capacity:2 in
+  let sink b = ignore (Ch.try_put box b) in
   Replica.submit leader ~raw ~reply_to:sink;
-  (match Msmr_platform.Bounded_queue.take_timeout box ~timeout_s:5.0 with
+  (match Ch.take_timeout box ~timeout_s:5.0 with
    | Some b ->
      Alcotest.(check bool) "first execution" true
        (Kv.decode_reply (Client_msg.reply_of_bytes b).result = Kv.Ok_int 5)
    | None -> Alcotest.fail "no reply to the write");
   Replica.submit leader ~raw ~reply_to:sink;
-  (match Msmr_platform.Bounded_queue.take_timeout box ~timeout_s:5.0 with
+  (match Ch.take_timeout box ~timeout_s:5.0 with
    | Some b ->
      Alcotest.(check bool) "duplicate replays the cached reply" true
        (Kv.decode_reply (Client_msg.reply_of_bytes b).result = Kv.Ok_int 5)

@@ -416,7 +416,7 @@ let await ?(timeout_s = 5.0) ~what pred =
 
 let test_stable_storage_gates_sends () =
   with_tmp_dir @@ fun dir ->
-  let module Bq = Msmr_platform.Bounded_queue in
+  let module Bq = Msmr_platform.Channel in
   let module Msg = Msmr_consensus.Msg in
   (* Slow timers: nothing but our injected messages drives the replica. *)
   let cfg =
@@ -440,7 +440,8 @@ let test_stable_storage_gates_sends () =
     Mutex.unlock sent_mu;
     List.map Msg.decode l
   in
-  let inboxes = [ (0, Bq.create ~capacity:64); (2, Bq.create ~capacity:64) ] in
+  let inboxes = [ (0, Bq.create ~kind:Bq.Mpmc ~capacity:64);
+      (2, Bq.create ~kind:Bq.Mpmc ~capacity:64) ] in
   let links =
     List.map
       (fun (peer, inbox) ->
