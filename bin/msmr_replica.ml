@@ -125,8 +125,8 @@ let executors =
     value & opt int 1
     & info [ "executors" ]
         ~doc:
-          "Executor threads for the parallel ServiceManager; 1 (default) \
-           keeps the paper's serial execution.")
+          "Executor threads the ServiceManager schedules over; with 1 \
+           (default) execution stays serial, as in the paper.")
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log to stderr.")
 

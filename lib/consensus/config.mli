@@ -46,7 +46,8 @@ type t = {
   speculate : bool;               (** optimistic speculative execution
                                       (DESIGN.md section 16): the leader
                                       pre-dispatches each fresh request to
-                                      its executor lane at ingress and runs
+                                      its executor lane at ingress (at any
+                                      executor count, one included) and runs
                                       it ahead of commit via the service's
                                       [execute_undo], confirming on decide
                                       or rolling back on a mispredict;

@@ -1,5 +1,9 @@
 module Mclock = Msmr_platform.Mclock
+module Channel = Msmr_platform.Channel
 module Client_msg = Msmr_wire.Client_msg
+
+(* What a replica hands back: a reply to a write or to a read. *)
+type reply = Write of Client_msg.reply | Read of Client_msg.read_reply
 
 type t = {
   cluster : Replica.Cluster.t;
@@ -12,16 +16,19 @@ type t = {
   mutable redirect_count : int;  (* times [rotate_target] moved us *)
   mutable read_redirect_count : int;
       (* Not_leaseholder / Too_stale bounces of the read fast path *)
+  mutable late_count : int;      (* replies discarded as answering an
+                                    earlier seq *)
   rng : Random.State.t;          (* per-client jitter, deterministic *)
-  lock : Mutex.t;
-  cond : Condition.t;
-  (* Reply slot for the in-flight request. *)
-  mutable waiting_for : int;     (* seq, or -1 *)
-  mutable reply : bytes option;
-  (* Reply slot for the in-flight read (reads use their own frames). *)
-  mutable read_waiting : int;    (* seq, or -1 *)
-  mutable read_reply : Client_msg.read_reply option;
+  replies : reply Channel.t;
+      (* Every reply the replicas deliver, current or late: a retried
+         request can be answered more than once, and an answer to an
+         earlier attempt can arrive during a later call. The caller takes
+         them and keeps only the one for its current seq. *)
 }
+
+(* Deep enough for the duplicates a few retries produce; a reply that
+   finds it full is dropped, and the call's timeout retries it. *)
+let reply_capacity = 16
 
 let create ?(timeout_s = 1.0) ~cluster ~client_id () =
   let replicas = Replica.Cluster.replicas cluster in
@@ -35,26 +42,38 @@ let create ?(timeout_s = 1.0) ~cluster ~client_id () =
     find 0
   in
   { cluster; client_id; timeout_s; seq = 0; target; calls = 0; retry_count = 0;
-    redirect_count = 0; read_redirect_count = 0;
+    redirect_count = 0; read_redirect_count = 0; late_count = 0;
     rng = Random.State.make [| client_id; 0x636c69 |];
-    lock = Mutex.create (); cond = Condition.create (); waiting_for = -1;
-    reply = None; read_waiting = -1; read_reply = None }
+    replies = Channel.create ~kind:Channel.Mpmc ~capacity:reply_capacity }
 
 let calls_made t = t.calls
 let retries t = t.retry_count
 let redirects t = t.redirect_count
 let read_redirects t = t.read_redirect_count
+let late_replies t = t.late_count
+
+let offer t reply = ignore (Channel.try_put t.replies reply)
 
 let deliver t raw =
   match Client_msg.reply_of_bytes raw with
-  | reply ->
-    Mutex.lock t.lock;
-    if reply.id.seq = t.waiting_for then begin
-      t.reply <- Some reply.result;
-      Condition.signal t.cond
-    end;
-    Mutex.unlock t.lock
+  | reply -> offer t (Write reply)
   | exception (Msmr_wire.Codec.Underflow | Msmr_wire.Codec.Malformed _) -> ()
+
+(* Park until [pick] accepts a reply or [deadline] passes. Replies [pick]
+   rejects — answers to an earlier seq — are discarded. *)
+let await t ~deadline pick =
+  let rec go () =
+    let left = Mclock.s_of_ns (Int64.sub deadline (Mclock.now_ns ())) in
+    match Channel.take_timeout t.replies ~timeout_s:left with
+    | None -> None
+    | Some r -> (
+        match pick r with
+        | Some _ as v -> v
+        | None ->
+          t.late_count <- t.late_count + 1;
+          go ())
+  in
+  go ()
 
 let rotate_target t =
   let replicas = Replica.Cluster.replicas t.cluster in
@@ -88,10 +107,12 @@ let call t payload =
   let seq = t.seq in
   let req = { Client_msg.id = { client_id = t.client_id; seq }; payload } in
   let raw = Client_msg.request_to_bytes req in
-  Mutex.lock t.lock;
-  t.waiting_for <- seq;
-  t.reply <- None;
-  Mutex.unlock t.lock;
+  (* Every attempt resends the same request, so a reply to any attempt of
+     this seq is the answer; a reply to an earlier seq never is. *)
+  let pick = function
+    | Write r when r.id.seq = seq -> Some r.result
+    | Write _ | Read _ -> None
+  in
   let replicas = Replica.Cluster.replicas t.cluster in
   let rec attempt () =
     let rec submit_retrying () =
@@ -108,35 +129,14 @@ let call t payload =
     in
     submit_retrying ();
     let deadline = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s t.timeout_s) in
-    (* Polling wait keeps the client simple; clients are test/bench
-       drivers, not a hot path of the replica itself. The poll interval
-       backs off exponentially (0.1 ms -> 2 ms cap, jittered) so a
-       cluster mid-recovery is not hammered by the whole client
-       population in lockstep; it resets on each fresh attempt to keep
-       fast replies fast. *)
-    let rec wait pause =
-      Mutex.lock t.lock;
-      let r = t.reply in
-      Mutex.unlock t.lock;
-      match r with
-      | Some result -> result
-      | None ->
-        if Int64.compare (Mclock.now_ns ()) deadline >= 0 then begin
-          t.retry_count <- t.retry_count + 1;
-          rotate_target t;
-          attempt ()
-        end
-        else begin
-          Mclock.sleep_s (pause +. Random.State.float t.rng (pause /. 2.));
-          wait (Float.min 0.002 (pause *. 2.))
-        end
-    in
-    wait 0.0001
+    match await t ~deadline pick with
+    | Some result -> result
+    | None ->
+      t.retry_count <- t.retry_count + 1;
+      rotate_target t;
+      attempt ()
   in
   let result = attempt () in
-  Mutex.lock t.lock;
-  t.waiting_for <- -1;
-  Mutex.unlock t.lock;
   t.calls <- t.calls + 1;
   result
 
@@ -150,13 +150,7 @@ let read_deliver t raw =
     && Int32.to_int (Bytes.get_int32_be raw 0) = Client_msg.read_reply_magic
   then
     match Client_msg.read_reply_of_bytes raw with
-    | rr ->
-      Mutex.lock t.lock;
-      if rr.rid.seq = t.read_waiting then begin
-        t.read_reply <- Some rr;
-        Condition.signal t.cond
-      end;
-      Mutex.unlock t.lock
+    | rr -> offer t (Read rr)
     | exception (Msmr_wire.Codec.Underflow | Msmr_wire.Codec.Malformed _) ->
       ()
 
@@ -173,10 +167,10 @@ let do_read t ~staleness_ns payload =
       payload }
   in
   let raw = Client_msg.read_to_bytes rd in
-  Mutex.lock t.lock;
-  t.read_waiting <- seq;
-  t.read_reply <- None;
-  Mutex.unlock t.lock;
+  let pick = function
+    | Read rr when rr.rid.seq = seq -> Some rr.status
+    | Read _ | Write _ -> None
+  in
   let replicas = Replica.Cluster.replicas t.cluster in
   let n = Array.length replicas in
   let backoff pause =
@@ -194,9 +188,6 @@ let do_read t ~staleness_ns payload =
     else read_target := (!read_target + 1) mod n
   in
   let rec attempt pause =
-    Mutex.lock t.lock;
-    t.read_reply <- None;
-    Mutex.unlock t.lock;
     (match
        Replica.submit replicas.(!read_target) ~raw
          ~reply_to:(read_deliver t)
@@ -206,37 +197,18 @@ let do_read t ~staleness_ns payload =
        (* Stopped replica: treat like a refused connection. *)
        t.retry_count <- t.retry_count + 1);
     let deadline = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s t.timeout_s) in
-    let rec wait poll =
-      Mutex.lock t.lock;
-      let r = t.read_reply in
-      Mutex.unlock t.lock;
-      match r with
-      | Some { Client_msg.status = Client_msg.Read_ok result; _ } -> result
-      | Some { Client_msg.status = Client_msg.Read_unsupported; _ } ->
-        raise Reads_unsupported
-      | Some
-          { Client_msg.status =
-              Client_msg.Not_leaseholder hint | Client_msg.Too_stale hint;
-            _ } ->
-        retarget hint;
-        attempt (backoff pause)
-      | None ->
-        if Int64.compare (Mclock.now_ns ()) deadline >= 0 then begin
-          t.retry_count <- t.retry_count + 1;
-          retarget (-1);
-          attempt (backoff pause)
-        end
-        else begin
-          Mclock.sleep_s (poll +. Random.State.float t.rng (poll /. 2.));
-          wait (Float.min 0.002 (poll *. 2.))
-        end
-    in
-    wait 0.0001
+    match await t ~deadline pick with
+    | Some (Client_msg.Read_ok result) -> result
+    | Some Client_msg.Read_unsupported -> raise Reads_unsupported
+    | Some (Client_msg.Not_leaseholder hint | Client_msg.Too_stale hint) ->
+      retarget hint;
+      attempt (backoff pause)
+    | None ->
+      t.retry_count <- t.retry_count + 1;
+      retarget (-1);
+      attempt (backoff pause)
   in
   let result = attempt 0.001 in
-  Mutex.lock t.lock;
-  t.read_waiting <- -1;
-  Mutex.unlock t.lock;
   t.calls <- t.calls + 1;
   result
 

@@ -14,7 +14,10 @@ val create :
   unit ->
   t
 (** [timeout_s] (default 1.0) is the per-attempt reply timeout before the
-    request is resent, rotating to the next replica. *)
+    request is resent, rotating to the next replica. The client parks on
+    its reply channel until a reply or the timeout; the channel holds a
+    self-pipe (two file descriptors) from the first wait until the
+    client is collected. *)
 
 val call : t -> bytes -> bytes
 (** Execute one request on the replicated service and return its reply.
@@ -28,6 +31,11 @@ val retries : t -> int
 val redirects : t -> int
 (** Times a timeout moved this client to a different replica (leader
     changes as seen from the client side). *)
+
+val late_replies : t -> int
+(** Replies discarded because they answered an earlier request: a
+    retried request can be answered more than once, and the extra
+    answers may arrive while a later request waits. *)
 
 exception Reads_unsupported
 (** The cluster runs with [lease_enabled = false]; reads cannot be served

@@ -57,11 +57,9 @@ val submit :
 (** Hand one serialised request to the pool (round-robin per client id,
     so one client always lands on the same thread, like a persistent
     connection). A client has at most one request outstanding: the
-    reply cache keeps only each client's latest sequence number, so
-    with more than one Batcher thread a pipelined client's older
-    requests can be decided after newer ones and are then dropped as
-    stale. Blocks when that thread's ingress queue is full —
-    equivalent to TCP back-pressure on a real connection. When
+    reply cache keeps only each client's latest sequence number. Blocks
+    when that thread's ingress queue is full — equivalent to TCP
+    back-pressure on a real connection. When
     [reply_many] is given, runs of replies destined for this connection
     that are drained in the same pass are delivered through it instead of
     one [reply_to] call each. [conflict] carries the router's conflict

@@ -88,14 +88,14 @@ type stable = {
   ss_hold : Msmr_platform.Histogram.t;  (* gated-send hold time, seconds *)
 }
 
-(* Parallel ServiceManager (executor_threads > 1): a scheduler thread
-   consumes the DecisionQueue in decide order and routes each request to
-   a lane of the {!Exec_pool} by hashing its conflict key, so commands on
-   the same key always land on the same lane and keep their decide order,
-   while commands on different keys run concurrently. The pool runs many
-   lanes over the executors and idle executors steal lane tokens from
-   busy siblings. Global / multi-lane commands and snapshots first
-   quiesce the pool. *)
+(* ServiceManager: a scheduler thread consumes the DecisionQueue in
+   decide order and routes each request to a lane of the {!Exec_pool} by
+   hashing its conflict key, so commands on the same key always land on
+   the same lane and keep their decide order, while commands on different
+   keys run concurrently. The pool runs many lanes over the executors
+   (one by default) and idle executors steal lane tokens from busy
+   siblings. Global / multi-lane commands and snapshots first quiesce the
+   pool, then run inline on the scheduler. *)
 (* Work items flowing through the executor lanes. [W_exec] is the
    ordered path; the other three belong to the speculative path
    (Config.speculate, DESIGN.md section 16). All items for one conflict
@@ -126,24 +126,6 @@ type spec_ctx = {
                                  after a mispredict on their key *)
   lead_ns_sum : int Atomic.t; (* sum of confirm - dispatch, ns *)
   lead_n : int Atomic.t;
-}
-
-type exec_ctx = {
-  pool : work Exec_pool.t;
-  exec_frontier : (int, int) Hashtbl.t;
-      (* client_id -> newest seq dispatched, maintained by the scheduler
-         in decide order. At-most-once must be decided here, not on the
-         executors: a client's commands on different keys run on
-         different executors, so an executor-side newest-seq check could
-         race with a later command of the same client finishing first
-         and wrongly suppress a fresh one. Scheduler-private. *)
-  conflict_cache : (int, int * Service.conflict) Cmap.t;
-      (* client_id -> (seq, conflict class), written once per fresh
-         request by the ClientIO ingress hook so the spine classifies
-         each request exactly once; the scheduler reads it at dispatch
-         and falls back to classifying only on a miss (cache overwritten
-         by a newer request of the same client, or ingress raced). *)
-  spec : spec_ctx option;
 }
 
 (* Lease runtime state (Config.lease_enabled). The pure {!Lease} policy
@@ -186,7 +168,21 @@ type t = {
   recovered : Msmr_storage.Replica_store.recovered option;
   reply_cache : Reply_cache.t;
   mutable client_io : Client_io.t option;
-  exec_pool : exec_ctx option;   (* None => serial ServiceManager *)
+  pool : work Exec_pool.t;
+  exec_frontier : (int, int) Hashtbl.t;
+      (* client_id -> newest seq dispatched, maintained by the scheduler
+         in decide order. At-most-once must be decided here, not on the
+         executors: a client's commands on different keys run on
+         different executors, so an executor-side newest-seq check could
+         race with a later command of the same client finishing first
+         and wrongly suppress a fresh one. Scheduler-private. *)
+  conflict_cache : (int, int * Service.conflict) Cmap.t;
+      (* client_id -> (seq, conflict class), written once per fresh
+         request by the ClientIO ingress hook so the spine classifies
+         each request exactly once; the scheduler reads it at dispatch
+         and falls back to classifying only on a miss (cache overwritten
+         by a newer request of the same client, or ingress raced). *)
+  spec : spec_ctx option;
   lease_ctx : lease_ctx option;  (* Some iff cfg.lease_enabled *)
   fd : Failure_detector.t;
   (* Shared introspection state (single-word, lock-free). *)
@@ -225,12 +221,12 @@ type t = {
   window_now : int Atomic.t;
   first_undecided_now : int Atomic.t;
   (* Autotune (Config.auto_tune): tuned values published by the Protocol
-     thread's controller tick, read lock-free by the Batcher threads
+     thread's controller tick, read lock-free by the Batcher thread
      (tuned_bsz) and by metrics. The engine's window is retuned directly
      on the Protocol thread via [Paxos.set_window]. *)
   tuned_bsz : int Atomic.t;
   tuned_wnd : int Atomic.t;
-  batchers : Batcher.t array;
+  batcher : Batcher.t;
   (* Commit-latency accumulators for the current controller epoch.
      Protocol-thread private (written in protocol_apply, read/reset by
      the controller tick on the same thread) — no synchronisation. *)
@@ -260,13 +256,8 @@ let first_undecided t = Atomic.get t.first_undecided_now
 let request_reconfig t m =
   try Bq.put t.dispatcher_q (Reconfig_request m) with Bq.Closed -> ()
 
-let spec_ctx_of t =
-  match t.exec_pool with
-  | Some { spec = Some sc; _ } -> Some sc
-  | Some { spec = None; _ } | None -> None
-
 let spec_counter t f =
-  match spec_ctx_of t with Some sc -> Counter.get (f sc) | None -> 0
+  match t.spec with Some sc -> Counter.get (f sc) | None -> 0
 
 let spec_dispatched_count t = spec_counter t (fun sc -> sc.spec_dispatch)
 let spec_confirmed_count t = spec_counter t (fun sc -> sc.spec_confirm)
@@ -532,7 +523,7 @@ let protocol_loop t st =
   in
   (* Autotune controller: pure policy ticked here, on the engine-owning
      thread, every [tune_epoch_s]. Tuned BSZ is published through the
-     [tuned_bsz] atomic for the Batcher threads; tuned WND is applied
+     [tuned_bsz] atomic for the Batcher thread; tuned WND is applied
      directly with [Paxos.set_window] (same thread, no synchronisation).
      No locks anywhere on the path, per the ReplicationCore rule. *)
   let tuner =
@@ -543,19 +534,6 @@ let protocol_loop t st =
   let tune_seals = ref Batcher.{
       seals_size = 0; seals_delay = 0; sealed_bytes = 0; limit_bytes = 0 }
   in
-  let agg_seals () =
-    Array.fold_left
-      (fun acc b ->
-         let s = Batcher.seal_stats b in
-         Batcher.{
-           seals_size = acc.seals_size + s.seals_size;
-           seals_delay = acc.seals_delay + s.seals_delay;
-           sealed_bytes = acc.sealed_bytes + s.sealed_bytes;
-           limit_bytes = acc.limit_bytes + s.limit_bytes })
-      Batcher.{ seals_size = 0; seals_delay = 0; sealed_bytes = 0;
-                limit_bytes = 0 }
-      t.batchers
-  in
   let tick_tuner engine =
     match tuner with
     | None -> ()
@@ -563,7 +541,7 @@ let protocol_loop t st =
       let now = Mclock.now_ns () in
       let dt = Mclock.s_of_ns (Int64.sub now !tune_last_ns) in
       if dt >= t.cfg.Config.tune_epoch_s then begin
-        let seals = agg_seals () in
+        let seals = Batcher.seal_stats t.batcher in
         let prev = !tune_seals in
         let d_bytes = seals.Batcher.sealed_bytes - prev.Batcher.sealed_bytes in
         let d_limit = seals.Batcher.limit_bytes - prev.Batcher.limit_bytes in
@@ -824,14 +802,12 @@ let stable_storage_loop t (ss : stable) st =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Batcher thread. Several may run (the paper's Section VI-B extension);
-   they share the RequestQueue and build disjoint batches, with disjoint
-   [src] spaces keeping batch ids unique. *)
+(* Batcher thread. *)
 
 let batcher_burst = 32
 
-let batcher_loop idx t st =
-  let policy = t.batchers.(idx) in
+let batcher_loop t st =
+  let policy = t.batcher in
   (* Scratch buffer for the post-wakeup burst drain: once one request
      arrives, siblings queued behind it are folded into the batch without
      further blocking (or list allocation). *)
@@ -991,16 +967,14 @@ let retransmitter_loop t st =
   done
 
 (* ------------------------------------------------------------------ *)
-(* ServiceManager. With executor_threads = 1 (the default) a single
-   Replica thread consumes the DecisionQueue and executes inline, exactly
-   the paper's single ServiceManager. With more, the same thread becomes
-   a scheduler over an executor pool (see [exec_pool] above). *)
+(* ServiceManager: the Replica thread schedules decided requests over the
+   executor pool (see [pool] above). With one executor (the default) the
+   pool runs every lane on that executor. *)
 
 (* Execute one decided request unconditionally: service call, reply
-   cache update, reply hand-off. The caller is responsible for
-   at-most-once (the serial path checks inline; the executor pool
-   decides it at dispatch time, in decide order). *)
-let exec_request_unchecked t (req : Client_msg.request) =
+   cache update, reply hand-off. At-most-once was already decided at
+   dispatch time, in decide order (see [exec_frontier]). *)
+let exec_request t (req : Client_msg.request) =
   let result = t.service.execute req in
   Reply_cache.store t.reply_cache req.id result;
   Counter.incr t.executed;
@@ -1008,15 +982,7 @@ let exec_request_unchecked t (req : Client_msg.request) =
   | Some cio -> Client_io.deliver_reply cio { id = req.id; result }
   | None -> ()
 
-(* Serial path: at-most-once check + execute. The check-then-act is safe
-   because one thread executes everything in decide order. *)
-let exec_request t (req : Client_msg.request) =
-  (* At-most-once: a duplicate that slipped into a batch is not
-     re-executed. *)
-  if not (Reply_cache.already_executed t.reply_cache req.id) then
-    exec_request_unchecked t req
-
-(* Serve one read popped off the DecisionQueue, on the SM/scheduler
+(* Serve one read popped off the DecisionQueue, on the scheduler
    thread. The FIFO position already provided the apply-frontier wait;
    what remains is the authority check at execution time:
 
@@ -1031,7 +997,7 @@ let exec_request t (req : Client_msg.request) =
      within the bound with nothing pending (an idle caught-up follower),
      or it is the leaseholder (trivially fresh).
 
-   Scheduler mode executes the read inline without quiescing the pool:
+   The scheduler executes the read inline without quiescing the pool:
    an executor-resident write is un-replied (replies only happen at
    execution), hence concurrent with this read, and the service stores
    are per-key atomic — so serving the pre-write value linearizes the
@@ -1088,13 +1054,12 @@ let exec_read t (read : Client_msg.read) reply_to =
   in
   reply_to (Client_msg.read_reply_to_bytes { rid = read.id; status })
 
-(* Apply-frontier bookkeeping shared by both ServiceManager variants. *)
+(* Apply-frontier bookkeeping. *)
 let note_applied t ~iid =
   Atomic.set t.applied_iid (iid + 1);
   Atomic.set t.last_apply_ns (now_int_ns ())
 
-(* Snapshot bookkeeping shared by both ServiceManager variants; the
-   caller guarantees quiescence. *)
+(* Snapshot bookkeeping; the caller guarantees quiescence. *)
 let take_snapshot t ~iid =
   let state = t.service.snapshot () in
   (match t.store with
@@ -1105,46 +1070,19 @@ let take_snapshot t ~iid =
   try Bq.put t.dispatcher_q (Snapshot_taken { next_iid = iid + 1; state })
   with Bq.Closed -> ()
 
-let service_manager_loop t st =
-  let instances_executed = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Bq.take ~st t.decision_q with
-    | exception Bq.Closed -> continue := false
-    | Install { state } -> t.service.restore state
-    | Read_exec { read; reply_to } -> exec_read t read reply_to
-    | Spec _ | Spec_flush ->
-      (* Speculation needs the executor pool; the serial ServiceManager
-         never wires the ingress hook, so only a stray Spec_flush from a
-         view change can land here. Ordered execution ignores it. *)
-      ()
-    | Exec { iid; value } ->
-      (match value with
-       (* Reconfig instances mutate the engine's membership (adopted on
-          the Protocol thread), not the service state. *)
-       | Value.Noop | Value.Reconfig _ -> ()
-       | Value.Batch batch -> List.iter (exec_request t) batch.requests);
-      if Option.is_some t.lease_ctx then note_applied t ~iid;
-      incr instances_executed;
-      if t.cfg.snapshot_every > 0
-         && !instances_executed mod t.cfg.snapshot_every = 0
-      then take_snapshot t ~iid
-  done
-
-(* --- Executor pool (see {!Exec_pool} for the two variants) ----------- *)
+(* --- Scheduling over the executor pool (see {!Exec_pool}) ------------ *)
 
 let route pool key = Hashtbl.hash key mod Exec_pool.lanes pool
 
 (* At-most-once, decided by the scheduler in decide order (see
    [exec_frontier]). Returns [true] when the request is fresh and must be
-   dispatched. Duplicates are skipped silently, exactly as the serial
-   path skips them: resending cached replies is ClientIO's job at
-   ingress. *)
-let frontier_admit ctx (req : Client_msg.request) =
-  match Hashtbl.find_opt ctx.exec_frontier req.id.client_id with
+   dispatched. Duplicates are skipped silently: resending cached replies
+   is ClientIO's job at ingress. *)
+let frontier_admit t (req : Client_msg.request) =
+  match Hashtbl.find_opt t.exec_frontier req.id.client_id with
   | Some newest when req.id.seq <= newest -> false
   | _ ->
-    Hashtbl.replace ctx.exec_frontier req.id.client_id req.id.seq;
+    Hashtbl.replace t.exec_frontier req.id.client_id req.id.seq;
     true
 
 (* Classify once: the ingress hook cached the conflict class keyed by
@@ -1152,39 +1090,39 @@ let frontier_admit ctx (req : Client_msg.request) =
    spine paid here. Miss = the cache entry was overwritten by a newer
    request of the same client, or this replica executed a request it
    never saw at ingress (forwarded batch) — classify locally. *)
-let conflict_of t ctx (req : Client_msg.request) =
-  match Cmap.find_opt ctx.conflict_cache req.id.client_id with
+let conflict_of t (req : Client_msg.request) =
+  match Cmap.find_opt t.conflict_cache req.id.client_id with
   | Some (seq, c) when seq = req.id.seq -> c
   | Some _ | None -> t.service.conflict_keys req
 
 (* Abort one key's mispredicted frames: the W_aborts ride the frames' own
    lanes, behind their W_specs (FIFO), so each undo runs after — and only
    after — the speculative execution it reverses. *)
-let push_aborts ~st ctx sc frames =
+let push_aborts ~st t sc frames =
   List.iter
     (fun (f : Spec_ledger.frame) ->
        Counter.incr sc.spec_abort;
-       Exec_pool.send ~st ctx.pool ~lane:f.f_lane (W_abort f))
+       Exec_pool.send ~st t.pool ~lane:f.f_lane (W_abort f))
     frames
 
 (* Drop every open speculation and wait until all speculative effects are
    confirmed-or-undone. After this the service state is exactly the
    ordered prefix — the precondition for snapshots, state transfer,
    Global commands and linearizable reads. *)
-let spec_drain ctx st =
-  match ctx.spec with
+let spec_drain t st =
+  match t.spec with
   | None -> ()
   | Some sc ->
-    push_aborts ~st ctx sc (Spec_ledger.abort_all sc.ledger);
+    push_aborts ~st t sc (Spec_ledger.abort_all sc.ledger);
     if Spec_ledger.effects_pending sc.ledger then
-      Exec_pool.quiesce ctx.pool st
+      Exec_pool.quiesce t.pool st
 
 (* Ledger admission for a pre-dispatched request, on the scheduler
    thread so it cannot race the decide path. Only single-key commands
    speculate — exactly the commands whose lane FIFO can serialise the
    speculation against later ordered traffic on the same key. *)
-let spec_admit t ctx st (req : Client_msg.request) conflict =
-  match ctx.spec with
+let spec_admit t st (req : Client_msg.request) conflict =
+  match t.spec with
   | None -> ()
   | Some sc ->
     if Atomic.get t.am_leader then
@@ -1192,19 +1130,19 @@ let spec_admit t ctx st (req : Client_msg.request) conflict =
       | Service.Keys [ key ] ->
         let fresh =
           (not (Reply_cache.already_executed t.reply_cache req.id))
-          && (match Hashtbl.find_opt ctx.exec_frontier req.id.client_id with
+          && (match Hashtbl.find_opt t.exec_frontier req.id.client_id with
               | Some newest -> req.id.seq > newest
               | None -> true)
         in
         if fresh then (
           match
             Spec_ledger.admit sc.ledger req.id ~key
-              ~lane:(route ctx.pool key) ~now_ns:(Mclock.now_ns ())
+              ~lane:(route t.pool key) ~now_ns:(Mclock.now_ns ())
           with
           | None -> ()
           | Some frame ->
             Counter.incr sc.spec_dispatch;
-            Exec_pool.send ~st ctx.pool ~lane:frame.f_lane
+            Exec_pool.send ~st t.pool ~lane:frame.f_lane
               (W_spec (frame, req)))
       | Service.Keys _ | Service.Global -> ()
 
@@ -1216,16 +1154,16 @@ let spec_admit t ctx st (req : Client_msg.request) conflict =
    into a W_confirm on the frame's lane (the execution already
    happened), a mispredict into W_aborts followed by the ordered
    re-execution. *)
-let dispatch t ctx st (req : Client_msg.request) =
-  if frontier_admit ctx req then
-    let pool = ctx.pool in
-    match conflict_of t ctx req with
+let dispatch t st (req : Client_msg.request) =
+  if frontier_admit t req then
+    let pool = t.pool in
+    match conflict_of t req with
     | Service.Keys [] ->
       (* Conflicts with nothing: spread over the pool. *)
       Exec_pool.send_rr ~st pool (W_exec req)
     | Service.Keys [ key ] ->
       let speculated =
-        match ctx.spec with
+        match t.spec with
         | None -> false
         | Some sc -> (
             match Spec_ledger.on_decide sc.ledger req.id ~key with
@@ -1235,7 +1173,7 @@ let dispatch t ctx st (req : Client_msg.request) =
                 (W_confirm (frame, req));
               true
             | Spec_ledger.Mispredict frames ->
-              push_aborts ~st ctx sc frames;
+              push_aborts ~st t sc frames;
               Counter.incr sc.spec_requeue;
               false
             | Spec_ledger.No_frame -> false)
@@ -1247,13 +1185,13 @@ let dispatch t ctx st (req : Client_msg.request) =
            frames on its keys predicted a different next-decide there:
            abort them. Their keys hash to this command's lane set, so
            the aborts stay FIFO-before the command or the quiesce. *)
-        (match ctx.spec with
+        (match t.spec with
          | Some sc ->
            List.iter
              (fun key ->
                 match Spec_ledger.on_decide sc.ledger req.id ~key with
                 | Spec_ledger.Mispredict frames ->
-                  push_aborts ~st ctx sc frames
+                  push_aborts ~st t sc frames
                 | Spec_ledger.Confirm _ | Spec_ledger.No_frame -> ())
              keys
          | None -> ());
@@ -1261,14 +1199,14 @@ let dispatch t ctx st (req : Client_msg.request) =
         | [ lane ] -> Exec_pool.send ~st pool ~lane (W_exec req)
         | _ ->
           Exec_pool.quiesce pool st;
-          exec_request_unchecked t req)
+          exec_request t req)
     | Service.Global ->
-      spec_drain ctx st;
+      spec_drain t st;
       Exec_pool.quiesce pool st;
-      exec_request_unchecked t req
+      exec_request t req
 
-let scheduler_loop t ctx st =
-  let pool = ctx.pool in
+let scheduler_loop t st =
+  let pool = t.pool in
   let instances_executed = ref 0 in
   let continue = ref true in
   while !continue do
@@ -1277,7 +1215,7 @@ let scheduler_loop t ctx st =
     | Install { state } ->
       (* State transfer replaces the whole service state: roll back any
          speculation first, then quiesce. *)
-      spec_drain ctx st;
+      spec_drain t st;
       Exec_pool.quiesce pool st;
       t.service.restore state
     | Read_exec { read; reply_to } ->
@@ -1286,30 +1224,32 @@ let scheduler_loop t ctx st =
          write is a legal linearization. Speculative effects are
          different — they may be rolled back, so a read must never
          observe them: drain them first. *)
-      (match ctx.spec with
+      (match t.spec with
        | Some sc when Spec_ledger.effects_pending sc.ledger ->
-         spec_drain ctx st
+         spec_drain t st
        | Some _ | None -> ());
       exec_read t read reply_to
-    | Spec { req; conflict } -> spec_admit t ctx st req conflict
+    | Spec { req; conflict } -> spec_admit t st req conflict
     | Spec_flush -> (
         (* View change: predictions void. No quiesce needed — each
            W_abort is FIFO behind its W_spec, so lane order alone
            guarantees the undos run against the right state. *)
-        match ctx.spec with
-        | Some sc -> push_aborts ~st ctx sc (Spec_ledger.abort_all sc.ledger)
+        match t.spec with
+        | Some sc -> push_aborts ~st t sc (Spec_ledger.abort_all sc.ledger)
         | None -> ())
     | Exec { iid; value } ->
       (match value with
+       (* Reconfig instances mutate the engine's membership (adopted on
+          the Protocol thread), not the service state. *)
        | Value.Noop | Value.Reconfig _ -> ()
-       | Value.Batch batch -> List.iter (dispatch t ctx st) batch.requests);
+       | Value.Batch batch -> List.iter (dispatch t st) batch.requests);
       if Option.is_some t.lease_ctx then note_applied t ~iid;
       incr instances_executed;
       if t.cfg.snapshot_every > 0
          && !instances_executed mod t.cfg.snapshot_every = 0
       then begin
         (* Snapshots must capture a prefix-closed state. *)
-        spec_drain ctx st;
+        spec_drain t st;
         Exec_pool.quiesce pool st;
         take_snapshot t ~iid
       end
@@ -1317,12 +1257,11 @@ let scheduler_loop t ctx st =
   (* Let the executors drain and exit. *)
   Exec_pool.close pool
 
-(* Executor-side work interpreter (replaces the bare request execution
-   of PR 7). The ordered path is byte-identical when speculation is off:
-   every item is then a [W_exec]. *)
-let exec_work t ctx (w : work) =
+(* Executor-side work interpreter. With speculation off every item is a
+   [W_exec]. *)
+let exec_work t (w : work) =
   match w with
-  | W_exec req -> exec_request_unchecked t req
+  | W_exec req -> exec_request t req
   | W_spec (frame, req) -> (
       match t.service.execute_undo with
       | None -> ()
@@ -1334,7 +1273,7 @@ let exec_work t ctx (w : work) =
            decided only at confirm time. *)
         Reply_cache.stage t.reply_cache frame.f_id reply)
   | W_confirm (frame, req) ->
-    let sc = Option.get ctx.spec in
+    let sc = Option.get t.spec in
     (match Reply_cache.confirm t.reply_cache frame.f_id with
      | Some result ->
        Counter.incr t.executed;
@@ -1344,13 +1283,13 @@ let exec_work t ctx (w : work) =
      | None ->
        (* Defensive: nothing staged (cannot happen — the W_spec is FIFO
           before us on this lane). Fall back to ordered execution. *)
-       exec_request_unchecked t req);
+       exec_request t req);
     let lead = Int64.to_int (Int64.sub (Mclock.now_ns ()) frame.f_dispatch_ns) in
     ignore (Atomic.fetch_and_add sc.lead_ns_sum lead);
     Atomic.incr sc.lead_n;
     Spec_ledger.settled sc.ledger frame
   | W_abort frame ->
-    let sc = Option.get ctx.spec in
+    let sc = Option.get t.spec in
     (match Atomic.get frame.f_undo with
      | Some undo -> undo ()
      | None -> () (* admitted but the W_spec never ran (pool closing) *));
@@ -1430,31 +1369,14 @@ let register_metrics t =
       match t.client_io with
       | Some cio -> fi (Client_io.ingress_length cio)
       | None -> 0.);
-  g "msmr_replica_executor_queue_depth" (fun () ->
-      match t.exec_pool with
-      | Some c -> fi (Exec_pool.depth c.pool)
-      | None -> 0.);
+  g "msmr_replica_executor_queue_depth" (fun () -> fi (Exec_pool.depth t.pool));
   g "msmr_replica_executor_dispatched" (fun () ->
-      match t.exec_pool with
-      | Some c -> fi (Exec_pool.dispatched c.pool)
-      | None -> 0.);
-  g "msmr_replica_executor_barriers" (fun () ->
-      match t.exec_pool with
-      | Some c -> fi (Exec_pool.barriers c.pool)
-      | None -> 0.);
-  g "msmr_executor_steal_total" (fun () ->
-      match t.exec_pool with
-      | Some c -> fi (Exec_pool.steals c.pool)
-      | None -> 0.);
+      fi (Exec_pool.dispatched t.pool));
+  g "msmr_replica_executor_barriers" (fun () -> fi (Exec_pool.barriers t.pool));
+  g "msmr_executor_steal_total" (fun () -> fi (Exec_pool.steals t.pool));
   g "msmr_executor_steal_fail_total" (fun () ->
-      match t.exec_pool with
-      | Some c -> fi (Exec_pool.steal_fails c.pool)
-      | None -> 0.);
-  let spec f =
-    match t.exec_pool with
-    | Some { spec = Some sc; _ } -> f sc
-    | Some { spec = None; _ } | None -> 0.
-  in
+      fi (Exec_pool.steal_fails t.pool));
+  let spec f = match t.spec with Some sc -> f sc | None -> 0. in
   g "msmr_executor_spec_dispatch_total" (fun () ->
       spec (fun sc -> fi (Counter.get sc.spec_dispatch)));
   g "msmr_executor_spec_confirm_total" (fun () ->
@@ -1481,21 +1403,17 @@ let register_metrics t =
       match t.stable with
       | Some ss -> fi (Bq.length ss.log_q)
       | None -> 0.);
-  let sum_seals f =
-    Array.fold_left (fun acc b -> acc + f (Batcher.seal_stats b)) 0 t.batchers
-  in
+  let seals () = Batcher.seal_stats t.batcher in
   g "msmr_replica_bsz_now" (fun () -> fi (Atomic.get t.tuned_bsz));
   g "msmr_replica_wnd_now" (fun () -> fi (Atomic.get t.tuned_wnd));
   g "msmr_replica_batch_fill" (fun () ->
       (* cumulative mean fill ratio: payload bytes over the BSZ limit in
          force at each seal *)
-      let bytes = sum_seals (fun s -> s.Batcher.sealed_bytes) in
-      let limit = sum_seals (fun s -> s.Batcher.limit_bytes) in
-      if limit = 0 then 0. else fi bytes /. fi limit);
-  g "msmr_replica_flush_size_total" (fun () ->
-      fi (sum_seals (fun s -> s.Batcher.seals_size)));
-  g "msmr_replica_flush_delay_total" (fun () ->
-      fi (sum_seals (fun s -> s.Batcher.seals_delay)));
+      let s = seals () in
+      if s.limit_bytes = 0 then 0.
+      else fi s.sealed_bytes /. fi s.limit_bytes);
+  g "msmr_replica_flush_size_total" (fun () -> fi (seals ()).seals_size);
+  g "msmr_replica_flush_delay_total" (fun () -> fi (seals ()).seals_delay);
   g "msmr_replica_view_changes_total" (fun () ->
       fi (Counter.get t.view_changes));
   g "msmr_replica_suspect_total" (fun () -> fi (Counter.get t.suspects));
@@ -1530,9 +1448,9 @@ let unregister_metrics t =
 let request_queue_capacity = 1000
 let proposal_queue_capacity = 20
 
-let create ?(client_io_threads = 3) ?(batcher_threads = 1)
-    ?(executor_threads = 1) ?gid ?(durability = Ephemeral)
-    ?(reconnects = fun () -> 0) ~cfg ~me ~links ~service () =
+let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
+    ?(durability = Ephemeral) ?(reconnects = fun () -> 0) ~cfg ~me ~links
+    ~service () =
   (match Config.validate cfg with
    | Ok () -> ()
    | Error e -> invalid_arg ("Replica.create: " ^ e));
@@ -1579,27 +1497,23 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
     | Some { Msmr_storage.Replica_store.r_configs = (_ :: _) as cs; _ } -> cs
     | Some _ | None -> [ (0, Membership.initial cfg) ]
   in
-  let batchers =
-    (* With auto_tune the policies read the tuned limit through the
-       atomic; without it they take the static-config path, untouched. *)
-    Array.init (max 1 batcher_threads) (fun idx ->
-        Batcher.create
-          ?tuned_bsz:(if cfg.Config.auto_tune then Some tuned_bsz else None)
-          cfg ~src:(me + (cfg.Config.n * idx)))
+  let batcher =
+    (* With auto_tune the policy reads the tuned limit through the
+       atomic; without it it takes the static-config path, untouched. *)
+    Batcher.create
+      ?tuned_bsz:(if cfg.Config.auto_tune then Some tuned_bsz else None)
+      cfg ~src:me
   in
-  (* Producer/consumer discipline per edge: receivers, FD, batchers and
-     the scheduler all feed the dispatcher (MPMC); N batchers feed the
-     Protocol thread (SPSC when N = 1); ClientIO workers share the
-     RequestQueue with the batchers (MPMC); the DecisionQueue is
-     strictly Protocol -> scheduler (SPSC); send and log queues have
-     several producer threads (MPMC). *)
+  (* Producer/consumer discipline per edge: receivers, FD, the Batcher
+     and the scheduler all feed the dispatcher (MPMC); the Batcher feeds
+     the Protocol thread (SPSC); ClientIO workers feed the RequestQueue
+     (MPMC); the DecisionQueue is strictly Protocol -> scheduler (SPSC)
+     unless leases or speculation add producers; send and log queues
+     have several producer threads (MPMC). *)
   let t =
     { cfg; me; gid; service;
       dispatcher_q = Bq.create ~kind:Bq.Mpmc ~capacity:4096;
-      proposal_q =
-        Bq.create
-          ~kind:(if max 1 batcher_threads = 1 then Bq.Spsc else Bq.Mpmc)
-          ~capacity:proposal_queue_capacity;
+      proposal_q = Bq.create ~kind:Bq.Spsc ~capacity:proposal_queue_capacity;
       request_q = Bq.create ~kind:Bq.Mpmc ~capacity:request_queue_capacity;
       decision_q =
         (* Lease mode adds client threads as read producers (submit_read)
@@ -1621,28 +1535,23 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
       recovered;
       reply_cache = Reply_cache.create ();
       client_io = None;
-      exec_pool =
-        (if executor_threads > 1 then
+      pool = Exec_pool.create ~n_exec:executor_threads ();
+      exec_frontier = Hashtbl.create 256;
+      conflict_cache = Cmap.create ~shards:16 ();
+      spec =
+        (* Speculation needs a rollback contract from the service;
+           without one the flag degrades to early-scheduling-only (the
+           conflict cache above). *)
+        (if cfg.Config.speculate && Option.is_some service.Service.execute_undo
+         then
            Some
-             { pool = Exec_pool.create ~n_exec:executor_threads ();
-               exec_frontier = Hashtbl.create 256;
-               conflict_cache = Cmap.create ~shards:16 ();
-               spec =
-                 (* Speculation needs a rollback contract from the
-                    service; without one the flag degrades to
-                    early-scheduling-only (the conflict cache above). *)
-                 (if cfg.Config.speculate
-                     && Option.is_some service.Service.execute_undo
-                  then
-                    Some
-                      { ledger = Spec_ledger.create ();
-                        spec_dispatch = Counter.create ();
-                        spec_confirm = Counter.create ();
-                        spec_abort = Counter.create ();
-                        spec_requeue = Counter.create ();
-                        lead_ns_sum = Atomic.make 0;
-                        lead_n = Atomic.make 0 }
-                  else None) }
+             { ledger = Spec_ledger.create ();
+               spec_dispatch = Counter.create ();
+               spec_confirm = Counter.create ();
+               spec_abort = Counter.create ();
+               spec_requeue = Counter.create ();
+               lead_ns_sum = Atomic.make 0;
+               lead_n = Atomic.make 0 }
          else None);
       lease_ctx =
         (if cfg.Config.lease_enabled then
@@ -1681,41 +1590,33 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
       first_undecided_now = Atomic.make 0;
       tuned_bsz;
       tuned_wnd;
-      batchers;
+      batcher;
       tune_lat_sum = 0.;
       tune_lat_n = 0 }
   in
-  let on_fresh =
+  let spec_on = Option.is_some t.spec in
+  let on_fresh (req : Client_msg.request) conflict =
     (* Classify-once + speculative pre-dispatch, on the ClientIO worker
-       threads. Only wired with an executor pool: the serial
-       ServiceManager never classifies, so the cache would be dead
-       weight, and speculation needs the lanes. *)
-    match t.exec_pool with
-    | None -> None
-    | Some ctx ->
-      let spec_on = Option.is_some ctx.spec in
-      Some
-        (fun (req : Client_msg.request) conflict ->
-           let c =
-             match conflict with
-             | Some c -> c
-             | None -> service.Service.conflict_keys req
-           in
-           Cmap.set ctx.conflict_cache req.id.client_id (req.id.seq, c);
-           if spec_on && Atomic.get t.am_leader then
-             (* Best-effort: a full DecisionQueue just means no
-                speculation for this request — the ordered path is
-                always behind it. FIFO places this Spec strictly before
-                the request's own Exec (the request has not even reached
-                the Batcher yet). *)
-             match Bq.try_put t.decision_q (Spec { req; conflict = c }) with
-             | true | false -> ()
-             | exception Bq.Closed -> ())
+       threads. *)
+    let c =
+      match conflict with
+      | Some c -> c
+      | None -> service.Service.conflict_keys req
+    in
+    Cmap.set t.conflict_cache req.id.client_id (req.id.seq, c);
+    if spec_on && Atomic.get t.am_leader then
+      (* Best-effort: a full DecisionQueue just means no speculation for
+         this request — the ordered path is always behind it. FIFO places
+         this Spec strictly before the request's own Exec (the request
+         has not even reached the Batcher yet). *)
+      match Bq.try_put t.decision_q (Spec { req; conflict = c }) with
+      | true | false -> ()
+      | exception Bq.Closed -> ()
   in
   let cio =
     Client_io.create
       ~name_prefix:(Printf.sprintf "r%d/" me)
-      ?on_fresh ~pool_size:client_io_threads
+      ~on_fresh ~pool_size:client_io_threads
       ~request_queue:t.request_q ~reply_cache:t.reply_cache ()
   in
   t.client_io <- Some cio;
@@ -1756,31 +1657,21 @@ let create ?(client_io_threads = 3) ?(batcher_threads = 1)
             done) ]
     | Durable _ | Ephemeral -> []
   in
-  let batchers =
-    List.init (max 1 batcher_threads) (fun i ->
-        spawn
-          (if batcher_threads <= 1 then "Batcher"
-           else Printf.sprintf "Batcher-%d" i)
-          (batcher_loop i))
-  in
-  let service_manager =
-    match t.exec_pool with
-    | None -> [ spawn "Replica" service_manager_loop ]
-    | Some ctx ->
-      spawn "Replica" (fun t st -> scheduler_loop t ctx st)
-      :: List.init (Exec_pool.n_exec ctx.pool) (fun i ->
-             Worker.spawn ~name:(Printf.sprintf "r%d/Executor-%d" me i)
-               (fun st ->
-                  (* No at-most-once check in the pool: the scheduler
-                     already decided it (exec_frontier) in decide order. *)
-                  Exec_pool.executor_loop ctx.pool ~idx:i
-                    ~exec:(exec_work t ctx) ~st))
+  let executors =
+    List.init executor_threads (fun i ->
+        Worker.spawn ~name:(Printf.sprintf "r%d/Executor-%d" me i)
+          (fun st ->
+             (* No at-most-once check in the pool: the scheduler already
+                decided it (exec_frontier) in decide order. *)
+             Exec_pool.executor_loop t.pool ~idx:i ~exec:(exec_work t) ~st))
   in
   t.threads <-
     [ spawn "Protocol" protocol_loop;
       spawn "FailureDetector" fd_loop;
       spawn "Retransmitter" retransmitter_loop ]
-    @ stable_storage @ service_manager @ batchers @ io_threads
+    @ stable_storage
+    @ (spawn "Replica" scheduler_loop :: executors)
+    @ (spawn "Batcher" batcher_loop :: io_threads)
     @ syncer;
   register_metrics t;
   t
@@ -1799,9 +1690,7 @@ let stop t =
     (match t.stable with Some ss -> Bq.close ss.log_q | None -> ());
     (* The scheduler also closes the pool on exit; closing here too
        unblocks it even if the scheduler is wedged. Close is idempotent. *)
-    (match t.exec_pool with
-     | Some ctx -> Exec_pool.close ctx.pool
-     | None -> ());
+    Exec_pool.close t.pool;
     Array.iter Bq.close t.send_qs;
     Dq.close t.rtx_dq;
     List.iter (fun (_, (link : Transport.link)) -> link.close ()) t.links;

@@ -42,7 +42,6 @@ type durability =
 
 val create :
   ?client_io_threads:int ->
-  ?batcher_threads:int ->
   ?executor_threads:int ->
   ?gid:int ->
   ?durability:durability ->
@@ -54,26 +53,25 @@ val create :
   unit ->
   t
 (** Build and start a replica. [links] must contain one link per peer
-    (every node in [0, cfg.n) except [me]). Defaults: 3 ClientIO threads,
-    1 Batcher thread (more is the paper's Section VI-B extension). The
-    RequestQueue holds 1000 requests (the paper's setting), the
-    ProposalQueue 20 batches.
+    (every node in [0, cfg.n) except [me]). Defaults: 3 ClientIO threads
+    and 1 executor. There is one Batcher thread. The RequestQueue holds
+    1000 requests (the paper's setting), the ProposalQueue 20 batches.
 
-    [executor_threads] sizes the ServiceManager. The default [1] is the
-    paper's single Replica thread executing decisions inline. With [k > 1]
-    the Replica thread becomes a scheduler over [k] Executor threads:
-    decided requests are routed by hashing the conflict keys reported by
+    [executor_threads] sizes the ServiceManager: the Replica thread is a
+    scheduler over [executor_threads] Executor threads. Decided requests
+    are routed by hashing the conflict keys reported by
     {!Service.t.conflict_keys}, so commands with intersecting key sets
-    (and all [Global] ones) keep their decide order while disjoint
-    commands execute concurrently. At-most-once is decided by the
-    scheduler in decide order (a per-client dispatch frontier), so
-    duplicate suppression is exact even though a client's non-conflicting
-    commands may execute out of order on different executors. Snapshots
-    and state installs always run with the pool quiescent. Parallel
-    execution only helps services
-    that classify commands with [Keys]; a service using the default
-    [Global] classifier degenerates to serial execution plus barrier
-    overhead.
+    keep their decide order while disjoint commands may execute
+    concurrently. [Global] commands (and commands spanning several lanes)
+    run inline on the scheduler once the pool is quiescent. At-most-once
+    is decided by the scheduler in decide order (a per-client dispatch
+    frontier), so duplicate suppression is exact even though a client's
+    non-conflicting commands may execute out of order on different
+    executors. Snapshots and state installs always run with the pool
+    quiescent. Parallel execution only helps services that classify
+    commands with [Keys]; a service using the default [Global]
+    classifier executes every command on the scheduler, in decide
+    order.
 
     [gid] is this replica's consensus group in a multi-group deployment
     (see {!Replica_group} and [Config.groups]): the engine bootstraps at
@@ -103,10 +101,8 @@ val submit :
     {!Router} computes one to pick the group), so the spine classifies
     each request once (see {!Client_io.submit}).
 
-    A client has at most one request outstanding. The reply cache keeps
-    only each client's newest executed sequence number, so with
-    [batcher_threads > 1] a pipelined client's requests can be decided
-    out of order, and its older requests are then dropped as stale.
+    A client has at most one request outstanding: the reply cache keeps
+    only each client's newest executed sequence number.
 
     Read frames ({!Msmr_wire.Client_msg.is_read_raw}) take the lease fast
     path instead: they bypass ClientIO/Batcher/Paxos and ride the
@@ -121,8 +117,8 @@ val current_view : t -> Msmr_consensus.Types.view
 
 val tuned_now : t -> int * int
 (** [(bsz, wnd)] currently in force. With [cfg.auto_tune] these are the
-    autotune controller's latest published values (the Batcher threads
-    read the same atomics); without it they stay at the static config. *)
+    autotune controller's latest published values (the Batcher thread
+    reads the same atomics); without it they stay at the static config. *)
 
 val executed_count : t -> int
 (** Client requests executed so far (excludes duplicates and noops). *)
@@ -166,9 +162,8 @@ val stale_reads_rejected_count : t -> int
 
 (** {2 Speculative execution accounting (Config.speculate)}
 
-    All four are [0] unless the replica runs with [cfg.speculate = true],
-    [executor_threads > 1] and a service implementing
-    {!Service.t.execute_undo}. *)
+    All four are [0] unless the replica runs with [cfg.speculate = true]
+    and a service implementing {!Service.t.execute_undo}. *)
 
 val spec_dispatched_count : t -> int
 (** Speculation frames admitted and pre-dispatched to the executor lanes

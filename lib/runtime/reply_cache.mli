@@ -36,9 +36,10 @@ val store : t -> Msmr_wire.Client_msg.request_id -> bytes -> unit
     ignores regressions in [seq]). *)
 
 val already_executed : t -> Msmr_wire.Client_msg.request_id -> bool
-(** [Cached _ | Stale]. Used by the ServiceManager to skip duplicates that
-    slipped into batches. Consults committed replies only — staged
-    speculative replies do not count as executed. *)
+(** [Cached _ | Stale]. Used by speculative admission and by the
+    baseline's mono replica to skip requests that already executed.
+    Consults committed replies only — staged speculative replies do not
+    count as executed. *)
 
 val stage : t -> Msmr_wire.Client_msg.request_id -> bytes -> unit
 (** Park the reply of a speculative execution. Invisible to {!lookup} /

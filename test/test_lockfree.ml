@@ -651,7 +651,7 @@ let prop_steal_pool_per_key_order =
   QCheck.Test.make ~name:"exec pool: per-key order under stealing"
     ~count:(max 5 (stress_count / 3))
     QCheck.(
-      triple (int_range 2 4) (int_range 1 12) (int_range 1 60))
+      triple (int_range 1 4) (int_range 1 12) (int_range 1 60))
     (fun (n_exec, n_keys, per_key) ->
       let ok = ref true in
       run_pool ~n_exec

@@ -242,6 +242,33 @@ let test_cluster_single_node () =
   Alcotest.(check string) "works alone" "4"
     (Bytes.to_string (Client.call client (Bytes.of_string "4")))
 
+(* A retried request can be answered more than once, and the spare
+   answers can land while the client waits on its next request. Tiny
+   timeouts make each call retry into a single replica until some spare
+   reply has arrived late; every call must still return its own reply,
+   never the spare answer to the one before. *)
+let test_client_discards_late_replies () =
+  with_cluster ~n:1 @@ fun cluster ->
+  ignore (Replica.Cluster.await_leader cluster);
+  let client = Client.create ~timeout_s:0.0005 ~cluster ~client_id:1 () in
+  let deadline = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s 10.) in
+  let i = ref 0 in
+  while
+    Client.late_replies client = 0
+    && Int64.compare (Mclock.now_ns ()) deadline < 0
+  do
+    incr i;
+    Alcotest.(check string)
+      (Printf.sprintf "call %d answers itself" !i)
+      (string_of_int !i)
+      (Bytes.to_string (Client.call client (Bytes.of_string "1")))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "late replies discarded (%d calls, %d retries)" !i
+       (Client.retries client))
+    true
+    (Client.late_replies client > 0)
+
 let test_cluster_null_service_throughput_smoke () =
   (* Not a benchmark: just proves the null-service pipeline sustains a
      burst without losing requests. *)
@@ -409,54 +436,13 @@ let suite =
     Alcotest.test_case "cluster: queue stats" `Quick test_cluster_queue_stats;
     Alcotest.test_case "cluster: n=5" `Quick test_cluster_n5_live;
     Alcotest.test_case "cluster: single node" `Quick test_cluster_single_node;
+    Alcotest.test_case "client: late replies discarded" `Quick
+      test_client_discards_late_replies;
     Alcotest.test_case "cluster: null service burst" `Quick test_cluster_null_service_throughput_smoke;
     Alcotest.test_case "cluster: sender flushes counted" `Quick test_sender_flushes_counted;
     Alcotest.test_case "cluster: ephemeral stall no-op" `Quick test_ephemeral_stall_is_noop;
     Alcotest.test_case "cluster: autotune live" `Quick test_cluster_autotune_live;
   ]
-
-(* The paper's §VI-B extension in the live runtime: several Batcher
-   threads sharing the RequestQueue still yield a correct, converging
-   cluster with unique batch ids. *)
-let test_cluster_multi_batcher () =
-  let cfg = test_cfg 3 in
-  let hub = Transport.Hub.create ~n:3 () in
-  let replicas =
-    Array.init 3 (fun me ->
-        let links =
-          List.filter_map
-            (fun peer ->
-               if peer = me then None
-               else Some (peer, Transport.Hub.link hub ~me ~peer))
-            [ 0; 1; 2 ]
-        in
-        Replica.create ~batcher_threads:3 ~cfg ~me ~links
-          ~service:(Service.accumulator ()) ())
-  in
-  Fun.protect
-    ~finally:(fun () ->
-        Array.iter Replica.stop replicas;
-        Transport.Hub.close hub)
-  @@ fun () ->
-  await ~what:"leader" (fun () -> Array.exists Replica.is_leader replicas);
-  let leader = Array.get replicas 0 in
-  (* Concurrent clients exercise all three batchers. Each client has
-     one request outstanding, the contract of [Replica.submit]: with
-     several batchers a pipelined client's requests may be decided out
-     of order, and the older ones are then dropped as stale. *)
-  for c = 1 to 60 do
-    let raw =
-      Client_msg.request_to_bytes
-        { id = { client_id = c; seq = 1 }; payload = Bytes.of_string "1" }
-    in
-    Replica.submit leader ~raw ~reply_to:ignore
-  done;
-  await ~what:"60 executions" (fun () -> Replica.executed_count leader = 60);
-  await ~what:"replica convergence" (fun () ->
-      Array.for_all (fun r -> Replica.executed_count r = 60) replicas);
-  Array.iter
-    (fun r -> Alcotest.(check int) "executed" 60 (Replica.executed_count r))
-    replicas
 
 (* ClientIO waits on its ingress alone; a reply handed over from another
    thread must wake it through the Kick. Delivering at varied moments
@@ -508,9 +494,7 @@ let test_cluster_fds_released () =
 
 let suite =
   suite
-  @ [ Alcotest.test_case "cluster: multiple batcher threads" `Quick
-        test_cluster_multi_batcher;
-      Alcotest.test_case "client_io: reply wakes parked worker" `Quick
+  @ [ Alcotest.test_case "client_io: reply wakes parked worker" `Quick
         test_client_io_reply_wakes_worker;
       Alcotest.test_case "cluster: timed-park fds released" `Quick
         test_cluster_fds_released ]
@@ -1659,15 +1643,15 @@ let test_mc_spec_rollback () =
   Alcotest.(check bool) (Printf.sprintf "explored %d schedules" runs) true
     (runs > 1)
 
-let test_cluster_speculative_kv () =
+let test_cluster_speculative_kv executor_threads () =
   (* The live optimistic path end to end: a cluster with speculation on,
-     a 4-executor pool and the KV service (which implements
+     an [executor_threads] pool and the KV service (which implements
      execute_undo). Replies must be exactly the sequential KV semantics,
      the leader must actually have speculated, and a duplicate of a
      speculated write must replay the cached reply, not re-execute. *)
   let module Kv = Msmr_kv.Kv_service in
   let cfg = { (test_cfg 3) with Config.speculate = true } in
-  with_cluster ~executor_threads:4 ~cfg ~service:Kv.make @@ fun cluster ->
+  with_cluster ~executor_threads ~cfg ~service:Kv.make @@ fun cluster ->
   let leader = Replica.Cluster.await_leader cluster in
   let client = Client.create ~cluster ~client_id:1 () in
   let call cmd = Kv.decode_reply (Client.call client (Kv.encode_command cmd)) in
@@ -1730,7 +1714,9 @@ let suite =
       Alcotest.test_case "spec ledger: model-checked rollback" `Quick
         test_mc_spec_rollback;
       Alcotest.test_case "speculation: live KV cluster" `Quick
-        test_cluster_speculative_kv ]
+        (test_cluster_speculative_kv 4);
+      Alcotest.test_case "speculation: live KV cluster, 1 executor" `Quick
+        (test_cluster_speculative_kv 1) ]
 
 let suite =
   suite
