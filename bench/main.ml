@@ -11,7 +11,12 @@
    discrete-event simulator (see DESIGN.md for the substitution argument
    and calibration); `live` exercises the real threading architecture on
    this machine; `micro` runs bechamel micro-benchmarks of the
-   substrate. *)
+   substrate. `bench002`..`bench010` write bench/BENCH_NNN.json (or
+   `--out FILE`; `--quick` runs need one), and
+
+     dune exec bench/main.exe -- check [--committed] FILE..
+
+   recomputes the named gates of each such file. *)
 
 module Params = Msmr_sim.Params
 module Jp = Msmr_sim.Jpaxos_model
@@ -691,24 +696,78 @@ let micro () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* bench002: machine-readable snapshot of the headline results, written
-   as JSON so CI and the verify script can regression-check numbers
-   instead of scraping tables. Two sweeps:
+(* BENCH_NNN results. Each [benchNNN ~quick] runs its sweep and returns
+   the body fields of bench/BENCH_NNN.json; [write_bench] prints the
+   heading, prepends the bench/source/quick header and writes the file.
+   Each bench also lists its named gates ([benchNNN_gates]) next to it:
+   `main.exe check FILE` recomputes them from the file's data. *)
+
+module J = Msmr_obs.Json
+
+(* A gate reads the file through dotted paths ("crash.recovery_s"); a
+   missing, null or mistyped field raises [Bad_field], which fails the
+   gate. A [full_only] gate is skipped on a --quick file. *)
+type gate = { name : string; full_only : bool; ok : J.t -> bool }
+
+exception Bad_field of string
+
+let field path j =
+  List.fold_left
+    (fun j key ->
+       match J.member key j with
+       | None | Some J.Null -> raise (Bad_field path)
+       | Some v -> v)
+    j
+    (String.split_on_char '.' path)
+
+let as_num path = function
+  | J.Int i -> float_of_int i
+  | J.Float f -> f
+  | _ -> raise (Bad_field path)
+
+let num path j = as_num path (field path j)
+
+let flag path j =
+  match field path j with J.Bool b -> b | _ -> raise (Bad_field path)
+
+let all_flags paths j = List.for_all (fun path -> flag path j) paths
+
+let str path j =
+  match field path j with J.String s -> s | _ -> raise (Bad_field path)
+
+let items path j =
+  match field path j with J.List l -> l | _ -> raise (Bad_field path)
+
+let has keys j =
+  List.for_all
+    (fun key -> match field key j with _ -> true | exception Bad_field _ -> false)
+    keys
+
+let gate name ok = { name; full_only = false; ok }
+let full_gate name ok = { name; full_only = true; ok }
+let point_count path n =
+  gate "point_count" (fun j -> List.length (items path j) = n)
+
+(* Every point under [path] reports each of [keys] > 0. *)
+let positive_throughput ?(path = "points") keys =
+  gate "positive_throughput" (fun j ->
+      List.for_all
+        (fun pt -> List.for_all (fun key -> num key pt > 0.) keys)
+        (items path j))
+
+let schema ?(path = "points") keys =
+  full_gate "schema" (fun j -> List.for_all (has keys) (items path j))
+
+(* bench002: machine-readable snapshot of the headline results. Two
+   sweeps:
      - core scaling:     jp, n=3, cores in {1, 8, 24}  (fig4 anchor points)
      - executor scaling: exec_threads in {1, 2, 4, 8} on an
        execution-bound workload (the parallel-ServiceManager figure; the
        workload keeps the leader far below the NIC ceiling so executor
        scaling is visible rather than masked by the packet budget). *)
 
-let bench_quick = ref false
-let bench_out = ref "bench/BENCH_002.json"
-
-let bench002 () =
-  heading "bench002"
-    (Printf.sprintf "Machine-readable snapshot -> %s%s" !bench_out
-       (if !bench_quick then " (--quick)" else ""));
-  let module J = Msmr_obs.Json in
-  let warmup, duration = if !bench_quick then (0.05, 0.1) else (0.3, 1.0) in
+let bench002 ~quick =
+  let warmup, duration = if quick then (0.05, 0.1) else (0.3, 1.0) in
   let core_row cores =
     let p = Params.default ~profile:Params.parapluie ~n:3 ~cores () in
     let r = Jp.run { p with warmup; duration } in
@@ -722,8 +781,8 @@ let bench002 () =
     let p =
       { p with
         n_clients = 600;
-        warmup = (if !bench_quick then 0.05 else 0.2);
-        duration = (if !bench_quick then 0.1 else 0.5);
+        warmup = (if quick then 0.05 else 0.2);
+        duration = (if quick then 0.1 else 0.5);
         costs = { p.costs with exec_per_req = 50e-6 };
         exec_threads }
     in
@@ -752,35 +811,31 @@ let bench002 () =
         ("throughput_rps", J.Float tput);
         ("speedup", J.Float (tput /. base)) ]
   in
-  let json =
-    J.Obj
-      [ ("bench", J.String "BENCH_002");
-        ("source", J.String "bench/main.exe bench002");
-        ("quick", J.Bool !bench_quick);
-        ( "core_scaling",
-          J.Obj
-            [ ("n", J.Int 3);
-              ("profile", J.String "parapluie");
-              ( "points",
-                J.List
-                  (List.map (fun r -> row_obj "cores" r base_cores) cores_rows)
-              ) ] );
-        ( "executor_scaling",
-          J.Obj
-            [ ("n", J.Int 3);
-              ("cores", J.Int 16);
-              ("exec_per_req_us", J.Float 50.0);
-              ( "points",
-                J.List
-                  (List.map
-                     (fun r -> row_obj "exec_threads" r base_exec)
-                     exec_rows) ) ] ) ]
-  in
-  let oc = open_out !bench_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !bench_out
+  [ ( "core_scaling",
+      J.Obj
+        [ ("n", J.Int 3);
+          ("profile", J.String "parapluie");
+          ( "points",
+            J.List (List.map (fun r -> row_obj "cores" r base_cores) cores_rows)
+          ) ] );
+    ( "executor_scaling",
+      J.Obj
+        [ ("n", J.Int 3);
+          ("cores", J.Int 16);
+          ("exec_per_req_us", J.Float 50.0);
+          ( "points",
+            J.List
+              (List.map (fun r -> row_obj "exec_threads" r base_exec) exec_rows)
+          ) ] ) ]
+
+let bench002_gates =
+  [ gate "core_points" (fun j -> List.length (items "core_scaling.points" j) = 3);
+    gate "executor_points" (fun j ->
+        List.length (items "executor_scaling.points" j) = 4);
+    gate "positive_throughput" (fun j ->
+        List.for_all
+          (fun pt -> num "throughput_rps" pt > 0.)
+          (items "core_scaling.points" j @ items "executor_scaling.points" j)) ]
 
 (* ------------------------------------------------------------------ *)
 (* bench003: durable-mode sweep. The paper disables stable storage
@@ -792,20 +847,13 @@ let bench002 () =
    covers the whole burst, and gated sends are released when their LSN
    is durable. *)
 
-let bench003_out = ref "bench/BENCH_003.json"
-
-let bench003 () =
-  heading "bench003"
-    (Printf.sprintf "Durable-mode sweep (serial fsync vs group commit) -> %s%s"
-       !bench003_out
-       (if !bench_quick then " (--quick)" else ""));
-  let module J = Msmr_obs.Json in
+let bench003 ~quick =
   (* Both policies are device-bound (5 ms/fsync), so client RTTs run to
      hundreds of ms under Sync_serial; the population and windows are
      sized so even the serial sweep reaches closed-loop steady state
      well inside the warm-up. *)
   let n_clients, warmup, duration =
-    if !bench_quick then (100, 0.4, 0.8) else (400, 1.0, 2.0)
+    if quick then (100, 0.4, 0.8) else (400, 1.0, 2.0)
   in
   let run_pol cores pol =
     let p = Params.default ~profile:Params.parapluie ~n:3 ~cores () in
@@ -829,33 +877,33 @@ let bench003 () =
          (g.throughput /. s.throughput)
          g.wal_syncs g.wal_group_avg)
     points;
-  let json =
-    J.Obj
-      [ ("bench", J.String "BENCH_003");
-        ("source", J.String "bench/main.exe bench003");
-        ("quick", J.Bool !bench_quick);
-        ("n", J.Int 3);
-        ("profile", J.String "parapluie");
-        ( "fsync_latency_s",
-          J.Float (Params.default ~n:3 ~cores:1 ()).fsync_latency );
-        ( "points",
-          J.List
-            (List.map
-               (fun (cores, (s : Jp.result), (g : Jp.result)) ->
-                  J.Obj
-                    [ ("cores", J.Int cores);
-                      ("serial_rps", J.Float s.throughput);
-                      ("group_rps", J.Float g.throughput);
-                      ("speedup", J.Float (g.throughput /. s.throughput));
-                      ("group_wal_syncs", J.Int g.wal_syncs);
-                      ("group_records_per_sync", J.Float g.wal_group_avg) ])
-               points) ) ]
-  in
-  let oc = open_out !bench003_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !bench003_out
+  [ ("n", J.Int 3);
+    ("profile", J.String "parapluie");
+    ("fsync_latency_s", J.Float (Params.default ~n:3 ~cores:1 ()).fsync_latency);
+    ( "points",
+      J.List
+        (List.map
+           (fun (cores, (s : Jp.result), (g : Jp.result)) ->
+              J.Obj
+                [ ("cores", J.Int cores);
+                  ("serial_rps", J.Float s.throughput);
+                  ("group_rps", J.Float g.throughput);
+                  ("speedup", J.Float (g.throughput /. s.throughput));
+                  ("group_wal_syncs", J.Int g.wal_syncs);
+                  ("group_records_per_sync", J.Float g.wal_group_avg) ])
+           points) ) ]
+
+(* The headline claim: group commit >= 3x serial fsync on every swept
+   core count >= 8. *)
+let bench003_gates =
+  [ point_count "points" 3;
+    positive_throughput [ "serial_rps"; "group_rps" ];
+    gate "group_commit_3x" (fun j ->
+        List.for_all
+          (fun pt ->
+             num "cores" pt < 8.
+             || num "group_rps" pt >= 3. *. num "serial_rps" pt)
+          (items "points" j)) ]
 
 (* ------------------------------------------------------------------ *)
 (* bench004: static vs adaptive BSZ/WND. The paper hand-picks its two
@@ -866,22 +914,16 @@ let bench003 () =
      - static-best:    the best point of a small static grid — the
                        hand-tuning the controller is meant to replace;
      - adaptive:       auto_tune from the default starting point.
-   The gate (scripts/verify.sh) requires adaptive to beat the static
-   default by >= 1.2x somewhere and to stay within 10% of static-best
-   everywhere. *)
+   Gates adaptive_wins and adaptive_near_best require adaptive to beat
+   the static default by >= 1.2x somewhere and to stay within 10% of
+   static-best everywhere. *)
 
-let bench004_out = ref "bench/BENCH_004.json"
-
-let bench004 () =
-  heading "bench004"
-    (Printf.sprintf "Static vs adaptive BSZ/WND sweep -> %s%s" !bench004_out
-       (if !bench_quick then " (--quick)" else ""));
-  let module J = Msmr_obs.Json in
+let bench004 ~quick =
   (* The adaptive runs start from the static default and must converge
      inside the warm-up; a finer controller epoch compensates for the
      shorter quick windows. *)
   let warmup, duration, epoch =
-    if !bench_quick then (0.4, 0.4, 0.004) else (0.8, 1.0, 0.01)
+    if quick then (0.4, 0.4, 0.004) else (0.8, 1.0, 0.01)
   in
   let static_grid = [ (10, 1300); (35, 1300); (10, 16384); (35, 16384) ] in
   let run ~cores ~size ?(auto = false) ~wnd ~bsz () =
@@ -938,35 +980,37 @@ let bench004 () =
       (fun size -> List.map (point size) [ 1; 8; 24 ])
       [ 128; 1024; 8192 ]
   in
-  let json =
-    J.Obj
-      [ ("bench", J.String "BENCH_004");
-        ("source", J.String "bench/main.exe bench004");
-        ("quick", J.Bool !bench_quick);
-        ("n", J.Int 3);
-        ("profile", J.String "parapluie");
-        ("start_wnd", J.Int 10);
-        ("start_bsz", J.Int 1300);
-        ( "static_grid",
-          J.List
-            (List.map
-               (fun (w, b) ->
-                  J.Obj [ ("wnd", J.Int w); ("bsz", J.Int b) ])
-               static_grid) );
-        ("points", J.List points) ]
-  in
-  let oc = open_out !bench004_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !bench004_out
+  [ ("n", J.Int 3);
+    ("profile", J.String "parapluie");
+    ("start_wnd", J.Int 10);
+    ("start_bsz", J.Int 1300);
+    ( "static_grid",
+      J.List
+        (List.map
+           (fun (w, b) -> J.Obj [ ("wnd", J.Int w); ("bsz", J.Int b) ])
+           static_grid) );
+    ("points", J.List points) ]
+
+let bench004_gates =
+  let points j = items "points" j in
+  [ gate "points_present" (fun j -> points j <> []);
+    positive_throughput
+      [ "static_default_rps"; "static_best_rps"; "adaptive_rps" ];
+    full_gate "full_sweep" (fun j -> List.length (points j) >= 9);
+    schema
+      [ "adaptive_vs_default"; "adaptive_vs_best"; "tuned_wnd_final";
+        "tuned_bsz_final" ];
+    full_gate "adaptive_wins" (fun j ->
+        List.exists (fun pt -> num "adaptive_vs_default" pt >= 1.2) (points j));
+    full_gate "adaptive_near_best" (fun j ->
+        List.for_all (fun pt -> num "adaptive_vs_best" pt >= 0.9) (points j)) ]
 
 (* ------------------------------------------------------------------ *)
 (* bench005: fault injection and recovery. Three sections:
      - crash: deterministic sim run with the leader crashed mid-
        measurement and restarted; reports the throughput trajectory
        through the fault, the recovery time, and the post-recovery /
-       pre-crash throughput ratio (gated >= 0.9 in scripts/verify.sh);
+       pre-crash throughput ratio (gate recovery_ratio: >= 0.9);
      - soak: a seeded randomized fault schedule (crash + partition +
        lossy links) run twice, checking the linearizability verdict,
        replica convergence, and bit-identical reproducibility;
@@ -975,16 +1019,8 @@ let bench004 () =
        reports the replica fault counters and per-client retry/redirect
        counts (informational; the sim sections carry the gates). *)
 
-let bench005_out = ref "bench/BENCH_005.json"
-
-let bench005 () =
-  heading "bench005"
-    (Printf.sprintf "Fault injection: crash recovery + seeded chaos soak -> %s%s"
-       !bench005_out
-       (if !bench_quick then " (--quick)" else ""));
-  let module J = Msmr_obs.Json in
+let bench005 ~quick =
   let module F = Msmr_sim.Sfault in
-  let quick = !bench_quick in
   let base ~duration ~client_timeout faults =
     let p = Params.default ~profile:Params.parapluie ~n:3 ~cores:2 () in
     { p with
@@ -1177,53 +1213,60 @@ let bench005 () =
                          ("redirects", J.Int rdr) ])
                   per_client)) ) ]
   in
-  let json =
-    J.Obj
-      [ ("bench", J.String "BENCH_005");
-        ("source", J.String "bench/main.exe bench005");
-        ("quick", J.Bool quick);
-        ( "crash",
-          J.Obj
-            [ ("n", J.Int 3);
-              ("cores", J.Int 2);
-              ("n_clients", J.Int 60);
-              ("crash_at_s", J.Float crash_at);
-              ("restart_at_s", J.Float restart_at);
-              ("pre_rps", J.Float pre_rps);
-              ("post_rps", J.Float post_rps);
-              ("post_over_pre", J.Float post_over_pre);
-              ("recovery_s", J.Float r.Jp.recovery_s);
-              ("unavailable_s", J.Float r.Jp.unavailable_s);
-              ("view_changes", J.Int r.Jp.view_changes);
-              ("safety_ok", J.Bool r.Jp.safety_ok);
-              ("client_retries", J.Int r.Jp.client_retries);
-              ( "timeline",
-                J.List
-                  (Array.to_list
-                     (Array.map
-                        (fun (t, c) ->
-                           J.Obj [ ("t", J.Float t); ("completed", J.Int c) ])
-                        r.Jp.timeline)) ) ] );
-        ( "soak",
-          J.Obj
-            [ ("seed", J.Int seed);
-              ("completed", J.Int s1.Jp.completed);
-              ("view_changes", J.Int s1.Jp.view_changes);
-              ("recovery_s", J.Float s1.Jp.recovery_s);
-              ("unavailable_s", J.Float s1.Jp.unavailable_s);
-              ("safety_ok", J.Bool s1.Jp.safety_ok);
-              ("executed_min", J.Int s1.Jp.executed_min);
-              ("executed_max", J.Int s1.Jp.executed_max);
-              ("client_retries", J.Int s1.Jp.client_retries);
-              ("converged", J.Bool converged);
-              ("runs_identical", J.Bool runs_identical) ] );
-        ("live", live_json) ]
-  in
-  let oc = open_out !bench005_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !bench005_out
+  [ ( "crash",
+      J.Obj
+        [ ("n", J.Int 3);
+          ("cores", J.Int 2);
+          ("n_clients", J.Int 60);
+          ("crash_at_s", J.Float crash_at);
+          ("restart_at_s", J.Float restart_at);
+          ("pre_rps", J.Float pre_rps);
+          ("post_rps", J.Float post_rps);
+          ("post_over_pre", J.Float post_over_pre);
+          ("recovery_s", J.Float r.Jp.recovery_s);
+          ("unavailable_s", J.Float r.Jp.unavailable_s);
+          ("view_changes", J.Int r.Jp.view_changes);
+          ("safety_ok", J.Bool r.Jp.safety_ok);
+          ("client_retries", J.Int r.Jp.client_retries);
+          ( "timeline",
+            J.List
+              (Array.to_list
+                 (Array.map
+                    (fun (t, c) -> J.Obj [ ("t", J.Float t); ("completed", J.Int c) ])
+                    r.Jp.timeline)) ) ] );
+    ( "soak",
+      J.Obj
+        [ ("seed", J.Int seed);
+          ("completed", J.Int s1.Jp.completed);
+          ("view_changes", J.Int s1.Jp.view_changes);
+          ("recovery_s", J.Float s1.Jp.recovery_s);
+          ("unavailable_s", J.Float s1.Jp.unavailable_s);
+          ("safety_ok", J.Bool s1.Jp.safety_ok);
+          ("executed_min", J.Int s1.Jp.executed_min);
+          ("executed_max", J.Int s1.Jp.executed_max);
+          ("client_retries", J.Int s1.Jp.client_retries);
+          ("converged", J.Bool converged);
+          ("runs_identical", J.Bool runs_identical) ] );
+    ("live", live_json) ]
+
+(* Even a quick run must leave a safe, converged, reproducible cluster;
+   the crash must actually have happened (a recovery was measured,
+   views moved), recovery must be bounded and post-recovery throughput
+   must reach >= 90% of pre-crash on the full run. *)
+let bench005_gates =
+  [ gate "chaos_safe"
+      (all_flags
+         [ "crash.safety_ok"; "soak.safety_ok"; "soak.converged";
+           "soak.runs_identical" ]);
+    full_gate "sections" (has [ "crash"; "soak"; "live" ]);
+    full_gate "crash_fields" (fun j ->
+        has [ "pre_rps"; "post_rps"; "post_over_pre"; "recovery_s"; "view_changes" ]
+          (field "crash" j));
+    full_gate "recovery_ratio" (fun j -> num "crash.post_over_pre" j >= 0.9);
+    full_gate "recovery_bounded" (fun j ->
+        let s = num "crash.recovery_s" j in
+        s > 0. && s <= 2.);
+    full_gate "view_change" (fun j -> num "crash.view_changes" j >= 1.) ]
 
 (* ------------------------------------------------------------------ *)
 (* bench006: compartmentalized multi-group Paxos. A single group is
@@ -1234,17 +1277,11 @@ let bench005 () =
    for groups in {1, 2, 4} at 8 and 24 cores (n=3, parapluie), records
    the per-group split, and exercises the cross-group Global barrier on
    a mixed workload (conflict_ratio > 0 forces quiescence barriers
-   through group 0). The committed run is gated in scripts/verify.sh:
-   groups=4 at 24 cores must reach >= 2x the single-group throughput. *)
+   through group 0). Gate scale_4g: on the full run, groups=4 at 24
+   cores must reach >= 2x the single-group throughput. *)
 
-let bench006_out = ref "bench/BENCH_006.json"
-
-let bench006 () =
-  heading "bench006"
-    (Printf.sprintf "Multi-group Paxos scaling -> %s%s" !bench006_out
-       (if !bench_quick then " (--quick)" else ""));
-  let module J = Msmr_obs.Json in
-  let warmup, duration = if !bench_quick then (0.1, 0.3) else (0.3, 1.0) in
+let bench006 ~quick =
+  let warmup, duration = if quick then (0.1, 0.3) else (0.3, 1.0) in
   let run ~groups ~cores ?(conflict_ratio = 0.0) () =
     let p = Params.default ~profile:Params.parapluie ~n:3 ~cores () in
     Jp.run { p with groups; warmup; duration; conflict_ratio }
@@ -1295,46 +1332,53 @@ let bench006 () =
             (List.map (fun t -> J.Float t) (Array.to_list r.group_throughputs))
         ) ]
   in
-  let json =
-    J.Obj
-      [ ("bench", J.String "BENCH_006");
-        ("source", J.String "bench/main.exe bench006");
-        ("quick", J.Bool !bench_quick);
-        ("n", J.Int 3);
-        ("profile", J.String "parapluie");
-        ("points", J.List (List.map point rows));
-        ( "barrier",
-          J.Obj
-            [ ("groups", J.Int 4);
-              ("cores", J.Int 24);
-              ("conflict_ratio", J.Float cr);
-              ("throughput_rps", J.Float b.throughput);
-              ("globals_executed", J.Int b.globals_executed) ] ) ]
-  in
-  let oc = open_out !bench006_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !bench006_out
+  [ ("n", J.Int 3);
+    ("profile", J.String "parapluie");
+    ("points", J.List (List.map point rows));
+    ( "barrier",
+      J.Obj
+        [ ("groups", J.Int 4);
+          ("cores", J.Int 24);
+          ("conflict_ratio", J.Float cr);
+          ("throughput_rps", J.Float b.throughput);
+          ("globals_executed", J.Int b.globals_executed) ] ) ]
+
+(* Per-group throughputs must sum to the total (the router loses
+   nothing), and the barrier run must actually execute Global commands. *)
+let bench006_gates =
+  [ point_count "points" 6;
+    positive_throughput [ "throughput_rps" ];
+    gate "group_split" (fun j ->
+        List.for_all
+          (fun pt ->
+             let total = num "throughput_rps" pt in
+             let split =
+               List.fold_left
+                 (fun acc g -> acc +. as_num "group_throughputs_rps" g)
+                 0. (items "group_throughputs_rps" pt)
+             in
+             Float.abs (split -. total) <= 0.01 *. total)
+          (items "points" j));
+    gate "globals" (fun j -> num "barrier.globals_executed" j > 0.);
+    schema
+      [ "groups"; "cores"; "throughput_rps"; "speedup_vs_g1";
+        "group_throughputs_rps" ];
+    full_gate "scale_4g" (fun j ->
+        List.exists
+          (fun pt ->
+             num "groups" pt = 4. && num "cores" pt = 24.
+             && num "speedup_vs_g1" pt >= 2.)
+          (items "points" j)) ]
 
 (* ------------------------------------------------------------------ *)
 (* bench007: work-stealing executors (simulator). The execution-bound
    workload of bench002 at 4 executors, swept over client skew (fraction
    of "hot" clients whose conflict keys all home on executor 0) with the
    work-stealing pool on and off. Fixed routing convoys the hot lanes on
-   one executor; stealing spreads their tokens over the pool. Gate:
-   steal_speedup_hot >= 1.5 at skew 0.9. *)
+   one executor; stealing spreads their tokens over the pool. Gate
+   steal_speedup: steal_speedup_hot >= 1.5 at skew 0.9. *)
 
-let bench007_out = ref "bench/BENCH_007.json"
-
-let bench007 () =
-  heading "bench007"
-    (Printf.sprintf
-       "Work-stealing executors -> %s%s"
-       !bench007_out
-       (if !bench_quick then " (--quick)" else ""));
-  let module J = Msmr_obs.Json in
-  let quick = !bench_quick in
+let bench007 ~quick =
   let warmup, duration = if quick then (0.05, 0.1) else (0.2, 0.5) in
   (* 150 clients: enough to saturate the 4-executor pool (80 K req/s)
      when balanced, few enough that the cold minority cannot mask the
@@ -1387,26 +1431,26 @@ let bench007 () =
         ("speedup", J.Float (on.throughput /. off.throughput));
         ("steals", J.Int on.steals) ]
   in
-  let json =
-    J.Obj
-      [ ("bench", J.String "BENCH_007");
-        ("source", J.String "bench/main.exe bench007");
-        ("quick", J.Bool quick);
-        ( "sim",
-          J.Obj
-            [ ("n", J.Int 3);
-              ("cores", J.Int 16);
-              ("exec_threads", J.Int 4);
-              ("n_clients", J.Int 150);
-              ("exec_per_req_us", J.Float 50.0);
-              ("points", J.List (List.map sim_point rows));
-              ("steal_speedup_hot", J.Float hot_speedup) ] ) ]
-  in
-  let oc = open_out !bench007_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !bench007_out
+  [ ( "sim",
+      J.Obj
+        [ ("n", J.Int 3);
+          ("cores", J.Int 16);
+          ("exec_threads", J.Int 4);
+          ("n_clients", J.Int 150);
+          ("exec_per_req_us", J.Float 50.0);
+          ("points", J.List (List.map sim_point rows));
+          ("steal_speedup_hot", J.Float hot_speedup) ] ) ]
+
+let bench007_gates =
+  [ point_count "sim.points" 3;
+    positive_throughput ~path:"sim.points" [ "nosteal_rps"; "steal_rps" ];
+    gate "steal_speedup" (fun j -> num "sim.steal_speedup_hot" j >= 1.5);
+    schema ~path:"sim.points"
+      [ "skew"; "nosteal_rps"; "steal_rps"; "speedup"; "steals" ];
+    full_gate "skewed_steals" (fun j ->
+        List.exists
+          (fun pt -> num "skew" pt >= 0.5 && num "steals" pt > 0.)
+          (items "sim.points" j)) ]
 
 (* ------------------------------------------------------------------ *)
 (* bench008: the read-heavy fast path (leader leases). Sweep of the
@@ -1424,16 +1468,9 @@ let bench007 () =
    linearizable leases lift the Batcher/Paxos cost but still converge on
    one leader's NIC; bounded-staleness reads are the tentpole — every
    replica's NIC serves its share, so read throughput scales with the
-   cluster. Gate: stale/ordered >= 5 at 95/5, groups=1. *)
+   cluster. Gate stale_speedup: stale/ordered >= 5 at 95/5, groups=1. *)
 
-let bench008_out = ref "bench/BENCH_008.json"
-
-let bench008 () =
-  heading "bench008"
-    (Printf.sprintf "Read-heavy fast path (leases) -> %s%s" !bench008_out
-       (if !bench_quick then " (--quick)" else ""));
-  let module J = Msmr_obs.Json in
-  let quick = !bench_quick in
+let bench008 ~quick =
   let warmup, duration, n_clients =
     if quick then (0.05, 0.15, 300) else (0.2, 0.5, 1200)
   in
@@ -1501,24 +1538,43 @@ let bench008 () =
         ("stale_answers", J.Int r.stale_answers);
         ("safety_ok", J.Bool r.safety_ok) ]
   in
-  let json =
-    J.Obj
-      [ ("bench", J.String "BENCH_008");
-        ("source", J.String "bench/main.exe bench008");
-        ("quick", J.Bool quick);
-        ("n", J.Int 5);
-        ("cores", J.Int 8);
-        ("n_clients", J.Int n_clients);
-        ("lease_duration_s", J.Float 0.5);
-        ("clock_skew_s", J.Float 0.002);
-        ("points", J.List (List.map point rows));
-        ("stale_speedup_95_g1", J.Float stale_speedup) ]
-  in
-  let oc = open_out !bench008_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !bench008_out
+  [ ("n", J.Int 5);
+    ("cores", J.Int 8);
+    ("n_clients", J.Int n_clients);
+    ("lease_duration_s", J.Float 0.5);
+    ("clock_skew_s", J.Float 0.002);
+    ("points", J.List (List.map point rows));
+    ("stale_speedup_95_g1", J.Float stale_speedup) ]
+
+(* Read safety must hold on every swept point and the fast path must
+   beat the ordered-read baseline even on the quick run. Golden pin:
+   lease = false is the all-write path whatever the read ratio, so the
+   ordered baselines of each group count report identical throughput. *)
+let bench008_gates =
+  let points j = items "points" j in
+  [ point_count "points" 12;
+    positive_throughput [ "throughput_rps" ];
+    gate "read_safety" (fun j -> List.for_all (flag "safety_ok") (points j));
+    gate "no_stale_answers" (fun j ->
+        List.for_all (fun pt -> num "stale_answers" pt = 0.) (points j));
+    gate "stale_speedup" (fun j -> num "stale_speedup_95_g1" j >= 5.);
+    schema
+      [ "read_ratio"; "groups"; "mode"; "throughput_rps"; "reads_rps";
+        "read_rejects"; "stale_answers"; "safety_ok" ];
+    full_gate "golden_pin" (fun j ->
+        let ordered = List.filter (fun pt -> str "mode" pt = "ordered") (points j) in
+        List.for_all
+          (fun a ->
+             List.for_all
+               (fun b ->
+                  num "groups" a <> num "groups" b
+                  || num "throughput_rps" a = num "throughput_rps" b)
+               ordered)
+          ordered);
+    full_gate "lease_reads" (fun j ->
+        List.for_all
+          (fun pt -> str "mode" pt <> "lease" || num "reads_rps" pt > 0.)
+          (points j)) ]
 
 (* ------------------------------------------------------------------ *)
 (* bench009: early scheduling + optimistic speculative execution
@@ -1533,7 +1589,7 @@ let bench008 () =
 
    The headline is the commit->execute gap: with speculation on, the
    optimistic result is already staged when the decide arrives, so the
-   decide->reply latency collapses to a confirm. Gate:
+   decide->reply latency collapses to a confirm. Gate ce_speedup:
    ce_off / ce_on >= 2 at skew 0.9, groups=1.
 
    A chaos-reorder soak then makes rollback falsifiable: the leader
@@ -1541,16 +1597,8 @@ let bench008 () =
    every open frame must abort, the linearizability verdict must hold,
    and a rerun must be bit-identical. *)
 
-let bench009_out = ref "bench/BENCH_009.json"
-
-let bench009 () =
-  heading "bench009"
-    (Printf.sprintf
-       "Speculative execution: commit->execute gap -> %s%s" !bench009_out
-       (if !bench_quick then " (--quick)" else ""));
-  let module J = Msmr_obs.Json in
+let bench009 ~quick =
   let module F = Msmr_sim.Sfault in
-  let quick = !bench_quick in
   let warmup, duration, n_clients =
     if quick then (0.05, 0.2, 200) else (0.2, 0.8, 400)
   in
@@ -1655,35 +1703,50 @@ let bench009 () =
         ("spec_aborted", J.Int r.spec_aborted);
         ("safety_ok", J.Bool r.safety_ok) ]
   in
-  let json =
-    J.Obj
-      [ ("bench", J.String "BENCH_009");
-        ("source", J.String "bench/main.exe bench009");
-        ("quick", J.Bool quick);
-        ("n", J.Int 3);
-        ("cores", J.Int 8);
-        ("exec_threads", J.Int 4);
-        ("n_clients", J.Int n_clients);
-        ("points", J.List (List.map point rows));
-        ("ce_speedup_skew09_g1", J.Float ce_speedup);
-        ( "chaos",
-          J.Obj
-            [ ("crash_at_s", J.Float crash_at);
-              ("restart_at_s", J.Float restart_at);
-              ("mispredict_ratio", J.Float 0.1);
-              ("chaos_seed", J.Int 7);
-              ("spec_dispatched", J.Int c1.Jp.spec_dispatched);
-              ("spec_confirmed", J.Int c1.Jp.spec_confirmed);
-              ("spec_aborted", J.Int c1.Jp.spec_aborted);
-              ("view_changes", J.Int c1.Jp.view_changes);
-              ("safety_ok", J.Bool c1.Jp.safety_ok);
-              ("deterministic", J.Bool chaos_deterministic) ] ) ]
-  in
-  let oc = open_out !bench009_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !bench009_out
+  [ ("n", J.Int 3);
+    ("cores", J.Int 8);
+    ("exec_threads", J.Int 4);
+    ("n_clients", J.Int n_clients);
+    ("points", J.List (List.map point rows));
+    ("ce_speedup_skew09_g1", J.Float ce_speedup);
+    ( "chaos",
+      J.Obj
+        [ ("crash_at_s", J.Float crash_at);
+          ("restart_at_s", J.Float restart_at);
+          ("mispredict_ratio", J.Float 0.1);
+          ("chaos_seed", J.Int 7);
+          ("spec_dispatched", J.Int c1.Jp.spec_dispatched);
+          ("spec_confirmed", J.Int c1.Jp.spec_confirmed);
+          ("spec_aborted", J.Int c1.Jp.spec_aborted);
+          ("view_changes", J.Int c1.Jp.view_changes);
+          ("safety_ok", J.Bool c1.Jp.safety_ok);
+          ("deterministic", J.Bool chaos_deterministic) ] ) ]
+
+(* Golden pin: spec-off arms run zero speculation machinery. The chaos
+   soak must abort frames, stay safe and rerun bit-identically. *)
+let bench009_gates =
+  let points j = items "points" j in
+  [ point_count "points" 8;
+    positive_throughput [ "throughput_rps" ];
+    gate "safety" (fun j -> List.for_all (flag "safety_ok") (points j));
+    gate "spec_off_clean" (fun j ->
+        List.for_all
+          (fun pt ->
+             flag "speculate" pt
+             || num "spec_dispatched" pt +. num "spec_confirmed" pt
+                +. num "spec_aborted" pt = 0.)
+          (points j));
+    gate "ce_speedup" (fun j -> num "ce_speedup_skew09_g1" j >= 2.);
+    gate "chaos" (fun j ->
+        num "chaos.spec_aborted" j > 0. && flag "chaos.safety_ok" j
+        && flag "chaos.deterministic" j);
+    schema
+      [ "skew"; "groups"; "speculate"; "throughput_rps"; "commit_exec_latency_s";
+        "spec_dispatched"; "spec_confirmed"; "spec_aborted"; "safety_ok" ];
+    full_gate "spec_on_confirms" (fun j ->
+        List.for_all
+          (fun pt -> (not (flag "speculate" pt)) || num "spec_confirmed" pt > 0.)
+          (points j)) ]
 
 (* bench010: online membership change under load (DESIGN.md section
    17). Simulated arms on the capacity-5 cluster (members0 = {0,1,2}):
@@ -1697,25 +1760,16 @@ let bench009 () =
      crash      grow 3->4 with the joiner crashing mid state transfer
                 and restarting; the schedule must still complete
 
-   Gates: the reconfig arm stays linearizable, completes the full
-   schedule (epoch 6), and keeps >= 0.9x the static arm's throughput;
-   both chaos arms rerun bit-identically. A live arm then drives the
+   Gates (bench010_gates): the reconfig arm stays linearizable,
+   completes the full schedule (epoch 6), and keeps >= 0.9x the static
+   arm's throughput; both chaos arms rerun bit-identically. A live arm then drives the
    real runtime through the same 3->5->3 walk: spares join via
    snapshot-based state transfer while closed-loop clients keep
    calling, removed nodes fence themselves, and an exactly-once sum
    check audits the whole run. *)
 
-let bench010_out = ref "bench/BENCH_010.json"
-
-let bench010 () =
-  heading "bench010"
-    (Printf.sprintf
-       "Online reconfiguration: grow/shrink under load -> %s%s"
-       !bench010_out
-       (if !bench_quick then " (--quick)" else ""));
-  let module J = Msmr_obs.Json in
+let bench010 ~quick =
   let module F = Msmr_sim.Sfault in
-  let quick = !bench_quick in
   let warmup, duration, n_clients =
     if quick then (0.05, 0.8, 60) else (0.2, 2.4, 200)
   in
@@ -1883,40 +1937,56 @@ let bench010 () =
           ("view_changes", J.Int r.view_changes);
           ("safety_ok", J.Bool r.safety_ok) ] )
   in
-  let json =
-    J.Obj
-      [ ("bench", J.String "BENCH_010");
-        ("source", J.String "bench/main.exe bench010");
-        ("quick", J.Bool quick);
-        ("capacity", J.Int 5);
-        ("members0", J.List (List.map (fun i -> J.Int i) [ 0; 1; 2 ]));
-        ("n_clients", J.Int n_clients);
-        ( "sim",
-          J.Obj
-            [ sim_point "static" r_static;
-              sim_point "reconfig" r1;
-              sim_point "crash_join" c1;
-              ("throughput_ratio", J.Float tput_ratio);
-              ("runs_identical", J.Bool runs_identical);
-              ("crash_runs_identical", J.Bool crash_identical) ] );
-        ( "live",
-          J.Obj
-            [ ("n_clients", J.Int live_clients);
-              ("throughput_rps", J.Float live_tput);
-              ("completed", J.Int done_calls);
-              ("grow_s", J.Float grow_s);
-              ("shrink_s", J.Float shrink_s);
-              ("joiner_snapshot_installs", J.Int joiner_snapshots);
-              ("reconfigs_applied", J.Int leader_reconfigs);
-              ("final_voters", J.Int final_voters);
-              ("removed_fenced", J.Bool fenced);
-              ("exactly_once_ok", J.Bool exactly_once) ] ) ]
-  in
-  let oc = open_out !bench010_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" !bench010_out
+  [ ("capacity", J.Int 5);
+    ("members0", J.List (List.map (fun i -> J.Int i) [ 0; 1; 2 ]));
+    ("n_clients", J.Int n_clients);
+    ( "sim",
+      J.Obj
+        [ sim_point "static" r_static;
+          sim_point "reconfig" r1;
+          sim_point "crash_join" c1;
+          ("throughput_ratio", J.Float tput_ratio);
+          ("runs_identical", J.Bool runs_identical);
+          ("crash_runs_identical", J.Bool crash_identical) ] );
+    ( "live",
+      J.Obj
+        [ ("n_clients", J.Int live_clients);
+          ("throughput_rps", J.Float live_tput);
+          ("completed", J.Int done_calls);
+          ("grow_s", J.Float grow_s);
+          ("shrink_s", J.Float shrink_s);
+          ("joiner_snapshot_installs", J.Int joiner_snapshots);
+          ("reconfigs_applied", J.Int leader_reconfigs);
+          ("final_voters", J.Int final_voters);
+          ("removed_fenced", J.Bool fenced);
+          ("exactly_once_ok", J.Bool exactly_once) ] ) ]
+
+(* The >= 0.9x throughput ratio applies to the full run only: a
+   sub-second quick run is mostly reconfiguration window. *)
+let bench010_gates =
+  let arms = [ "sim.static"; "sim.reconfig"; "sim.crash_join" ] in
+  [ gate "sim_ok"
+      (all_flags
+         (List.map (fun arm -> arm ^ ".safety_ok") arms
+          @ [ "sim.runs_identical"; "sim.crash_runs_identical" ]));
+    gate "sched_ok" (fun j ->
+        num "sim.reconfig.final_epoch" j = 6.
+        && num "sim.crash_join.final_epoch" j >= 2.);
+    gate "live_walk" (fun j ->
+        num "live.final_voters" j = 3.
+        && num "live.joiner_snapshot_installs" j >= 1.
+        && flag "live.removed_fenced" j && flag "live.exactly_once_ok" j);
+    gate "live_completed" (fun j -> num "live.completed" j > 0.);
+    full_gate "schema" (fun j ->
+        List.for_all
+          (fun arm ->
+             has
+               [ "throughput_rps"; "completed"; "final_epoch"; "reconfigs_applied";
+                 "view_changes"; "safety_ok" ]
+               (field arm j))
+          arms);
+    full_gate "throughput_ratio" (fun j -> num "sim.throughput_ratio" j >= 0.9);
+    full_gate "live_reconfigs" (fun j -> num "live.reconfigs_applied" j >= 6.) ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability: --trace FILE runs a short traced simulation and writes
@@ -1984,86 +2054,163 @@ let experiments =
     ("fig10", fig10); ("tab2", tab2); ("fig11", fig11); ("tab3", tab3);
     ("fig12", fig12); ("fig13", fig13); ("fig14", fig14); ("ext", ext);
     ("live", live); ("live-mono", live_mono); ("ablation", ablation);
-    ("micro", micro); ("bench002", bench002); ("bench003", bench003);
-    ("bench004", bench004); ("bench005", bench005); ("bench006", bench006);
-    ("bench007", bench007); ("bench008", bench008);
-    ("bench009", bench009); ("bench010", bench010) ]
+    ("micro", micro) ]
 
-let () =
-  let rec parse ids trace metrics = function
-    | [] -> (List.rev ids, trace, metrics)
-    | "--trace" :: file :: rest -> parse ids (Some file) metrics rest
-    | "--metrics" :: file :: rest -> parse ids trace (Some file) rest
-    | "--bench-out" :: file :: rest ->
-      bench_out := file;
-      parse ids trace metrics rest
-    | "--bench003-out" :: file :: rest ->
-      bench003_out := file;
-      parse ids trace metrics rest
-    | "--bench004-out" :: file :: rest ->
-      bench004_out := file;
-      parse ids trace metrics rest
-    | "--bench005-out" :: file :: rest ->
-      bench005_out := file;
-      parse ids trace metrics rest
-    | "--bench006-out" :: file :: rest ->
-      bench006_out := file;
-      parse ids trace metrics rest
-    | "--bench007-out" :: file :: rest ->
-      bench007_out := file;
-      parse ids trace metrics rest
-    | "--bench008-out" :: file :: rest ->
-      bench008_out := file;
-      parse ids trace metrics rest
-    | "--bench009-out" :: file :: rest ->
-      bench009_out := file;
-      parse ids trace metrics rest
-    | "--bench010-out" :: file :: rest ->
-      bench010_out := file;
-      parse ids trace metrics rest
-    | "--quick" :: rest ->
-      bench_quick := true;
-      parse ids trace metrics rest
-    | ("--trace" | "--metrics" | "--bench-out" | "--bench003-out"
-      | "--bench004-out" | "--bench005-out" | "--bench006-out"
-      | "--bench007-out" | "--bench008-out" | "--bench009-out"
-      | "--bench010-out") :: [] ->
-      Printf.eprintf
-        "usage: main [EXPERIMENT..] [--trace FILE] [--metrics FILE]\n\
-        \       [--quick] [--bench-out FILE] [--bench003-out FILE]\n\
-        \       [--bench004-out FILE] [--bench005-out FILE]\n\
-        \       [--bench006-out FILE] [--bench007-out FILE]\n\
-        \       [--bench008-out FILE] [--bench009-out FILE]\n\
-        \       [--bench010-out FILE]\n";
-      exit 2
-    | id :: rest -> parse (id :: ids) trace metrics rest
+type bench = {
+  id : string;  (* "bench002"; writes BENCH_002 *)
+  title : string;
+  run : quick:bool -> (string * J.t) list;
+  gates : gate list;
+}
+
+let benches =
+  let b id title run gates = { id; title; run; gates } in
+  [ b "bench002" "Machine-readable snapshot" bench002 bench002_gates;
+    b "bench003" "Durable-mode sweep (serial fsync vs group commit)" bench003
+      bench003_gates;
+    b "bench004" "Static vs adaptive BSZ/WND sweep" bench004 bench004_gates;
+    b "bench005" "Fault injection: crash recovery + seeded chaos soak" bench005
+      bench005_gates;
+    b "bench006" "Multi-group Paxos scaling" bench006 bench006_gates;
+    b "bench007" "Work-stealing executors" bench007 bench007_gates;
+    b "bench008" "Read-heavy fast path (leases)" bench008 bench008_gates;
+    b "bench009" "Speculative execution: commit->execute gap" bench009
+      bench009_gates;
+    b "bench010" "Online reconfiguration: grow/shrink under load" bench010
+      bench010_gates ]
+
+let bench_name b = "BENCH_" ^ String.sub b.id 5 3
+
+let write_bench b ~quick ~out =
+  heading b.id
+    (Printf.sprintf "%s -> %s%s" b.title out (if quick then " (--quick)" else ""));
+  let header =
+    [ ("bench", J.String (bench_name b));
+      ("source", J.String ("bench/main.exe " ^ b.id));
+      ("quick", J.Bool quick) ]
   in
-  let ids, trace, metrics =
-    parse [] None None (List.tl (Array.to_list Sys.argv))
+  let json = J.Obj (header @ b.run ~quick) in
+  Out_channel.with_open_text out (fun oc ->
+      output_string oc (J.to_string json);
+      output_char oc '\n');
+  Printf.printf "wrote %s\n%!" out
+
+(* `check [--committed] FILE..`: one ok/FAIL line per gate of each
+   file's bench; full-run-only gates are skipped on a --quick file, and
+   --committed also requires the file to be a full run. *)
+let check_files ~committed files =
+  let failed = ref false in
+  let report ok line =
+    Printf.printf "%-4s %s\n" (if ok then "ok" else "FAIL") line;
+    if not ok then failed := true
   in
+  let full_run = gate "full_run" (fun j -> not (flag "quick" j)) in
+  let check_gate file j b g =
+    let line = Printf.sprintf "%s %s (%s)" (bench_name b) g.name file in
+    if g.full_only && J.member "quick" j = Some (J.Bool true) then
+      Printf.printf "skip %s: full run only\n" line
+    else
+      match g.ok j with
+      | ok -> report ok line
+      | exception Bad_field path -> report false (line ^ ": bad or missing " ^ path)
+  in
+  List.iter
+    (fun file ->
+       match J.of_string (In_channel.with_open_bin file In_channel.input_all) with
+       | exception (Sys_error msg | J.Parse_error msg) ->
+         report false (Printf.sprintf "%s: %s" file msg)
+       | j -> (
+         let is_bench b = J.member "bench" j = Some (J.String (bench_name b)) in
+         match List.find_opt is_bench benches with
+         | None -> report false (file ^ ": unknown bench id")
+         | Some b ->
+           List.iter (check_gate file j b)
+             ((if committed then [ full_run ] else []) @ b.gates)))
+    files;
+  not !failed
+
+let usage () =
+  prerr_string
+    "usage: main [EXPERIMENT..] [--quick] [--out FILE] [--trace FILE]\n\
+    \            [--metrics FILE]\n\
+    \       main check [--committed] FILE..\n";
+  exit 2
+
+let usage_error msg =
+  Printf.eprintf "%s\n" msg;
+  exit 2
+
+(* Every output path is opened before any experiment runs, so a bad path
+   fails at once instead of after a long sweep. *)
+let check_writable path =
+  try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path)
+  with Sys_error msg -> usage_error ("cannot write output: " ^ msg)
+
+let run_experiments args =
+  let ids = ref [] and trace = ref None and metrics = ref None in
+  let out = ref None and quick = ref false in
+  let rec parse = function
+    | [] -> ()
+    | "--trace" :: file :: rest -> trace := Some file; parse rest
+    | "--metrics" :: file :: rest -> metrics := Some file; parse rest
+    | "--out" :: file :: rest -> out := Some file; parse rest
+    | "--quick" :: rest -> quick := true; parse rest
+    | ("--trace" | "--metrics" | "--out") :: [] -> usage ()
+    | id :: rest -> ids := id :: !ids; parse rest
+  in
+  parse args;
+  let known = List.map fst experiments @ List.map (fun b -> b.id) benches in
   let requested =
-    match ids with
-    | [] when trace <> None || metrics <> None -> []
-    | [] -> List.map fst experiments
+    match List.rev !ids with
+    | [] when !trace <> None || !metrics <> None -> []
+    | [] -> known
     | ids -> ids
   in
+  List.iter
+    (fun id ->
+       if not (List.mem id known) then begin
+         Printf.eprintf "unknown experiment %S; known: %s\n" id
+           (String.concat " " known);
+         exit 1
+       end)
+    requested;
+  let to_write = List.filter (fun b -> List.mem b.id requested) benches in
+  (match (!out, to_write) with
+   | None, _ :: _ when !quick ->
+     usage_error
+       "--quick needs --out FILE (a quick run must not replace \
+        bench/BENCH_NNN.json)"
+   | Some _, ([] | _ :: _ :: _) -> usage_error "--out needs exactly one bench id"
+   | _ -> ());
+  let out_file b = Option.value !out ~default:("bench/" ^ bench_name b ^ ".json") in
+  List.iter check_writable
+    (List.map out_file to_write @ Option.to_list !trace @ Option.to_list !metrics);
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun id ->
        match List.assoc_opt id experiments with
        | Some f -> f ()
        | None ->
-         Printf.eprintf "unknown experiment %S; known: %s\n" id
-           (String.concat " " (List.map fst experiments));
-         exit 1)
+         let b = List.find (fun b -> b.id = id) benches in
+         write_bench b ~quick:!quick ~out:(out_file b))
     requested;
-  (match trace with
-   | Some file -> trace_run ~trace_file:file ()
-   | None -> ());
-  (match metrics with
-   | Some file ->
-     Msmr_obs.Metrics.write_file file;
-     Printf.printf "wrote metrics snapshot to %s\n%!" file
-   | None -> ());
+  Option.iter (fun file -> trace_run ~trace_file:file ()) !trace;
+  Option.iter
+    (fun file ->
+       Msmr_obs.Metrics.write_file file;
+       Printf.printf "wrote metrics snapshot to %s\n%!" file)
+    !metrics;
   Printf.printf "\n(total bench wall time: %.0fs)\n%!"
     (Unix.gettimeofday () -. t0)
+
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | "check" :: args ->
+    let committed, files =
+      match args with
+      | "--committed" :: files -> (true, files)
+      | files -> (false, files)
+    in
+    if files = [] then usage ();
+    exit (if check_files ~committed files then 0 else 1)
+  | args -> run_experiments args
