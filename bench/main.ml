@@ -663,19 +663,20 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Msmr_consensus.Batcher.add b req ~now_ns:0L)))
   in
-  let dq = Msmr_platform.Delay_queue.create () in
-  let bench_delayq =
-    Test.make ~name:"delay_queue schedule+cancel"
+  let rtx = Msmr_consensus.Retransmit.create ~interval_s:0.1 in
+  let rtx_key = Msmr_consensus.Paxos.Rtx_accept (0, 1) in
+  let bench_rtx =
+    Test.make ~name:"retransmit schedule+cancel"
       (Staged.stage (fun () ->
-           let h =
-             Msmr_platform.Delay_queue.schedule dq ~at_ns:Int64.max_int 0
-           in
-           Msmr_platform.Delay_queue.cancel h))
+           Msmr_consensus.Retransmit.schedule rtx ~now_ns:0L rtx_key
+             ~dest:[ 1; 2 ] accept;
+           ignore (Msmr_consensus.Retransmit.cancel rtx rtx_key);
+           ignore (Msmr_consensus.Retransmit.next_due_ns rtx)))
   in
   let test =
     Test.make_grouped ~name:"substrate"
       [ bench_ch; bench_mpsc; bench_cmap; bench_cache; bench_req_codec;
-        bench_msg_codec; bench_batcher; bench_delayq ]
+        bench_msg_codec; bench_batcher; bench_rtx ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

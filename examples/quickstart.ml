@@ -19,8 +19,9 @@ let () =
   in
 
   (* 2. Start the cluster. Each replica runs the full threading
-     architecture: ClientIO pool, Batcher, Protocol, FailureDetector,
-     Retransmitter, ReplicaIO send/receive pairs and the ServiceManager. *)
+     architecture: ClientIO pool, Batcher, Protocol (which also runs the
+     retransmission timers), FailureDetector, ReplicaIO send/receive
+     pairs and the ServiceManager. *)
   let cluster =
     R.Replica.Cluster.create ~cfg
       ~service:(fun () -> R.Service.accumulator ())

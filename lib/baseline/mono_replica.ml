@@ -10,13 +10,6 @@ open Msmr_consensus
 type event =
   | Client_req of { raw : bytes; reply_to : bytes -> unit }
   | Peer_msg of { from : Types.node_id; msg : Msg.t }
-  | Suspect
-
-type rtx_entry = {
-  r_dest : Types.node_id list;
-  r_msg : Msg.t;
-  r_cancelled : bool Atomic.t;
-}
 
 type t = {
   cfg : Config.t;
@@ -24,7 +17,6 @@ type t = {
   service : Msmr_runtime.Service.t;
   events : event Bq.t;                 (* THE queue: everything funnels here *)
   send_qs : Msg.t Bq.t array;
-  rtx_dq : rtx_entry Msmr_platform.Delay_queue.t;
   links : (Types.node_id * Transport.link) list;
   fd : Failure_detector.t;
   view_now : int Atomic.t;
@@ -41,12 +33,14 @@ let executed_count t = Msmr_platform.Rate_meter.Counter.get t.executed
 let submit t ~raw ~reply_to =
   try Bq.put t.events (Client_req { raw; reply_to }) with Bq.Closed -> ()
 
-(* The single event loop: protocol + batching + execution + replies. *)
+(* The single event loop: protocol + batching + execution + replies,
+   and every timer: retransmissions, catch-up, the open batch's deadline
+   and the failure detector. *)
 let event_loop t st =
   let engine = Paxos.create t.cfg ~me:t.me in
   let batcher = Batcher.create t.cfg ~src:t.me in
   let reply_cache = Reply_cache.create () in
-  let rtx_map : (Paxos.rtx_key, rtx_entry) Hashtbl.t = Hashtbl.create 256 in
+  let rtx = Retransmit.create ~interval_s:t.cfg.retransmit_interval_s in
   (* client_id -> reply sink *)
   let routes : (int, bytes -> unit) Hashtbl.t = Hashtbl.create 256 in
   let send dest msg =
@@ -82,23 +76,8 @@ let event_loop t st =
          | Paxos.Send { dest; msg } -> send dest msg
          | Paxos.Execute { value; _ } -> execute_value value
          | Paxos.Schedule_rtx { key; dest; msg } ->
-           let entry =
-             { r_dest = dest; r_msg = msg; r_cancelled = Atomic.make false }
-           in
-           Hashtbl.replace rtx_map key entry;
-           let at_ns =
-             Int64.add (Mclock.now_ns ())
-               (Mclock.ns_of_s t.cfg.retransmit_interval_s)
-           in
-           (try
-              ignore (Msmr_platform.Delay_queue.schedule t.rtx_dq ~at_ns entry)
-            with Msmr_platform.Delay_queue.Closed -> ())
-         | Paxos.Cancel_rtx key -> (
-             match Hashtbl.find_opt rtx_map key with
-             | Some entry ->
-               Atomic.set entry.r_cancelled true;
-               Hashtbl.remove rtx_map key
-             | None -> ())
+           Retransmit.schedule rtx ~now_ns:(Mclock.now_ns ()) key ~dest msg
+         | Paxos.Cancel_rtx key -> ignore (Retransmit.cancel rtx key)
          | Paxos.View_changed { view; i_am_leader; _ } ->
            Atomic.set t.view_now view;
            Atomic.set t.am_leader i_am_leader;
@@ -125,20 +104,20 @@ let event_loop t st =
           ->
           ())
     | Peer_msg { from; msg } -> apply (Paxos.receive engine ~from msg)
-    | Suspect -> apply (Paxos.suspect_leader engine)
   in
   let last_catchup = ref (Mclock.now_ns ()) in
   let catchup_ns = Mclock.ns_of_s t.cfg.catchup_interval_s in
   while Atomic.get t.running do
-    (* Park until the next event, the open batch's deadline or the next
-       catch-up tick, whichever comes first. *)
-    let until = Int64.add !last_catchup catchup_ns in
+    (* Park until the next event or the earliest timer. *)
+    let now = Mclock.now_ns () in
     let until =
-      match Batcher.deadline_ns batcher with
-      | Some d when Int64.compare d until < 0 -> d
-      | _ -> until
+      List.fold_left Int64.min
+        (Int64.add !last_catchup catchup_ns)
+        (Failure_detector.next_wake_ns t.fd ~now_ns:now
+         :: Option.to_list (Batcher.deadline_ns batcher)
+         @ Option.to_list (Retransmit.next_due_ns rtx))
     in
-    let timeout_s = Mclock.s_of_ns (Int64.sub until (Mclock.now_ns ())) in
+    let timeout_s = Mclock.s_of_ns (Int64.sub until now) in
     (match Bq.take_timeout ~st t.events ~timeout_s with
      | Some ev -> handle ev
      | None -> ()
@@ -147,6 +126,23 @@ let event_loop t st =
      | Some batch -> apply (Paxos.propose engine batch)
      | None -> ());
     let now = Mclock.now_ns () in
+    List.iter
+      (fun (dest, msg) -> send dest msg)
+      (Retransmit.pop_due rtx ~now_ns:now);
+    List.iter
+      (function
+        | Failure_detector.Heartbeat_to peers ->
+          if Atomic.get t.am_leader then
+            send peers
+              (Msg.Heartbeat
+                 { view = Atomic.get t.view_now; first_undecided = 0 });
+          (* Sent as of now, even by a leader still in Phase 1: the
+             detector's next wake is then an interval away. *)
+          List.iter
+            (fun p -> Failure_detector.note_send t.fd ~dest:p ~now_ns:now)
+            peers
+        | Failure_detector.Suspect _ -> apply (Paxos.suspect_leader engine))
+      (Failure_detector.poll t.fd ~now_ns:now);
     if Int64.sub now !last_catchup >= catchup_ns then begin
       last_catchup := now;
       apply (Paxos.tick_catchup engine)
@@ -181,53 +177,12 @@ let receiver_loop t peer (link : Transport.link) st =
           ())
   done
 
-let fd_loop t st =
-  while Atomic.get t.running do
-    let now = Mclock.now_ns () in
-    List.iter
-      (fun verdict ->
-         match verdict with
-         | Failure_detector.Heartbeat_to peers ->
-           if Atomic.get t.am_leader then begin
-             let msg =
-               Msg.Heartbeat
-                 { view = Atomic.get t.view_now; first_undecided = 0 }
-             in
-             List.iter (fun p -> ignore (Bq.try_put t.send_qs.(p) msg)) peers
-           end
-         | Failure_detector.Suspect _ -> (
-             try Bq.put t.events Suspect with Bq.Closed -> ()))
-      (Failure_detector.poll t.fd ~now_ns:now);
-    Thread_state.enter st Thread_state.Other (fun () -> Mclock.sleep_s 0.01)
-  done
-
-let retransmitter_loop t st =
-  let continue = ref true in
-  while !continue do
-    match Msmr_platform.Delay_queue.take ~st t.rtx_dq with
-    | entry ->
-      if not (Atomic.get entry.r_cancelled) then begin
-        List.iter
-          (fun d ->
-             if d <> t.me then ignore (Bq.try_put t.send_qs.(d) entry.r_msg))
-          entry.r_dest;
-        let at_ns =
-          Int64.add (Mclock.now_ns ())
-            (Mclock.ns_of_s t.cfg.retransmit_interval_s)
-        in
-        try ignore (Msmr_platform.Delay_queue.schedule t.rtx_dq ~at_ns entry)
-        with Msmr_platform.Delay_queue.Closed -> continue := false
-      end
-    | exception Msmr_platform.Delay_queue.Closed -> continue := false
-  done
-
 let create ~cfg ~me ~links ~service () =
   let t =
     { cfg; me; service;
       events = Bq.create ~kind:Bq.Mpmc ~capacity:8192;
       send_qs =
         Array.init cfg.Config.n (fun _ -> Bq.create ~kind:Bq.Mpmc ~capacity:4096);
-      rtx_dq = Msmr_platform.Delay_queue.create ();
       links;
       fd = Failure_detector.create cfg ~me ~now_ns:(Mclock.now_ns ());
       view_now = Atomic.make 0;
@@ -250,17 +205,13 @@ let create ~cfg ~me ~links ~service () =
       links
   in
   t.threads <-
-    [ spawn "EventLoop" event_loop;
-      spawn "FailureDetector" fd_loop;
-      spawn "Retransmitter" retransmitter_loop ]
-    @ io;
+    spawn "EventLoop" event_loop :: io;
   t
 
 let stop t =
   if Atomic.exchange t.running false then begin
     Bq.close t.events;
     Array.iter Bq.close t.send_qs;
-    Msmr_platform.Delay_queue.close t.rtx_dq;
     List.iter (fun (_, (l : Transport.link)) -> l.close ()) t.links;
     Worker.join_all t.threads
   end

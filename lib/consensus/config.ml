@@ -21,7 +21,6 @@ type t = {
   clock_skew_bound_s : float;
   speculate : bool;
   members0 : int list;
-  reconfig_alpha : int;
 }
 
 let default ~n =
@@ -48,7 +47,6 @@ let default ~n =
     clock_skew_bound_s = 0.1;
     speculate = false;
     members0 = [];
-    reconfig_alpha = 0;
   }
 
 let validate t =
@@ -90,7 +88,6 @@ let validate t =
     Error
       "lease_duration_s must exceed 3 * fd_interval_s when lease_enabled \
        (renewals ride the failure-detector tick)"
-  else if t.reconfig_alpha < 0 then Error "reconfig_alpha must be >= 0"
   else if
     t.members0 <> []
     && not

@@ -62,13 +62,6 @@ type t = {
                                       reconfiguration (DESIGN.md
                                       section 17) moves the membership
                                       within it *)
-  reconfig_alpha : int;           (** a decided [Value.Reconfig] takes
-                                      effect at [decide_iid + alpha]
-                                      where [alpha = max window
-                                      reconfig_alpha]; 0 (the default)
-                                      means "the window" — the smallest
-                                      sound lag given the pipelining
-                                      invariant *)
 }
 
 val default : n:int -> t

@@ -48,6 +48,10 @@ let set_view t ~view =
 let ping_due t ~now_ns =
   t.last_ping_ns = min_int || now_ns - t.last_ping_ns >= renew_every_ns t.cfg
 
+let next_ping_ns t =
+  if t.last_ping_ns = min_int then min_int
+  else t.last_ping_ns + renew_every_ns t.cfg
+
 let make_ping t ~now_ns =
   t.round_t0 <- now_ns;
   t.grants <- [ t.me ];

@@ -49,6 +49,9 @@ val ping_due : t -> now_ns:int -> bool
     [lease_duration_s / 3] (and immediately on a fresh view). Only
     meaningful on the node currently leading. *)
 
+val next_ping_ns : t -> int
+(** When {!ping_due} next turns true ([min_int] before a view's first). *)
+
 val make_ping : t -> now_ns:int -> Msg.t
 (** Start a renewal round anchored at [now_ns]; returns the
     [Lease_ping] to broadcast. Resets the round's grant set to self. *)

@@ -139,9 +139,7 @@ let membership_at t iid =
    retuned window, which could diverge across replicas): under
    auto-tuning the window is bounded by wnd_max, so that bound is the
    lag. *)
-let alpha t =
-  let w = if t.cfg.auto_tune then t.cfg.wnd_max else t.cfg.window in
-  max w (max t.cfg.reconfig_alpha 1)
+let alpha t = if t.cfg.auto_tune then t.cfg.wnd_max else t.cfg.window
 
 (* Drop configs that no longer govern any undecided instance. *)
 let prune_configs t =

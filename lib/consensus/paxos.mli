@@ -127,7 +127,8 @@ val reconfig_in_flight : t -> bool
 
 val reconfig_alpha : t -> int
 (** The decide-to-effect lag α: a Reconfig decided at instance d
-    governs instances from d + α. *)
+    governs instances from d + α. α is the window ([wnd_max] under
+    [auto_tune]), the smallest lag the pipelining invariant allows. *)
 
 val window : t -> int
 (** WND currently in force ([cfg.window] unless retuned). *)

@@ -21,10 +21,9 @@ let module_of_thread name =
   else if has_prefix ~prefix:"Batcher" name
           || has_prefix ~prefix:"Protocol" name
           || has_prefix ~prefix:"FailureDetector" name
-          || name = "Retransmitter"
           || name = "StableStorage"
   then "ReplicationCore"
-  else if has_prefix ~prefix:"Replica" name || name = "Syncer"
+  else if has_prefix ~prefix:"Replica" name
           || has_prefix ~prefix:"Executor" name
   then "ServiceManager"
   else "Other"

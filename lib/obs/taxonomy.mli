@@ -22,9 +22,8 @@ val module_of_thread : string -> string
       → ["ClientIO"]
     - ["ReplicaIOSnd-1"], ["ReplicaIORcv-0"] → ["ReplicaIO"]
     - ["Batcher"], ["Batcher-2"], ["Protocol"], ["Protocol-g3"],
-      ["FailureDetector"], ["Retransmitter"], ["StableStorage"]
-      → ["ReplicationCore"]
-    - ["Replica"], ["Replica-g2"], ["Syncer"], ["Executor-1"]
+      ["FailureDetector"], ["StableStorage"] → ["ReplicationCore"]
+    - ["Replica"], ["Replica-g2"], ["Executor-1"]
       → ["ServiceManager"]
     - anything else → ["Other"]
 

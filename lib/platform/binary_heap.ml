@@ -62,11 +62,3 @@ let pop_min t =
     t.data.(t.size) <- t.data.(if t.size = 0 then 0 else t.size - 1);
     Some v
   end
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0
-
-let to_list t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
-  go (t.size - 1) []

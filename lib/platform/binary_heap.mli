@@ -1,8 +1,7 @@
 (** Array-based binary min-heap.
 
-    Used by the {!Delay_queue} (retransmission timers) and by the
-    simulator's event loop, both of which need fast [add]/[pop_min] on
-    large heaps. Not thread-safe; callers synchronise externally. *)
+    The simulator's event queue: fast [add]/[pop_min] on large heaps.
+    Not thread-safe; callers synchronise externally. *)
 
 type 'a t
 
@@ -19,8 +18,3 @@ val min_elt : 'a t -> 'a option
 
 val pop_min : 'a t -> 'a option
 (** Remove and return the smallest element. *)
-
-val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** All elements in unspecified order (for inspection in tests). *)

@@ -15,7 +15,7 @@ let spawn ~name body =
       (fun () ->
          let st = Thread_state.create ~name in
          (try body st with
-          | Channel.Closed | Delay_queue.Closed ->
+          | Channel.Closed ->
             (* Normal shutdown path: the stage's input queue was closed. *)
             ()
           | exn ->

@@ -1,6 +1,5 @@
 module Bq = Msmr_platform.Channel
 module Waitstats = Msmr_platform.Waitstats
-module Dq = Msmr_platform.Delay_queue
 module Worker = Msmr_platform.Worker
 module Thread_state = Msmr_platform.Thread_state
 module Mclock = Msmr_platform.Mclock
@@ -20,7 +19,6 @@ type event =
   | Proposal_ready
       (** Batcher signal: the ProposalQueue has something for the
           Protocol thread (keeps the event loop fully blocking). *)
-  | Housekeeping_tick  (** periodic catch-up check, from the FD thread *)
   | Reconfig_request of Membership.t
       (** Administrative membership change: hand the target epoch to the
           engine-owning thread, which orders it through the log
@@ -52,16 +50,6 @@ type durability =
   | Ephemeral
   | Durable of { dir : string; sync : Msmr_storage.Wal.sync_policy }
 
-type rtx_entry = {
-  r_dest : Types.node_id list;
-  r_msg : Msg.t;
-  r_cancelled : bool Atomic.t;
-  r_t0 : int64;
-      (* when the retransmission was first scheduled; for the leader's
-         Rtx_accept this is the propose time, so cancel time minus it is
-         the commit latency the autotune controller feeds on *)
-}
-
 (* StableStorage pipeline (Durable mode). The Protocol thread never
    touches the disk: it assigns each persisted event an LSN and puts it
    on the (bounded) log queue, and tags every durability-dependent send
@@ -83,6 +71,7 @@ type ss_item =
 
 type stable = {
   log_q : ss_item Bq.t;
+  ss_periodic : bool;  (* [Sync_periodic]: this thread runs the fsync *)
   ss_lsn : int Atomic.t;  (* last LSN assigned by the Protocol thread *)
   ss_stall : bool Atomic.t;  (* test hook: park the pipeline *)
   ss_hold : Msmr_platform.Histogram.t;  (* gated-send hold time, seconds *)
@@ -160,7 +149,6 @@ type t = {
   request_q : Client_msg.request Bq.t;
   decision_q : decision Bq.t;
   send_qs : Msg.t Bq.t array;           (* one per node id; own slot unused *)
-  rtx_dq : rtx_entry Dq.t;
   (* Modules. *)
   links : (Types.node_id * Transport.link) list;
   store : Msmr_storage.Replica_store.t option;
@@ -373,7 +361,7 @@ let enqueue_send_gated t dest msg =
      with Bq.Closed -> ())
   | Some _ | None -> enqueue_send t dest msg
 
-let protocol_apply t (rtx_map : (Paxos.rtx_key, rtx_entry) Hashtbl.t) actions =
+let protocol_apply t rtx actions =
   let now = Mclock.now_ns () in
   List.iter
     (fun action ->
@@ -384,31 +372,17 @@ let protocol_apply t (rtx_map : (Paxos.rtx_key, rtx_entry) Hashtbl.t) actions =
          (try Bq.put t.decision_q (Exec { iid; value })
           with Bq.Closed -> ())
        | Paxos.Schedule_rtx { key; dest; msg } ->
-         let entry =
-           { r_dest = dest; r_msg = msg; r_cancelled = Atomic.make false;
-             r_t0 = now }
-         in
-         Hashtbl.replace rtx_map key entry;
-         let at_ns =
-           Int64.add now (Mclock.ns_of_s t.cfg.retransmit_interval_s)
-         in
-         (try ignore (Dq.schedule t.rtx_dq ~at_ns entry)
-          with Dq.Closed -> ())
+         Retransmit.schedule rtx ~now_ns:now key ~dest msg
        | Paxos.Cancel_rtx key -> (
-           match Hashtbl.find_opt rtx_map key with
-           | Some entry ->
-             (* Lock-free cancellation: flag only; the Retransmitter drops
-                the entry when its timer fires (Section V-C4). *)
-             Atomic.set entry.r_cancelled true;
-             Hashtbl.remove rtx_map key;
+           match Retransmit.cancel rtx key with
+           | Some t0 ->
              (* A cancelled Rtx_accept means the instance decided:
                 schedule-to-cancel is the leader's commit latency. *)
              (if t.cfg.Config.auto_tune then
                 match key with
                 | Paxos.Rtx_accept _ ->
                   t.tune_lat_sum <-
-                    t.tune_lat_sum
-                    +. Mclock.s_of_ns (Int64.sub now entry.r_t0);
+                    t.tune_lat_sum +. Mclock.s_of_ns (Int64.sub now t0);
                   t.tune_lat_n <- t.tune_lat_n + 1
                 | _ -> ())
            | None -> ())
@@ -455,7 +429,8 @@ let protocol_apply t (rtx_map : (Paxos.rtx_key, rtx_entry) Hashtbl.t) actions =
     actions
 
 let protocol_loop t st =
-  let rtx_map : (Paxos.rtx_key, rtx_entry) Hashtbl.t = Hashtbl.create 256 in
+  (* Owned here, with the engine: a cancel takes no lock (Section V-C4). *)
+  let rtx = Retransmit.create ~interval_s:t.cfg.retransmit_interval_s in
   (* Durable mode: every promise is logged before the Prepare_ok leaves,
      every acceptance before the Accepted leaves (with Sync_every_write
      this is the full acceptor durability contract; the weaker policies
@@ -498,7 +473,7 @@ let protocol_loop t st =
   in
   let apply actions =
     persist_actions actions;
-    protocol_apply t rtx_map actions
+    protocol_apply t rtx actions
   in
   let view0 = Option.value t.gid ~default:0 in
   let engine =
@@ -518,7 +493,7 @@ let protocol_loop t st =
           ~decided:r.r_decided ~snapshot:r.r_snapshot
       in
       (* Replays rebuild the service state; do not re-log them. *)
-      protocol_apply t rtx_map replays;
+      protocol_apply t rtx replays;
       engine
   in
   (* Autotune controller: pure policy ticked here, on the engine-owning
@@ -591,11 +566,20 @@ let protocol_loop t st =
     List.filter (fun p -> p <> t.me)
       (Atomic.get t.membership_now).Membership.voters
   in
-  let lease_tick () =
+  (* A leading voter's lease: the only one renewed. *)
+  let held_lease () =
     match t.lease_ctx with
     | Some lc
       when Atomic.get t.am_leader
            && Membership.is_voter (Atomic.get t.membership_now) t.me ->
+      Some lc
+    | Some _ | None -> None
+  in
+  (* Every loop pass: a view's first round starts on the pass that
+     installs its leadership. *)
+  let lease_tick () =
+    match held_lease () with
+    | Some lc ->
       let now = now_int_ns () in
       if Lease.ping_due lc.lease ~now_ns:now then begin
         let ping = Lease.make_ping lc.lease ~now_ns:now in
@@ -603,7 +587,7 @@ let protocol_loop t st =
         Atomic.set lc.lease_until (Lease.held_until_ns lc.lease);
         enqueue_send t (lease_peers ()) ping
       end
-    | Some _ | None -> ()
+    | None -> ()
   in
   let on_lease_msg lc from msg =
     match msg with
@@ -649,9 +633,6 @@ let protocol_loop t st =
   in
   let handle = function
     | Proposal_ready -> ()
-    | Housekeeping_tick ->
-      lease_tick ();
-      apply (Paxos.tick_catchup engine)
     | Reconfig_request m -> apply (Paxos.propose_reconfig engine m)
     | Peer_msg { from; msg = (Msg.Lease_ping _ | Msg.Lease_grant _) as msg }
       when Option.is_some t.lease_ctx ->
@@ -710,9 +691,25 @@ let protocol_loop t st =
     | Snapshot_taken { next_iid; state } ->
       apply (Paxos.note_snapshot engine ~next_iid ~state)
   in
+  (* Park until the earliest timer: a retransmission, the catch-up tick
+     or the held lease's next renewal. *)
+  let catchup_ns = Mclock.ns_of_s t.cfg.catchup_interval_s in
+  let next_catchup = ref (Int64.add (Mclock.now_ns ()) catchup_ns) in
+  let timeout_s () =
+    let at =
+      Option.fold ~none:!next_catchup ~some:(Int64.min !next_catchup)
+        (Retransmit.next_due_ns rtx)
+    in
+    let at =
+      match held_lease () with
+      | Some lc -> Int64.min at (Int64.of_int (Lease.next_ping_ns lc.lease))
+      | None -> at
+    in
+    Mclock.s_of_ns (Int64.sub at (Mclock.now_ns ()))
+  in
   while Atomic.get t.running do
-    (match Bq.take ~st t.dispatcher_q with
-     | ev ->
+    (match Bq.take_timeout ~st t.dispatcher_q ~timeout_s:(timeout_s ()) with
+     | Some ev ->
        handle ev;
        (* Drain a bounded burst to amortise queue locking. *)
        let rec burst k =
@@ -722,7 +719,18 @@ let protocol_loop t st =
            | None -> ()
        in
        burst 64
+     | None -> ()
      | exception Bq.Closed -> Atomic.set t.running false);
+    let now = Mclock.now_ns () in
+    (* Gated too: a timer can fire before a slow disk made the original
+       durable. *)
+    List.iter
+      (fun (dest, msg) -> enqueue_send_gated t dest msg)
+      (Retransmit.pop_due rtx ~now_ns:now);
+    if Int64.compare now !next_catchup >= 0 then begin
+      next_catchup := Int64.add now catchup_ns;
+      apply (Paxos.tick_catchup engine)
+    end;
     (* Start new ballots while the window allows (pipelining). *)
     let rec feed () =
       if Paxos.can_propose engine then
@@ -733,6 +741,7 @@ let protocol_loop t st =
         | None -> ()
     in
     feed ();
+    lease_tick ();
     tick_tuner engine;
     Atomic.set t.window_now (Paxos.window_in_use engine);
     Atomic.set t.first_undecided_now
@@ -743,7 +752,11 @@ let protocol_loop t st =
 (* StableStorage thread (Durable mode): the other end of the pipeline
    described at [ss_item]. Burst size bounds how many events one fsync
    can cover, and therefore how long a gated message can wait behind
-   unrelated appends. *)
+   unrelated appends. Under [Sync_periodic] it also syncs every 5 ms,
+   after a burst or on an idle timeout; an empty [Wal.sync] still
+   refreshes msmr_wal_last_sync_ns, so an idle pipeline is visible. *)
+
+let sync_interval_ns = Mclock.ns_of_s 0.005
 
 let stable_storage_loop t (ss : stable) st =
   let store = Option.get t.store in
@@ -765,40 +778,55 @@ let stable_storage_loop t (ss : stable) st =
     in
     go ()
   in
-  let buf = Array.make 256 None in
+  let next_sync =
+    ref (if ss.ss_periodic then Int64.add (Mclock.now_ns ()) sync_interval_ns
+         else Int64.max_int)
+  in
+  let buf = Array.make 255 None in  (* a burst: its first item + 255 *)
+  let events = ref [] in
+  let add = function
+    | Ss_log ev -> events := ev :: !events
+    | Ss_release { lsn; dest; msg; enq_ns } ->
+      Queue.push (lsn, dest, msg, enq_ns) pending
+  in
   let continue = ref true in
   while !continue do
-    match Bq.take_batch_into ~st ss.log_q ~buf with
-    | exception Bq.Closed -> continue := false
-    | n ->
-      (* Test hook: park with the burst in hand — nothing is logged or
-         released while stalled. *)
-      while Atomic.get ss.ss_stall && Atomic.get t.running do
-        Thread_state.enter st Thread_state.Waiting (fun () ->
-            Mclock.sleep_s 0.0005)
-      done;
-      let events = ref [] in
-      for i = n - 1 downto 0 do
-        match buf.(i) with
-        | Some (Ss_log ev) -> events := ev :: !events
-        | Some (Ss_release _) | None -> ()
-      done;
-      (* One [log_batch] per burst: under [Sync_every_write] every event
-         in it shares a single fsync (group commit), and the returned
-         LSN is durable. Under the weaker policies the pre-pipeline
-         contract was append-before-send, so the appended LSN is the
-         right release watermark there too. *)
-      let watermark =
-        Msmr_storage.Replica_store.log_batch ~st store !events
-      in
-      for i = 0 to n - 1 do
-        (match buf.(i) with
-         | Some (Ss_release { lsn; dest; msg; enq_ns }) ->
-           Queue.push (lsn, dest, msg, enq_ns) pending
-         | Some (Ss_log _) | None -> ());
-        buf.(i) <- None
-      done;
-      release watermark
+    (match
+       if ss.ss_periodic then
+         Bq.take_timeout ~st ss.log_q
+           ~timeout_s:(Mclock.s_of_ns (Int64.sub !next_sync (Mclock.now_ns ())))
+       else Some (Bq.take ~st ss.log_q)
+     with
+     | exception Bq.Closed -> continue := false
+     | None -> ()
+     | Some first ->
+       (* Test hook: park with the burst in hand — nothing is logged or
+          released while stalled. *)
+       while Atomic.get ss.ss_stall && Atomic.get t.running do
+         Thread_state.enter st Thread_state.Waiting (fun () ->
+             Mclock.sleep_s 0.0005)
+       done;
+       add first;
+       let n = Bq.drain_into ss.log_q ~buf in
+       for i = 0 to n - 1 do
+         Option.iter add buf.(i);
+         buf.(i) <- None
+       done;
+       (* One [log_batch] per burst: under [Sync_every_write] every
+          event in it shares a single fsync (group commit), and the
+          returned LSN is durable. Under the weaker policies the
+          pre-pipeline contract was append-before-send, so the appended
+          LSN is the right release watermark there too. *)
+       let watermark =
+         Msmr_storage.Replica_store.log_batch ~st store (List.rev !events)
+       in
+       events := [];
+       release watermark);
+    let now = Mclock.now_ns () in
+    if !continue && Int64.compare now !next_sync >= 0 then begin
+      ignore (Msmr_storage.Replica_store.sync ~st store);
+      next_sync := Int64.add now sync_interval_ns
+    end
   done
 
 (* ------------------------------------------------------------------ *)
@@ -908,7 +936,8 @@ let receiver_loop t peer (link : Transport.link) st =
   done
 
 (* ------------------------------------------------------------------ *)
-(* FailureDetector thread. *)
+(* FailureDetector thread: apart from Protocol, so the leader keeps
+   heartbeating while Protocol is blocked on back-pressure. *)
 
 let fd_loop t st =
   while Atomic.get t.running do
@@ -931,39 +960,13 @@ let fd_loop t st =
          | Failure_detector.Suspect _leader -> (
              try Bq.put t.dispatcher_q Suspect with Bq.Closed -> ()))
       (Failure_detector.poll t.fd ~now_ns:now);
-    (* Drive the Protocol thread's periodic catch-up check too, so its
-       event loop can block indefinitely between events. *)
-    (try ignore (Bq.try_put t.dispatcher_q Housekeeping_tick)
-     with Bq.Closed -> ());
+    (* The cap: a view change to leader is seen within one interval. *)
     let wake = Failure_detector.next_wake_ns t.fd ~now_ns:now in
     let nap =
-      Float.min t.cfg.catchup_interval_s
+      Float.min t.cfg.fd_interval_s
         (Float.max 0.001 (Mclock.s_of_ns (Int64.sub wake now)))
     in
     Thread_state.enter st Thread_state.Other (fun () -> Mclock.sleep_s nap)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Retransmitter thread. *)
-
-let retransmitter_loop t st =
-  let continue = ref true in
-  while !continue do
-    match Dq.take ~st t.rtx_dq with
-    | entry ->
-      if not (Atomic.get entry.r_cancelled) then begin
-        (* Retransmitted Prepare_ok/Accepted/Accept honour the
-           durability gate too: the timer can in principle fire before
-           a slow disk has made the original durable. *)
-        enqueue_send_gated t entry.r_dest entry.r_msg;
-        let at_ns =
-          Int64.add (Mclock.now_ns ())
-            (Mclock.ns_of_s t.cfg.retransmit_interval_s)
-        in
-        try ignore (Dq.schedule t.rtx_dq ~at_ns entry)
-        with Dq.Closed -> continue := false
-      end
-    | exception Dq.Closed -> continue := false
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1475,14 +1478,15 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
       (Some r, Some (Msmr_storage.Replica_store.openw ~sync ?gid ~dir ()))
   in
   let stable =
-    match store with
-    | None -> None
-    | Some _ ->
+    match durability with
+    | Ephemeral -> None
+    | Durable { sync; _ } ->
       let labels = [ ("mode", "live"); ("replica", string_of_int me) ] in
       Some
         { log_q =
-            (* Protocol + Retransmitter produce, StableStorage consumes. *)
-            Bq.create ~kind:Bq.Mpmc ~capacity:8192;
+            (* Protocol produces, StableStorage consumes. *)
+            Bq.create ~kind:Bq.Spsc ~capacity:8192;
+          ss_periodic = sync = Msmr_storage.Wal.Sync_periodic;
           ss_lsn = Atomic.make 0;
           ss_stall = Atomic.make false;
           ss_hold = Msmr_obs.Metrics.histogram ~labels "msmr_replica_durable_hold_s" }
@@ -1528,7 +1532,6 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
       send_qs =
         Array.init cfg.Config.n (fun _ ->
             Bq.create ~kind:Bq.Mpmc ~capacity:4096);
-      rtx_dq = Dq.create ();
       links;
       store;
       stable;
@@ -1637,26 +1640,6 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
     | Some ss -> [ spawn "StableStorage" (fun t st -> stable_storage_loop t ss st) ]
     | None -> []
   in
-  (* Syncer: drives [Sync_periodic] on its own fixed tick. The tick is
-     deliberately independent of every protocol interval — in particular
-     [catchup_interval_s], which only paces the FD thread's
-     Housekeeping_tick: however coarse catch-up is configured, a Durable
-     replica keeps flushing its WAL every [sync_interval_s]. [Wal.sync]
-     refreshes the msmr_wal_last_sync_ns gauge on every tick (even an
-     empty one), so an idle-but-alive Syncer is observable. *)
-  let sync_interval_s = 0.005 in
-  let syncer =
-    match durability with
-    | Durable { sync = Msmr_storage.Wal.Sync_periodic; _ } ->
-      [ spawn "Syncer" (fun t st ->
-            let store = Option.get t.store in
-            while Atomic.get t.running do
-              Thread_state.enter st Thread_state.Other (fun () ->
-                  Mclock.sleep_s sync_interval_s);
-              ignore (Msmr_storage.Replica_store.sync ~st store)
-            done) ]
-    | Durable _ | Ephemeral -> []
-  in
   let executors =
     List.init executor_threads (fun i ->
         Worker.spawn ~name:(Printf.sprintf "r%d/Executor-%d" me i)
@@ -1666,13 +1649,10 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
              Exec_pool.executor_loop t.pool ~idx:i ~exec:(exec_work t) ~st))
   in
   t.threads <-
-    [ spawn "Protocol" protocol_loop;
-      spawn "FailureDetector" fd_loop;
-      spawn "Retransmitter" retransmitter_loop ]
+    [ spawn "Protocol" protocol_loop; spawn "FailureDetector" fd_loop ]
     @ stable_storage
     @ (spawn "Replica" scheduler_loop :: executors)
-    @ (spawn "Batcher" batcher_loop :: io_threads)
-    @ syncer;
+    @ (spawn "Batcher" batcher_loop :: io_threads);
   register_metrics t;
   t
 
@@ -1692,7 +1672,6 @@ let stop t =
        unblocks it even if the scheduler is wedged. Close is idempotent. *)
     Exec_pool.close t.pool;
     Array.iter Bq.close t.send_qs;
-    Dq.close t.rtx_dq;
     List.iter (fun (_, (link : Transport.link)) -> link.close ()) t.links;
     Worker.join_all t.threads;
     (match t.store with

@@ -10,7 +10,7 @@
       [Replica] <--DecisionQueue-- [Protocol] <--DispatcherQueue-- [ReplicaIORcv-p]
                                       |  \--SendQueue-p--> [ReplicaIOSnd-p] --> peer p
                                       |
-                     [FailureDetector]  [Retransmitter]
+                     [FailureDetector]--heartbeats--> SendQueues
                                       |
                             LogQueue  v  (Durable mode)
                              [StableStorage] --(released sends)--> SendQueues
@@ -20,7 +20,10 @@
     exclusively; every other thread communicates with it through queues
     (or, for the failure-detector timestamps, through single-word shared
     state), enforcing the paper's no-lock rule inside the
-    ReplicationCore.
+    ReplicationCore. Protocol also fires the retransmission, catch-up
+    and lease-renewal timers (the paper's retransmission thread is
+    folded in, DESIGN.md §2); the FailureDetector keeps its own thread
+    so the leader heartbeats while Protocol is blocked on back-pressure.
 
     In [Durable] mode the Protocol thread never touches the disk: WAL
     events ride a bounded LogQueue to a dedicated StableStorage thread,
@@ -28,7 +31,8 @@
     [Sync_every_write] (group commit) — and durability-dependent
     messages ([Prepare_ok], [Accepted], the leader's own [Accept]) are
     held back until the LSN they depend on is durable (see DESIGN.md
-    §10). *)
+    §10). Under [Sync_periodic] the same thread runs the periodic
+    fsync. *)
 
 type t
 

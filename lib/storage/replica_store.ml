@@ -77,9 +77,9 @@ let openw ?(sync = Wal.Sync_periodic) ?gid ~dir () =
     lock = Mutex.create (); lsn = 0; durable_lsn = 0 }
 
 (* The store lock orders appends/syncs against the WAL swap done by
-   [checkpoint]. The StableStorage and Syncer threads contend on it, so
-   the paths they use ([log_batch], [sync]) account acquisition time as
-   [Blocked], per the paper's profiling methodology. *)
+   [checkpoint]. StableStorage contends on it with the checkpointing
+   ServiceManager, so its paths ([log_batch], [sync]) account
+   acquisition time as [Blocked], per the paper's profiling method. *)
 let lock_acct ?st t =
   match st with
   | None -> Mutex.lock t.lock

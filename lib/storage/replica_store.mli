@@ -28,7 +28,8 @@ type event =
 type t
 
 val openw : ?sync:Wal.sync_policy -> ?gid:int -> dir:string -> unit -> t
-(** Default policy: [Sync_periodic] (call {!sync} from a Syncer).
+(** Default policy: [Sync_periodic] (call {!sync} periodically; the
+    replica's StableStorage thread does).
 
     [gid] selects a per-group namespace for multi-group Paxos: the
     store lives in [dir/g<gid>] with its own WAL, checkpoint and LSN

@@ -136,8 +136,8 @@ let write_all fd buf len =
 
 (* Lock held. One fsync covers every record appended since the last
    sync — [records - synced] is the group size. The last-sync gauge is
-   refreshed even when there is nothing to flush, so an idle Syncer
-   stays distinguishable from a dead one. *)
+   refreshed even when there is nothing to flush, so an idle periodic
+   syncer stays distinguishable from a dead one. *)
 let sync_locked t =
   if t.records > t.synced then begin
     Unix.fsync t.fd;

@@ -13,8 +13,8 @@
       deliberately avoids in its experiments. {!append_many} applies it
       {e once per batch}: one fsync covers every record appended since
       the last sync (group commit).
-    - [Sync_periodic]: a caller (e.g. a Syncer thread) calls {!sync} on
-      its own schedule; a crash may lose a suffix;
+    - [Sync_periodic]: a caller (the replica's StableStorage thread)
+      calls {!sync} on its own schedule; a crash may lose a suffix;
     - [No_sync]: rely on the OS cache entirely.
 
     Appends return the record's LSN — the 1-based count of records
@@ -25,7 +25,7 @@
     [msmr_wal_sync_total] fsyncs performed, [msmr_wal_group_size]
     records covered per fsync, [msmr_wal_last_sync_ns] wall-clock of the
     last {!sync} tick (updated even when there was nothing to flush, so
-    an idle Syncer is visible).
+    an idle periodic syncer is visible).
 
     Thread-safe: appends are serialised internally. *)
 

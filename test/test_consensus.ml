@@ -567,6 +567,79 @@ let test_fd_rearm_view_change_overrides () =
    | _ -> Alcotest.fail "expected suspicion of the new leader")
 
 (* ------------------------------------------------------------------ *)
+(* Retransmission timers *)
+
+let rtx_ms n = Int64.mul (Int64.of_int n) 1_000_000L
+let rtx_key iid = Paxos.Rtx_accept (0, iid)
+
+(* Schedule one timer per iid, each tagged with its iid as the message's
+   view, 1 ms apart. *)
+let rtx_with iids =
+  let r = Retransmit.create ~interval_s:0.1 in
+  List.iteri
+    (fun i iid ->
+       Retransmit.schedule r ~now_ns:(rtx_ms i) (rtx_key iid) ~dest:[ 1; 2 ]
+         (Msg.Heartbeat { view = iid; first_undecided = 0 }))
+    iids;
+  r
+
+let rtx_fired r ~now_ms =
+  List.map
+    (fun (dest, msg) ->
+       Alcotest.(check (list int)) "dest" [ 1; 2 ] dest;
+       match msg with
+       | Msg.Heartbeat { view; _ } -> view
+       | _ -> Alcotest.fail "unexpected message")
+    (Retransmit.pop_due r ~now_ns:(rtx_ms now_ms))
+
+let test_rtx_fifo () =
+  let r = rtx_with [ 7; 8; 9 ] in
+  Alcotest.(check (list int)) "due in scheduling order" [ 7; 8; 9 ]
+    (rtx_fired r ~now_ms:150);
+  Alcotest.(check (list int)) "re-armed, not due again yet" []
+    (rtx_fired r ~now_ms:150)
+
+let test_rtx_not_due () =
+  let r = rtx_with [ 1; 2 ] in
+  Alcotest.(check (list int)) "nothing due" [] (rtx_fired r ~now_ms:99);
+  Alcotest.(check (option int64)) "head's deadline" (Some (rtx_ms 100))
+    (Retransmit.next_due_ns r);
+  Alcotest.(check (list int)) "head only" [ 1 ] (rtx_fired r ~now_ms:100)
+
+let test_rtx_cancel () =
+  let r = rtx_with [ 1; 2 ] in
+  ignore (Retransmit.cancel r (rtx_key 1));
+  Alcotest.(check (option int64)) "dead head dropped" (Some (rtx_ms 101))
+    (Retransmit.next_due_ns r);
+  Alcotest.(check (list int)) "cancelled never fires" [ 2 ]
+    (rtx_fired r ~now_ms:1000);
+  ignore (Retransmit.cancel r (rtx_key 2));
+  Alcotest.(check (option int64)) "nothing armed" None
+    (Retransmit.next_due_ns r);
+  Alcotest.(check (list int)) "nothing fires" [] (rtx_fired r ~now_ms:5000)
+
+let test_rtx_rearm () =
+  let r = rtx_with [ 1 ] in
+  Alcotest.(check (list int)) "fires" [ 1 ] (rtx_fired r ~now_ms:130);
+  Alcotest.(check (option int64)) "re-armed at now + interval"
+    (Some (rtx_ms 230)) (Retransmit.next_due_ns r);
+  Alcotest.(check (list int)) "not before" [] (rtx_fired r ~now_ms:229);
+  Alcotest.(check (list int)) "fires again" [ 1 ] (rtx_fired r ~now_ms:230)
+
+let test_rtx_cancel_returns_t0 () =
+  let r = rtx_with [ 1; 2; 3 ] in
+  Alcotest.(check (option int64)) "scheduling time" (Some (rtx_ms 2))
+    (Retransmit.cancel r (rtx_key 3));
+  Alcotest.(check (option int64)) "only once" None
+    (Retransmit.cancel r (rtx_key 3));
+  (* Re-scheduling an armed key replaces its timer. *)
+  Retransmit.schedule r ~now_ns:(rtx_ms 50) (rtx_key 1) ~dest:[ 1; 2 ]
+    (Msg.Heartbeat { view = 11; first_undecided = 0 });
+  Alcotest.(check (list int)) "old timer gone" [ 2 ] (rtx_fired r ~now_ms:149);
+  Alcotest.(check (option int64)) "new timer's time" (Some (rtx_ms 50))
+    (Retransmit.cancel r (rtx_key 1))
+
+(* ------------------------------------------------------------------ *)
 (* Message codec *)
 
 let sample_entry i =
@@ -1434,6 +1507,15 @@ let suite =
       `Quick test_fd_suspected_then_recovered_leader_not_disarmed;
     Alcotest.test_case "fd: re-arm overridden by view change" `Quick
       test_fd_rearm_view_change_overrides;
+    Alcotest.test_case "retransmit: due entries pop in FIFO order" `Quick
+      test_rtx_fifo;
+    Alcotest.test_case "retransmit: not due pops nothing" `Quick
+      test_rtx_not_due;
+    Alcotest.test_case "retransmit: cancelled entry never fires" `Quick
+      test_rtx_cancel;
+    Alcotest.test_case "retransmit: fired entry re-arms" `Quick test_rtx_rearm;
+    Alcotest.test_case "retransmit: cancel returns scheduling time" `Quick
+      test_rtx_cancel_returns_t0;
     Alcotest.test_case "msg: round-trip" `Quick test_msg_roundtrip;
     Alcotest.test_case "msg: wire size" `Quick test_msg_wire_size;
     Alcotest.test_case "msg: bad tag" `Quick test_msg_bad_tag;

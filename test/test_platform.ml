@@ -1,4 +1,4 @@
-(* Tests for msmr_platform: heap, MPSC queue, concurrent map, delay queue,
+(* Tests for msmr_platform: heap, MPSC queue, concurrent map,
    thread-state accounting. *)
 
 open Msmr_platform
@@ -138,68 +138,6 @@ let prop_cmap_models_hashtbl =
          h
          (Concurrent_map.length m = Hashtbl.length h))
 
-let test_delay_queue_order () =
-  let dq = Delay_queue.create () in
-  let now = Mclock.now_ns () in
-  ignore (Delay_queue.schedule dq ~at_ns:(Int64.add now 300L) "c");
-  ignore (Delay_queue.schedule dq ~at_ns:(Int64.add now 100L) "a");
-  ignore (Delay_queue.schedule dq ~at_ns:(Int64.add now 200L) "b");
-  let later = Int64.add now 1_000L in
-  Alcotest.(check (option string)) "a" (Some "a") (Delay_queue.pop_due dq ~now_ns:later);
-  Alcotest.(check (option string)) "b" (Some "b") (Delay_queue.pop_due dq ~now_ns:later);
-  Alcotest.(check (option string)) "c" (Some "c") (Delay_queue.pop_due dq ~now_ns:later);
-  Alcotest.(check (option string)) "done" None (Delay_queue.pop_due dq ~now_ns:later)
-
-let test_delay_queue_not_due () =
-  let dq = Delay_queue.create () in
-  let now = Mclock.now_ns () in
-  ignore (Delay_queue.schedule dq ~at_ns:(Int64.add now 1_000_000_000L) "later");
-  Alcotest.(check (option string)) "not yet" None (Delay_queue.pop_due dq ~now_ns:now);
-  Alcotest.(check int) "pending" 1 (Delay_queue.pending dq)
-
-let test_delay_queue_cancel () =
-  let dq = Delay_queue.create () in
-  let now = Mclock.now_ns () in
-  let h1 = Delay_queue.schedule dq ~at_ns:(Int64.add now 10L) "cancelled" in
-  ignore (Delay_queue.schedule dq ~at_ns:(Int64.add now 20L) "kept");
-  Delay_queue.cancel h1;
-  Alcotest.(check bool) "flag" true (Delay_queue.is_cancelled h1);
-  Alcotest.(check (option string)) "skips cancelled" (Some "kept")
-    (Delay_queue.pop_due dq ~now_ns:(Int64.add now 100L));
-  Alcotest.(check (option string)) "empty" None
-    (Delay_queue.pop_due dq ~now_ns:(Int64.add now 100L))
-
-let test_delay_queue_take_blocks_until_due () =
-  let dq = Delay_queue.create () in
-  let now = Mclock.now_ns () in
-  ignore (Delay_queue.schedule dq ~at_ns:(Int64.add now (Mclock.ns_of_s 0.03)) "x");
-  let t0 = Mclock.now_ns () in
-  Alcotest.(check string) "value" "x" (Delay_queue.take dq);
-  let dt = Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0) in
-  Alcotest.(check bool) "waited" true (dt >= 0.02)
-
-(* A consumer parked until a far head's deadline wakes for an entry
-   scheduled earlier, and takes it at that entry's own deadline. *)
-let test_delay_queue_earlier_entry () =
-  let dq = Delay_queue.create () in
-  let t0 = Mclock.now_ns () in
-  let at s = Int64.add t0 (Mclock.ns_of_s s) in
-  ignore (Delay_queue.schedule dq ~at_ns:(at 1.0) "late");
-  let got = ref ("", 0.) in
-  let w =
-    Worker.spawn ~name:"dq-consumer" (fun _ ->
-        let v = Delay_queue.take dq in
-        got := (v, Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0)))
-  in
-  Mclock.sleep_s 0.02;
-  ignore (Delay_queue.schedule dq ~at_ns:(at 0.06) "early");
-  Worker.join w;
-  let v, dt = !got in
-  Alcotest.(check string) "earlier entry first" "early" v;
-  Alcotest.(check bool) "not before its deadline" true (dt >= 0.06);
-  Alcotest.(check bool) "long before the parked head's" true (dt < 0.5);
-  Delay_queue.close dq
-
 let test_thread_state_accounting () =
   let st = Thread_state.create ~name:"probe" in
   Thread_state.enter st Thread_state.Waiting (fun () -> Mclock.sleep_s 0.03);
@@ -249,12 +187,6 @@ let suite =
     Alcotest.test_case "cmap: basic" `Quick test_cmap_basic;
     Alcotest.test_case "cmap: update" `Quick test_cmap_update;
     Alcotest.test_case "cmap: concurrent counters" `Quick test_cmap_concurrent_counters;
-    Alcotest.test_case "delay queue: order" `Quick test_delay_queue_order;
-    Alcotest.test_case "delay queue: not due" `Quick test_delay_queue_not_due;
-    Alcotest.test_case "delay queue: cancel" `Quick test_delay_queue_cancel;
-    Alcotest.test_case "delay queue: take blocks" `Quick test_delay_queue_take_blocks_until_due;
-    Alcotest.test_case "delay queue: earlier entry wakes take" `Quick
-      test_delay_queue_earlier_entry;
     Alcotest.test_case "thread state: accounting" `Quick test_thread_state_accounting;
     Alcotest.test_case "thread state: registry" `Quick test_thread_state_registry;
     Alcotest.test_case "rate meter: counter/mean" `Quick test_counter_and_mean;

@@ -197,6 +197,48 @@ let test_cluster_message_loss_recovery () =
   await ~what:"lossy convergence" (fun () ->
       Array.for_all (fun r -> Replica.executed_count r = 30) replicas)
 
+(* Retransmission alone recovers a lost Accept: the failure detector
+   and catch-up are set far beyond the test's horizon, so only the
+   leader's retransmission timer can get the instance decided. *)
+let test_cluster_retransmit_recovers_accept () =
+  let cfg =
+    { (test_cfg 3) with
+      fd_timeout_s = 30.;
+      catchup_interval_s = 30.;
+      retransmit_interval_s = 0.05 }
+  in
+  with_cluster ~cfg @@ fun cluster ->
+  ignore (Replica.Cluster.await_leader cluster);
+  let hub = Replica.Cluster.hub cluster in
+  let client = Client.create ~timeout_s:10. ~cluster ~client_id:1 () in
+  ignore (Client.call client (Bytes.of_string "1"));
+  let drop rate =
+    Transport.Hub.set_drop_rate hub ~src:0 ~dst:1 rate;
+    Transport.Hub.set_drop_rate hub ~src:0 ~dst:2 rate
+  in
+  drop 1.0;
+  let result = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
+  let caller =
+    Thread.create
+      (fun () -> Ch.put result (Client.call client (Bytes.of_string "2")))
+      ()
+  in
+  Mclock.sleep_s 0.2;
+  Alcotest.(check bool) "not decided while the accepts are lost" true
+    (Ch.is_empty result);
+  drop 0.0;
+  (match Ch.take_timeout result ~timeout_s:2.0 with
+   | Some r -> Alcotest.(check string) "call applied" "3" (Bytes.to_string r)
+   | None -> Alcotest.fail "no reply within 2 s of the heal");
+  Thread.join caller;
+  Alcotest.(check int) "client never resent" 0 (Client.retries client);
+  Array.iter
+    (fun r ->
+       Alcotest.(check int)
+         (Printf.sprintf "replica %d view changes" (Replica.me r))
+         0 (Replica.view_changes_count r))
+    (Replica.Cluster.replicas cluster)
+
 let test_cluster_leader_failover_live () =
   with_cluster @@ fun cluster ->
   let leader0 = Replica.Cluster.await_leader cluster in
@@ -1732,3 +1774,8 @@ let suite =
         test_read_storm_keeps_reply_cache;
       Alcotest.test_case "replica group: per-group lease reads" `Quick
         test_replica_group_reads ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "cluster: retransmission recovers a lost accept" `Quick
+        test_cluster_retransmit_recovers_accept ]

@@ -690,3 +690,111 @@ let suite =
   suite
   @ [ Alcotest.test_case "store: per-group namespaces" `Quick
         test_store_group_namespaces ]
+
+(* ------------------------------------------------------------------ *)
+(* Live thread set *)
+
+(* The classes of the running threads named [prefix]..., a numeric
+   suffix folded to "*" ("r0/ClientIO-2" -> "ClientIO-*"), and their
+   count. *)
+let thread_set prefix =
+  let names =
+    List.filter_map
+      (fun (name, _) ->
+         let lp = String.length prefix in
+         if String.starts_with ~prefix name then
+           Some (String.sub name lp (String.length name - lp))
+         else None)
+      (Msmr_platform.Thread_state.snapshot_all ())
+  in
+  let cls n =
+    match String.rindex_opt n '-' with
+    | Some i
+      when int_of_string_opt (String.sub n (i + 1) (String.length n - i - 1))
+           <> None ->
+      String.sub n 0 i ^ "-*"
+    | Some _ | None -> n
+  in
+  (List.sort_uniq compare (List.map cls names), List.length names)
+
+(* Threads register as they start: wait for the expected set. *)
+let check_thread_set ~what prefix expected count =
+  let deadline =
+    Int64.add (Msmr_platform.Mclock.now_ns ())
+      (Msmr_platform.Mclock.ns_of_s 2.0)
+  in
+  while
+    thread_set prefix <> (expected, count)
+    && Int64.compare (Msmr_platform.Mclock.now_ns ()) deadline < 0
+  do
+    Msmr_platform.Mclock.sleep_s 0.005
+  done;
+  let got, n = thread_set prefix in
+  Alcotest.(check (list string)) (what ^ " thread classes") expected got;
+  Alcotest.(check int) (what ^ " thread count") count n
+
+let live_classes =
+  [ "Batcher"; "ClientIO-*"; "Executor-*"; "FailureDetector"; "Protocol";
+    "Replica"; "ReplicaIORcv-*"; "ReplicaIOSnd-*" ]
+
+let test_live_thread_set () =
+  let cfg = Msmr_consensus.Config.default ~n:3 in
+  let service () = R.Service.accumulator () in
+  (* Ephemeral: 3 ClientIO + Batcher + Protocol + FailureDetector +
+     Replica + 1 executor + a sender and a receiver per peer. *)
+  (let cluster = R.Replica.Cluster.create ~cfg ~service () in
+   Fun.protect ~finally:(fun () -> R.Replica.Cluster.stop cluster)
+   @@ fun () ->
+   ignore (R.Replica.Cluster.await_leader cluster);
+   check_thread_set ~what:"ephemeral" "r0/" live_classes 12);
+  (* Durable under Sync_periodic adds only StableStorage, which also
+     runs the periodic fsync: the last-sync gauge keeps moving on an
+     idle replica. *)
+  with_tmp_dir (fun dir ->
+      let rdir me = Filename.concat dir (Printf.sprintf "r%d" me) in
+      let durability me =
+        R.Replica.Durable { dir = rdir me; sync = Wal.Sync_periodic }
+      in
+      let cluster = R.Replica.Cluster.create ~durability ~cfg ~service () in
+      Fun.protect ~finally:(fun () -> R.Replica.Cluster.stop cluster)
+      @@ fun () ->
+      ignore (R.Replica.Cluster.await_leader cluster);
+      check_thread_set ~what:"durable" "r0/"
+        (List.sort compare ("StableStorage" :: live_classes))
+        13;
+      let last_sync () =
+        List.find_map
+          (fun (s : Msmr_obs.Metrics.sample) ->
+             match s.value with
+             | Msmr_obs.Metrics.Gauge_v v
+               when s.name = "msmr_wal_last_sync_ns"
+                    && s.labels = [ ("dir", rdir 0) ] ->
+               Some v
+             | _ -> None)
+          (Msmr_obs.Metrics.snapshot ())
+      in
+      (* The gauge appears with the first sync, 5 ms after start. *)
+      await ~timeout_s:1.0 ~what:"first periodic sync" (fun () ->
+          last_sync () <> None);
+      let before = last_sync () in
+      Msmr_platform.Mclock.sleep_s 0.05;
+      let after = last_sync () in
+      Alcotest.(check bool)
+        (Printf.sprintf "idle sync gauge advances (%s -> %s)"
+           (Option.fold ~none:"none" ~some:string_of_float before)
+           (Option.fold ~none:"none" ~some:string_of_float after))
+        true
+        (match (before, after) with
+         | Some b, Some a -> a > b
+         | _ -> false));
+  (* The monolithic baseline: one event loop and the raw link I/O. *)
+  let mono = Msmr_baseline.Mono_replica.Cluster.create ~cfg ~service () in
+  Fun.protect ~finally:(fun () -> Msmr_baseline.Mono_replica.Cluster.stop mono)
+  @@ fun () ->
+  ignore (Msmr_baseline.Mono_replica.Cluster.await_leader mono);
+  check_thread_set ~what:"mono" "mono-r0/" [ "EventLoop"; "Rcv-*"; "Snd-*" ] 5
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "live: thread set and idle periodic sync" `Quick
+        test_live_thread_set ]
