@@ -1,7 +1,8 @@
 (* Closed-loop TCP load generator, the shape of the paper's workload:
    each client sends one request and waits for the reply before sending
-   the next (Section VI). Pass every replica's client address and the
-   generator follows leader changes automatically.
+   the next (Section VI). Each worker is a TCP `Msmr_runtime.Client`:
+   pass every replica's client address and it follows leader changes
+   automatically.
 
      dune exec bin/msmr_client.exe -- --connect 127.0.0.1:5100 \
        --connect 127.0.0.1:5101 --connect 127.0.0.1:5102 \
@@ -32,21 +33,21 @@ let run connect clients duration request_size =
         Thread.create
           (fun () ->
              let c =
-               Msmr_runtime.Tcp_client.create ~addrs ~client_id:(base + i) ()
+               Msmr_runtime.Client.connect ~addrs ~client_id:(base + i) ()
              in
              Fun.protect
-               ~finally:(fun () -> Msmr_runtime.Tcp_client.close c)
+               ~finally:(fun () -> Msmr_runtime.Client.close c)
                (fun () ->
                   try
                     while Unix.gettimeofday () < stop_at do
                       let t0 = Unix.gettimeofday () in
-                      ignore (Msmr_runtime.Tcp_client.call c payload);
+                      ignore (Msmr_runtime.Client.call c payload);
                       Histogram.record hist (Unix.gettimeofday () -. t0);
                       ignore (Atomic.fetch_and_add completed 1)
                     done;
                     ignore
                       (Atomic.fetch_and_add retried
-                         (Msmr_runtime.Tcp_client.retries c))
+                         (Msmr_runtime.Client.retries c))
                   with Failure _ -> ()))
           ())
   in

@@ -11,11 +11,7 @@ type conn = {
 }
 
 type t = {
-  submit :
-    raw:bytes -> reply_to:(bytes -> unit) -> reply_many:(bytes list -> unit)
-    -> unit;
-      (* where accepted requests go: one replica's ClientIO pool
-         ([start]) or the multi-group router ([start_group]) *)
+  replica : Replica.t;  (* accepted requests go to its ClientIO pool *)
   listener : Unix.file_descr;
   bound_port : int;
   conns : (int, conn) Hashtbl.t;     (* keyed by a connection counter *)
@@ -51,7 +47,7 @@ let conn_reader t conn =
   let continue = ref true in
   while !continue && conn.alive do
     match Msmr_wire.Frame.read conn.fd with
-    | Some raw -> t.submit ~raw ~reply_to ~reply_many
+    | Some raw -> Replica.submit t.replica ~raw ~reply_to ~reply_many
     | None -> continue := false
     | exception (End_of_file | Unix.Unix_error _ | Msmr_wire.Frame.Oversized _)
       ->
@@ -81,7 +77,7 @@ let accept_loop t _st =
     | exception Unix.Unix_error _ -> ()  (* listener closed: loop exits *)
   done
 
-let start_with ~label ~submit ~port =
+let start replica ~port =
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
   Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_any, port));
@@ -91,9 +87,11 @@ let start_with ~label ~submit ~port =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> port
   in
-  let m_labels = [ ("mode", "live"); ("replica", label) ] in
+  let m_labels =
+    [ ("mode", "live"); ("replica", string_of_int (Replica.me replica)) ]
+  in
   let t =
-    { submit; listener; bound_port; conns = Hashtbl.create 64;
+    { replica; listener; bound_port; conns = Hashtbl.create 64;
       conns_lock = Mutex.create (); next_conn = 0;
       running = Atomic.make true; acceptor = None;
       m_labels;
@@ -110,23 +108,6 @@ let start_with ~label ~submit ~port =
   t.acceptor <- Some (Worker.spawn ~name:"ClientAcceptor" (accept_loop t));
   Log.info (fun m -> m "client server listening on port %d" bound_port);
   t
-
-let start replica ~port =
-  start_with
-    ~label:(string_of_int (Replica.me replica))
-    ~submit:(fun ~raw ~reply_to ~reply_many ->
-        Replica.submit replica ~raw ~reply_to ~reply_many)
-    ~port
-
-let start_group rg ~port =
-  (* The multi-group front-end: the acceptor feeds frames to the router
-     stage instead of one replica's ClientIO pool. Reply coalescing is
-     per-submit there (the router wraps each sink to track in-flight
-     requests), so [reply_many] is not plumbed through. *)
-  start_with ~label:"router"
-    ~submit:(fun ~raw ~reply_to ~reply_many:_ ->
-        Replica_group.submit rg ~raw ~reply_to)
-    ~port
 
 let port t = t.bound_port
 

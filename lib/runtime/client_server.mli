@@ -12,12 +12,6 @@ type t
 val start : Replica.t -> port:int -> t
 (** Listen on [0.0.0.0:port]. *)
 
-val start_group : Replica_group.t -> port:int -> t
-(** Multi-group front-end: like {!start}, but accepted requests go
-    through the {!Replica_group} router stage, which partitions them
-    over the consensus groups (and serialises [Global] ones through the
-    cross-group barrier) instead of feeding a single replica. *)
-
 val port : t -> int
 val connections : t -> int
 

@@ -5,15 +5,20 @@ type t = {
   n_groups : int;
   clusters : Replica.Cluster.t array;
   conflict : Client_msg.request -> Service.conflict;
-  (* Cross-group quiescence gate. [inflight.(g)] counts requests routed
-     to group [g] whose reply has not yet been delivered; a Global
-     request closes the gate, waits for every counter to reach zero,
-     executes through group 0, and reopens on its own reply. All
-     transitions happen under [gate]. *)
+  (* Cross-group quiescence gate. [inflight.(g)] maps each client with a
+     request outstanding in group [g] to that request's seq, and
+     [replied.(g)] each client to the newest seq group [g] answered.
+     Clients are sequential, one outstanding request each, so keying by
+     client counts a retried request once, and a late duplicate — which
+     the reply cache drops as stale without replying — not at all. A
+     fresh Global request closes the gate, waits for every [inflight]
+     table to empty, executes through group 0, and reopens on its own
+     reply. All transitions happen under [gate]. *)
   gate : Mutex.t;
   gate_cv : Condition.t;
   mutable gate_closed : bool;
-  inflight : int array;
+  inflight : (int, int) Hashtbl.t array;
+  replied : (int, int) Hashtbl.t array;
   routed : Counter.t;
   globals : Counter.t;
   reads_routed : Counter.t;
@@ -58,7 +63,8 @@ let create ?client_io_threads ?executor_threads ?conflict
       gate = Mutex.create ();
       gate_cv = Condition.create ();
       gate_closed = false;
-      inflight = Array.make groups 0;
+      inflight = Array.init groups (fun _ -> Hashtbl.create 16);
+      replied = Array.init groups (fun _ -> Hashtbl.create 16);
       routed = Counter.create ();
       globals = Counter.create ();
       reads_routed = Counter.create ();
@@ -87,46 +93,70 @@ let await_leaders ?timeout_s t =
 
 let leader_of t g = Replica.Cluster.leader t.clusters.(g)
 
-(* Reply-side bookkeeping: the wrapped sink retires the in-flight slot
-   before delivering, and wakes a parked Global when its group drains. *)
-let retire t g =
-  Mutex.lock t.gate;
-  t.inflight.(g) <- t.inflight.(g) - 1;
-  if t.inflight.(g) = 0 then Condition.broadcast t.gate_cv;
-  Mutex.unlock t.gate
+let seq_in tbl client_id =
+  Option.value (Hashtbl.find_opt tbl client_id) ~default:0
 
-let submit_to_group t g ~conflict ~raw ~reply_to =
+(* Reply-side bookkeeping: the wrapped sink retires the client's
+   in-flight entry before delivering, and wakes a parked Global when its
+   group drains. *)
+let retire t g raw =
+  match Client_msg.reply_of_bytes raw with
+  | exception (Msmr_wire.Codec.Underflow | Msmr_wire.Codec.Malformed _) -> ()
+  | { id = { client_id; seq }; _ } ->
+    Mutex.lock t.gate;
+    if seq > seq_in t.replied.(g) client_id then
+      Hashtbl.replace t.replied.(g) client_id seq;
+    (match Hashtbl.find_opt t.inflight.(g) client_id with
+     | Some s when s <= seq ->
+       Hashtbl.remove t.inflight.(g) client_id;
+       if Hashtbl.length t.inflight.(g) = 0 then Condition.broadcast t.gate_cv
+     | _ -> ());
+    Mutex.unlock t.gate
+
+let submit_to_group t g ~conflict ~(req : Client_msg.request) ~raw ~reply_to =
+  let { Client_msg.client_id; seq } = req.id in
   Mutex.lock t.gate;
   while t.gate_closed do
     Condition.wait t.gate_cv t.gate
   done;
-  t.inflight.(g) <- t.inflight.(g) + 1;
+  if seq > max (seq_in t.replied.(g) client_id) (seq_in t.inflight.(g) client_id)
+  then Hashtbl.replace t.inflight.(g) client_id seq;
   Mutex.unlock t.gate;
   let reply_to bytes =
-    retire t g;
+    retire t g bytes;
     reply_to bytes
   in
   Replica.submit ~conflict (leader_of t g) ~raw ~reply_to
 
-let submit_global t ~raw ~reply_to =
+let submit_global t ~(req : Client_msg.request) ~raw ~reply_to =
+  let { Client_msg.client_id; seq } = req.id in
   Mutex.lock t.gate;
   (* Concurrent Globals serialise on the gate itself. *)
   while t.gate_closed do
     Condition.wait t.gate_cv t.gate
   done;
-  t.gate_closed <- true;
-  while Array.exists (fun c -> c > 0) t.inflight do
-    Condition.wait t.gate_cv t.gate
-  done;
+  (* A Global at or below the newest seq group 0 answered this client is
+     a duplicate: the reply cache answers or drops it without executing,
+     so it takes no barrier (and may never reply). *)
+  let fresh = seq > seq_in t.replied.(0) client_id in
+  if fresh then begin
+    t.gate_closed <- true;
+    while Array.exists (fun tbl -> Hashtbl.length tbl > 0) t.inflight do
+      Condition.wait t.gate_cv t.gate
+    done
+  end;
   Mutex.unlock t.gate;
-  Counter.incr t.globals;
   let reply_to bytes =
-    Mutex.lock t.gate;
-    t.gate_closed <- false;
-    Condition.broadcast t.gate_cv;
-    Mutex.unlock t.gate;
+    retire t 0 bytes;
+    if fresh then begin
+      Mutex.lock t.gate;
+      t.gate_closed <- false;
+      Condition.broadcast t.gate_cv;
+      Mutex.unlock t.gate
+    end;
     reply_to bytes
   in
+  if fresh then Counter.incr t.globals;
   Replica.submit ~conflict:Service.Global (leader_of t 0) ~raw ~reply_to
 
 (* Read fast path: per-group routing by the same conflict classifier as
@@ -171,8 +201,8 @@ let submit t ~raw ~reply_to =
       Router.target_of_conflict ~groups:t.n_groups ~fallback:req.id.client_id
         conflict
     with
-    | Router.Group g -> submit_to_group t g ~conflict ~raw ~reply_to
-    | Router.Global -> submit_global t ~raw ~reply_to
+    | Router.Group g -> submit_to_group t g ~conflict ~req ~raw ~reply_to
+    | Router.Global -> submit_global t ~req ~raw ~reply_to
   end
 
 let stop t =
@@ -190,7 +220,7 @@ let stop t =
        down. *)
     Mutex.lock t.gate;
     t.gate_closed <- false;
-    Array.fill t.inflight 0 t.n_groups 0;
+    Array.iter Hashtbl.reset t.inflight;
     Condition.broadcast t.gate_cv;
     Mutex.unlock t.gate;
     Array.iter Replica.Cluster.stop t.clusters

@@ -69,7 +69,10 @@ val await_leaders : ?timeout_s:float -> t -> unit
 val submit : t -> raw:bytes -> reply_to:Client_io.sink -> unit
 (** Route one serialised client request ({!Msmr_wire.Client_msg}) to its
     group's current leader; [Global] requests take the quiescence
-    barrier described above. Blocks while the gate is closed.
+    barrier described above. Blocks while the gate is closed. The
+    barrier waits for one outstanding request per client and group, so
+    a duplicate the reply cache drops without replying cannot hold it
+    shut, and a duplicate of an answered [Global] skips it.
 
     Read frames take the lease fast path: classified by the same
     [conflict] function, linearizable reads go to their group's acting

@@ -36,7 +36,7 @@ metrics_file="$(mktemp /tmp/msmr-verify-metrics.XXXXXX.json)"
 bench_file="$(mktemp /tmp/msmr-verify-bench.XXXXXX.json)"
 trap 'rm -f "$trace_file" "$metrics_file" "$bench_file"' EXIT
 
-dune exec bin/sim_probe.exe -- --trace "$trace_file" --metrics "$metrics_file"
+dune exec bench/main.exe -- --trace "$trace_file" --metrics "$metrics_file"
 
 if command -v jq >/dev/null 2>&1; then
   jq empty "$trace_file"

@@ -1779,3 +1779,60 @@ let suite =
   suite
   @ [ Alcotest.test_case "cluster: retransmission recovers a lost accept" `Quick
         test_cluster_retransmit_recovers_accept ]
+
+(* Submit from a helper thread, so a wedged gate shows as a timeout;
+   [stop] opens the gate, and the submit then fails. *)
+let rg_submit_async rg ~client_id ~seq payload =
+  let raw =
+    Client_msg.request_to_bytes
+      { Client_msg.id = { client_id; seq }; payload = Bytes.of_string payload }
+  in
+  let box = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
+  ignore
+    (Thread.create
+       (fun () ->
+          try
+            Replica_group.submit rg ~raw ~reply_to:(fun b ->
+                ignore (Ch.try_put box b))
+          with _ -> ())
+       ());
+  box
+
+let rg_result what box =
+  match Ch.take_timeout box ~timeout_s:2.0 with
+  | Some raw -> Bytes.to_string (Client_msg.reply_of_bytes raw).result
+  | None -> Alcotest.failf "%s wedged behind a dropped duplicate" what
+
+(* The reply cache drops a late duplicate of an answered request as
+   stale, without replying. The router must neither wait for that reply
+   before letting a Global through, nor close the gate for a duplicate
+   Global. *)
+let test_replica_group_stale_duplicate () =
+  with_group @@ fun rg ->
+  Replica_group.await_leaders rg;
+  let k0 = key_in_group ~groups:2 0 in
+  ignore (rg_call rg ~client_id:1 ~seq:1 (k0 ^ ":5"));
+  ignore (rg_call rg ~client_id:1 ~seq:2 (k0 ^ ":1"));
+  let resubmit ~seq payload =
+    Replica_group.submit rg ~reply_to:ignore
+      ~raw:
+        (Client_msg.request_to_bytes
+           { Client_msg.id = { client_id = 1; seq };
+             payload = Bytes.of_string payload })
+  in
+  resubmit ~seq:1 (k0 ^ ":5");
+  Alcotest.(check string) "global sees group 0's partition" "6"
+    (rg_result "Global" (rg_submit_async rg ~client_id:1 ~seq:3 "sum"));
+  Alcotest.(check string) "keyed call after the Global" "7"
+    (rg_call rg ~client_id:1 ~seq:4 (k0 ^ ":1"));
+  resubmit ~seq:3 "sum";
+  Alcotest.(check string) "keyed call after a duplicate Global" "8"
+    (rg_result "keyed call"
+       (rg_submit_async rg ~client_id:1 ~seq:5 (k0 ^ ":1")));
+  Alcotest.(check int) "the duplicate took no barrier" 1
+    (Replica_group.globals_count rg)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "replica group: stale duplicate keeps the gate"
+        `Quick test_replica_group_stale_duplicate ]

@@ -112,20 +112,21 @@ let suite =
   [ Alcotest.test_case "tcp: 3-replica cluster end-to-end" `Quick
       test_tcp_cluster_end_to_end ]
 
-(* Tcp_client against a live cluster, including failover. *)
-let test_tcp_client_failover () =
-  let n = 3 in
+let tcp_cfg =
+  { (Msmr_consensus.Config.default ~n:3) with max_batch_delay_s = 0.004 }
+
+(* Failure detection fast enough for a test to watch a failover. *)
+let fast_fd_cfg = { tcp_cfg with fd_interval_s = 0.04; fd_timeout_s = 0.2 }
+
+(* A 3-replica accumulator cluster over Tcp_mesh + Client_server, with
+   a leader elected; [f] gets the replicas and their client servers. *)
+let with_tcp_cluster ~cfg f =
+  let n = cfg.Msmr_consensus.Config.n in
   let ports = free_ports n in
   let addrs =
     List.mapi
       (fun i p -> (i, Unix.ADDR_INET (Unix.inet_addr_loopback, p)))
       ports
-  in
-  let cfg =
-    { (Msmr_consensus.Config.default ~n) with
-      max_batch_delay_s = 0.004;
-      fd_interval_s = 0.04;
-      fd_timeout_s = 0.2 }
   in
   let links = Array.make n [] in
   let mesh_threads =
@@ -155,19 +156,21 @@ let test_tcp_client_failover () =
   do
     Thread.yield ()
   done;
-  let client_addrs =
-    Array.to_list
-      (Array.map
-         (fun s ->
-            Unix.ADDR_INET (Unix.inet_addr_loopback, R.Client_server.port s))
-         servers)
-  in
+  f replicas servers
+
+let client_addr server =
+  Unix.ADDR_INET (Unix.inet_addr_loopback, R.Client_server.port server)
+
+(* Client.connect against a live cluster, including failover. *)
+let test_tcp_client_failover () =
+  with_tcp_cluster ~cfg:fast_fd_cfg @@ fun replicas servers ->
+  let client_addrs = Array.to_list (Array.map client_addr servers) in
   let client =
-    R.Tcp_client.create ~timeout_s:0.4 ~addrs:client_addrs ~client_id:55 ()
+    R.Client.connect ~timeout_s:0.4 ~addrs:client_addrs ~client_id:55 ()
   in
-  Fun.protect ~finally:(fun () -> R.Tcp_client.close client) @@ fun () ->
+  Fun.protect ~finally:(fun () -> R.Client.close client) @@ fun () ->
   Alcotest.(check string) "first" "7"
-    (Bytes.to_string (R.Tcp_client.call client (Bytes.of_string "7")));
+    (Bytes.to_string (R.Client.call client (Bytes.of_string "7")));
   (* Kill the leader's client server AND its replica: the client must
      rotate to a follower, and the cluster must elect a new leader. *)
   let leader_idx = ref 0 in
@@ -175,8 +178,8 @@ let test_tcp_client_failover () =
   R.Client_server.stop servers.(!leader_idx);
   R.Replica.stop replicas.(!leader_idx);
   Alcotest.(check string) "after failover" "12"
-    (Bytes.to_string (R.Tcp_client.call client (Bytes.of_string "5")));
-  Alcotest.(check bool) "client rotated" true (R.Tcp_client.retries client >= 1)
+    (Bytes.to_string (R.Client.call client (Bytes.of_string "5")));
+  Alcotest.(check bool) "client rotated" true (R.Client.retries client >= 1)
 
 (* Self-healing mesh: when one endpoint's process "dies" (its whole mesh
    closes) and later comes back on the same address, the survivor's
@@ -320,73 +323,34 @@ let test_tcp_mesh_add_remove_peer () =
    re-targets (then steers back to the leader by rotation) when the set
    changes under it. *)
 let test_tcp_client_update_addrs () =
-  let n = 3 in
-  let ports = free_ports n in
-  let addrs =
-    List.mapi
-      (fun i p -> (i, Unix.ADDR_INET (Unix.inet_addr_loopback, p)))
-      ports
-  in
-  let cfg =
-    { (Msmr_consensus.Config.default ~n) with max_batch_delay_s = 0.004 }
-  in
-  let links = Array.make n [] in
-  let mesh_threads =
-    List.init n (fun me ->
-        Thread.create
-          (fun () -> links.(me) <- R.Tcp_mesh.establish ~me ~addrs ())
-          ())
-  in
-  List.iter Thread.join mesh_threads;
-  let replicas =
-    Array.init n (fun me ->
-        R.Replica.create ~cfg ~me ~links:links.(me)
-          ~service:(R.Service.accumulator ()) ())
-  in
-  let servers =
-    Array.map (fun r -> R.Client_server.start r ~port:0) replicas
-  in
-  Fun.protect
-    ~finally:(fun () ->
-        Array.iter R.Client_server.stop servers;
-        Array.iter R.Replica.stop replicas)
-  @@ fun () ->
-  let deadline = Unix.gettimeofday () +. 5. in
-  while
-    (not (Array.exists R.Replica.is_leader replicas))
-    && Unix.gettimeofday () < deadline
-  do
-    Thread.yield ()
-  done;
-  let caddr i =
-    Unix.ADDR_INET (Unix.inet_addr_loopback, R.Client_server.port servers.(i))
-  in
+  with_tcp_cluster ~cfg:tcp_cfg @@ fun _replicas servers ->
+  let caddr i = client_addr servers.(i) in
   (* Node 0 leads view 0; the client starts knowing only the leader. *)
   let client =
-    R.Tcp_client.create ~timeout_s:0.4 ~addrs:[ caddr 0 ] ~client_id:66 ()
+    R.Client.connect ~timeout_s:0.4 ~addrs:[ caddr 0 ] ~client_id:66 ()
   in
-  Fun.protect ~finally:(fun () -> R.Tcp_client.close client) @@ fun () ->
+  Fun.protect ~finally:(fun () -> R.Client.close client) @@ fun () ->
   Alcotest.(check string) "call before refresh" "4"
-    (Bytes.to_string (R.Tcp_client.call client (Bytes.of_string "4")));
+    (Bytes.to_string (R.Client.call client (Bytes.of_string "4")));
   (* Same target at the same index: the connection survives the
      refresh, no rotation happens. *)
-  let before = R.Tcp_client.redirects client in
-  R.Tcp_client.update_addrs client [ caddr 0; caddr 1 ];
+  let before = R.Client.redirects client in
+  R.Client.update_addrs client [ caddr 0; caddr 1 ];
   Alcotest.(check string) "call after compatible refresh" "9"
-    (Bytes.to_string (R.Tcp_client.call client (Bytes.of_string "5")));
+    (Bytes.to_string (R.Client.call client (Bytes.of_string "5")));
   Alcotest.(check int) "no rotation for a kept connection" before
-    (R.Tcp_client.redirects client);
+    (R.Client.redirects client);
   (* Membership changed under the client: the set is reordered, so it
      disconnects, re-targets from the head (a follower), and must rotate
      back to the leader to complete the call. *)
-  R.Tcp_client.update_addrs client [ caddr 1; caddr 0 ];
+  R.Client.update_addrs client [ caddr 1; caddr 0 ];
   Alcotest.(check string) "call after disruptive refresh" "12"
-    (Bytes.to_string (R.Tcp_client.call client (Bytes.of_string "3")));
+    (Bytes.to_string (R.Client.call client (Bytes.of_string "3")));
   Alcotest.(check bool) "rotated off the follower" true
-    (R.Tcp_client.redirects client > before);
+    (R.Client.redirects client > before);
   Alcotest.check_raises "empty endpoint set rejected"
-    (Invalid_argument "Tcp_client.update_addrs: no addresses") (fun () ->
-        R.Tcp_client.update_addrs client [])
+    (Invalid_argument "Client.update_addrs: no addresses") (fun () ->
+        R.Client.update_addrs client [])
 
 let suite =
   suite
@@ -397,3 +361,51 @@ let suite =
         test_tcp_mesh_add_remove_peer;
       Alcotest.test_case "tcp: client endpoint refresh (membership)" `Quick
         test_tcp_client_update_addrs ]
+
+(* The lease read path over TCP: linearizable and bounded-staleness
+   reads, and a linearizable read that lands on a follower first. *)
+let test_tcp_client_reads () =
+  let cfg =
+    { fast_fd_cfg with
+      lease_enabled = true; lease_duration_s = 0.4; clock_skew_bound_s = 0.02 }
+  in
+  with_tcp_cluster ~cfg @@ fun replicas servers ->
+  let caddr i = client_addr servers.(i) in
+  let client =
+    R.Client.connect ~timeout_s:0.4 ~addrs:[ caddr 0; caddr 1; caddr 2 ]
+      ~client_id:77 ()
+  in
+  Fun.protect ~finally:(fun () -> R.Client.close client) @@ fun () ->
+  Alcotest.(check string) "write" "7"
+    (Bytes.to_string (R.Client.call client (Bytes.of_string "7")));
+  (* An accumulator read is an add of 0: returns the state, mutates
+     nothing. *)
+  Alcotest.(check string) "linearizable read" "7"
+    (Bytes.to_string (R.Client.read client (Bytes.of_string "0")));
+  let deadline = Unix.gettimeofday () +. 5. in
+  while
+    (not (Array.for_all (fun r -> R.Replica.executed_count r = 1) replicas))
+    && Unix.gettimeofday () < deadline
+  do
+    Thread.yield ()
+  done;
+  Alcotest.(check string) "stale read" "7"
+    (Bytes.to_string
+       (R.Client.read_stale client ~staleness_s:5.0 (Bytes.of_string "0")));
+  (* Node 0 leads view 0. With node 2 first, the read starts at a
+     follower, which answers [Not_leaseholder]; the client moves on until
+     the leaseholder serves it. *)
+  let rotated =
+    R.Client.connect ~timeout_s:0.4 ~addrs:[ caddr 2; caddr 0; caddr 1 ]
+      ~client_id:78 ()
+  in
+  Fun.protect ~finally:(fun () -> R.Client.close rotated) @@ fun () ->
+  Alcotest.(check string) "read from a follower first" "7"
+    (Bytes.to_string (R.Client.read rotated (Bytes.of_string "0")));
+  Alcotest.(check bool) "redirect taken" true
+    (R.Client.read_redirects rotated >= 1)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "tcp: client reads (lease fast path)" `Quick
+        test_tcp_client_reads ]
