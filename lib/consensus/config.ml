@@ -1,6 +1,5 @@
 type t = {
   n : int;
-  groups : int;
   window : int;
   max_batch_bytes : int;
   max_batch_delay_s : float;
@@ -26,7 +25,6 @@ type t = {
 let default ~n =
   {
     n;
-    groups = 1;
     window = 10;
     max_batch_bytes = 1300;
     max_batch_delay_s = 0.05;
@@ -51,7 +49,6 @@ let default ~n =
 
 let validate t =
   if t.n < 1 then Error "n must be >= 1"
-  else if t.groups < 1 then Error "groups must be >= 1"
   else if t.window < 1 then Error "window must be >= 1"
   else if t.max_batch_bytes < 1 then Error "max_batch_bytes must be >= 1"
   else if t.max_batch_delay_s <= 0. then Error "max_batch_delay_s must be > 0"
@@ -94,19 +91,9 @@ let validate t =
          (List.sort_uniq compare t.members0 = t.members0
          && List.for_all (fun p -> p >= 0 && p < t.n) t.members0)
   then Error "members0 must be sorted, unique node ids within [0, n)"
-  else if
-    t.members0 <> []
-    && not
-         (List.init t.groups (fun gid -> gid mod t.n)
-         |> List.for_all (fun ldr -> List.mem ldr t.members0))
-  then
-    Error
-      "members0 must contain every group's initial leader (gid mod n), \
-       so bootstrap can activate"
+  else if t.members0 <> [] && not (List.mem 0 t.members0) then
+    Error "members0 must contain node 0, the initial leader, so bootstrap \
+           can activate"
   else Ok ()
 
 let f t = (t.n - 1) / 2
-
-(* Spread group leadership round-robin over the replicas so no single
-   node's Protocol thread (or NIC) orders every group's traffic. *)
-let initial_leader_of_group t ~gid = gid mod t.n

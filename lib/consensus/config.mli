@@ -7,10 +7,6 @@
 
 type t = {
   n : int;                        (** number of replicas (2f + 1) *)
-  groups : int;                   (** independent consensus groups the
-                                      key space is hash-partitioned
-                                      into; 1 = classic single-group
-                                      MultiPaxos *)
   window : int;                   (** WND: max concurrent instances *)
   max_batch_bytes : int;          (** BSZ: max payload bytes per batch *)
   max_batch_delay_s : float;      (** flush an underfull batch after this *)
@@ -79,9 +75,3 @@ val validate : t -> (unit, string) result
 
 val f : t -> int
 (** Crash faults tolerated: [(n - 1) / 2]. *)
-
-val initial_leader_of_group : t -> gid:int -> int
-(** Round-robin spread of group leadership: group [gid] bootstraps with
-    replica [gid mod n] as its leader (its initial view is [gid], and
-    [Types.leader_of_view] maps view [gid] to that node). With
-    [groups = 1] this is node 0 — the classic single-leader layout. *)

@@ -62,11 +62,11 @@ type stats = {
 type t
 
 val create : ?view0:Types.view -> Config.t -> me:Types.node_id -> t
-(** [view0] (default 0) is the view the engine starts in. Multi-group
-    deployments pass [view0 = gid] so group [gid]'s initial leader is
-    [Types.leader_of_view ~n view0 = gid mod n] — leadership spreads
-    round-robin over the replicas (see
-    {!Config.initial_leader_of_group}). *)
+(** [view0] (default 0) is the view the engine starts in. The live
+    replica always starts in view 0. The simulator's multi-group model
+    passes [view0 = gid], so group [gid]'s initial leader is
+    [Types.leader_of_view ~n view0 = gid mod n] and leadership spreads
+    round-robin over the replicas. *)
 
 val bootstrap : t -> action list
 (** Start the engine. The leader of the initial view ([view0 mod n];

@@ -13,7 +13,7 @@ type batch_sink = bytes list -> unit
 (* A worker waits on its ingress alone: a reply hand-off adds a [Kick]
    so the worker wakes to drain the reply queue. *)
 type ingress =
-  | Request of bytes * Service.conflict option * sink * batch_sink option
+  | Request of bytes * sink * batch_sink option
   | Kick
 
 type worker_ctx = {
@@ -31,9 +31,8 @@ type t = {
   request_queue : Client_msg.request Bq.t;
   reply_cache : Reply_cache.t;
   (* Ingress hook for the speculative path: called once per fresh request
-     (no cached reply, not stale) with the router's conflict class when
-     the submitter carried one. Runs on the ClientIO worker thread. *)
-  on_fresh : (Client_msg.request -> Service.conflict option -> unit) option;
+     (no cached reply, not stale). Runs on the ClientIO worker thread. *)
+  on_fresh : (Client_msg.request -> unit) option;
   (* Registry counters (docs/OBSERVABILITY.md): atomic adds, no locks. *)
   m_labels : Msmr_obs.Metrics.labels;
   m_requests : Msmr_obs.Metrics.counter;
@@ -85,7 +84,7 @@ let drain_replies t (ctx : worker_ctx) =
    [submit] (back-pressure, Section V-E). Nothing downstream of the
    RequestQueue waits on ClientIO — replies come back through the
    non-blocking [deliver_reply] — so the wait always ends. *)
-let accept t idx st ~raw ~conflict ~sink ~many =
+let accept t idx st ~raw ~sink ~many =
   match Client_msg.request_of_bytes raw with
   | req -> (
       Msmr_obs.Metrics.incr t.m_requests;
@@ -97,7 +96,7 @@ let accept t idx st ~raw ~conflict ~sink ~many =
         (* Hook before the Batcher hand-off: the pre-dispatch event must
            precede the request's own decide in the DecisionQueue, and
            queue FIFO gives exactly that. *)
-        (match t.on_fresh with Some f -> f req conflict | None -> ());
+        (match t.on_fresh with Some f -> f req | None -> ());
         Cmap.set t.routes req.id.client_id (idx, sink, many);
         Bq.put ~st t.request_queue req)
   | exception (Codec.Underflow | Codec.Malformed _) ->
@@ -112,8 +111,7 @@ let worker_loop t idx st =
   let running = ref true in
   while !running do
     (match Bq.take ~st ctx.ingress with
-     | Request (raw, conflict, sink, many) ->
-       accept t idx st ~raw ~conflict ~sink ~many
+     | Request (raw, sink, many) -> accept t idx st ~raw ~sink ~many
      | Kick -> ()
      | exception Bq.Closed -> running := false);
     (* Lower the flag before draining: a reply queued after this drain
@@ -161,7 +159,7 @@ let create ?(name_prefix = "") ?on_fresh ~pool_size
   in
   { t with threads }
 
-let submit ?reply_many ?conflict t ~raw ~reply_to =
+let submit ?reply_many t ~raw ~reply_to =
   (* Cheap peek at the client id (first i32) to pick the owning worker,
      without a full decode — the worker does that. *)
   let client_id =
@@ -169,7 +167,7 @@ let submit ?reply_many ?conflict t ~raw ~reply_to =
     else 0
   in
   let idx = worker_of_client t (abs client_id) in
-  Bq.put t.workers.(idx).ingress (Request (raw, conflict, reply_to, reply_many))
+  Bq.put t.workers.(idx).ingress (Request (raw, reply_to, reply_many))
 
 (* Never blocks: the ServiceManager must not wait on ClientIO. When the
    ingress is full the Kick is skipped and the flag stays up; the worker

@@ -31,8 +31,7 @@ type batch_sink = bytes list -> unit
 
 val create :
   ?name_prefix:string ->
-  ?on_fresh:
-    (Msmr_wire.Client_msg.request -> Service.conflict option -> unit) ->
+  ?on_fresh:(Msmr_wire.Client_msg.request -> unit) ->
   pool_size:int ->
   request_queue:Msmr_wire.Client_msg.request Msmr_platform.Channel.t ->
   reply_cache:Reply_cache.t ->
@@ -42,14 +41,12 @@ val create :
 
     [on_fresh] (default none) is the speculative pre-dispatch hook: it
     runs on the worker thread for every fresh request — after the reply
-    cache said [Fresh], before the request is handed toward the Batcher —
-    with the conflict class the submitter threaded through {!submit}, if
-    any. The replica uses it to pre-dispatch the request to its executor
-    lane ahead of commit (DESIGN.md section 16). *)
+    cache said [Fresh], before the request is handed toward the Batcher.
+    The replica uses it to classify the request once and to pre-dispatch
+    it to its executor lane ahead of commit (DESIGN.md section 16). *)
 
 val submit :
   ?reply_many:batch_sink ->
-  ?conflict:Service.conflict ->
   t ->
   raw:bytes ->
   reply_to:sink ->
@@ -62,10 +59,7 @@ val submit :
     back-pressure on a real connection. When
     [reply_many] is given, runs of replies destined for this connection
     that are drained in the same pass are delivered through it instead of
-    one [reply_to] call each. [conflict] carries the router's conflict
-    classification of this request, so the spine classifies once at
-    ingress instead of re-deriving it at every stage (it reaches the
-    [on_fresh] hook and, through it, the executor scheduler). *)
+    one [reply_to] call each. *)
 
 val deliver_reply : t -> Msmr_wire.Client_msg.reply -> unit
 (** Called by the ServiceManager: route the reply to the thread owning

@@ -137,11 +137,6 @@ type lease_ctx = {
 type t = {
   cfg : Config.t;
   me : Types.node_id;
-  gid : int option;
-      (* consensus group this replica orders for (multi-group Paxos);
-         [None] = classic single-group deployment. Group [g] bootstraps
-         at view [g], so node [g mod n] leads it, and the group id
-         labels this replica's metrics. *)
   service : Service.t;
   (* Queues (Figure 3). *)
   dispatcher_q : event Bq.t;
@@ -303,11 +298,11 @@ let submit_read t ~raw ~reply_to =
           with Bq.Closed ->
             reject (Client_msg.Not_leaseholder (Atomic.get t.leader_now))))
 
-let submit ?reply_many ?conflict t ~raw ~reply_to =
+let submit ?reply_many t ~raw ~reply_to =
   if Client_msg.is_read_raw raw then submit_read t ~raw ~reply_to
   else
     match t.client_io with
-    | Some cio -> Client_io.submit ?reply_many ?conflict cio ~raw ~reply_to
+    | Some cio -> Client_io.submit ?reply_many cio ~raw ~reply_to
     | None -> invalid_arg "Replica.submit: stopped"
 
 let inject_suspect t = Bq.put t.dispatcher_q Suspect
@@ -475,20 +470,16 @@ let protocol_loop t st =
     persist_actions actions;
     protocol_apply t rtx actions
   in
-  let view0 = Option.value t.gid ~default:0 in
   let engine =
     match t.recovered with
     | None ->
-      let engine = Paxos.create ~view0 t.cfg ~me:t.me in
+      let engine = Paxos.create t.cfg ~me:t.me in
       apply (Paxos.bootstrap engine);
       engine
     | Some r ->
       let engine, replays =
-        (* A pristine store in group [g] still re-enters view [g], not
-           view 0, so leadership stays where the group layout puts it. *)
         Paxos.recover ~configs:r.Msmr_storage.Replica_store.r_configs t.cfg
-          ~me:t.me
-          ~view:(max r.Msmr_storage.Replica_store.r_view view0)
+          ~me:t.me ~view:r.Msmr_storage.Replica_store.r_view
           ~accepted:r.r_accepted
           ~decided:r.r_decided ~snapshot:r.r_snapshot
       in
@@ -1305,11 +1296,7 @@ let exec_work t (w : work) =
    Gauges are snapshot-time closures over state the replica already
    keeps, so the hot path pays nothing. *)
 
-let metric_labels t =
-  [ ("mode", "live"); ("replica", string_of_int t.me) ]
-  @ match t.gid with
-    | Some g -> [ ("group", string_of_int g) ]
-    | None -> []
+let metric_labels t = [ ("mode", "live"); ("replica", string_of_int t.me) ]
 
 let metric_names =
   [ "msmr_replica_request_queue_depth";
@@ -1451,7 +1438,7 @@ let unregister_metrics t =
 let request_queue_capacity = 1000
 let proposal_queue_capacity = 20
 
-let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
+let create ?(client_io_threads = 3) ?(executor_threads = 1)
     ?(durability = Ephemeral) ?(reconnects = fun () -> 0) ~cfg ~me ~links
     ~service () =
   (match Config.validate cfg with
@@ -1459,10 +1446,6 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
    | Error e -> invalid_arg ("Replica.create: " ^ e));
   if executor_threads < 1 then
     invalid_arg "Replica.create: executor_threads < 1";
-  (match gid with
-   | Some g when g < 0 || g >= cfg.Config.groups ->
-     invalid_arg "Replica.create: gid outside [0, cfg.groups)"
-   | Some _ | None -> ());
   let expected = List.sort compare (List.filter (fun p -> p <> me)
                                       (List.init cfg.Config.n Fun.id)) in
   let got = List.sort compare (List.map fst links) in
@@ -1471,11 +1454,9 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
     match durability with
     | Ephemeral -> (None, None)
     | Durable { dir; sync } ->
-      (* Replay first, then open the WAL for appending. A group-tagged
-         replica keeps its state in the store's per-group namespace, so
-         one node's groups can share a configured directory. *)
-      let r = Msmr_storage.Replica_store.recover ?gid ~dir () in
-      (Some r, Some (Msmr_storage.Replica_store.openw ~sync ?gid ~dir ()))
+      (* Replay first, then open the WAL for appending. *)
+      let r = Msmr_storage.Replica_store.recover ~dir () in
+      (Some r, Some (Msmr_storage.Replica_store.openw ~sync ~dir ()))
   in
   let stable =
     match durability with
@@ -1515,7 +1496,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
      unless leases or speculation add producers; send and log queues
      have several producer threads (MPMC). *)
   let t =
-    { cfg; me; gid; service;
+    { cfg; me; service;
       dispatcher_q = Bq.create ~kind:Bq.Mpmc ~capacity:4096;
       proposal_q = Bq.create ~kind:Bq.Spsc ~capacity:proposal_queue_capacity;
       request_q = Bq.create ~kind:Bq.Mpmc ~capacity:request_queue_capacity;
@@ -1559,8 +1540,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
       lease_ctx =
         (if cfg.Config.lease_enabled then
            Some
-             { lease =
-                 Lease.create cfg ~me ~view:(Option.value gid ~default:0);
+             { lease = Lease.create cfg ~me ~view:0;
                lease_until = Atomic.make 0;
                hb_frontier = Atomic.make 0;
                hb_recv_ns = Atomic.make 0;
@@ -1598,14 +1578,10 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1) ?gid
       tune_lat_n = 0 }
   in
   let spec_on = Option.is_some t.spec in
-  let on_fresh (req : Client_msg.request) conflict =
+  let on_fresh (req : Client_msg.request) =
     (* Classify-once + speculative pre-dispatch, on the ClientIO worker
        threads. *)
-    let c =
-      match conflict with
-      | Some c -> c
-      | None -> service.Service.conflict_keys req
-    in
+    let c = service.Service.conflict_keys req in
     Cmap.set t.conflict_cache req.id.client_id (req.id.seq, c);
     if spec_on && Atomic.get t.am_leader then
       (* Best-effort: a full DecisionQueue just means no speculation for
@@ -1689,8 +1665,8 @@ module Cluster = struct
     make : int -> replica;   (* factory, reused by [restart] *)
   }
 
-  let create ?client_io_threads ?executor_threads ?gid
-      ?durability ~cfg ~service () =
+  let create ?client_io_threads ?executor_threads ?durability ~cfg ~service
+      () =
     let n = cfg.Config.n in
     let hub = Transport.Hub.create ~n () in
     let make me =
@@ -1704,8 +1680,8 @@ module Cluster = struct
       let durability =
         match durability with Some f -> f me | None -> Ephemeral
       in
-      create ?client_io_threads ?executor_threads ?gid
-        ~durability ~cfg ~me ~links ~service:(service ()) ()
+      create ?client_io_threads ?executor_threads ~durability ~cfg ~me ~links
+        ~service:(service ()) ()
     in
     { hub; replicas = Array.init n make; make }
 

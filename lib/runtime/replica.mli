@@ -47,7 +47,6 @@ type durability =
 val create :
   ?client_io_threads:int ->
   ?executor_threads:int ->
-  ?gid:int ->
   ?durability:durability ->
   ?reconnects:(unit -> int) ->
   cfg:Msmr_consensus.Config.t ->
@@ -77,12 +76,6 @@ val create :
     classifier executes every command on the scheduler, in decide
     order.
 
-    [gid] is this replica's consensus group in a multi-group deployment
-    (see {!Replica_group} and [Config.groups]): the engine bootstraps at
-    view [gid] — so node [gid mod cfg.n] leads the group — and metrics
-    carry a [group="<gid>"] label. Omitted (the default), the replica is
-    the classic single-group deployment, unchanged.
-
     [reconnects] supplies the transport's reconnection counter (see
     {!Tcp_mesh}); it backs [msmr_replica_reconnect_total] and
     {!reconnects_count}. Default: a constant [0] (the in-process
@@ -92,7 +85,6 @@ val me : t -> Msmr_consensus.Types.node_id
 
 val submit :
   ?reply_many:Client_io.batch_sink ->
-  ?conflict:Service.conflict ->
   t ->
   raw:bytes ->
   reply_to:Client_io.sink ->
@@ -100,10 +92,7 @@ val submit :
 (** Inject one serialised client request ({!Msmr_wire.Client_msg}); the
     reply is delivered, serialised, to [reply_to]. Blocks under overload
     (back-pressure). [reply_many], when given, receives coalesced runs of
-    replies instead (see {!Client_io.submit}). [conflict] carries an
-    upstream conflict classification of the request (the multi-group
-    {!Router} computes one to pick the group), so the spine classifies
-    each request once (see {!Client_io.submit}).
+    replies instead (see {!Client_io.submit}).
 
     A client has at most one request outstanding: the reply cache keeps
     only each client's newest executed sequence number.
@@ -250,17 +239,14 @@ module Cluster : sig
   val create :
     ?client_io_threads:int ->
     ?executor_threads:int ->
-    ?gid:int ->
     ?durability:(int -> durability) ->
     cfg:Msmr_consensus.Config.t ->
     service:(unit -> Service.t) ->
     unit ->
     t
   (** Fresh service instance per replica; [durability] maps a node id to
-      its storage mode (default: all ephemeral); [executor_threads] and
-      [gid] are passed to every replica's {!create}
-      (a cluster with [gid = g] is one group of a multi-group deployment;
-      see {!Replica_group} for the assembled sharded cluster). *)
+      its storage mode (default: all ephemeral); [executor_threads] is
+      passed to every replica's {!create}. *)
 
   val replicas : t -> replica array
   val hub : t -> Transport.Hub.t

@@ -1,26 +1,17 @@
 module Mclock = Msmr_platform.Mclock
 
-(* The hello carries the dialer's node id and, since multi-group Paxos,
-   its consensus group id: each group runs its own mesh on its own
-   address set, and the tag rejects a dialer from another group that
-   reached the wrong listener (a misconfigured address map would
-   otherwise silently cross-wire two groups' Paxos traffic). A hello
-   without the group field (the pre-multi-group frame) is read as group
-   0, so old and new peers interoperate in single-group deployments. *)
-let hello_frame ~gid me =
-  let w = Msmr_wire.Codec.W.create ~initial:8 () in
+(* The hello is the dialer's node id alone; [expect_end] rejects any
+   longer frame, such as the older hello that also carried a group id. *)
+let hello_frame me =
+  let w = Msmr_wire.Codec.W.create ~initial:4 () in
   Msmr_wire.Codec.W.i32 w me;
-  Msmr_wire.Codec.W.i32 w gid;
   Msmr_wire.Codec.W.contents w
 
 let id_of_hello b =
   let r = Msmr_wire.Codec.R.of_bytes b in
   let id = Msmr_wire.Codec.R.i32 r in
-  let gid =
-    if Msmr_wire.Codec.R.remaining r > 0 then Msmr_wire.Codec.R.i32 r else 0
-  in
   Msmr_wire.Codec.R.expect_end r;
-  (id, gid)
+  id
 
 (* One peer's connection state. [conn] is the current physical
    connection (wrapped as a Transport.Tcp link, whose own error handling
@@ -38,7 +29,6 @@ type slot = {
 
 type t = {
   me : int;
-  gid : int;                      (* consensus group this mesh carries *)
   listener : Unix.file_descr;
   mutable slots : (int * slot) list;  (* every peer <> me *)
   slots_mu : Mutex.t;             (* orders add_peer/remove_peer *)
@@ -135,22 +125,16 @@ let acceptor_loop t =
     match Unix.accept t.listener with
     | fd, _ -> (
         Unix.setsockopt fd Unix.TCP_NODELAY true;
-        match Msmr_wire.Frame.read fd with
-        | Some hello -> (
-            let id, gid = id_of_hello hello in
-            if gid <> t.gid then
-              (* Wrong group: never splice another group's Paxos stream
-                 into this mesh. *)
-              try Unix.close fd with Unix.Unix_error _ -> ()
-            else begin
-              (* [slots] mutates under add_peer/remove_peer mid-run. *)
-              Mutex.lock t.slots_mu;
-              let slot = List.assoc_opt id t.slots in
-              Mutex.unlock t.slots_mu;
-              match slot with
-              | Some slot -> install t slot (Transport.Tcp.link_of_fd fd)
-              | None -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-            end)
+        (* A malformed hello closes that connection, not the acceptor. *)
+        match Option.map id_of_hello (Msmr_wire.Frame.read fd) with
+        | Some id -> (
+            (* [slots] mutates under add_peer/remove_peer mid-run. *)
+            Mutex.lock t.slots_mu;
+            let slot = List.assoc_opt id t.slots in
+            Mutex.unlock t.slots_mu;
+            match slot with
+            | Some slot -> install t slot (Transport.Tcp.link_of_fd fd)
+            | None -> ( try Unix.close fd with Unix.Unix_error _ -> ()))
         | None | (exception _) -> (
             try Unix.close fd with Unix.Unix_error _ -> ()))
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -181,7 +165,7 @@ let dialer_loop t slot addr =
           match
             Unix.connect fd addr;
             Unix.setsockopt fd Unix.TCP_NODELAY true;
-            Msmr_wire.Frame.write fd (hello_frame ~gid:t.gid t.me)
+            Msmr_wire.Frame.write fd (hello_frame t.me)
           with
           | () ->
             install t slot (Transport.Tcp.link_of_fd fd);
@@ -193,7 +177,7 @@ let dialer_loop t slot addr =
     end
   done
 
-let create ?(connect_timeout_s = 30.) ?(gid = 0) ~me ~addrs () =
+let create ?(connect_timeout_s = 30.) ~me ~addrs () =
   let my_addr = List.assoc me addrs in
   let listener =
     Unix.socket (Unix.domain_of_sockaddr my_addr) Unix.SOCK_STREAM 0
@@ -218,7 +202,6 @@ let create ?(connect_timeout_s = 30.) ?(gid = 0) ~me ~addrs () =
   in
   let t =
     { me;
-      gid;
       listener;
       slots;
       slots_mu = Mutex.create ();
@@ -335,5 +318,5 @@ let close t =
     List.iter Thread.join t.threads
   end
 
-let establish ?connect_timeout_s ?gid ~me ~addrs () =
-  links (create ?connect_timeout_s ?gid ~me ~addrs ())
+let establish ?connect_timeout_s ~me ~addrs () =
+  links (create ?connect_timeout_s ~me ~addrs ())

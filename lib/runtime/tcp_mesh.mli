@@ -2,16 +2,8 @@
 
     Every replica listens on its own address; for each pair the
     higher-id replica dials the lower-id one and identifies itself with
-    a one-frame hello carrying its node id and consensus group id.
-    {!create} blocks until the whole mesh is up once (peers may start in
-    any order).
-
-    In a multi-group deployment each group runs its own mesh on its own
-    address set; the group tag in the hello makes a cross-wired address
-    map fail closed (the listener drops a dialer from another group)
-    instead of silently mixing two groups' Paxos streams. Hellos without
-    the tag — the pre-multi-group frame — are read as group 0, so
-    single-group deployments interoperate across versions.
+    a one-frame hello carrying its node id. {!create} blocks until the
+    whole mesh is up once (peers may start in any order).
 
     Unlike a one-shot connect, the mesh stays alive for the process
     lifetime: when an established link dies mid-run, the dialing side
@@ -27,14 +19,12 @@ type t
 
 val create :
   ?connect_timeout_s:float ->
-  ?gid:int ->
   me:Msmr_consensus.Types.node_id ->
   addrs:(Msmr_consensus.Types.node_id * Unix.sockaddr) list ->
   unit ->
   t
 (** [addrs] must contain every node including [me] (whose address is the
-    one listened on). [gid] (default [0]) tags this mesh's hellos with
-    its consensus group and rejects dialers from any other group.
+    one listened on).
     @raise Failure when the initial mesh cannot be completed within
     [connect_timeout_s] (default 30 s). *)
 
@@ -66,7 +56,6 @@ val close : t -> unit
 
 val establish :
   ?connect_timeout_s:float ->
-  ?gid:int ->
   me:Msmr_consensus.Types.node_id ->
   addrs:(Msmr_consensus.Types.node_id * Unix.sockaddr) list ->
   unit ->

@@ -176,12 +176,23 @@ type client = {
 
 let run ?(trace = false) (p : Params.t) =
   if p.groups < 1 then invalid_arg "Jpaxos_model.run: groups must be >= 1";
-  (* The live Replica_group does not coordinate epoch walks across its
-     groups either: reject rather than run a reconfiguration nobody
-     could deploy. *)
+  (* The model does not coordinate epoch walks across groups: reject
+     rather than run a reconfiguration it cannot order. *)
   if p.groups > 1 && p.reconfig_at <> [] then
     invalid_arg "Jpaxos_model.run: reconfig_at requires groups = 1";
   let n_groups = p.groups in
+  (* Group [g] bootstraps in view [g], so its home (initial leader) is
+     node [g mod n]; a boot membership without it could never activate
+     that group. *)
+  let home_of_group g = g mod p.n in
+  if
+    n_groups > 1 && p.members0 <> []
+    && not
+         (List.init n_groups home_of_group
+         |> List.for_all (fun home -> List.mem home p.members0))
+  then
+    invalid_arg
+      "Jpaxos_model.run: members0 must contain every group's home (g mod n)";
   let eng = Engine.create () in
   (* The tracer is stamped from the engine's virtual clock, so trace
      timelines are in *simulated* time — the paper's figures become
@@ -226,7 +237,6 @@ let run ?(trace = false) (p : Params.t) =
   let chaos = p.faults <> [] || p.reconfig_at <> [] in
   let cfg =
     { (Config.default ~n:p.n) with
-      groups = n_groups;
       window = p.wnd;
       max_batch_bytes = p.bsz;
       max_batch_delay_s = 0.005;
@@ -263,16 +273,15 @@ let run ?(trace = false) (p : Params.t) =
   in
   (* Consensus groups. Every node holds one Paxos engine, DispatcherQueue,
      Batcher set, ProposalQueue, DecisionQueue, ServiceManager, lease and
-     failure detector per group, as every live [Replica_group] group is a
-     full cluster. Group [g] bootstraps in view [g], led by node
-     [g mod n], so leadership (and the leader's NIC load, the
-     single-group ceiling) spreads round-robin. Requests partition by
-     conflict key; the simulated workload's key is the client id (one
-     client = one key), so the live [Router.group_of_client] is a mod.
-     [local_key] is a client's index inside its group: it spreads a
-     group's clients over its Batchers and executors. *)
+     failure detector per group, so each group is a full cluster. Group
+     [g] bootstraps in view [g], led by its home node [g mod n], so
+     leadership (and the leader's NIC load, the single-group ceiling)
+     spreads round-robin. Requests partition by conflict key; the
+     simulated workload's key is the client id (one client = one key),
+     so a client's group is a mod. [local_key] is a client's index
+     inside its group: it spreads a group's clients over its Batchers
+     and executors. *)
   let group_of_client cid = cid mod n_groups in
-  let home_of_group g = Config.initial_leader_of_group cfg ~gid:g in
   let local_key cid = cid / n_groups in
   let gname base g =
     if n_groups = 1 then base else Printf.sprintf "%s-g%d" base g
@@ -984,9 +993,8 @@ let run ?(trace = false) (p : Params.t) =
     in
     let (_ : Msmr_obs.Trace.track option) = register node st in
     let mb = node.cio_mbs.(idx) in
-    (* With several groups ClientIO also routes, inline as the live
-       [Replica_group.submit] does: one dispatch hop to the group's
-       queues. *)
+    (* With several groups ClientIO also routes, inline: one dispatch
+       hop to the group's queues. *)
     let route st =
       if n_groups > 1 then Cpu.work node.cpu st (cost c.dispatch_per_req)
     in
@@ -2182,8 +2190,9 @@ let run ?(trace = false) (p : Params.t) =
     (100. *. Cpu.consumed leader.cpu /. dur);
   Msmr_obs.Metrics.set_gauge ~labels:m_labels "msmr_run_events"
     (float_of_int (Engine.events_processed eng));
-  (* The live Replica_group's routing series, and each group's commit
-     watermark (the per-group LSN namespace made visible). *)
+  (* The router's series, and each group's commit watermark (the
+     per-group LSN namespace made visible). Only the simulator has a
+     router. *)
   if n_groups > 1 then begin
     Array.iteri
       (fun i cnt ->

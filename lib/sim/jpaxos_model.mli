@@ -150,6 +150,10 @@ val run : ?trace:bool -> Params.t -> result
     [auto_tune], [n_batchers], [exec_threads], [steal], [skew],
     [speculate] and leases work at any group count.
 
-    @raise Invalid_argument if [groups < 1], or if [groups > 1] and
-    [reconfig_at <> []] (the live Replica_group does not coordinate
-    epoch walks across groups either). *)
+    Multi-group ordering is a simulator-only prediction: the live
+    runtime orders through one group (DESIGN.md §13).
+
+    @raise Invalid_argument if [groups < 1]; or if [groups > 1] and
+    [reconfig_at <> []] (the model does not coordinate epoch walks
+    across groups); or if [groups > 1] and [members0] lacks a group's
+    home node [g mod n]. *)

@@ -57,8 +57,8 @@ type t = {
   costs : costs;
   n : int;                  (** replicas *)
   groups : int;
-      (** independent consensus groups (multi-group Paxos, as the live
-          [Replica_group]). [1] (the default) is the paper's single
+      (** independent consensus groups (multi-group Paxos, modelled
+          only in the simulator). [1] (the default) is the paper's single
           group. Each group runs its own Paxos engine, Batcher(s),
           ServiceManager, lease, failure detector and log on every node,
           sharing the node's CPU, NIC, ReplicaIO links and
@@ -67,7 +67,8 @@ type t = {
           cluster. Clients are partitioned over groups by conflict key
           (modelled as [cid mod groups]). Every other field applies
           per group, except [reconfig_at], which requires
-          [groups = 1]. *)
+          [groups = 1]; with [groups > 1], a non-empty [members0] must
+          hold every group's home [g mod n]. *)
   cores : int;              (** cores per node *)
   client_io_threads : int;
   wnd : int;                (** max parallel ballots (WND) *)

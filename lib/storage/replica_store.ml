@@ -57,21 +57,7 @@ type t = {
 
 let checkpoint_path dir = Filename.concat dir "checkpoint"
 
-(* Multi-group Paxos: each group's consensus state lives in its own
-   subdirectory — its own WAL, checkpoint and LSN namespace — so one
-   node participating in several groups shares one configured directory
-   without the groups' logs interleaving. [gid = None] is the classic
-   single-group layout, bit-identical to before groups existed. *)
-let group_dir ?gid dir =
-  match gid with
-  | None -> dir
-  | Some g ->
-    if g < 0 then invalid_arg "Replica_store: gid < 0";
-    Filename.concat dir (Printf.sprintf "g%d" g)
-
-let openw ?(sync = Wal.Sync_periodic) ?gid ~dir () =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let dir = group_dir ?gid dir in
+let openw ?(sync = Wal.Sync_periodic) ~dir () =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   { dir; sync_policy = sync; wal = Wal.openw ~dir ~sync ();
     lock = Mutex.create (); lsn = 0; durable_lsn = 0 }
@@ -204,8 +190,7 @@ type recovered = {
   r_configs : (Types.iid * Membership.t) list;
 }
 
-let recover ?gid ~dir () =
-  let dir = group_dir ?gid dir in
+let recover ~dir () =
   let ckpt = read_checkpoint dir in
   let snapshot = Option.map (fun (next, state, _) -> (next, state)) ckpt in
   let configs = match ckpt with Some (_, _, cs) -> cs | None -> [] in

@@ -27,15 +27,9 @@ type event =
 
 type t
 
-val openw : ?sync:Wal.sync_policy -> ?gid:int -> dir:string -> unit -> t
+val openw : ?sync:Wal.sync_policy -> dir:string -> unit -> t
 (** Default policy: [Sync_periodic] (call {!sync} periodically; the
-    replica's StableStorage thread does).
-
-    [gid] selects a per-group namespace for multi-group Paxos: the
-    store lives in [dir/g<gid>] with its own WAL, checkpoint and LSN
-    sequence, so one node's groups share a configured directory without
-    interleaving their logs. Omitted, the store uses [dir] itself — the
-    single-group layout, unchanged. *)
+    replica's StableStorage thread does). *)
 
 val log_event : t -> event -> int
 (** Append one event; returns the store-level LSN assigned to it.
@@ -95,7 +89,6 @@ type recovered = {
           pre-reconfiguration checkpoints (boot membership applies) *)
 }
 
-val recover : ?gid:int -> dir:string -> unit -> recovered
+val recover : dir:string -> unit -> recovered
 (** Read the checkpoint and replay the WAL. An empty or missing
-    directory yields a pristine state. [gid] reads the per-group
-    namespace [dir/g<gid>] (see {!openw}). *)
+    directory yields a pristine state. *)

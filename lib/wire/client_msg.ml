@@ -77,9 +77,9 @@ let pp_request ppf (r : request) =
 
    Write requests start with [client_id : i32 >= 0], so a negative first
    word unambiguously marks the frame as something else.  Reads use -2 and
-   read replies -4; this lets Replica.submit / Replica_group.submit peek a
-   single i32 and route read frames around the Batcher/Paxos spine without
-   touching the write encoding at all. *)
+   read replies -4; this lets Replica.submit peek a single i32 and route
+   read frames around the Batcher/Paxos spine without touching the write
+   encoding at all. *)
 
 let read_magic = -2
 let read_reply_magic = -4

@@ -1667,9 +1667,9 @@ let suite =
 let test_paxos_view0_bootstrap () =
   let cfg = Config.default ~n:3 in
   Alcotest.(check int) "group 0 led by node 0" 0
-    (Config.initial_leader_of_group cfg ~gid:0);
-  Alcotest.(check int) "group 4 wraps to node 1" 1
-    (Config.initial_leader_of_group cfg ~gid:4);
+    (Paxos.leader (Paxos.create ~view0:0 cfg ~me:0));
+  Alcotest.(check int) "group 4 wraps to node 1" (4 mod cfg.Config.n)
+    (Paxos.leader (Paxos.create ~view0:4 cfg ~me:0));
   let engines = Array.init 3 (fun me -> Paxos.create ~view0:2 cfg ~me) in
   Array.iteri
     (fun me e ->

@@ -236,3 +236,35 @@ let suite =
       Alcotest.test_case "histogram: merge/reset" `Quick test_histogram_merge_reset;
       Alcotest.test_case "histogram: concurrent" `Quick test_histogram_concurrent;
     ]
+
+(* Mclock is CLOCK_MONOTONIC: it counts from an arbitrary origin (boot on
+   Linux), not from the epoch, so it reads far below the wall clock. *)
+let test_mclock_not_wall_clock () =
+  let mono = Int64.to_float (Mclock.now_ns ()) in
+  let wall = Unix.gettimeofday () *. 1e9 in
+  Alcotest.(check bool)
+    (Printf.sprintf "monotonic %.0f < half the wall clock %.0f" mono wall)
+    true
+    (mono < wall /. 2.)
+
+let test_mclock_never_decreases () =
+  let backwards = Atomic.make 0 in
+  let ws =
+    List.init 2 (fun i ->
+        Worker.spawn ~name:(Printf.sprintf "mclock-%d" i) (fun _ ->
+            let prev = ref (Mclock.now_ns ()) in
+            for _ = 1 to 100_000 do
+              let t = Mclock.now_ns () in
+              if Int64.compare t !prev < 0 then Atomic.incr backwards;
+              prev := t
+            done))
+  in
+  Worker.join_all ws;
+  Alcotest.(check int) "reads that went backwards" 0 (Atomic.get backwards)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "mclock: not the wall clock" `Quick
+        test_mclock_not_wall_clock;
+      Alcotest.test_case "mclock: never decreases" `Quick
+        test_mclock_never_decreases ]

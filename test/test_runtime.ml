@@ -1088,184 +1088,6 @@ let suite =
         test_cluster_executors_global_service ]
 
 (* ------------------------------------------------------------------ *)
-(* Multi-group Paxos: the router partition function and the sharded
-   in-process cluster (Replica_group). *)
-
-let test_router_partition () =
-  let groups = 4 in
-  let keys = List.init 64 (fun i -> Printf.sprintf "key-%d" i) in
-  List.iter
-    (fun k ->
-       let g = Router.group_of_key ~groups k in
-       Alcotest.(check bool) "in range" true (g >= 0 && g < groups);
-       Alcotest.(check int) "stable" g (Router.group_of_key ~groups k))
-    keys;
-  Alcotest.(check bool) "hash actually spreads keys" true
-    (List.length
-       (List.sort_uniq compare (List.map (Router.group_of_key ~groups) keys))
-     > 1);
-  Alcotest.(check int) "groups=1 degenerates to 0" 0
-    (Router.group_of_key ~groups:1 "anything");
-  Alcotest.(check int) "client partition is cid mod groups" 3
-    (Router.group_of_client ~groups 7);
-  Alcotest.(check bool) "groups < 1 rejected" true
-    (try
-       ignore (Router.group_of_key ~groups:0 "x");
-       false
-     with Invalid_argument _ -> true)
-
-let test_router_targets () =
-  let groups = 4 in
-  let t c = Router.target_of_conflict ~groups ~fallback:9 c in
-  Alcotest.(check bool) "Global stays Global" true
-    (t Service.Global = Router.Global);
-  Alcotest.(check bool) "no keys falls back to the client's group" true
-    (t (Service.Keys []) = Router.Group (Router.group_of_client ~groups 9));
-  let g_a = Router.group_of_key ~groups "a" in
-  Alcotest.(check bool) "single key routes to its group" true
-    (t (Service.Keys [ "a" ]) = Router.Group g_a);
-  Alcotest.(check bool) "same-group key set stays grouped" true
-    (t (Service.Keys [ "a"; "a" ]) = Router.Group g_a);
-  (* A key set spanning two groups cannot be ordered by one log. *)
-  let rec other_group i =
-    let k = Printf.sprintf "probe-%d" i in
-    if Router.group_of_key ~groups k <> g_a then k else other_group (i + 1)
-  in
-  Alcotest.(check bool) "spanning key set promoted to Global" true
-    (t (Service.Keys [ "a"; other_group 0 ]) = Router.Global)
-
-(* A keyed counter: payload "k:v" adds v to counter k (conflict class k)
-   and replies with the new value; any other payload is Global and
-   replies with the sum of this instance's counters. State is
-   partitioned across groups, so a group's instance only ever holds its
-   own partition's keys. *)
-let keyed_counter () =
-  let tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let parse payload =
-    match String.index_opt payload ':' with
-    | Some i ->
-      Some
-        ( String.sub payload 0 i,
-          int_of_string
-            (String.sub payload (i + 1) (String.length payload - i - 1)) )
-    | None -> None
-  in
-  Service.make
-    ~conflict_keys:(fun (req : Client_msg.request) ->
-        match parse (Bytes.to_string req.payload) with
-        | Some (k, _) -> Service.Keys [ k ]
-        | None -> Service.Global)
-    ~execute:(fun req ->
-        match parse (Bytes.to_string req.payload) with
-        | Some (k, v) ->
-          let v' = Option.value (Hashtbl.find_opt tbl k) ~default:0 + v in
-          Hashtbl.replace tbl k v';
-          Bytes.of_string (string_of_int v')
-        | None ->
-          Bytes.of_string
-            (string_of_int (Hashtbl.fold (fun _ v acc -> acc + v) tbl 0)))
-    ~snapshot:(fun () ->
-        Bytes.of_string
-          (String.concat ";"
-             (List.sort compare
-                (Hashtbl.fold
-                   (fun k v acc -> Printf.sprintf "%s:%d" k v :: acc)
-                   tbl []))))
-    ~restore:(fun b ->
-        Hashtbl.reset tbl;
-        List.iter
-          (fun s ->
-             match String.index_opt s ':' with
-             | Some i ->
-               Hashtbl.replace tbl (String.sub s 0 i)
-                 (int_of_string
-                    (String.sub s (i + 1) (String.length s - i - 1)))
-             | None -> ())
-          (String.split_on_char ';' (Bytes.to_string b)))
-    ()
-
-let with_group f =
-  let rg =
-    Replica_group.create ~groups:2 ~cfg:(test_cfg 3)
-      ~service:(fun ~gid:_ -> keyed_counter ())
-      ()
-  in
-  Fun.protect ~finally:(fun () -> Replica_group.stop rg) (fun () -> f rg)
-
-let rg_call rg ~client_id ~seq payload =
-  let raw =
-    Client_msg.request_to_bytes
-      { Client_msg.id = { client_id; seq }; payload = Bytes.of_string payload }
-  in
-  let box = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
-  Replica_group.submit rg ~raw ~reply_to:(fun b ->
-      ignore (Ch.try_put box b));
-  match Ch.take_timeout box ~timeout_s:5.0 with
-  | Some raw -> Bytes.to_string (Client_msg.reply_of_bytes raw).result
-  | None -> Alcotest.failf "no reply for %S" payload
-
-(* A key guaranteed to route to group [g] of [groups]. *)
-let key_in_group ~groups g =
-  let rec go i =
-    let k = Printf.sprintf "k%d-%d" g i in
-    if Router.group_of_key ~groups k = g then k else go (i + 1)
-  in
-  go 0
-
-let test_replica_group_partitions () =
-  with_group @@ fun rg ->
-  Replica_group.await_leaders rg;
-  let k0 = key_in_group ~groups:2 0 and k1 = key_in_group ~groups:2 1 in
-  (* Interleaved increments: each key's counter accumulates in order
-     inside its own group's log, independent of the other group. *)
-  Alcotest.(check string) "k0 first" "5"
-    (rg_call rg ~client_id:1 ~seq:1 (k0 ^ ":5"));
-  Alcotest.(check string) "k1 first" "7"
-    (rg_call rg ~client_id:1 ~seq:2 (k1 ^ ":7"));
-  Alcotest.(check string) "k0 second" "6"
-    (rg_call rg ~client_id:1 ~seq:3 (k0 ^ ":1"));
-  Alcotest.(check string) "k1 second" "9"
-    (rg_call rg ~client_id:1 ~seq:4 (k1 ^ ":2"));
-  Alcotest.(check int) "router counted every request" 4
-    (Replica_group.routed_count rg);
-  Alcotest.(check int) "no globals yet" 0 (Replica_group.globals_count rg);
-  (* Each group ordered exactly its own partition. *)
-  let executed gid =
-    Replica.executed_count
-      (Replica.Cluster.await_leader (Replica_group.cluster rg ~gid))
-  in
-  Alcotest.(check int) "group 0 executed its two" 2 (executed 0);
-  Alcotest.(check int) "group 1 executed its two" 2 (executed 1);
-  (* Group leadership is spread: group 1's initial leader is node 1. *)
-  Alcotest.(check int) "group 1 led by node 1" 1
-    (Replica.me (Replica.Cluster.await_leader (Replica_group.cluster rg ~gid:1)))
-
-let test_replica_group_global_barrier () =
-  with_group @@ fun rg ->
-  Replica_group.await_leaders rg;
-  let k0 = key_in_group ~groups:2 0 and k1 = key_in_group ~groups:2 1 in
-  ignore (rg_call rg ~client_id:1 ~seq:1 (k0 ^ ":5"));
-  ignore (rg_call rg ~client_id:1 ~seq:2 (k1 ^ ":7"));
-  (* The Global executes through group 0's log after both groups have
-     quiesced: its reply reflects group 0's partition of the state. *)
-  Alcotest.(check string) "global sees group 0's partition" "5"
-    (rg_call rg ~client_id:1 ~seq:3 "sum");
-  Alcotest.(check int) "one barrier crossing" 1
-    (Replica_group.globals_count rg);
-  (* The gate reopened: keyed traffic flows again afterwards. *)
-  Alcotest.(check string) "traffic resumes" "6"
-    (rg_call rg ~client_id:1 ~seq:4 (k0 ^ ":1"))
-
-let suite =
-  suite
-  @ [ Alcotest.test_case "router: key partition" `Quick test_router_partition;
-      Alcotest.test_case "router: conflict targets" `Quick test_router_targets;
-      Alcotest.test_case "replica group: partitions and replies" `Quick
-        test_replica_group_partitions;
-      Alcotest.test_case "replica group: cross-group Global barrier" `Quick
-        test_replica_group_global_barrier ]
-
-(* ------------------------------------------------------------------ *)
 (* Read fast path (leases) on the live cluster *)
 
 let lease_test_cfg n =
@@ -1392,46 +1214,6 @@ let test_read_storm_keeps_reply_cache () =
   Mclock.sleep_s 0.05;
   Alcotest.(check int) "write executed exactly once" 1
     (Replica.executed_count leader)
-
-let test_replica_group_reads () =
-  let rg =
-    Replica_group.create ~groups:2 ~cfg:(lease_test_cfg 3)
-      ~service:(fun ~gid:_ -> keyed_counter ())
-      ()
-  in
-  Fun.protect ~finally:(fun () -> Replica_group.stop rg) @@ fun () ->
-  Replica_group.await_leaders rg;
-  let k0 = key_in_group ~groups:2 0 and k1 = key_in_group ~groups:2 1 in
-  ignore (rg_call rg ~client_id:1 ~seq:1 (k0 ^ ":5"));
-  ignore (rg_call rg ~client_id:1 ~seq:2 (k1 ^ ":7"));
-  (* Per-group leases: each group's leader holds its own. *)
-  let leader gid =
-    Replica.Cluster.await_leader (Replica_group.cluster rg ~gid)
-  in
-  await ~what:"group leases" (fun () ->
-      Replica.lease_held (leader 0) && Replica.lease_held (leader 1));
-  let read_key k =
-    let raw =
-      Client_msg.read_to_bytes
-        { Client_msg.id = rid 2 1; staleness_ns = Client_msg.linearizable;
-          payload = Bytes.of_string (k ^ ":0") }
-    in
-    let box = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
-    Replica_group.submit rg ~raw ~reply_to:(fun b ->
-        ignore (Ch.try_put box b));
-    match Ch.take_timeout box ~timeout_s:5.0 with
-    | Some b ->
-      (match (Client_msg.read_reply_of_bytes b).status with
-       | Client_msg.Read_ok r -> Bytes.to_string r
-       | _ -> Alcotest.failf "read of %S refused" k)
-    | None -> Alcotest.failf "no read reply for %S" k
-  in
-  Alcotest.(check string) "group 0 read" "5" (read_key k0);
-  Alcotest.(check string) "group 1 read" "7" (read_key k1);
-  Alcotest.(check int) "router counted the reads" 2
-    (Replica_group.reads_routed_count rg);
-  Alcotest.(check int) "reads did not consume the write router count" 2
-    (Replica_group.routed_count rg)
 
 (* ------------------------------------------------------------------ *)
 (* Speculative execution: reply-cache staging, the speculation ledger,
@@ -1747,21 +1529,6 @@ let test_cluster_speculative_kv executor_threads () =
 
 let suite =
   suite
-  @ [ Alcotest.test_case "reply cache: staged replies stay invisible" `Quick
-        test_reply_cache_staging;
-      Alcotest.test_case "spec ledger: admit/confirm/mispredict" `Quick
-        test_spec_ledger_semantics;
-      Alcotest.test_case "spec ledger: model-checked confirm" `Quick
-        test_mc_spec_confirm;
-      Alcotest.test_case "spec ledger: model-checked rollback" `Quick
-        test_mc_spec_rollback;
-      Alcotest.test_case "speculation: live KV cluster" `Quick
-        (test_cluster_speculative_kv 4);
-      Alcotest.test_case "speculation: live KV cluster, 1 executor" `Quick
-        (test_cluster_speculative_kv 1) ]
-
-let suite =
-  suite
   @ [ Alcotest.test_case "reads: linearizable at the leaseholder" `Quick
         test_cluster_linearizable_read;
       Alcotest.test_case "reads: follower refuses without the lease" `Quick
@@ -1771,68 +1538,24 @@ let suite =
       Alcotest.test_case "reads: unsupported without leases" `Quick
         test_reads_unsupported_without_lease;
       Alcotest.test_case "reads: storm leaves the reply cache intact" `Quick
-        test_read_storm_keeps_reply_cache;
-      Alcotest.test_case "replica group: per-group lease reads" `Quick
-        test_replica_group_reads ]
+        test_read_storm_keeps_reply_cache ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "reply cache: staged replies stay invisible" `Quick
+        test_reply_cache_staging;
+      Alcotest.test_case "spec ledger: admit/confirm/mispredict" `Quick
+        test_spec_ledger_semantics;
+      Alcotest.test_case "spec ledger: model-checked confirm" `Quick
+        test_mc_spec_confirm;
+      Alcotest.test_case "spec ledger: model-checked rollback" `Quick
+        test_mc_spec_rollback;
+      Alcotest.test_case "speculation: live KV cluster, 1 executor" `Quick
+        (test_cluster_speculative_kv 1);
+      Alcotest.test_case "speculation: live KV cluster" `Quick
+        (test_cluster_speculative_kv 4) ]
 
 let suite =
   suite
   @ [ Alcotest.test_case "cluster: retransmission recovers a lost accept" `Quick
         test_cluster_retransmit_recovers_accept ]
-
-(* Submit from a helper thread, so a wedged gate shows as a timeout;
-   [stop] opens the gate, and the submit then fails. *)
-let rg_submit_async rg ~client_id ~seq payload =
-  let raw =
-    Client_msg.request_to_bytes
-      { Client_msg.id = { client_id; seq }; payload = Bytes.of_string payload }
-  in
-  let box = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
-  ignore
-    (Thread.create
-       (fun () ->
-          try
-            Replica_group.submit rg ~raw ~reply_to:(fun b ->
-                ignore (Ch.try_put box b))
-          with _ -> ())
-       ());
-  box
-
-let rg_result what box =
-  match Ch.take_timeout box ~timeout_s:2.0 with
-  | Some raw -> Bytes.to_string (Client_msg.reply_of_bytes raw).result
-  | None -> Alcotest.failf "%s wedged behind a dropped duplicate" what
-
-(* The reply cache drops a late duplicate of an answered request as
-   stale, without replying. The router must neither wait for that reply
-   before letting a Global through, nor close the gate for a duplicate
-   Global. *)
-let test_replica_group_stale_duplicate () =
-  with_group @@ fun rg ->
-  Replica_group.await_leaders rg;
-  let k0 = key_in_group ~groups:2 0 in
-  ignore (rg_call rg ~client_id:1 ~seq:1 (k0 ^ ":5"));
-  ignore (rg_call rg ~client_id:1 ~seq:2 (k0 ^ ":1"));
-  let resubmit ~seq payload =
-    Replica_group.submit rg ~reply_to:ignore
-      ~raw:
-        (Client_msg.request_to_bytes
-           { Client_msg.id = { client_id = 1; seq };
-             payload = Bytes.of_string payload })
-  in
-  resubmit ~seq:1 (k0 ^ ":5");
-  Alcotest.(check string) "global sees group 0's partition" "6"
-    (rg_result "Global" (rg_submit_async rg ~client_id:1 ~seq:3 "sum"));
-  Alcotest.(check string) "keyed call after the Global" "7"
-    (rg_call rg ~client_id:1 ~seq:4 (k0 ^ ":1"));
-  resubmit ~seq:3 "sum";
-  Alcotest.(check string) "keyed call after a duplicate Global" "8"
-    (rg_result "keyed call"
-       (rg_submit_async rg ~client_id:1 ~seq:5 (k0 ^ ":1")));
-  Alcotest.(check int) "the duplicate took no barrier" 1
-    (Replica_group.globals_count rg)
-
-let suite =
-  suite
-  @ [ Alcotest.test_case "replica group: stale duplicate keeps the gate"
-        `Quick test_replica_group_stale_duplicate ]

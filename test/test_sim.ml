@@ -785,14 +785,21 @@ let test_multigroup_chaos_one_group_crash_isolated () =
   Alcotest.(check int) "chaos multi-group deterministic" r.events r2.events
 
 let test_multigroup_rejects_reconfig () =
-  (* The live Replica_group does not coordinate epoch walks across its
-     groups, so the model refuses the combination instead of ignoring
-     the schedule. *)
+  (* The model does not coordinate epoch walks across groups, so it
+     refuses the combination instead of ignoring the schedule. *)
   let p =
     { (reconfig_params [ (0.3, [ 0; 1; 2; 3; 4 ]) ]) with groups = 2 }
   in
   match Jpaxos_model.run p with
   | _ -> Alcotest.fail "groups > 1 with reconfig_at must be rejected"
+  | exception Invalid_argument _ -> ()
+
+let test_multigroup_rejects_homeless_members0 () =
+  (* Group 1 bootstraps in view 1, led by its home node 1 mod 3 = 1; a
+     boot membership without node 1 could never activate it. *)
+  let p = { (small_params ()) with groups = 2; members0 = [ 0; 2 ] } in
+  match Jpaxos_model.run p with
+  | _ -> Alcotest.fail "members0 without group 1's home must be rejected"
   | exception Invalid_argument _ -> ()
 
 let test_multigroup_composed_chaos () =
@@ -1259,4 +1266,6 @@ let suite =
       test_reconfig_model_grow_shrink;
     Alcotest.test_case "reconfig: crash-during-transfer golden" `Slow
       test_reconfig_chaos_golden;
+    Alcotest.test_case "multigroup: members0 without a group's home rejected"
+      `Quick test_multigroup_rejects_homeless_members0;
   ]

@@ -656,41 +656,6 @@ let suite =
       test_cluster_restart_sync_every_write;
   ]
 
-(* Multi-group Paxos: per-group store namespaces under one directory. *)
-let test_store_group_namespaces () =
-  with_tmp_dir @@ fun dir ->
-  let s0 = Replica_store.openw ~sync:Wal.No_sync ~gid:0 ~dir () in
-  let s1 = Replica_store.openw ~sync:Wal.No_sync ~gid:1 ~dir () in
-  ignore (Replica_store.log_event s0 (Replica_store.View 3));
-  ignore
-    (Replica_store.log_event s0
-       (Replica_store.Accepted { iid = 0; view = 3; value = Value.Noop }));
-  ignore (Replica_store.log_event s1 (Replica_store.View 7));
-  Replica_store.close s0;
-  Replica_store.close s1;
-  (* Each group recovers only its own log... *)
-  let r0 = Replica_store.recover ~gid:0 ~dir () in
-  let r1 = Replica_store.recover ~gid:1 ~dir () in
-  Alcotest.(check int) "group 0 view" 3 r0.r_view;
-  Alcotest.(check int) "group 0 accepted" 1 (List.length r0.r_accepted);
-  Alcotest.(check int) "group 1 view" 7 r1.r_view;
-  Alcotest.(check int) "group 1 saw no group-0 acceptances" 0
-    (List.length r1.r_accepted);
-  (* ...the groups live in dir/g<gid>... *)
-  Alcotest.(check bool) "g0 and g1 subdirectories" true
-    (Sys.is_directory (Filename.concat dir "g0")
-     && Sys.is_directory (Filename.concat dir "g1"));
-  (* ...and the classic ungrouped layout in the same dir is untouched. *)
-  let plain = Replica_store.recover ~dir () in
-  Alcotest.(check int) "ungrouped namespace pristine" 0 plain.r_view;
-  Alcotest.(check bool) "ungrouped has no snapshot" true
-    (plain.r_snapshot = None)
-
-let suite =
-  suite
-  @ [ Alcotest.test_case "store: per-group namespaces" `Quick
-        test_store_group_namespaces ]
-
 (* ------------------------------------------------------------------ *)
 (* Live thread set *)
 

@@ -409,3 +409,60 @@ let suite =
   suite
   @ [ Alcotest.test_case "tcp: client reads (lease fast path)" `Quick
         test_tcp_client_reads ]
+
+(* The mesh hello is the dialer's node id alone. A frame of any other
+   shape, such as a hello that also carries a group id, closes that one
+   connection, and the acceptor stays up for the real peer. *)
+let test_tcp_mesh_rejects_malformed_hello () =
+  let ports = free_ports 2 in
+  let addrs =
+    List.mapi
+      (fun i p -> (i, Unix.ADDR_INET (Unix.inet_addr_loopback, p)))
+      ports
+  in
+  let m0 = ref None in
+  let boot0 =
+    Thread.create
+      (fun () -> m0 := Some (R.Tcp_mesh.create ~connect_timeout_s:10. ~me:0 ~addrs ()))
+      ()
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let rec connect tries =
+    match Unix.connect fd (List.assoc 0 addrs) with
+    | () -> ()
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
+      Thread.delay 0.02;
+      connect (tries - 1)
+  in
+  connect 100;
+  let hello = Msmr_wire.Codec.W.create ~initial:8 () in
+  Msmr_wire.Codec.W.i32 hello 1;
+  Msmr_wire.Codec.W.i32 hello 0;
+  Msmr_wire.Frame.write fd (Msmr_wire.Codec.W.contents hello);
+  let closed =
+    match Unix.select [ fd ] [] [] 5.0 with
+    | [], _, _ -> false
+    | _ -> (
+        match Msmr_wire.Frame.read fd with
+        | None -> true
+        | Some _ | (exception _) -> false)
+  in
+  Unix.close fd;
+  Alcotest.(check bool) "malformed hello's connection closed" true closed;
+  let m1 = R.Tcp_mesh.create ~connect_timeout_s:10. ~me:1 ~addrs () in
+  Thread.join boot0;
+  let m0 = Option.get !m0 in
+  Fun.protect
+    ~finally:(fun () ->
+        R.Tcp_mesh.close m0;
+        R.Tcp_mesh.close m1)
+  @@ fun () ->
+  (List.assoc 1 (R.Tcp_mesh.links m0)).send_bytes (Bytes.of_string "hi");
+  match (List.assoc 0 (R.Tcp_mesh.links m1)).recv_bytes () with
+  | Some b -> Alcotest.(check string) "real peer linked" "hi" (Bytes.to_string b)
+  | None -> Alcotest.fail "no frame from node 0"
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "tcp: mesh rejects a malformed hello" `Quick
+        test_tcp_mesh_rejects_malformed_hello ]
