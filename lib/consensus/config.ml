@@ -18,7 +18,6 @@ type t = {
   lease_enabled : bool;
   lease_duration_s : float;
   clock_skew_bound_s : float;
-  speculate : bool;
   members0 : int list;
 }
 
@@ -43,7 +42,6 @@ let default ~n =
     lease_enabled = false;
     lease_duration_s = 2.0;
     clock_skew_bound_s = 0.1;
-    speculate = false;
     members0 = [];
   }
 

@@ -39,16 +39,6 @@ type t = {
                                       from the holder's expiry so a granting
                                       follower's promise always outlives the
                                       holder's own view of the lease *)
-  speculate : bool;               (** optimistic speculative execution
-                                      (DESIGN.md section 16): the leader
-                                      pre-dispatches each fresh request to
-                                      its executor lane at ingress (at any
-                                      executor count, one included) and runs
-                                      it ahead of commit via the service's
-                                      [execute_undo], confirming on decide
-                                      or rolling back on a mispredict;
-                                      [false] leaves the ordered path
-                                      byte-for-byte — the goldens pin it *)
   members0 : int list;            (** boot-time voting membership as a
                                       subset of the node-id universe
                                       [0, n); [[]] (the default) means
@@ -66,8 +56,7 @@ val default : n:int -> t
     50 ms, snapshot every 10_000 instances, retain 1_000 entries.
     Auto-tuning off; bounds 256..65536 bytes, 1..64 instances, 10 ms
     controller epoch.
-    Leases off (duration 2 s, skew bound 100 ms when enabled).
-    Speculation off. *)
+    Leases off (duration 2 s, skew bound 100 ms when enabled). *)
 
 val validate : t -> (unit, string) result
 (** Check invariants (n >= 1 and odd for the usual f derivation,

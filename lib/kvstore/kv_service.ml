@@ -197,32 +197,6 @@ module Store = struct
 
   let size t = Cmap.length t.table
 
-  (* Speculative apply: same result as [apply], plus a closure restoring
-     the bindings the command displaced. Undoing a suffix of same-key
-     applies in reverse order walks the key back binding by binding, so
-     state ends exactly where it started. Read-only commands hand back a
-     no-op. *)
-  let apply_undo t ~session cmd =
-    let save key =
-      let prior = Cmap.find_opt t.table key in
-      fun () ->
-        match prior with
-        | Some e -> Cmap.set t.table key e
-        | None -> Cmap.remove t.table key
-    in
-    match cmd with
-    | Put { key; _ } | Delete key | Incr { key; _ } ->
-      let undo = save key in
-      (apply t ~session cmd, undo)
-    | Expire_session s ->
-      let doomed =
-        Cmap.fold
-          (fun k e acc -> if e.owner = Some s then (k, e) :: acc else acc)
-          t.table []
-      in
-      let undo () = List.iter (fun (k, e) -> Cmap.set t.table k e) doomed in
-      (apply t ~session cmd, undo)
-    | Get _ | List_keys _ -> (apply t ~session cmd, fun () -> ())
 end
 
 let make () =
@@ -244,15 +218,4 @@ let make () =
          | cmd -> conflict_of_command cmd
          | exception (Codec.Underflow | Codec.Malformed _) ->
            (* Touches no state; conflicts with nothing. *)
-           Msmr_runtime.Service.Keys []);
-    execute_undo =
-      Some
-        (fun req ->
-           match decode_command req.payload with
-           | cmd ->
-             let reply, undo =
-               Store.apply_undo store ~session:req.id.client_id cmd
-             in
-             (encode_reply reply, undo)
-           | exception (Codec.Underflow | Codec.Malformed _) ->
-             (encode_reply (Error "malformed command"), fun () -> ())) }
+           Msmr_runtime.Service.Keys []) }

@@ -122,35 +122,6 @@ let make () =
       List.iter (Cmap.remove locks) doomed;
       Expired (List.length doomed)
   in
-  (* Speculative apply: capture the prior binding of the touched name so
-     a mispredicted Acquire/Release rolls back to exactly the state it
-     observed. Holder is read-only; Expire_session reinserts the expired
-     holders. *)
-  let apply_undo ~session cmd =
-    let save name =
-      let prior = Cmap.find_opt locks name in
-      fun () ->
-        match prior with
-        | Some holder -> Cmap.set locks name holder
-        | None -> Cmap.remove locks name
-    in
-    match cmd with
-    | Acquire name | Release name ->
-      let undo = save name in
-      (apply ~session cmd, undo)
-    | Holder _ -> (apply ~session cmd, fun () -> ())
-    | Expire_session s ->
-      let doomed =
-        Cmap.fold
-          (fun name holder acc ->
-             if holder = s then (name, holder) :: acc else acc)
-          locks []
-      in
-      let undo () =
-        List.iter (fun (name, holder) -> Cmap.set locks name holder) doomed
-      in
-      (apply ~session cmd, undo)
-  in
   let snapshot () =
     let w = Codec.W.create () in
     let bindings =
@@ -190,13 +161,4 @@ let make () =
          match decode_command req.payload with
          | cmd -> conflict_of_command cmd
          | exception (Codec.Underflow | Codec.Malformed _) ->
-           Msmr_runtime.Service.Keys []);
-    execute_undo =
-      Some
-        (fun req ->
-           match decode_command req.payload with
-           | cmd ->
-             let reply, undo = apply_undo ~session:req.id.client_id cmd in
-             (encode_reply reply, undo)
-           | exception (Codec.Underflow | Codec.Malformed _) ->
-             (encode_reply (Error "malformed command"), fun () -> ())) }
+           Msmr_runtime.Service.Keys []) }

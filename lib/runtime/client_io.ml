@@ -30,8 +30,8 @@ type t = {
   routes : (int, int * sink * batch_sink option) Cmap.t;
   request_queue : Client_msg.request Bq.t;
   reply_cache : Reply_cache.t;
-  (* Ingress hook for the speculative path: called once per fresh request
-     (no cached reply, not stale). Runs on the ClientIO worker thread. *)
+  (* Early-scheduling hook: called once per fresh request (no cached
+     reply, not stale). Runs on the ClientIO worker thread. *)
   on_fresh : (Client_msg.request -> unit) option;
   (* Registry counters (docs/OBSERVABILITY.md): atomic adds, no locks. *)
   m_labels : Msmr_obs.Metrics.labels;

@@ -39,11 +39,12 @@ val create :
   t
 (** Starts [pool_size] threads named [<prefix>ClientIO-<i>].
 
-    [on_fresh] (default none) is the speculative pre-dispatch hook: it
-    runs on the worker thread for every fresh request — after the reply
-    cache said [Fresh], before the request is handed toward the Batcher.
-    The replica uses it to classify the request once and to pre-dispatch
-    it to its executor lane ahead of commit (DESIGN.md section 16). *)
+    [on_fresh] (default none) is the early-scheduling hook: it runs on
+    the worker thread for every fresh request — after the reply cache
+    said [Fresh], before the request is handed toward the Batcher. The
+    replica uses it to classify the request's conflict keys once, off
+    the scheduler thread (DESIGN.md section 16); nothing executes
+    before the request is decided. *)
 
 val submit :
   ?reply_many:batch_sink ->

@@ -35,16 +35,6 @@ type decision =
           the ServiceManager pops it the apply frontier has reached the
           lease-covered commit point — that queue position {e is} the
           linearizability wait. Lease validity is checked at pop time. *)
-  | Spec of { req : Client_msg.request; conflict : Service.conflict }
-      (** Speculative pre-dispatch (DESIGN.md section 16): pushed by the
-          ClientIO ingress hook the moment a fresh request arrives at the
-          leader, before the request enters the Batcher. Queue FIFO
-          therefore places it strictly before the request's own [Exec],
-          which is what makes the scheduler's ledger admission race-free:
-          the prediction is always on file when the decide arrives. *)
-  | Spec_flush
-      (** View changed: every open speculation predicted the {e old}
-          leader's log-append order, so abort them all. *)
 
 type durability =
   | Ephemeral
@@ -85,37 +75,6 @@ type stable = {
    (one by default) and idle executors steal lane tokens from busy
    siblings. Global / multi-lane commands and snapshots first quiesce the
    pool, then run inline on the scheduler. *)
-(* Work items flowing through the executor lanes. [W_exec] is the
-   ordered path; the other three belong to the speculative path
-   (Config.speculate, DESIGN.md section 16). All items for one conflict
-   key ride the same lane, so the per-lane FIFO serialises a key's
-   speculative execution, its confirm-or-abort, and any ordered
-   re-execution — no per-frame state machine is needed. *)
-type work =
-  | W_exec of Client_msg.request
-  | W_spec of Spec_ledger.frame * Client_msg.request
-      (* execute optimistically via [Service.execute_undo]; stage the
-         reply invisibly and park the undo closure in the frame *)
-  | W_confirm of Spec_ledger.frame * Client_msg.request
-      (* decide order matched the prediction: promote the staged reply
-         and deliver it (the request rides along only for the defensive
-         ordered-re-execution fallback) *)
-  | W_abort of Spec_ledger.frame
-      (* prediction failed: run the undo, drop the staged reply *)
-
-(* Speculation runtime (Some iff cfg.speculate and the service implements
-   [execute_undo]). The ledger is scheduler-private; the counters and
-   lead accumulators are written by executors and read by metrics. *)
-type spec_ctx = {
-  ledger : Spec_ledger.t;
-  spec_dispatch : Counter.t;  (* frames admitted + pre-dispatched *)
-  spec_confirm : Counter.t;   (* frames whose prediction held *)
-  spec_abort : Counter.t;     (* frames rolled back *)
-  spec_requeue : Counter.t;   (* decided requests re-executed ordered
-                                 after a mispredict on their key *)
-  lead_ns_sum : int Atomic.t; (* sum of confirm - dispatch, ns *)
-  lead_n : int Atomic.t;
-}
 
 (* Lease runtime state (Config.lease_enabled). The pure {!Lease} policy
    is Protocol-thread private — every mutation happens while handling a
@@ -151,7 +110,7 @@ type t = {
   recovered : Msmr_storage.Replica_store.recovered option;
   reply_cache : Reply_cache.t;
   mutable client_io : Client_io.t option;
-  pool : work Exec_pool.t;
+  pool : Client_msg.request Exec_pool.t;
   exec_frontier : (int, int) Hashtbl.t;
       (* client_id -> newest seq dispatched, maintained by the scheduler
          in decide order. At-most-once must be decided here, not on the
@@ -165,7 +124,6 @@ type t = {
          each request exactly once; the scheduler reads it at dispatch
          and falls back to classifying only on a miss (cache overwritten
          by a newer request of the same client, or ingress raced). *)
-  spec : spec_ctx option;
   lease_ctx : lease_ctx option;  (* Some iff cfg.lease_enabled *)
   fd : Failure_detector.t;
   (* Shared introspection state (single-word, lock-free). *)
@@ -238,14 +196,6 @@ let first_undecided t = Atomic.get t.first_undecided_now
 
 let request_reconfig t m =
   try Bq.put t.dispatcher_q (Reconfig_request m) with Bq.Closed -> ()
-
-let spec_counter t f =
-  match t.spec with Some sc -> Counter.get (f sc) | None -> 0
-
-let spec_dispatched_count t = spec_counter t (fun sc -> sc.spec_dispatch)
-let spec_confirmed_count t = spec_counter t (fun sc -> sc.spec_confirm)
-let spec_aborted_count t = spec_counter t (fun sc -> sc.spec_abort)
-let spec_requeued_count t = spec_counter t (fun sc -> sc.spec_requeue)
 
 let now_int_ns () = Int64.to_int (Mclock.now_ns ())
 
@@ -394,10 +344,6 @@ let protocol_apply t rtx actions =
             Lease.set_view lc.lease ~view;
             Atomic.set lc.lease_until 0
           | None -> ());
-         (* Every open speculation predicted the old leader's log-append
-            order; the new leader may re-propose in any order. *)
-         if t.cfg.Config.speculate then
-           (try Bq.put t.decision_q Spec_flush with Bq.Closed -> ());
          Failure_detector.set_view t.fd ~view ~now_ns:now;
          Log_.info (fun m ->
              m "replica %d: view %d, leader %d%s" t.me view leader
@@ -1080,122 +1026,34 @@ let frontier_admit t (req : Client_msg.request) =
     true
 
 (* Classify once: the ingress hook cached the conflict class keyed by
-   (client, seq); a hit saves the second classification the pre-PR-9
-   spine paid here. Miss = the cache entry was overwritten by a newer
-   request of the same client, or this replica executed a request it
-   never saw at ingress (forwarded batch) — classify locally. *)
+   (client, seq); a hit saves classifying again here, on the scheduler
+   thread. Miss = the cache entry was overwritten by a newer request of
+   the same client, or this replica executed a request it never saw at
+   ingress (forwarded batch) — classify locally. *)
 let conflict_of t (req : Client_msg.request) =
   match Cmap.find_opt t.conflict_cache req.id.client_id with
   | Some (seq, c) when seq = req.id.seq -> c
   | Some _ | None -> t.service.conflict_keys req
 
-(* Abort one key's mispredicted frames: the W_aborts ride the frames' own
-   lanes, behind their W_specs (FIFO), so each undo runs after — and only
-   after — the speculative execution it reverses. *)
-let push_aborts ~st t sc frames =
-  List.iter
-    (fun (f : Spec_ledger.frame) ->
-       Counter.incr sc.spec_abort;
-       Exec_pool.send ~st t.pool ~lane:f.f_lane (W_abort f))
-    frames
-
-(* Drop every open speculation and wait until all speculative effects are
-   confirmed-or-undone. After this the service state is exactly the
-   ordered prefix — the precondition for snapshots, state transfer,
-   Global commands and linearizable reads. *)
-let spec_drain t st =
-  match t.spec with
-  | None -> ()
-  | Some sc ->
-    push_aborts ~st t sc (Spec_ledger.abort_all sc.ledger);
-    if Spec_ledger.effects_pending sc.ledger then
-      Exec_pool.quiesce t.pool st
-
-(* Ledger admission for a pre-dispatched request, on the scheduler
-   thread so it cannot race the decide path. Only single-key commands
-   speculate — exactly the commands whose lane FIFO can serialise the
-   speculation against later ordered traffic on the same key. *)
-let spec_admit t st (req : Client_msg.request) conflict =
-  match t.spec with
-  | None -> ()
-  | Some sc ->
-    if Atomic.get t.am_leader then
-      match conflict with
-      | Service.Keys [ key ] ->
-        let fresh =
-          (not (Reply_cache.already_executed t.reply_cache req.id))
-          && (match Hashtbl.find_opt t.exec_frontier req.id.client_id with
-              | Some newest -> req.id.seq > newest
-              | None -> true)
-        in
-        if fresh then (
-          match
-            Spec_ledger.admit sc.ledger req.id ~key
-              ~lane:(route t.pool key) ~now_ns:(Mclock.now_ns ())
-          with
-          | None -> ()
-          | Some frame ->
-            Counter.incr sc.spec_dispatch;
-            Exec_pool.send ~st t.pool ~lane:frame.f_lane
-              (W_spec (frame, req)))
-      | Service.Keys _ | Service.Global -> ()
-
 (* Route one decided request. Same key -> same lane -> decide order
    preserved among conflicting commands; disjoint keys run concurrently.
    Commands spanning several lanes, and Global ones, are executed inline
-   between two well-defined pool states. With speculation on, the decide
-   is first matched against the ledger: a confirmed prediction turns
-   into a W_confirm on the frame's lane (the execution already
-   happened), a mispredict into W_aborts followed by the ordered
-   re-execution. *)
+   between two well-defined pool states. *)
 let dispatch t st (req : Client_msg.request) =
   if frontier_admit t req then
     let pool = t.pool in
     match conflict_of t req with
     | Service.Keys [] ->
       (* Conflicts with nothing: spread over the pool. *)
-      Exec_pool.send_rr ~st pool (W_exec req)
-    | Service.Keys [ key ] ->
-      let speculated =
-        match t.spec with
-        | None -> false
-        | Some sc -> (
-            match Spec_ledger.on_decide sc.ledger req.id ~key with
-            | Spec_ledger.Confirm frame ->
-              Counter.incr sc.spec_confirm;
-              Exec_pool.send ~st pool ~lane:frame.f_lane
-                (W_confirm (frame, req));
-              true
-            | Spec_ledger.Mispredict frames ->
-              push_aborts ~st t sc frames;
-              Counter.incr sc.spec_requeue;
-              false
-            | Spec_ledger.No_frame -> false)
-      in
-      if not speculated then
-        Exec_pool.send ~st pool ~lane:(route pool key) (W_exec req)
+      Exec_pool.send_rr ~st pool req
+    | Service.Keys [ key ] -> Exec_pool.send ~st pool ~lane:(route pool key) req
     | Service.Keys keys -> (
-        (* A multi-key command was never itself speculated, but open
-           frames on its keys predicted a different next-decide there:
-           abort them. Their keys hash to this command's lane set, so
-           the aborts stay FIFO-before the command or the quiesce. *)
-        (match t.spec with
-         | Some sc ->
-           List.iter
-             (fun key ->
-                match Spec_ledger.on_decide sc.ledger req.id ~key with
-                | Spec_ledger.Mispredict frames ->
-                  push_aborts ~st t sc frames
-                | Spec_ledger.Confirm _ | Spec_ledger.No_frame -> ())
-             keys
-         | None -> ());
         match List.sort_uniq compare (List.map (route pool) keys) with
-        | [ lane ] -> Exec_pool.send ~st pool ~lane (W_exec req)
+        | [ lane ] -> Exec_pool.send ~st pool ~lane req
         | _ ->
           Exec_pool.quiesce pool st;
           exec_request t req)
     | Service.Global ->
-      spec_drain t st;
       Exec_pool.quiesce pool st;
       exec_request t req
 
@@ -1207,30 +1065,14 @@ let scheduler_loop t st =
     match Bq.take ~st t.decision_q with
     | exception Bq.Closed -> continue := false
     | Install { state } ->
-      (* State transfer replaces the whole service state: roll back any
-         speculation first, then quiesce. *)
-      spec_drain t st;
+      (* State transfer replaces the whole service state. *)
       Exec_pool.quiesce pool st;
       t.service.restore state
     | Read_exec { read; reply_to } ->
-      (* Inline, no quiesce for ordered traffic: see [exec_read] for why
-         racing an executor-resident (un-replied, hence concurrent)
-         write is a legal linearization. Speculative effects are
-         different — they may be rolled back, so a read must never
-         observe them: drain them first. *)
-      (match t.spec with
-       | Some sc when Spec_ledger.effects_pending sc.ledger ->
-         spec_drain t st
-       | Some _ | None -> ());
+      (* Inline, no quiesce: see [exec_read] for why racing an
+         executor-resident (un-replied, hence concurrent) write is a
+         legal linearization. *)
       exec_read t read reply_to
-    | Spec { req; conflict } -> spec_admit t st req conflict
-    | Spec_flush -> (
-        (* View change: predictions void. No quiesce needed — each
-           W_abort is FIFO behind its W_spec, so lane order alone
-           guarantees the undos run against the right state. *)
-        match t.spec with
-        | Some sc -> push_aborts ~st t sc (Spec_ledger.abort_all sc.ledger)
-        | None -> ())
     | Exec { iid; value } ->
       (match value with
        (* Reconfig instances mutate the engine's membership (adopted on
@@ -1243,52 +1085,12 @@ let scheduler_loop t st =
          && !instances_executed mod t.cfg.snapshot_every = 0
       then begin
         (* Snapshots must capture a prefix-closed state. *)
-        spec_drain t st;
         Exec_pool.quiesce pool st;
         take_snapshot t ~iid
       end
   done;
   (* Let the executors drain and exit. *)
   Exec_pool.close pool
-
-(* Executor-side work interpreter. With speculation off every item is a
-   [W_exec]. *)
-let exec_work t (w : work) =
-  match w with
-  | W_exec req -> exec_request t req
-  | W_spec (frame, req) -> (
-      match t.service.execute_undo with
-      | None -> ()
-      | Some execute_undo ->
-        let reply, undo = execute_undo req in
-        Atomic.set frame.f_undo (Some undo);
-        (* Staged replies are invisible to lookups: a client retry still
-           reads Fresh and takes the ordered path, so at-most-once is
-           decided only at confirm time. *)
-        Reply_cache.stage t.reply_cache frame.f_id reply)
-  | W_confirm (frame, req) ->
-    let sc = Option.get t.spec in
-    (match Reply_cache.confirm t.reply_cache frame.f_id with
-     | Some result ->
-       Counter.incr t.executed;
-       (match t.client_io with
-        | Some cio -> Client_io.deliver_reply cio { id = frame.f_id; result }
-        | None -> ())
-     | None ->
-       (* Defensive: nothing staged (cannot happen — the W_spec is FIFO
-          before us on this lane). Fall back to ordered execution. *)
-       exec_request t req);
-    let lead = Int64.to_int (Int64.sub (Mclock.now_ns ()) frame.f_dispatch_ns) in
-    ignore (Atomic.fetch_and_add sc.lead_ns_sum lead);
-    Atomic.incr sc.lead_n;
-    Spec_ledger.settled sc.ledger frame
-  | W_abort frame ->
-    let sc = Option.get t.spec in
-    (match Atomic.get frame.f_undo with
-     | Some undo -> undo ()
-     | None -> () (* admitted but the W_spec never ran (pool closing) *));
-    Reply_cache.unstage t.reply_cache frame.f_id;
-    Spec_ledger.settled sc.ledger frame
 
 (* ------------------------------------------------------------------ *)
 (* Observability: every replica exposes its queue depths, window and
@@ -1313,11 +1115,6 @@ let metric_names =
     "msmr_replica_executor_barriers";
     "msmr_executor_steal_total";
     "msmr_executor_steal_fail_total";
-    "msmr_executor_spec_dispatch_total";
-    "msmr_executor_spec_confirm_total";
-    "msmr_executor_spec_abort_total";
-    "msmr_executor_spec_requeue_total";
-    "msmr_replica_spec_lead_s";
     "msmr_replica_sender_flushes";
     "msmr_replica_log_queue_depth";
     "msmr_replica_durable_hold_s";
@@ -1366,22 +1163,6 @@ let register_metrics t =
   g "msmr_executor_steal_total" (fun () -> fi (Exec_pool.steals t.pool));
   g "msmr_executor_steal_fail_total" (fun () ->
       fi (Exec_pool.steal_fails t.pool));
-  let spec f = match t.spec with Some sc -> f sc | None -> 0. in
-  g "msmr_executor_spec_dispatch_total" (fun () ->
-      spec (fun sc -> fi (Counter.get sc.spec_dispatch)));
-  g "msmr_executor_spec_confirm_total" (fun () ->
-      spec (fun sc -> fi (Counter.get sc.spec_confirm)));
-  g "msmr_executor_spec_abort_total" (fun () ->
-      spec (fun sc -> fi (Counter.get sc.spec_abort)));
-  g "msmr_executor_spec_requeue_total" (fun () ->
-      spec (fun sc -> fi (Counter.get sc.spec_requeue)));
-  g "msmr_replica_spec_lead_s" (fun () ->
-      (* mean dispatch -> confirm lead of confirmed speculations: how far
-         ahead of commit the execution ran *)
-      spec (fun sc ->
-          let n = Atomic.get sc.lead_n in
-          if n = 0 then 0.
-          else fi (Atomic.get sc.lead_ns_sum) /. fi n /. 1e9));
   (* Process-wide park accounting for the channels. Registered with
      process-global labels: re-registration by another replica is a
      no-op replace of an identical closure, and the gauge is
@@ -1493,22 +1274,18 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
      and the scheduler all feed the dispatcher (MPMC); the Batcher feeds
      the Protocol thread (SPSC); ClientIO workers feed the RequestQueue
      (MPMC); the DecisionQueue is strictly Protocol -> scheduler (SPSC)
-     unless leases or speculation add producers; send and log queues
-     have several producer threads (MPMC). *)
+     unless leases add the read producers; send and log queues have
+     several producer threads (MPMC). *)
   let t =
     { cfg; me; service;
       dispatcher_q = Bq.create ~kind:Bq.Mpmc ~capacity:4096;
       proposal_q = Bq.create ~kind:Bq.Spsc ~capacity:proposal_queue_capacity;
       request_q = Bq.create ~kind:Bq.Mpmc ~capacity:request_queue_capacity;
       decision_q =
-        (* Lease mode adds client threads as read producers (submit_read)
-           and speculation adds the ClientIO workers (the pre-dispatch
-           hook); otherwise the Protocol thread is the only producer. *)
+        (* Lease mode adds client threads as read producers (submit_read);
+           otherwise the Protocol thread is the only producer. *)
         Bq.create
-          ~kind:
-            (if cfg.Config.lease_enabled || cfg.Config.speculate then
-               Bq.Mpmc
-             else Bq.Spsc)
+          ~kind:(if cfg.Config.lease_enabled then Bq.Mpmc else Bq.Spsc)
           ~capacity:1024;
       send_qs =
         Array.init cfg.Config.n (fun _ ->
@@ -1522,21 +1299,6 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       pool = Exec_pool.create ~n_exec:executor_threads ();
       exec_frontier = Hashtbl.create 256;
       conflict_cache = Cmap.create ~shards:16 ();
-      spec =
-        (* Speculation needs a rollback contract from the service;
-           without one the flag degrades to early-scheduling-only (the
-           conflict cache above). *)
-        (if cfg.Config.speculate && Option.is_some service.Service.execute_undo
-         then
-           Some
-             { ledger = Spec_ledger.create ();
-               spec_dispatch = Counter.create ();
-               spec_confirm = Counter.create ();
-               spec_abort = Counter.create ();
-               spec_requeue = Counter.create ();
-               lead_ns_sum = Atomic.make 0;
-               lead_n = Atomic.make 0 }
-         else None);
       lease_ctx =
         (if cfg.Config.lease_enabled then
            Some
@@ -1577,20 +1339,11 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       tune_lat_sum = 0.;
       tune_lat_n = 0 }
   in
-  let spec_on = Option.is_some t.spec in
   let on_fresh (req : Client_msg.request) =
-    (* Classify-once + speculative pre-dispatch, on the ClientIO worker
-       threads. *)
-    let c = service.Service.conflict_keys req in
-    Cmap.set t.conflict_cache req.id.client_id (req.id.seq, c);
-    if spec_on && Atomic.get t.am_leader then
-      (* Best-effort: a full DecisionQueue just means no speculation for
-         this request — the ordered path is always behind it. FIFO places
-         this Spec strictly before the request's own Exec (the request
-         has not even reached the Batcher yet). *)
-      match Bq.try_put t.decision_q (Spec { req; conflict = c }) with
-      | true | false -> ()
-      | exception Bq.Closed -> ()
+    (* Classify once, on the ClientIO worker threads (see
+       [conflict_cache]). *)
+    Cmap.set t.conflict_cache req.id.client_id
+      (req.id.seq, service.Service.conflict_keys req)
   in
   let cio =
     Client_io.create
@@ -1622,7 +1375,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
           (fun st ->
              (* No at-most-once check in the pool: the scheduler already
                 decided it (exec_frontier) in decide order. *)
-             Exec_pool.executor_loop t.pool ~idx:i ~exec:(exec_work t) ~st))
+             Exec_pool.executor_loop t.pool ~idx:i ~exec:(exec_request t) ~st))
   in
   t.threads <-
     [ spawn "Protocol" protocol_loop; spawn "FailureDetector" fd_loop ]

@@ -74,7 +74,9 @@ val create :
     quiescent. Parallel execution only helps services that classify
     commands with [Keys]; a service using the default [Global]
     classifier executes every command on the scheduler, in decide
-    order.
+    order. Only decided requests execute: the ClientIO hook classifies
+    a fresh request's conflict keys once at ingress (early scheduling),
+    but nothing runs ahead of commit.
 
     [reconnects] supplies the transport's reconnection counter (see
     {!Tcp_mesh}); it backs [msmr_replica_reconnect_total] and
@@ -152,28 +154,6 @@ val stale_reads_served_count : t -> int
 val stale_reads_rejected_count : t -> int
 (** Bounded-staleness reads refused with [Too_stale]
     ([msmr_read_stale_rejected_total]). *)
-
-(** {2 Speculative execution accounting (Config.speculate)}
-
-    All four are [0] unless the replica runs with [cfg.speculate = true]
-    and a service implementing {!Service.t.execute_undo}. *)
-
-val spec_dispatched_count : t -> int
-(** Speculation frames admitted and pre-dispatched to the executor lanes
-    ahead of commit ([msmr_executor_spec_dispatch_total]). *)
-
-val spec_confirmed_count : t -> int
-(** Frames whose predicted order matched the decide stream — their staged
-    reply was promoted and delivered without re-execution
-    ([msmr_executor_spec_confirm_total]). *)
-
-val spec_aborted_count : t -> int
-(** Frames rolled back (mispredict, view change, Global command,
-    snapshot or linearizable read) ([msmr_executor_spec_abort_total]). *)
-
-val spec_requeued_count : t -> int
-(** Decided requests re-executed on the ordered path after a mispredict
-    on their key ([msmr_executor_spec_requeue_total]). *)
 
 (** {2 Online membership change (DESIGN.md §17)} *)
 

@@ -1,58 +1,28 @@
 module Cmap = Msmr_platform.Concurrent_map
 module Client_msg = Msmr_wire.Client_msg
 
-(* [committed] is the client-visible cache; [staged] holds replies of
-   speculative executions that have not confirmed yet. The split keeps
-   at-most-once semantics honest under speculation: a staged reply must
-   never short-circuit a client retry (the frame might still abort), so
-   [lookup]/[already_executed] consult [committed] only. *)
-type t = {
-  committed : (int, int * bytes) Cmap.t;
-  staged : (int, int * bytes) Cmap.t;
-}
+(* client_id -> (newest executed seq, its reply) *)
+type t = (int, int * bytes) Cmap.t
 
 type lookup =
   | Fresh
   | Cached of bytes
   | Stale
 
-let create ?(shards = 16) () : t =
-  { committed = Cmap.create ~shards (); staged = Cmap.create ~shards () }
+let create ?(shards = 16) () : t = Cmap.create ~shards ()
 
 let lookup t (id : Client_msg.request_id) =
-  match Cmap.find_opt t.committed id.client_id with
+  match Cmap.find_opt t id.client_id with
   | Some (seq, reply) when seq = id.seq -> Cached reply
   | Some (seq, _) when seq > id.seq -> Stale
   | Some _ | None -> Fresh
 
 let store t (id : Client_msg.request_id) reply =
-  Cmap.update t.committed id.client_id (function
+  Cmap.update t id.client_id (function
     | Some (seq, old) when seq >= id.seq -> Some (seq, old)
     | Some _ | None -> Some (id.seq, reply))
 
 let already_executed t id =
   match lookup t id with Fresh -> false | Cached _ | Stale -> true
 
-let stage t (id : Client_msg.request_id) reply =
-  Cmap.set t.staged id.client_id (id.seq, reply)
-
-let peek t (id : Client_msg.request_id) =
-  match Cmap.find_opt t.staged id.client_id with
-  | Some (seq, reply) when seq = id.seq -> Some reply
-  | Some _ | None -> None
-
-let confirm t (id : Client_msg.request_id) =
-  match peek t id with
-  | Some reply ->
-    Cmap.remove t.staged id.client_id;
-    store t id reply;
-    Some reply
-  | None -> None
-
-let unstage t (id : Client_msg.request_id) =
-  match Cmap.find_opt t.staged id.client_id with
-  | Some (seq, _) when seq = id.seq -> Cmap.remove t.staged id.client_id
-  | Some _ | None -> ()
-
-let staged_size t = Cmap.length t.staged
-let size t = Cmap.length t.committed
+let size t = Cmap.length t

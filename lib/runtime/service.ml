@@ -7,25 +7,19 @@ type t = {
   snapshot : unit -> bytes;
   restore : bytes -> unit;
   conflict_keys : Msmr_wire.Client_msg.request -> conflict;
-  execute_undo :
-    (Msmr_wire.Client_msg.request -> bytes * (unit -> unit)) option;
 }
 
 let global_conflicts _req = Global
 
-let make ?(conflict_keys = global_conflicts) ?execute_undo ~execute ~snapshot
-    ~restore () =
-  { execute; snapshot; restore; conflict_keys; execute_undo }
+let make ?(conflict_keys = global_conflicts) ~execute ~snapshot ~restore () =
+  { execute; snapshot; restore; conflict_keys }
 
 let null ?(reply_size = 8) () =
   let reply = Bytes.make reply_size '\x00' in
   { execute = (fun _req -> reply);
     snapshot = (fun () -> Bytes.empty);
     restore = (fun _ -> ());
-    conflict_keys = global_conflicts;
-    (* Stateless, so undoing is trivial — but the null service classifies
-       Global and never reaches the speculative path anyway. *)
-    execute_undo = None }
+    conflict_keys = global_conflicts }
 
 let accumulator () =
   let sum = ref 0 in
@@ -44,5 +38,4 @@ let accumulator () =
          sum := match int_of_string_opt (Bytes.to_string b) with
            | Some v -> v
            | None -> 0);
-    conflict_keys = global_conflicts;
-    execute_undo = None }
+    conflict_keys = global_conflicts }

@@ -29,21 +29,10 @@
     with all executors quiescent. Services that always answer [Global]
     keep the original single-threaded contract unchanged.
 
-    {2 Optimistic speculative execution}
-
-    [execute_undo] is the opt-in hook for the speculative path
-    (DESIGN.md section 16, after Marandi & Pedone's optimistic PSMR):
-    [execute_undo req] applies [req] like [execute] would and returns
-    the reply {e plus a rollback closure} that restores the state the
-    command observed — byte-for-byte, so that undoing a suffix of
-    speculatively executed commands in reverse order leaves the state as
-    if none of them ran. The runtime only calls it for single-key
-    [Keys [k]] commands, serialises all calls (and their undos) touching
-    the same key, and guarantees every speculative execution is either
-    confirmed or undone before a snapshot, restore, [Global] command or
-    fast-path read observes the state. [None] (the default) disables
-    speculation for the service — the runtime falls back to the ordered
-    execute-after-commit path. *)
+    The runtime calls [execute] only for decided commands, never ahead
+    of commit, so a service needs no rollback: the optimistic
+    execute-then-undo path of DESIGN.md section 16 is a simulator
+    model only. *)
 
 type conflict =
   | Keys of string list
@@ -56,10 +45,6 @@ type t = {
   snapshot : unit -> bytes;
   restore : bytes -> unit;
   conflict_keys : Msmr_wire.Client_msg.request -> conflict;
-  execute_undo :
-    (Msmr_wire.Client_msg.request -> bytes * (unit -> unit)) option;
-      (** speculative execute: apply the request and return
-          [(reply, undo)]; [None] = service does not support rollback *)
 }
 
 val global_conflicts : Msmr_wire.Client_msg.request -> conflict
@@ -67,14 +52,12 @@ val global_conflicts : Msmr_wire.Client_msg.request -> conflict
 
 val make :
   ?conflict_keys:(Msmr_wire.Client_msg.request -> conflict) ->
-  ?execute_undo:(Msmr_wire.Client_msg.request -> bytes * (unit -> unit)) ->
   execute:(Msmr_wire.Client_msg.request -> bytes) ->
   snapshot:(unit -> bytes) ->
   restore:(bytes -> unit) ->
   unit ->
   t
-(** Assemble a service; [conflict_keys] defaults to {!global_conflicts},
-    [execute_undo] to [None] (no speculation). *)
+(** Assemble a service; [conflict_keys] defaults to {!global_conflicts}. *)
 
 val null : ?reply_size:int -> unit -> t
 (** The paper's benchmark service (Section VI): discards the request

@@ -330,8 +330,9 @@ let run ?(trace = false) (p : Params.t) =
       last_apply.(node.id).(g) <- node_clock node.id
     end
   in
-  (* Speculation frames — the sim's {!Msmr_runtime.Spec_ledger}. Clients
-     are closed-loop (one outstanding op), so at most one open frame per
+  (* Speculation frames, a sim-only model (the live runtime executes
+     only decided requests, DESIGN.md section 16). Clients are
+     closed-loop (one outstanding op), so at most one open frame per
      client: [sf_seq] is the speculated seq (-1 = no frame), [sf_done]
      whether the optimistic execution finished (register written,
      [sf_undo] holds the value to restore on rollback), [sf_wait] the

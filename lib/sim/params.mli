@@ -110,7 +110,8 @@ type t = {
           back and re-executes ordered. Needs an executor pool
           ([exec_threads > 1]); a serial ServiceManager never
           speculates. [false] (the default) is byte-for-byte the ordered
-          path (golden-pinned). *)
+          path (golden-pinned). A simulator-only model: the live
+          runtime executes only decided requests. *)
   mispredict_ratio : float;
       (** fraction of speculations whose prediction is forced wrong
           (deterministic floor-counter pattern, no RNG) — models

@@ -103,10 +103,20 @@ let replay ~dir f =
     go segments;
     !total
 
+(* fsync the directory itself, so that a segment file just created
+   keeps its directory entry across a crash. *)
+let sync_dir dir =
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+
 let open_segment dir index =
-  Unix.openfile (segment_name dir index)
-    [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-    0o644
+  let fd =
+    Unix.openfile (segment_name dir index)
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
+      0o644
+  in
+  sync_dir dir;
+  fd
 
 let openw ?(segment_bytes = 64 * 1024 * 1024) ~dir ~sync () =
   ensure_dir dir;
@@ -122,12 +132,6 @@ let openw ?(segment_bytes = 64 * 1024 * 1024) ~dir ~sync () =
     m_group = Metrics.histogram ~labels "msmr_wal_group_size";
     fd; seg_index; seg_size; records = 0; synced = 0; closed = false }
 
-let rotate t =
-  Unix.close t.fd;
-  t.seg_index <- t.seg_index + 1;
-  t.fd <- open_segment t.dir t.seg_index;
-  t.seg_size <- 0
-
 let write_all fd buf len =
   let rec go ofs =
     if ofs < len then go (ofs + Unix.write fd buf ofs (len - ofs))
@@ -135,9 +139,11 @@ let write_all fd buf len =
   go 0
 
 (* Lock held. One fsync covers every record appended since the last
-   sync — [records - synced] is the group size. The last-sync gauge is
-   refreshed even when there is nothing to flush, so an idle periodic
-   syncer stays distinguishable from a dead one. *)
+   sync — [records - synced] is the group size. This holds because
+   [rotate] syncs a segment before it leaves it, so the unsynced records
+   are all in the current one. The last-sync gauge is refreshed even
+   when there is nothing to flush, so an idle periodic syncer stays
+   distinguishable from a dead one. *)
 let sync_locked t =
   if t.records > t.synced then begin
     Unix.fsync t.fd;
@@ -148,6 +154,14 @@ let sync_locked t =
   Metrics.set_gauge ~labels:t.labels "msmr_wal_last_sync_ns"
     (Int64.to_float (Msmr_platform.Mclock.now_ns ()));
   t.synced
+
+(* Lock held. *)
+let rotate t =
+  ignore (sync_locked t);
+  Unix.close t.fd;
+  t.seg_index <- t.seg_index + 1;
+  t.fd <- open_segment t.dir t.seg_index;
+  t.seg_size <- 0
 
 (* Lock held. Frames [payload] and appends it; returns the record's
    LSN (1-based count of records appended through this handle). *)

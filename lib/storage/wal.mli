@@ -17,14 +17,18 @@
       calls {!sync} on its own schedule; a crash may lose a suffix;
     - [No_sync]: rely on the OS cache entirely.
 
+    Under every policy a segment is fsynced before rotation leaves it,
+    and the directory is fsynced after a segment file is created, so one
+    fsync of the current segment covers every unsynced record.
+
     Appends return the record's LSN — the 1-based count of records
     appended through this handle — so callers can gate work on the
     durable watermark {!synced} reaching it.
 
     Metrics (labels [{dir="..."}], removed on {!close}):
     [msmr_wal_sync_total] fsyncs performed, [msmr_wal_group_size]
-    records covered per fsync, [msmr_wal_last_sync_ns] wall-clock of the
-    last {!sync} tick (updated even when there was nothing to flush, so
+    records covered per fsync, [msmr_wal_last_sync_ns] monotonic stamp
+    of the last {!sync} tick (updated even when there was nothing to flush, so
     an idle periodic syncer is visible).
 
     Thread-safe: appends are serialised internally. *)

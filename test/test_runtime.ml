@@ -1215,318 +1215,6 @@ let test_read_storm_keeps_reply_cache () =
   Alcotest.(check int) "write executed exactly once" 1
     (Replica.executed_count leader)
 
-(* ------------------------------------------------------------------ *)
-(* Speculative execution: reply-cache staging, the speculation ledger,
-   model-checked confirm-vs-abort interleavings, and a live cluster
-   running optimistically (DESIGN.md section 16). *)
-
-let test_reply_cache_staging () =
-  let rc = Reply_cache.create () in
-  (* Staged replies are invisible to the dedup path: a retry of a
-     speculated-but-unconfirmed request still reads Fresh. *)
-  Reply_cache.stage rc (rid 1 1) (Bytes.of_string "spec");
-  Alcotest.(check bool) "staged is not cached" true
-    (Reply_cache.lookup rc (rid 1 1) = Fresh);
-  Alcotest.(check bool) "staged is not executed" false
-    (Reply_cache.already_executed rc (rid 1 1));
-  Alcotest.(check int) "one staged" 1 (Reply_cache.staged_size rc);
-  Alcotest.(check int) "none committed" 0 (Reply_cache.size rc);
-  (match Reply_cache.peek rc (rid 1 1) with
-   | Some b -> Alcotest.(check string) "peek" "spec" (Bytes.to_string b)
-   | None -> Alcotest.fail "peek missed the staged reply");
-  Alcotest.(check bool) "peek is seq-exact" true
-    (Reply_cache.peek rc (rid 1 2) = None);
-  (* Confirm promotes: only now does the reply become client-visible. *)
-  (match Reply_cache.confirm rc (rid 1 1) with
-   | Some b -> Alcotest.(check string) "confirmed" "spec" (Bytes.to_string b)
-   | None -> Alcotest.fail "confirm missed the staged reply");
-  (match Reply_cache.lookup rc (rid 1 1) with
-   | Cached b -> Alcotest.(check string) "now cached" "spec" (Bytes.to_string b)
-   | _ -> Alcotest.fail "confirmed reply not cached");
-  Alcotest.(check int) "staging emptied" 0 (Reply_cache.staged_size rc);
-  Alcotest.(check int) "one committed" 1 (Reply_cache.size rc);
-  (* Aborted speculation leaves no dedup residue: the same request takes
-     the ordered path as if never speculated. *)
-  Reply_cache.stage rc (rid 2 5) (Bytes.of_string "ghost");
-  Reply_cache.unstage rc (rid 2 5);
-  Alcotest.(check int) "unstaged" 0 (Reply_cache.staged_size rc);
-  Alcotest.(check bool) "no residue: still fresh" true
-    (Reply_cache.lookup rc (rid 2 5) = Fresh);
-  Alcotest.(check bool) "no residue: not executed" false
-    (Reply_cache.already_executed rc (rid 2 5));
-  Alcotest.(check int) "committed untouched" 1 (Reply_cache.size rc);
-  Alcotest.(check bool) "confirm of nothing falls through" true
-    (Reply_cache.confirm rc (rid 2 5) = None);
-  (* Clients are sequential: a newer stage overwrites, and a confirm for
-     the stale seq must miss rather than promote the wrong reply. *)
-  Reply_cache.stage rc (rid 3 1) (Bytes.of_string "a");
-  Reply_cache.stage rc (rid 3 2) (Bytes.of_string "b");
-  Alcotest.(check int) "one staged per client" 1 (Reply_cache.staged_size rc);
-  Alcotest.(check bool) "stale-seq confirm misses" true
-    (Reply_cache.confirm rc (rid 3 1) = None);
-  (match Reply_cache.confirm rc (rid 3 2) with
-   | Some b -> Alcotest.(check string) "newest wins" "b" (Bytes.to_string b)
-   | None -> Alcotest.fail "newest staged reply lost")
-
-let test_spec_ledger_semantics () =
-  let led = Spec_ledger.create () in
-  let admit id key =
-    Spec_ledger.admit led id ~key ~lane:0 ~now_ns:0L
-  in
-  let f1 = Option.get (admit (rid 1 1) "k") in
-  let f2 = Option.get (admit (rid 2 1) "k") in
-  let f3 = Option.get (admit (rid 3 1) "other") in
-  Alcotest.(check bool) "client with an open frame is refused" true
-    (admit (rid 1 2) "k" = None);
-  Alcotest.(check int) "three unresolved" 3 (Spec_ledger.unresolved led);
-  Alcotest.(check bool) "effects pending" true (Spec_ledger.effects_pending led);
-  (* Decides matching the predicted (admit) order confirm in turn. *)
-  (match Spec_ledger.on_decide led (rid 1 1) ~key:"k" with
-   | Confirm f -> Alcotest.(check int) "head confirms" 1 f.f_id.client_id
-   | _ -> Alcotest.fail "expected Confirm for the predicted head");
-  Spec_ledger.settled led f1;
-  (* A decide diverging from the prediction rolls the whole key back,
-     newest-first, and leaves the other key's frame alone. *)
-  ignore (Option.get (admit (rid 4 1) "k"));
-  (match Spec_ledger.on_decide led (rid 4 1) ~key:"k" with
-   | Mispredict frames ->
-     Alcotest.(check (list int)) "aborts newest-first" [ 4; 2 ]
-       (List.map (fun f -> f.Spec_ledger.f_id.client_id) frames);
-     List.iter (Spec_ledger.settled led) frames
-   | _ -> Alcotest.fail "expected Mispredict on reordered decide");
-  ignore f2;
-  Alcotest.(check bool) "unspeculated key reports no frame" true
-    (Spec_ledger.on_decide led (rid 9 1) ~key:"k" = No_frame);
-  Alcotest.(check int) "other key untouched" 1 (Spec_ledger.unresolved led);
-  (* abort_all (view change / snapshot / read) drains everything. *)
-  let aborted = Spec_ledger.abort_all led in
-  Alcotest.(check (list int)) "abort_all returns the rest" [ 3 ]
-    (List.map (fun f -> f.Spec_ledger.f_id.client_id) aborted);
-  Alcotest.(check int) "none unresolved" 0 (Spec_ledger.unresolved led);
-  Alcotest.(check bool) "effects still pending until settled" true
-    (Spec_ledger.effects_pending led);
-  Spec_ledger.settled led f3;
-  Alcotest.(check bool) "all effects settled" false
-    (Spec_ledger.effects_pending led)
-
-(* Model-checked confirm path: the decide matches the prediction, the
-   executor promotes the staged effect, and the effects gate (the read /
-   snapshot quiesce condition) only clears once the effect is settled —
-   under every interleaving of scheduler, executor and a reader. *)
-let test_mc_spec_confirm () =
-  let runs, complete =
-    Interleave.explore (fun () ->
-        let module A = Interleave.Traced_atomic in
-        let led = Spec_ledger.create () in
-        let reg = A.make 0 in
-        let f1 =
-          Option.get (Spec_ledger.admit led (rid 1 1) ~key:"k" ~lane:0 ~now_ns:0L)
-        in
-        (* The lane FIFO: work items drain in push order, exactly the
-           per-lane order the executor rings guarantee. *)
-        let lane = Queue.create () in
-        Queue.push (`Spec (f1, 101)) lane;
-        let scheduler () =
-          match Spec_ledger.on_decide led (rid 1 1) ~key:"k" with
-          | Confirm f -> Queue.push (`Confirm f) lane
-          | _ -> Alcotest.fail "expected Confirm for the predicted order"
-        in
-        let process = function
-          | `Spec (f, v) ->
-            let prev = A.get reg in
-            A.set reg v;
-            Atomic.set f.Spec_ledger.f_undo (Some (fun () -> A.set reg prev))
-          | `Confirm f -> Spec_ledger.settled led f
-        in
-        (* Bounded passes, never a wait: a pass that finds the lane empty
-           just yields (unbounded spinning would make the schedule tree
-           infinite). [check] drains whatever the executor missed. *)
-        let executor () =
-          for _ = 1 to 3 do
-            match Queue.take_opt lane with
-            | None -> ignore (A.get reg)
-            | Some item -> process item
-          done
-        in
-        let reader () =
-          for _ = 1 to 2 do
-            let pending = Spec_ledger.effects_pending led in
-            let v = A.get reg in
-            if (not pending) && v <> 101 then
-              Alcotest.failf "effects-settled read saw %d, not the confirmed 101"
-                v
-          done
-        in
-        let check () =
-          let rec drain () =
-            match Queue.take_opt lane with
-            | None -> ()
-            | Some item ->
-              process item;
-              drain ()
-          in
-          drain ();
-          if A.get reg <> 101 then
-            Alcotest.failf "final state %d <> 101" (A.get reg);
-          if Spec_ledger.effects_pending led then
-            Alcotest.fail "effects never settled";
-          if Spec_ledger.unresolved led <> 0 then
-            Alcotest.fail "frame left unresolved"
-        in
-        ([ scheduler; executor; reader ], check))
-  in
-  Alcotest.(check bool) "state space covered" true complete;
-  Alcotest.(check bool) (Printf.sprintf "explored %d schedules" runs) true
-    (runs > 1)
-
-(* Model-checked rollback path: the decide order diverges from the
-   prediction, so both frames on the key must abort — undos applied
-   newest-first through the lane FIFO — before the ordered re-executions
-   land. A reader behind the effects gate must never observe a
-   speculative value, and every interleaving must end in the ordered
-   result. *)
-let test_mc_spec_rollback () =
-  let runs, complete =
-    Interleave.explore (fun () ->
-        let module A = Interleave.Traced_atomic in
-        let led = Spec_ledger.create () in
-        let reg = A.make 0 in
-        let admit id = Spec_ledger.admit led id ~key:"k" ~lane:0 ~now_ns:0L in
-        (* Predicted order: client 1 then client 2, both writing "k". *)
-        let f1 = Option.get (admit (rid 1 1)) in
-        let f2 = Option.get (admit (rid 2 1)) in
-        let lane = Queue.create () in
-        Queue.push (`Spec (f1, 101)) lane;
-        Queue.push (`Spec (f2, 102)) lane;
-        let scheduler () =
-          (* The decide stream arrives client 2 first: mispredict. *)
-          (match Spec_ledger.on_decide led (rid 2 1) ~key:"k" with
-           | Mispredict frames ->
-             if
-               List.map (fun f -> f.Spec_ledger.f_id.client_id) frames
-               <> [ 2; 1 ]
-             then Alcotest.fail "aborts not newest-first";
-             List.iter (fun f -> Queue.push (`Abort f) lane) frames
-           | _ -> Alcotest.fail "expected Mispredict on reordered decide");
-          Queue.push (`Exec 202) lane;
-          (match Spec_ledger.on_decide led (rid 1 1) ~key:"k" with
-           | No_frame -> ()
-           | _ -> Alcotest.fail "frame survived the rollback");
-          Queue.push (`Exec 201) lane
-        in
-        let process = function
-          | `Spec (f, v) ->
-            let prev = A.get reg in
-            A.set reg v;
-            Atomic.set f.Spec_ledger.f_undo (Some (fun () -> A.set reg prev))
-          | `Abort f ->
-            (match Atomic.get f.Spec_ledger.f_undo with
-             | Some undo -> undo ()
-             | None ->
-               (* The lane FIFO put the speculation before its abort. *)
-               Alcotest.fail "abort overtook the speculative execution");
-            Spec_ledger.settled led f
-          | `Exec v -> A.set reg v
-        in
-        (* Bounded passes (see the confirm test): an empty pass yields,
-           [check] drains the remainder. *)
-        let executor () =
-          for _ = 1 to 6 do
-            match Queue.take_opt lane with
-            | None -> ignore (A.get reg)
-            | Some item -> process item
-          done
-        in
-        let reader () =
-          for _ = 1 to 2 do
-            let pending = Spec_ledger.effects_pending led in
-            let v = A.get reg in
-            if (not pending) && (v = 101 || v = 102) then
-              Alcotest.failf "effects-settled read saw speculative value %d" v
-          done
-        in
-        let check () =
-          let rec drain () =
-            match Queue.take_opt lane with
-            | None -> ()
-            | Some item ->
-              process item;
-              drain ()
-          in
-          drain ();
-          if A.get reg <> 201 then
-            Alcotest.failf "final state %d <> ordered result 201" (A.get reg);
-          if Spec_ledger.effects_pending led then
-            Alcotest.fail "effects never settled";
-          if Spec_ledger.unresolved led <> 0 then
-            Alcotest.fail "frames left unresolved"
-        in
-        ([ scheduler; executor; reader ], check))
-  in
-  Alcotest.(check bool) "state space covered" true complete;
-  Alcotest.(check bool) (Printf.sprintf "explored %d schedules" runs) true
-    (runs > 1)
-
-let test_cluster_speculative_kv executor_threads () =
-  (* The live optimistic path end to end: a cluster with speculation on,
-     an [executor_threads] pool and the KV service (which implements
-     execute_undo). Replies must be exactly the sequential KV semantics,
-     the leader must actually have speculated, and a duplicate of a
-     speculated write must replay the cached reply, not re-execute. *)
-  let module Kv = Msmr_kv.Kv_service in
-  let cfg = { (test_cfg 3) with Config.speculate = true } in
-  with_cluster ~executor_threads ~cfg ~service:Kv.make @@ fun cluster ->
-  let leader = Replica.Cluster.await_leader cluster in
-  let client = Client.create ~cluster ~client_id:1 () in
-  let call cmd = Kv.decode_reply (Client.call client (Kv.encode_command cmd)) in
-  Alcotest.(check bool) "put" true
-    (call (Kv.Put { key = "a"; value = "1"; ephemeral = false }) = Kv.Ok_unit);
-  for i = 1 to 30 do
-    Alcotest.(check bool)
-      (Printf.sprintf "incr %d" i)
-      true
-      (call (Kv.Incr { key = "a"; by = 1 }) = Kv.Ok_int (1 + i))
-  done;
-  Alcotest.(check bool) "final value" true
-    (call (Kv.Get "a") = Kv.Ok_value (Some "31"));
-  Alcotest.(check bool)
-    (Printf.sprintf "speculations dispatched (%d)"
-       (Replica.spec_dispatched_count leader))
-    true
-    (Replica.spec_dispatched_count leader > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "speculations confirmed (%d)"
-       (Replica.spec_confirmed_count leader))
-    true
-    (Replica.spec_confirmed_count leader > 0);
-  (* At-most-once survives speculation: the duplicate replays the cached
-     reply (a re-execution would answer 10, not 5). *)
-  let raw =
-    Client_msg.request_to_bytes
-      { Client_msg.id = rid 9 1;
-        payload = Kv.encode_command (Kv.Incr { key = "d"; by = 5 }) }
-  in
-  let box = Ch.create ~kind:Ch.Mpmc ~capacity:2 in
-  let sink b = ignore (Ch.try_put box b) in
-  Replica.submit leader ~raw ~reply_to:sink;
-  (match Ch.take_timeout box ~timeout_s:5.0 with
-   | Some b ->
-     Alcotest.(check bool) "first execution" true
-       (Kv.decode_reply (Client_msg.reply_of_bytes b).result = Kv.Ok_int 5)
-   | None -> Alcotest.fail "no reply to the write");
-  Replica.submit leader ~raw ~reply_to:sink;
-  (match Ch.take_timeout box ~timeout_s:5.0 with
-   | Some b ->
-     Alcotest.(check bool) "duplicate replays the cached reply" true
-       (Kv.decode_reply (Client_msg.reply_of_bytes b).result = Kv.Ok_int 5)
-   | None -> Alcotest.fail "no reply to the duplicate");
-  (* Every replica converges on the same sequential history. *)
-  let replicas = Replica.Cluster.replicas cluster in
-  await ~what:"replicas converging" (fun () ->
-      Array.for_all
-        (fun r -> Replica.executed_count r = Replica.executed_count leader)
-        replicas)
-
 let suite =
   suite
   @ [ Alcotest.test_case "reads: linearizable at the leaseholder" `Quick
@@ -1539,21 +1227,6 @@ let suite =
         test_reads_unsupported_without_lease;
       Alcotest.test_case "reads: storm leaves the reply cache intact" `Quick
         test_read_storm_keeps_reply_cache ]
-
-let suite =
-  suite
-  @ [ Alcotest.test_case "reply cache: staged replies stay invisible" `Quick
-        test_reply_cache_staging;
-      Alcotest.test_case "spec ledger: admit/confirm/mispredict" `Quick
-        test_spec_ledger_semantics;
-      Alcotest.test_case "spec ledger: model-checked confirm" `Quick
-        test_mc_spec_confirm;
-      Alcotest.test_case "spec ledger: model-checked rollback" `Quick
-        test_mc_spec_rollback;
-      Alcotest.test_case "speculation: live KV cluster, 1 executor" `Quick
-        (test_cluster_speculative_kv 1);
-      Alcotest.test_case "speculation: live KV cluster" `Quick
-        (test_cluster_speculative_kv 4) ]
 
 let suite =
   suite

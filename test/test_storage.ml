@@ -148,6 +148,15 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+(* [msmr_wal_sync_total] of the WAL in [dir]. *)
+let wal_syncs dir =
+  List.find_map
+    (fun (s : Msmr_obs.Metrics.sample) ->
+       if s.name = "msmr_wal_sync_total" && s.labels = [ ("dir", dir) ] then
+         match s.value with Msmr_obs.Metrics.Counter_v n -> Some n | _ -> None
+       else None)
+    (Msmr_obs.Metrics.snapshot ())
+
 let test_wal_append_many_group_sync () =
   with_tmp_dir @@ fun dir ->
   let wal = Wal.openw ~dir ~sync:Wal.Sync_every_write () in
@@ -155,16 +164,8 @@ let test_wal_append_many_group_sync () =
   Alcotest.(check int) "lsn of last record" 3 lsn;
   (* The whole group became durable under the one policy-applied sync. *)
   Alcotest.(check int) "synced watermark" 3 (Wal.synced wal);
-  let counter_value name =
-    List.find_map
-      (fun (s : Msmr_obs.Metrics.sample) ->
-         if s.name = name && s.labels = [ ("dir", dir) ] then
-           match s.value with Msmr_obs.Metrics.Counter_v n -> Some n | _ -> None
-         else None)
-      (Msmr_obs.Metrics.snapshot ())
-  in
   Alcotest.(check (option int)) "one fsync for the group" (Some 1)
-    (counter_value "msmr_wal_sync_total");
+    (wal_syncs dir);
   Alcotest.(check int) "empty batch is a no-op" 3 (Wal.append_many wal []);
   let lsn2 = Wal.append wal (Bytes.of_string "d") in
   Alcotest.(check int) "appends keep counting" 4 lsn2;
@@ -173,6 +174,35 @@ let test_wal_append_many_group_sync () =
   ignore (Wal.replay ~dir (fun b -> got := Bytes.to_string b :: !got));
   Alcotest.(check (list string)) "order" [ "a"; "bb"; "ccc"; "d" ]
     (List.rev !got)
+
+(* A segment is fsynced before rotation closes it: the final sync only
+   reaches the new segment's fd, so without that the records left behind
+   in the old one would count as durable unsynced. Two 39-byte frames
+   in 64-byte segments: the second starts a new segment. *)
+let two_segment_records =
+  List.map Bytes.of_string [ "record-1-xxxxxxxxxxxxxxxxxxxxxx";
+                             "record-2-xxxxxxxxxxxxxxxxxxxxxx" ]
+
+let test_wal_rotation_syncs_every_write () =
+  with_tmp_dir @@ fun dir ->
+  let wal = Wal.openw ~segment_bytes:64 ~dir ~sync:Wal.Sync_every_write () in
+  Alcotest.(check int) "lsn" 2 (Wal.append_many wal two_segment_records);
+  Alcotest.(check int) "synced watermark" 2 (Wal.synced wal);
+  Alcotest.(check (option int)) "old segment synced at rotation, new at the end"
+    (Some 2) (wal_syncs dir);
+  Wal.close wal;
+  Alcotest.(check int) "two segments" 2
+    (Array.length (Sys.readdir dir))
+
+let test_wal_rotation_syncs_periodic () =
+  with_tmp_dir @@ fun dir ->
+  let wal = Wal.openw ~segment_bytes:64 ~dir ~sync:Wal.Sync_periodic () in
+  List.iter (fun r -> ignore (Wal.append wal r)) two_segment_records;
+  Alcotest.(check (option int)) "rotation synced the old segment" (Some 1)
+    (wal_syncs dir);
+  Alcotest.(check int) "periodic sync" 2 (Wal.sync wal);
+  Alcotest.(check (option int)) "then the new one" (Some 2) (wal_syncs dir);
+  Wal.close wal
 
 let test_wal_append_many_torn_boundary () =
   with_tmp_dir @@ fun dir ->
@@ -637,6 +667,10 @@ let suite =
     Alcotest.test_case "wal: corruption detected" `Quick test_wal_detects_corruption;
     Alcotest.test_case "wal: segment rotation" `Quick test_wal_segment_rotation;
     Alcotest.test_case "wal: append_many group sync" `Quick test_wal_append_many_group_sync;
+    Alcotest.test_case "wal: every-write rotation syncs old segment" `Quick
+      test_wal_rotation_syncs_every_write;
+    Alcotest.test_case "wal: periodic rotation syncs old segment" `Quick
+      test_wal_rotation_syncs_periodic;
     Alcotest.test_case "wal: append_many torn boundary" `Quick test_wal_append_many_torn_boundary;
     Alcotest.test_case "store: round-trip" `Quick test_store_roundtrip;
     Alcotest.test_case "store: higher view wins" `Quick test_store_higher_view_acceptance_wins;
