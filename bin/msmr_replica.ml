@@ -48,6 +48,10 @@ let run id nodes client_port service_name window batch_bytes batch_delay_ms
       max_batch_bytes = batch_bytes;
       max_batch_delay_s = batch_delay_ms /. 1e3 }
   in
+  (* Before the mesh: a bad flag should not wait for every peer to dial. *)
+  (match Msmr_consensus.Config.validate cfg with
+   | Ok () -> ()
+   | Error e -> failwith ("invalid configuration: " ^ e));
   let service =
     match service_name with
     | "null" -> Msmr_runtime.Service.null ()

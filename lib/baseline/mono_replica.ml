@@ -122,7 +122,13 @@ let event_loop t st =
      | Some ev -> handle ev
      | None -> ()
      | exception Bq.Closed -> Atomic.set t.running false);
-    (match Batcher.flush_due batcher ~now_ns:(Mclock.now_ns ()) with
+    (* The staged Batcher's idle seal: with no instance in flight, the
+       open batch goes now rather than on BSZ or its deadline. *)
+    (match
+       if Paxos.window_in_use engine = 0 && Paxos.can_propose engine then
+         Batcher.flush_idle batcher
+       else Batcher.flush_due batcher ~now_ns:(Mclock.now_ns ())
+     with
      | Some batch -> apply (Paxos.propose engine batch)
      | None -> ());
     let now = Mclock.now_ns () in

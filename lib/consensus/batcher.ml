@@ -4,6 +4,7 @@ module Mclock = Msmr_platform.Mclock
 type seal_stats = {
   seals_size : int;
   seals_delay : int;
+  seals_idle : int;
   sealed_bytes : int;
   limit_bytes : int;
 }
@@ -21,6 +22,7 @@ type t = {
      controller (plain word reads: benign staleness, no tearing). *)
   mutable seals_size : int;
   mutable seals_delay : int;
+  mutable seals_idle : int;
   mutable sealed_bytes : int;
   mutable limit_bytes : int;
 }
@@ -37,6 +39,7 @@ let create ?tuned_bsz cfg ~src =
     oldest_ns = 0L;
     seals_size = 0;
     seals_delay = 0;
+    seals_idle = 0;
     sealed_bytes = 0;
     limit_bytes = 0;
   }
@@ -53,13 +56,18 @@ let seal_stats t =
   {
     seals_size = t.seals_size;
     seals_delay = t.seals_delay;
+    seals_idle = t.seals_idle;
     sealed_bytes = t.sealed_bytes;
     limit_bytes = t.limit_bytes;
   }
 
-let seal t ~limit ~on_size =
-  if on_size then t.seals_size <- t.seals_size + 1
-  else t.seals_delay <- t.seals_delay + 1;
+type reason = Size | Delay | Idle
+
+let seal t ~limit ~reason =
+  (match reason with
+   | Size -> t.seals_size <- t.seals_size + 1
+   | Delay -> t.seals_delay <- t.seals_delay + 1
+   | Idle -> t.seals_idle <- t.seals_idle + 1);
   t.sealed_bytes <- t.sealed_bytes + t.open_bytes;
   t.limit_bytes <- t.limit_bytes + limit;
   let batch =
@@ -80,11 +88,11 @@ let add t req ~now_ns =
     t.open_reqs <- [ req ];
     t.open_count <- 1;
     t.open_bytes <- sz;
-    if sz >= limit then Some (seal t ~limit ~on_size:true) else None
+    if sz >= limit then Some (seal t ~limit ~reason:Size) else None
   end
   else if t.open_bytes + sz > limit then begin
     (* The new request does not fit: seal what we have, start afresh. *)
-    let sealed = seal t ~limit ~on_size:true in
+    let sealed = seal t ~limit ~reason:Size in
     t.oldest_ns <- now_ns;
     t.open_reqs <- [ req ];
     t.open_count <- 1;
@@ -95,7 +103,7 @@ let add t req ~now_ns =
     t.open_reqs <- req :: t.open_reqs;
     t.open_count <- t.open_count + 1;
     t.open_bytes <- t.open_bytes + sz;
-    if t.open_bytes >= limit then Some (seal t ~limit ~on_size:true) else None
+    if t.open_bytes >= limit then Some (seal t ~limit ~reason:Size) else None
   end
 
 let deadline_ns t =
@@ -105,9 +113,12 @@ let deadline_ns t =
 let flush_due t ~now_ns =
   match deadline_ns t with
   | Some d when Int64.compare now_ns d >= 0 ->
-      Some (seal t ~limit:(bsz_limit t) ~on_size:false)
+      Some (seal t ~limit:(bsz_limit t) ~reason:Delay)
   | Some _ | None -> None
 
-let force_flush t =
+let flush_now t ~reason =
   if t.open_reqs = [] then None
-  else Some (seal t ~limit:(bsz_limit t) ~on_size:false)
+  else Some (seal t ~limit:(bsz_limit t) ~reason)
+
+let force_flush t = flush_now t ~reason:Delay
+let flush_idle t = flush_now t ~reason:Idle

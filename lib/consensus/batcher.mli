@@ -3,9 +3,12 @@
     The Batcher thread (Section V-C1) turns the stream of client requests
     into batches bounded by BSZ bytes ([max_batch_bytes]) or by a delay
     cap: an underfull batch is flushed once its oldest request has waited
-    [max_batch_delay_s]. This module is the policy only; the thread around
-    it lives in the runtime ([Msmr_runtime.Replication_core]) and the
-    simulator models its cost separately. *)
+    [max_batch_delay_s]. The live runtime adds a third trigger: its
+    Batcher thread seals the open batch with {!flush_idle} as soon as the
+    ordering pipeline is idle, so batches form only while Paxos is busy.
+    This module is the policy only; the thread around it lives in the
+    runtime ([batcher_loop] in [Msmr_runtime.Replica]), and the simulator
+    models its cost separately and seals on BSZ or the delay cap only. *)
 
 type t
 
@@ -26,6 +29,7 @@ val pending_bytes : t -> int
 type seal_stats = {
   seals_size : int;    (** batches sealed because the size limit was hit *)
   seals_delay : int;   (** batches flushed on the delay cap (or forced) *)
+  seals_idle : int;    (** batches sealed by {!flush_idle} *)
   sealed_bytes : int;  (** total payload bytes across all sealed batches *)
   limit_bytes : int;   (** sum of the BSZ limit in force at each seal —
                            [sealed_bytes /. limit_bytes] is the mean
@@ -50,7 +54,13 @@ val flush_due : t -> now_ns:int64 -> Batch.t option
     [max_batch_delay_s]. *)
 
 val force_flush : t -> Batch.t option
-(** Flush whatever is pending (used on shutdown and by tests). *)
+(** Flush whatever is pending (used on shutdown and by tests); counted
+    in [seals_delay]. *)
+
+val flush_idle : t -> Batch.t option
+(** Flush whatever is pending because the ordering pipeline has nothing
+    in flight; counted in [seals_idle] only, so the delay-seal signal
+    that {!Autotune} reads is unchanged. *)
 
 val deadline_ns : t -> int64 option
 (** When {!flush_due} will next have something to do, if anything is

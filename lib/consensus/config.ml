@@ -45,7 +45,21 @@ let default ~n =
     members0 = [];
   }
 
-let validate t =
+(* The float checks in [validate_ranges] have the form [x <= 0.], which
+   NaN passes, so [validate] refuses non-finite values first. *)
+let non_finite t =
+  List.find_map
+    (fun (name, x) -> if Float.is_finite x then None else Some name)
+    [ ("max_batch_delay_s", t.max_batch_delay_s);
+      ("retransmit_interval_s", t.retransmit_interval_s);
+      ("fd_interval_s", t.fd_interval_s);
+      ("fd_timeout_s", t.fd_timeout_s);
+      ("catchup_interval_s", t.catchup_interval_s);
+      ("tune_epoch_s", t.tune_epoch_s);
+      ("lease_duration_s", t.lease_duration_s);
+      ("clock_skew_bound_s", t.clock_skew_bound_s) ]
+
+let validate_ranges t =
   if t.n < 1 then Error "n must be >= 1"
   else if t.window < 1 then Error "window must be >= 1"
   else if t.max_batch_bytes < 1 then Error "max_batch_bytes must be >= 1"
@@ -93,5 +107,10 @@ let validate t =
     Error "members0 must contain node 0, the initial leader, so bootstrap \
            can activate"
   else Ok ()
+
+let validate t =
+  match non_finite t with
+  | Some name -> Error (name ^ " must be finite")
+  | None -> validate_ranges t
 
 let f t = (t.n - 1) / 2

@@ -9,7 +9,8 @@ type t = {
   n : int;                        (** number of replicas (2f + 1) *)
   window : int;                   (** WND: max concurrent instances *)
   max_batch_bytes : int;          (** BSZ: max payload bytes per batch *)
-  max_batch_delay_s : float;      (** flush an underfull batch after this *)
+  max_batch_delay_s : float;      (** flush an underfull batch after this
+                                      while Paxos is busy *)
   retransmit_interval_s : float;  (** protocol message retransmission *)
   fd_interval_s : float;          (** heartbeat period of the leader *)
   fd_timeout_s : float;           (** silence before suspecting the leader *)
@@ -56,11 +57,14 @@ val default : n:int -> t
     50 ms, snapshot every 10_000 instances, retain 1_000 entries.
     Auto-tuning off; bounds 256..65536 bytes, 1..64 instances, 10 ms
     controller epoch.
-    Leases off (duration 2 s, skew bound 100 ms when enabled). *)
+    Leases off (duration 2 s, skew bound 100 ms when enabled).
+    The delay cap binds only while the ordering pipeline is busy: the
+    live Batcher seals its open batch at once when Paxos has nothing in
+    flight. The simulator always waits for BSZ or the cap. *)
 
 val validate : t -> (unit, string) result
 (** Check invariants (n >= 1 and odd for the usual f derivation,
-    window >= 1, batch size positive, positive periods). *)
+    window >= 1, batch size positive, finite positive periods). *)
 
 val f : t -> int
 (** Crash faults tolerated: [(n - 1) / 2]. *)

@@ -444,7 +444,8 @@ let protocol_loop t st =
   let tune_last_ns = ref (Mclock.now_ns ()) in
   let tune_executed = ref (Counter.get t.executed) in
   let tune_seals = ref Batcher.{
-      seals_size = 0; seals_delay = 0; sealed_bytes = 0; limit_bytes = 0 }
+      seals_size = 0; seals_delay = 0; seals_idle = 0; sealed_bytes = 0;
+      limit_bytes = 0 }
   in
   let tick_tuner engine =
     match tuner with
@@ -808,7 +809,12 @@ let batcher_loop t st =
           match buf.(i) with
           | Some req -> add req; buf.(i) <- None
           | None -> ()
-      done
+      done;
+      (* Idle seal: with nothing queued for Paxos and no instance in
+         flight, waiting for BSZ or the delay cap only adds latency.
+         Under saturation the window never empties and this never fires. *)
+      if !running && Bq.is_empty t.proposal_q && Atomic.get t.window_now = 0
+      then Option.iter publish (Batcher.flush_idle policy)
     | None -> (
         match Batcher.flush_due policy ~now_ns:(Mclock.now_ns ()) with
         | Some batch -> publish batch
@@ -1123,6 +1129,7 @@ let metric_names =
     "msmr_replica_batch_fill";
     "msmr_replica_flush_size_total";
     "msmr_replica_flush_delay_total";
+    "msmr_replica_flush_idle_total";
     "msmr_replica_view_changes_total";
     "msmr_replica_suspect_total";
     "msmr_replica_reconnect_total";
@@ -1185,6 +1192,7 @@ let register_metrics t =
       else fi s.sealed_bytes /. fi s.limit_bytes);
   g "msmr_replica_flush_size_total" (fun () -> fi (seals ()).seals_size);
   g "msmr_replica_flush_delay_total" (fun () -> fi (seals ()).seals_delay);
+  g "msmr_replica_flush_idle_total" (fun () -> fi (seals ()).seals_idle);
   g "msmr_replica_view_changes_total" (fun () ->
       fi (Counter.get t.view_changes));
   g "msmr_replica_suspect_total" (fun () -> fi (Counter.get t.suspects));

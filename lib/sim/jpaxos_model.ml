@@ -2009,8 +2009,8 @@ let run ?(trace = false) (p : Params.t) =
     in
     let last_completed = ref tune_completed.(g) in
     let last_seals =
-      ref Batcher.{ seals_size = 0; seals_delay = 0; sealed_bytes = 0;
-                    limit_bytes = 0 }
+      ref Batcher.{ seals_size = 0; seals_delay = 0; seals_idle = 0;
+                    sealed_bytes = 0; limit_bytes = 0 }
     in
     let rec loop () =
       Engine.delay eng p.tune_epoch;
@@ -2021,10 +2021,11 @@ let run ?(trace = false) (p : Params.t) =
              Batcher.{
                seals_size = acc.seals_size + s.seals_size;
                seals_delay = acc.seals_delay + s.seals_delay;
+               seals_idle = acc.seals_idle + s.seals_idle;
                sealed_bytes = acc.sealed_bytes + s.sealed_bytes;
                limit_bytes = acc.limit_bytes + s.limit_bytes })
-          Batcher.{ seals_size = 0; seals_delay = 0; sealed_bytes = 0;
-                    limit_bytes = 0 }
+          Batcher.{ seals_size = 0; seals_delay = 0; seals_idle = 0;
+                    sealed_bytes = 0; limit_bytes = 0 }
           batcher_policies.(home.id).(g)
       in
       let prev = !last_seals in

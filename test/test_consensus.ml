@@ -1872,3 +1872,52 @@ let suite =
       Alcotest.test_case "lease: singleton group self-holds" `Quick
         test_lease_singleton_self_holds;
     ]
+
+(* NaN passes every [x <= 0.] range check, so it would reach
+   [Mclock.ns_of_s] as a batch deadline or a timer period. *)
+let test_config_rejects_non_finite () =
+  let ok = Config.default ~n:3 in
+  let cases =
+    [ ("max_batch_delay_s", fun x -> { ok with Config.max_batch_delay_s = x });
+      ("retransmit_interval_s", fun x -> { ok with retransmit_interval_s = x });
+      ("fd_interval_s", fun x -> { ok with fd_interval_s = x });
+      ("fd_timeout_s", fun x -> { ok with fd_timeout_s = x });
+      ("catchup_interval_s", fun x -> { ok with catchup_interval_s = x });
+      ("tune_epoch_s", fun x -> { ok with auto_tune = true; tune_epoch_s = x });
+      ("lease_duration_s",
+       fun x -> { ok with lease_enabled = true; lease_duration_s = x });
+      ("clock_skew_bound_s",
+       fun x -> { ok with lease_enabled = true; clock_skew_bound_s = x }) ]
+  in
+  List.iter
+    (fun (name, set) ->
+       List.iter
+         (fun x ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s = %h rejected" name x)
+              true
+              (Config.validate (set x) |> Result.is_error))
+         [ Float.nan; Float.infinity; Float.neg_infinity ])
+    cases
+
+let test_batcher_idle_seal_stats () =
+  let b = Batcher.create batcher_cfg ~src:0 in
+  Alcotest.(check bool) "nothing open" true (Batcher.flush_idle b = None);
+  ignore (Batcher.add b (mk_req 1 1 "a") ~now_ns:0L);
+  ignore (Batcher.add b (mk_req 1 2 "b") ~now_ns:0L);
+  (match Batcher.flush_idle b with
+   | Some batch ->
+     Alcotest.(check int) "both requests" 2 (Batch.request_count batch)
+   | None -> Alcotest.fail "expected idle seal");
+  let s = Batcher.seal_stats b in
+  Alcotest.(check int) "idle seals" 1 s.Batcher.seals_idle;
+  Alcotest.(check int) "size seals unchanged" 0 s.Batcher.seals_size;
+  Alcotest.(check int) "delay seals unchanged" 0 s.Batcher.seals_delay;
+  Alcotest.(check bool) "deadline cleared" true (Batcher.deadline_ns b = None)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "config: non-finite periods rejected" `Quick
+        test_config_rejects_non_finite;
+      Alcotest.test_case "batcher: idle seal stats" `Quick
+        test_batcher_idle_seal_stats ]

@@ -1232,3 +1232,64 @@ let suite =
   suite
   @ [ Alcotest.test_case "cluster: retransmission recovers a lost accept" `Quick
         test_cluster_retransmit_recovers_accept ]
+
+(* The Batcher seals its open batch as soon as the ordering pipeline is
+   idle: a lone call on a quiet cluster does not wait out the delay
+   cap. *)
+let test_cluster_idle_seal_skips_delay_cap () =
+  let cfg = { (test_cfg 3) with max_batch_delay_s = 5.0 } in
+  with_cluster ~cfg @@ fun cluster ->
+  ignore (Replica.Cluster.await_leader cluster);
+  let client = Client.create ~timeout_s:10.0 ~cluster ~client_id:1 () in
+  let t0 = Mclock.now_ns () in
+  Alcotest.(check string) "answered" "5"
+    (Bytes.to_string (Client.call client (Bytes.of_string "5")));
+  let elapsed = Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.3f s, under 1 s of a 5 s cap" elapsed)
+    true (elapsed < 1.0)
+
+let flush_idle_total leader =
+  let me = string_of_int (Replica.me leader) in
+  List.fold_left
+    (fun acc (s : Msmr_obs.Metrics.sample) ->
+       match s.value with
+       | Msmr_obs.Metrics.Gauge_v v
+         when s.name = "msmr_replica_flush_idle_total"
+              && List.assoc_opt "replica" s.labels = Some me ->
+         acc +. v
+       | _ -> acc)
+    0.
+    (Msmr_obs.Metrics.snapshot ())
+
+(* Idle seals do not end batching: requests that arrive while an
+   instance is in flight still share batches. *)
+let test_cluster_burst_still_batches () =
+  with_cluster @@ fun cluster ->
+  let leader = Replica.Cluster.await_leader cluster in
+  let done_count = Atomic.make 0 in
+  let sink _ = Atomic.incr done_count in
+  for i = 1 to 200 do
+    let raw =
+      Client_msg.request_to_bytes
+        { id = { client_id = i; seq = 1 }; payload = Bytes.of_string "1" }
+    in
+    Replica.submit leader ~raw ~reply_to:sink
+  done;
+  await ~what:"200 replies" (fun () -> Atomic.get done_count >= 200);
+  let decided = Replica.decided_count leader in
+  let executed = Replica.executed_count leader in
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer instances (%d) than requests (%d)" decided executed)
+    true (decided < executed);
+  let idle = flush_idle_total leader in
+  Alcotest.(check bool)
+    (Printf.sprintf "idle seals counted (%.0f)" idle)
+    true (idle > 0.)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "cluster: idle call skips the delay cap" `Quick
+        test_cluster_idle_seal_skips_delay_cap;
+      Alcotest.test_case "cluster: burst still batches" `Quick
+        test_cluster_burst_still_batches ]
