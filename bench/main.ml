@@ -590,6 +590,54 @@ let live_mono () =
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the substrate. *)
 
+(* One cross-thread hand-off: a value ping-pongs between two threads
+   over two channels, both sides waiting with [take] or with
+   [take_timeout] (a deadline that never passes). Returns wall and
+   process CPU µs per round trip. *)
+let handoff ~timed ~rounds =
+  let module C = Msmr_platform.Channel in
+  let ping = C.create ~kind:C.Spsc ~capacity:1
+  and pong = C.create ~kind:C.Spsc ~capacity:1 in
+  let take c =
+    if timed then Option.get (C.take_timeout c ~timeout_s:10.0) else C.take c
+  in
+  let echo =
+    Thread.create (fun () -> for _ = 1 to rounds do C.put pong (take ping) done) ()
+  in
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let c0 = cpu () and t0 = Msmr_platform.Mclock.now_ns () in
+  for i = 1 to rounds do
+    C.put ping i;
+    ignore (take pong)
+  done;
+  let wall = Msmr_platform.Mclock.(s_of_ns (Int64.sub (now_ns ()) t0)) in
+  let cpu = cpu () -. c0 in
+  Thread.join echo;
+  let per x = x *. 1e6 /. float_of_int rounds in
+  (per wall, per cpu)
+
+(* The two hand-offs, alternated over [runs] runs; min–max of each. *)
+let handoff_rows ~runs ~rounds =
+  let results =
+    List.init runs (fun _ ->
+        (handoff ~timed:false ~rounds, handoff ~timed:true ~rounds))
+  in
+  let row name pick =
+    let range f =
+      let xs = List.map (fun r -> f (pick r)) results in
+      (List.fold_left min infinity xs, List.fold_left max 0. xs)
+    in
+    let wlo, whi = range fst and clo, chi = range snd in
+    Printf.printf
+      "%-40s wall %5.1f-%5.1f us, cpu %5.1f-%5.1f us per round trip\n"
+      name wlo whi clo chi
+  in
+  row "channel hand-off (take)" fst;
+  row "channel hand-off (take_timeout)" snd
+
 let micro () =
   heading "micro" "Substrate micro-benchmarks (bechamel)";
   let open Bechamel in
@@ -694,6 +742,7 @@ let micro () =
        | Some [ est ] -> Printf.printf "%-40s %10.0f ns/op\n" name est
        | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
     (List.sort compare rows);
+  handoff_rows ~runs:5 ~rounds:20_000;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)

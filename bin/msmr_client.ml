@@ -10,17 +10,7 @@
 
 module Histogram = Msmr_platform.Histogram
 
-let parse_addr s =
-  match String.rindex_opt s ':' with
-  | None -> failwith (Printf.sprintf "bad address %S (want host:port)" s)
-  | Some i ->
-    let host = String.sub s 0 i in
-    let port = int_of_string (String.sub s (i + 1) (String.length s - i - 1)) in
-    let h = Unix.gethostbyname host in
-    Unix.ADDR_INET (h.Unix.h_addr_list.(0), port)
-
-let run connect clients duration request_size =
-  let addrs = List.map parse_addr connect in
+let run addrs clients duration request_size =
   let payload = Bytes.make (max 0 (request_size - 16)) 'x' in
   let completed = Atomic.make 0 in
   let retried = Atomic.make 0 in
@@ -63,8 +53,8 @@ open Cmdliner
 
 let connect =
   Arg.(
-    non_empty & opt_all string []
-    & info [ "connect" ]
+    non_empty & opt_all Addr_arg.conv []
+    & info [ "connect" ] ~docv:"HOST:PORT"
         ~doc:"Replica client address host:port (repeat for failover).")
 
 let clients =

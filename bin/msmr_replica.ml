@@ -10,56 +10,20 @@
 
    then drive it with bin/msmr_client. *)
 
-let parse_addr s =
-  match String.rindex_opt s ':' with
-  | None -> Error (`Msg (Printf.sprintf "bad address %S (want host:port)" s))
-  | Some i ->
-    let host = String.sub s 0 i in
-    let port = String.sub s (i + 1) (String.length s - i - 1) in
-    (match int_of_string_opt port with
-     | None -> Error (`Msg (Printf.sprintf "bad port in %S" s))
-     | Some port -> (
-         match Unix.gethostbyname host with
-         | { Unix.h_addr_list = [||]; _ } ->
-           Error (`Msg (Printf.sprintf "cannot resolve %S" host))
-         | h -> Ok (Unix.ADDR_INET (h.Unix.h_addr_list.(0), port))
-         | exception Not_found ->
-           Error (`Msg (Printf.sprintf "cannot resolve %S" host))))
+let services =
+  [ ("null", fun () -> Msmr_runtime.Service.null ());
+    ("acc", Msmr_runtime.Service.accumulator);
+    ("kv", Msmr_kv.Kv_service.make);
+    ("lock", Msmr_kv.Lock_service.make) ]
 
-let run id nodes client_port service_name window batch_bytes batch_delay_ms
-    executors verbose =
+let serve ~id ~nodes ~cfg ~client_port ~service_name ~executors ~verbose =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Info)
   end;
-  let addrs =
-    List.mapi
-      (fun i s ->
-         match parse_addr s with
-         | Ok a -> (i, a)
-         | Error (`Msg m) -> failwith m)
-      nodes
-  in
-  let n = List.length addrs in
-  if id < 0 || id >= n then failwith "--id out of range";
-  let cfg =
-    { (Msmr_consensus.Config.default ~n) with
-      window;
-      max_batch_bytes = batch_bytes;
-      max_batch_delay_s = batch_delay_ms /. 1e3 }
-  in
-  (* Before the mesh: a bad flag should not wait for every peer to dial. *)
-  (match Msmr_consensus.Config.validate cfg with
-   | Ok () -> ()
-   | Error e -> failwith ("invalid configuration: " ^ e));
-  let service =
-    match service_name with
-    | "null" -> Msmr_runtime.Service.null ()
-    | "acc" -> Msmr_runtime.Service.accumulator ()
-    | "kv" -> Msmr_kv.Kv_service.make ()
-    | "lock" -> Msmr_kv.Lock_service.make ()
-    | s -> failwith (Printf.sprintf "unknown service %S" s)
-  in
+  let n = List.length nodes in
+  let addrs = List.mapi (fun i a -> (i, a)) nodes in
+  let service = List.assoc service_name services () in
   Printf.printf "replica %d/%d: establishing mesh...\n%!" id n;
   let mesh = Msmr_runtime.Tcp_mesh.create ~me:id ~addrs () in
   let links = Msmr_runtime.Tcp_mesh.links mesh in
@@ -92,6 +56,25 @@ let run id nodes client_port service_name window batch_bytes batch_delay_ms
   in
   status 0
 
+(* Bad flags are usage errors, reported before the mesh: they should not
+   wait for every peer to dial. *)
+let run id nodes client_port service_name window batch_bytes batch_delay_ms
+    executors verbose =
+  let n = List.length nodes in
+  let cfg =
+    { (Msmr_consensus.Config.default ~n) with
+      window;
+      max_batch_bytes = batch_bytes;
+      max_batch_delay_s = batch_delay_ms /. 1e3 }
+  in
+  if id < 0 || id >= n then
+    `Error (false, Printf.sprintf "--id %d out of range: %d --node given" id n)
+  else
+    match Msmr_consensus.Config.validate cfg with
+    | Error e -> `Error (false, "invalid configuration: " ^ e)
+    | Ok () ->
+      serve ~id ~nodes ~cfg ~client_port ~service_name ~executors ~verbose
+
 open Cmdliner
 
 let id =
@@ -99,8 +82,8 @@ let id =
 
 let nodes =
   Arg.(
-    non_empty & opt_all string []
-    & info [ "node" ]
+    non_empty & opt_all Addr_arg.conv []
+    & info [ "node" ] ~docv:"HOST:PORT"
         ~doc:"Replica address host:port, one per replica, in id order.")
 
 let client_port =
@@ -110,7 +93,8 @@ let client_port =
 
 let service_name =
   Arg.(
-    value & opt string "kv"
+    value
+    & opt (enum (List.map (fun (s, _) -> (s, s)) services)) "kv"
     & info [ "service" ] ~doc:"Service: null, acc, kv or lock.")
 
 let window =
@@ -137,7 +121,7 @@ let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log to stderr.")
 let cmd =
   Cmd.v
     (Cmd.info "msmr_replica" ~doc:"Run one replica of the replicated state machine")
-    Term.(const run $ id $ nodes $ client_port $ service_name $ window
-          $ batch_bytes $ batch_delay_ms $ executors $ verbose)
+    Term.(ret (const run $ id $ nodes $ client_port $ service_name $ window
+          $ batch_bytes $ batch_delay_ms $ executors $ verbose))
 
 let () = exit (Cmd.eval cmd)

@@ -4,10 +4,6 @@ type kind = Spsc | Mpmc
 
 type 'a core = S of 'a Lf_queue.Spsc.t | M of 'a Lf_queue.Mpmc.t
 
-(* A timed sleeper selects on a self-pipe: OCaml 5.1's [Condition] has
-   no timed wait. Wakers write one byte to [wr]. *)
-type pipe = { rd : Unix.file_descr; wr : Unix.file_descr }
-
 type 'a t = {
   core : 'a core;
   (* The mutex/condvars exist only for parking: the data path never takes
@@ -18,11 +14,6 @@ type 'a t = {
   nonfull : Condition.t;
   sleepers : int Atomic.t;
   space_sleepers : int Atomic.t;
-  timed_sleepers : int Atomic.t;
-  (* Created by the first timed wait; released by [close] once no timed
-     sleeper remains, or by the GC if the channel is never closed.
-     Guarded by [mu]. *)
-  mutable pipe : pipe option;
   closed : bool Atomic.t;
 }
 
@@ -54,8 +45,6 @@ let create ~kind ~capacity =
     nonfull = Condition.create ();
     sleepers = Atomic.make 0;
     space_sleepers = Atomic.make 0;
-    timed_sleepers = Atomic.make 0;
-    pipe = None;
     closed = Atomic.make false;
   }
 
@@ -65,36 +54,33 @@ let is_empty t = length t = 0
 let is_full t = length t >= capacity t
 let is_closed r = Atomic.get r.closed
 
-(* One byte is the whole message; the read side discards it. *)
-let byte = Bytes.make 1 '\000'
+(* [clockwait cond mu deadline] is [Condition.wait cond mu] that also
+   returns, with [true], once the {!Mclock.now_ns} instant [deadline]
+   has passed (condwait_stubs.c). *)
+external clockwait : Condition.t -> Mutex.t -> int64 -> bool
+  = "channel_cond_clockwait"
 
-let release_pipe r =
-  match r.pipe with
-  | Some p ->
-    r.pipe <- None;
-    Unix.close p.rd;
-    Unix.close p.wr
-  | None -> ()
+external sync_layout_ok : Condition.t -> Mutex.t -> bool
+  = "channel_sync_layout_ok"
 
-(* With [mu] held. Non-blocking: a full pipe already holds a wake. *)
-let ring r =
-  match r.pipe with
-  | Some p when Atomic.get r.timed_sleepers > 0 -> (
-      try ignore (Unix.single_write p.wr byte 0 1)
-      with Unix.Unix_error _ -> ())
-  | _ -> ()
+let () =
+  if not (sync_layout_ok (Condition.create ()) (Mutex.create ())) then
+    failwith
+      "Channel: this OCaml runtime's Condition.t/Mutex.t are not the \
+       pthread-backed blocks condwait_stubs.c reads"
 
 (* A waker must take [mu] before signalling: the parked side re-polls the
    ring while holding [mu] immediately before each [Condition.wait], so
    either the re-poll observes the state change, or the wait is entered
    before the waker can acquire [mu] and the signal lands. Combined with
    incrementing the sleeper count before taking [mu], no wakeup is lost.
-   Timed sleepers are covered by the byte instead (see [take_timeout]). *)
+   A timed waiter that times out may swallow a signal meant for another
+   sleeper, but it re-runs its attempt under [mu] before it leaves, so
+   it takes the item that signal announced. *)
 let wake_consumer r =
-  if Atomic.get r.sleepers > 0 || Atomic.get r.timed_sleepers > 0 then begin
+  if Atomic.get r.sleepers > 0 then begin
     Mutex.lock r.mu;
     Condition.signal r.nonempty;
-    ring r;
     Mutex.unlock r.mu
   end
 
@@ -111,9 +97,11 @@ let accounted ?st f =
   | None -> f ()
   | Some st -> Thread_state.enter st Thread_state.Waiting f
 
-(* Park on [cond] until [attempt] succeeds: register as a sleeper, then
-   re-run [attempt] under [mu] before every wait. *)
-let park ?st r sleepers cond attempt =
+(* Park on [cond] until [attempt] succeeds, or, given a [deadline]
+   ({!Mclock.now_ns}), until it has passed and one last [attempt] fails:
+   register as a sleeper, then re-run [attempt] under [mu] before every
+   wait. [None] only on a deadline. *)
+let park ?st ?deadline r sleepers cond attempt =
   Atomic.incr sleepers;
   Mutex.lock r.mu;
   Fun.protect
@@ -123,10 +111,15 @@ let park ?st r sleepers cond attempt =
     (fun () ->
       let rec loop () =
         match attempt () with
-        | Some v -> v
-        | None ->
-          accounted ?st (fun () -> Condition.wait cond r.mu);
-          loop ()
+        | Some _ as v -> v
+        | None -> (
+          match deadline with
+          | None ->
+            accounted ?st (fun () -> Condition.wait cond r.mu);
+            loop ()
+          | Some d ->
+            if accounted ?st (fun () -> clockwait cond r.mu d) then attempt ()
+            else loop ())
       in
       loop ())
 
@@ -138,7 +131,7 @@ let put ?st r v =
   in
   (match attempt () with
    | Some () -> ()
-   | None -> park ?st r r.space_sleepers r.nonfull attempt);
+   | None -> ignore (park ?st r r.space_sleepers r.nonfull attempt));
   wake_consumer r
 
 let try_put r v =
@@ -164,7 +157,7 @@ let take ?st r =
   let v =
     match poll r with
     | Some v -> v
-    | None -> park ?st r r.sleepers r.nonempty (fun () -> poll r)
+    | None -> Option.get (park ?st r r.sleepers r.nonempty (fun () -> poll r))
   in
   wake_producer r;
   v
@@ -176,51 +169,6 @@ let try_take r =
     Some v
   | None -> None
 
-(* The timed park. The waiter counts itself in [timed_sleepers] (and
-   gets the pipe) under [mu], then polls again, then selects on the pipe
-   until the deadline. A waker that pushed first and then saw the count
-   at 0 pushed before the waiter's poll, which finds the item; one that
-   saw it positive writes a byte after its push, and the byte stays in
-   the pipe until a timed sleeper reads it — and every reader polls
-   again. Readers take one byte each, under [mu] and only while open:
-   the byte [close] writes is never consumed, so it wakes every timed
-   sleeper, and the last one to leave releases the pipe. *)
-let enter_timed r =
-  Mutex.lock r.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock r.mu) @@ fun () ->
-  let rd =
-    match r.pipe with
-    | Some p -> Some p.rd
-    | None when Atomic.get r.closed -> None
-    | None ->
-      let rd, wr = Unix.pipe ~cloexec:true () in
-      Unix.set_nonblock rd;
-      Unix.set_nonblock wr;
-      r.pipe <- Some { rd; wr };
-      Gc.finalise release_pipe r;
-      Some rd
-  in
-  Atomic.incr r.timed_sleepers;
-  rd
-
-let leave_timed r =
-  Mutex.lock r.mu;
-  Atomic.decr r.timed_sleepers;
-  if Atomic.get r.closed && Atomic.get r.timed_sleepers = 0 then
-    release_pipe r;
-  Mutex.unlock r.mu
-
-let sleep_on ?st r rd ~timeout_s =
-  accounted ?st (fun () ->
-      match Unix.select [ rd ] [] [] timeout_s with
-      | [], _, _ -> ()
-      | _ ->
-        Mutex.lock r.mu;
-        (if not (Atomic.get r.closed) then
-           try ignore (Unix.read rd byte 0 1) with Unix.Unix_error _ -> ());
-        Mutex.unlock r.mu
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-
 let take_timeout ?st r ~timeout_s =
   let v =
     match poll r with
@@ -228,23 +176,7 @@ let take_timeout ?st r ~timeout_s =
     | None when timeout_s <= 0. -> None
     | None ->
       let deadline = Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s timeout_s) in
-      let rd = enter_timed r in
-      Fun.protect ~finally:(fun () -> leave_timed r) (fun () ->
-          (* [rd = None] only once closed: [poll] then ends the loop. *)
-          let rec loop () =
-            match poll r with
-            | Some _ as v -> v
-            | None ->
-              let left = Int64.sub deadline (Mclock.now_ns ()) in
-              if Int64.compare left 0L <= 0 then None
-              else begin
-                Option.iter
-                  (fun rd -> sleep_on ?st r rd ~timeout_s:(Mclock.s_of_ns left))
-                  rd;
-                loop ()
-              end
-          in
-          loop ())
+      park ?st ~deadline r r.sleepers r.nonempty (fun () -> poll r)
   in
   if Option.is_some v then wake_producer r;
   v
@@ -304,5 +236,4 @@ let close r =
   Mutex.lock r.mu;
   Condition.broadcast r.nonempty;
   Condition.broadcast r.nonfull;
-  if Atomic.get r.timed_sleepers = 0 then release_pipe r else ring r;
   Mutex.unlock r.mu

@@ -6,9 +6,10 @@
     DispatcherQueue, DecisionQueue, SendQueues, LogQueue), the in-process
     transport's pipes and the executor pool's lanes and token rings go
     through this type. The data path is a few atomic operations. A
-    thread that cannot proceed parks at once: on a condition variable
-    for {!take} and {!put}, on a self-pipe for {!take_timeout} (OCaml
-    5.1's [Condition] has no timed wait). Every park is counted in
+    thread that cannot proceed parks at once on a condition variable;
+    {!take_timeout} parks on the same one as {!take}, through a
+    monotonic-clock timed wait (OCaml 5.1's [Condition] has none), so
+    a channel holds no file descriptor. Every park is counted in
     {!Waitstats} and, given a {!Thread_state.t}, accounted as
     [Waiting]. The bound is what makes back-pressure flow control work
     (Section V-E of the paper): a stage that cannot keep up fills its
@@ -56,10 +57,9 @@ val try_take : 'a t -> 'a option
 val take_timeout : ?st:Thread_state.t -> 'a t -> timeout_s:float -> 'a option
 (** Like {!take} with a deadline; [None] once [timeout_s] has passed
     (at once when [timeout_s <= 0]). A [put] or {!close} wakes the
-    waiter early. The first timed wait creates the channel's self-pipe
-    (two file descriptors); {!close} releases it once no timed waiter
-    remains, and an unclosed channel's pipe is released when the
-    channel is collected. @raise Closed once closed and drained. *)
+    waiter early. The deadline is on the monotonic clock of
+    {!Mclock.now_ns}, so a wall-clock step neither ends nor stretches
+    the wait. @raise Closed once closed and drained. *)
 
 val take_batch : ?st:Thread_state.t -> 'a t -> max:int -> 'a list
 (** Blocks for the first element, then drains up to [max] without

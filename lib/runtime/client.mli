@@ -26,9 +26,7 @@ val create :
   t
 (** In-process client. [timeout_s] (default 1.0) is the per-attempt reply
     timeout before the request is resent. The client parks on its reply
-    channel until a reply or the timeout; the channel holds a self-pipe
-    (two file descriptors) from the first wait until {!close} or until
-    the client is collected. *)
+    channel until a reply or the timeout. *)
 
 val connect :
   ?timeout_s:float ->

@@ -348,6 +348,7 @@ let test_ch_take_timeout () =
   Alcotest.(check (option int)) "times out" None
     (Channel.take_timeout q ~timeout_s:0.03);
   Alcotest.(check bool) "not before the deadline" true (elapsed_s t0 >= 0.03);
+  Alcotest.(check bool) "soon after the deadline" true (elapsed_s t0 < 0.5);
   let producer =
     Thread.create (fun () -> Mclock.sleep_s 0.01; Channel.put q 7) ()
   in
@@ -666,6 +667,46 @@ let prop_steal_pool_per_key_order =
           if total <> n_keys * per_key then ok := false);
       !ok)
 
+(* One park: a [take] and a [take_timeout] sleep on the same condvar,
+   and each of two puts wakes one of them. *)
+let test_ch_timed_untimed_share_park () =
+  let q : int Channel.t = ch Channel.Mpmc 4 in
+  let untimed = ref None and timed = ref None in
+  let parked = Waitstats.park_total () + 2 in
+  let t_untimed =
+    Thread.create
+      (fun () ->
+        let v = Channel.take q in
+        untimed := Some (v, Mclock.now_ns ()))
+      ()
+  and t_timed =
+    Thread.create
+      (fun () ->
+        match Channel.take_timeout q ~timeout_s:5.0 with
+        | Some v -> timed := Some (v, Mclock.now_ns ())
+        | None -> ())
+      ()
+  in
+  (* Wait until both have parked: the park counter has risen by two. *)
+  let t0 = Mclock.now_ns () in
+  while Waitstats.park_total () < parked && elapsed_s t0 < 2.0 do
+    Mclock.sleep_s 0.001
+  done;
+  let t_put = Mclock.now_ns () in
+  Channel.put q 1;
+  Channel.put q 2;
+  Thread.join t_untimed;
+  Thread.join t_timed;
+  let woke name = function
+    | None -> Alcotest.failf "%s waiter got nothing" name
+    | Some (v, t) ->
+      let dt = Mclock.s_of_ns (Int64.sub t t_put) in
+      if dt >= 0.1 then Alcotest.failf "%s waiter woke after %.3f s" name dt;
+      v
+  in
+  let a = woke "untimed" !untimed and b = woke "timed" !timed in
+  Alcotest.(check (list int)) "one item each" [ 1; 2 ] (List.sort compare [ a; b ])
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -714,3 +755,7 @@ let suite =
       test_pool_quiesce_single_exec;
   ]
   @ qsuite
+  @ [
+      Alcotest.test_case "channel: timed and untimed waiters share one park"
+        `Quick test_ch_timed_untimed_share_park;
+    ]

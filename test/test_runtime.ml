@@ -518,8 +518,8 @@ let test_client_io_reply_wakes_worker () =
   done;
   Ch.close box
 
-(* Timed parks hold a self-pipe per channel; stopping a cluster must
-   release every one of them. *)
+(* Stopping a cluster must give back every file descriptor it opened.
+   No channel opens one, timed parks included. *)
 let test_cluster_fds_released () =
   let fd_count () = Array.length (Sys.readdir "/proc/self/fd") in
   if Sys.file_exists "/proc/self/fd" then begin
