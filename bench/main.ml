@@ -549,8 +549,8 @@ let live_mono () =
             (fun () ->
                let payload = Bytes.make 112 'x' in
                let reply_box =
-                 Msmr_platform.Channel.create ~kind:Msmr_platform.Channel.Spsc
-                   ~capacity:1
+                 Msmr_platform.Channel.create ~name:"bench_reply"
+                   ~kind:Msmr_platform.Channel.Spsc ~capacity:1
                in
                let seq = ref 0 in
                while Unix.gettimeofday () < stop_at do
@@ -596,8 +596,8 @@ let live_mono () =
    process CPU µs per round trip. *)
 let handoff ~timed ~rounds =
   let module C = Msmr_platform.Channel in
-  let ping = C.create ~kind:C.Spsc ~capacity:1
-  and pong = C.create ~kind:C.Spsc ~capacity:1 in
+  let ping = C.create ~name:"handoff" ~kind:C.Spsc ~capacity:1
+  and pong = C.create ~name:"handoff" ~kind:C.Spsc ~capacity:1 in
   let take c =
     if timed then Option.get (C.take_timeout c ~timeout_s:10.0) else C.take c
   in
@@ -643,7 +643,8 @@ let micro () =
   let open Bechamel in
   let open Toolkit in
   let ch =
-    Msmr_platform.Channel.create ~kind:Msmr_platform.Channel.Mpmc ~capacity:1024
+    Msmr_platform.Channel.create ~name:"bench"
+      ~kind:Msmr_platform.Channel.Mpmc ~capacity:1024
   in
   let bench_ch =
     Test.make ~name:"channel put+take"

@@ -186,9 +186,10 @@ let receiver_loop t peer (link : Transport.link) st =
 let create ~cfg ~me ~links ~service () =
   let t =
     { cfg; me; service;
-      events = Bq.create ~kind:Bq.Mpmc ~capacity:8192;
+      events = Bq.create ~name:"mono_events" ~kind:Bq.Mpmc ~capacity:8192;
       send_qs =
-        Array.init cfg.Config.n (fun _ -> Bq.create ~kind:Bq.Mpmc ~capacity:4096);
+        Array.init cfg.Config.n (fun _ ->
+            Bq.create ~name:"mono_send_queue" ~kind:Bq.Mpmc ~capacity:4096);
       links;
       fd = Failure_detector.create cfg ~me ~now_ns:(Mclock.now_ns ());
       view_now = Atomic.make 0;

@@ -15,6 +15,7 @@ type 'a t = {
   sleepers : int Atomic.t;
   space_sleepers : int Atomic.t;
   closed : bool Atomic.t;
+  parks : Waitstats.counter;  (* shared by every channel of this name *)
 }
 
 let core_push c x = match c with
@@ -33,7 +34,7 @@ let core_capacity c = match c with
   | S q -> Lf_queue.Spsc.capacity q
   | M q -> Lf_queue.Mpmc.capacity q
 
-let create ~kind ~capacity =
+let create ~name ~kind ~capacity =
   let core = match kind with
     | Spsc -> S (Lf_queue.Spsc.create ~capacity)
     | Mpmc -> M (Lf_queue.Mpmc.create ~capacity)
@@ -46,6 +47,7 @@ let create ~kind ~capacity =
     sleepers = Atomic.make 0;
     space_sleepers = Atomic.make 0;
     closed = Atomic.make false;
+    parks = Waitstats.counter name;
   }
 
 let capacity r = core_capacity r.core
@@ -91,8 +93,8 @@ let wake_producer r =
     Mutex.unlock r.mu
   end
 
-let accounted ?st f =
-  Waitstats.note_park ();
+let accounted ?st r f =
+  Waitstats.note_park r.parks;
   match st with
   | None -> f ()
   | Some st -> Thread_state.enter st Thread_state.Waiting f
@@ -115,10 +117,10 @@ let park ?st ?deadline r sleepers cond attempt =
         | None -> (
           match deadline with
           | None ->
-            accounted ?st (fun () -> Condition.wait cond r.mu);
+            accounted ?st r (fun () -> Condition.wait cond r.mu);
             loop ()
           | Some d ->
-            if accounted ?st (fun () -> clockwait cond r.mu d) then attempt ()
+            if accounted ?st r (fun () -> clockwait cond r.mu d) then attempt ()
             else loop ())
       in
       loop ())

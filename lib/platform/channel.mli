@@ -10,8 +10,8 @@
     {!take_timeout} parks on the same one as {!take}, through a
     monotonic-clock timed wait (OCaml 5.1's [Condition] has none), so
     a channel holds no file descriptor. Every park is counted in
-    {!Waitstats} and, given a {!Thread_state.t}, accounted as
-    [Waiting]. The bound is what makes back-pressure flow control work
+    {!Waitstats}, in total and under the channel's name, and, given a
+    {!Thread_state.t}, accounted as [Waiting]. The bound is what makes back-pressure flow control work
     (Section V-E of the paper): a stage that cannot keep up fills its
     input channel and its producers block.
 
@@ -32,8 +32,10 @@ exception Closed
 (** Raised by [put]/[take] on a closed channel; {!Worker.spawn} treats it
     as a clean exit. *)
 
-val create : kind:kind -> capacity:int -> 'a t
-(** @raise Invalid_argument if [capacity <= 0]. Note the MPMC ring
+val create : name:string -> kind:kind -> capacity:int -> 'a t
+(** [name] is the {!Waitstats} counter this channel's parks are counted
+    under, besides the process-wide total; channels may share a name.
+    @raise Invalid_argument if [capacity <= 0]. Note the MPMC ring
     rounds [capacity] up to a power of two (see {!Lf_queue}). *)
 
 val capacity : 'a t -> int

@@ -55,7 +55,8 @@ let create ?(timeout_s = 1.0) ~cluster ~client_id () =
     Array.find_index Replica.is_leader (Replica.Cluster.replicas cluster)
     |> Option.value ~default:0
   in
-  let replies = Channel.create ~kind:Channel.Mpmc ~capacity:reply_capacity in
+  let replies = Channel.create ~name:"client_replies" ~kind:Channel.Mpmc
+      ~capacity:reply_capacity in
   make (Local { cluster; replies }) ~timeout_s ~client_id ~target
 
 let connect ?(timeout_s = 1.0) ~addrs ~client_id () =

@@ -44,18 +44,13 @@ type t = {
 let worker_of_client t client_id =
   client_id mod Array.length t.workers
 
-(* Drain every queued reply in one pass, grouping consecutive replies to
-   the same connection so a connection with a [batch_sink] gets the whole
+(* Encode [items] and write them, grouping consecutive replies to the
+   same connection so a connection with a [batch_sink] gets the whole
    run in a single write (Frame.write_many → one write(2)). Groups
    preserve per-connection FIFO order; one registry "flush" is counted
-   per non-empty pass. *)
-let drain_replies t (ctx : worker_ctx) =
-  let rec collect acc =
-    match Mpsc.pop ctx.replies with
-    | Some item -> collect (item :: acc)
-    | None -> List.rev acc
-  in
-  match collect [] with
+   per non-empty call. *)
+let flush t items =
+  match items with
   | [] -> ()
   | items ->
     (* (sink, batch_sink, payloads in reverse), newest group first. *)
@@ -77,6 +72,15 @@ let drain_replies t (ctx : worker_ctx) =
          | _, ps -> List.iter sink ps)
       (List.rev !groups);
     Msmr_obs.Metrics.incr t.m_flushes
+
+(* Drain every queued reply in one pass. *)
+let drain_replies t (ctx : worker_ctx) =
+  let rec collect acc =
+    match Mpsc.pop ctx.replies with
+    | Some item -> collect (item :: acc)
+    | None -> List.rev acc
+  in
+  flush t (collect [])
 
 (* Decode one request, answer it from the reply cache or hand it to the
    Batcher. The hand-off is a blocking [put]: a full RequestQueue stops
@@ -130,7 +134,8 @@ let create ?(name_prefix = "") ?on_fresh ~pool_size
   let workers =
     (* Ingress is many connection threads -> one worker: MPMC ring. *)
     Array.init pool_size (fun _ ->
-        { ingress = Bq.create ~kind:Bq.Mpmc ~capacity:256;
+        { ingress =
+            Bq.create ~name:"client_io_ingress" ~kind:Bq.Mpmc ~capacity:256;
           replies = Mpsc.create ();
           kicked = Atomic.make false })
   in
@@ -180,6 +185,15 @@ let deliver_reply t (reply : Client_msg.reply) =
     if not (Atomic.exchange w.kicked true) then (
       try ignore (Bq.try_put w.ingress Kick) with Bq.Closed -> ())
   | None -> ()
+
+let write_replies t (replies : Client_msg.reply list) =
+  flush t
+    (List.filter_map
+       (fun (reply : Client_msg.reply) ->
+          match Cmap.find_opt t.routes reply.id.client_id with
+          | Some (_, sink, many) -> Some (reply, sink, many)
+          | None -> None)
+       replies)
 
 let ingress_length t =
   Array.fold_left (fun acc w -> acc + Bq.length w.ingress) 0 t.workers

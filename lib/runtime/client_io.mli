@@ -5,7 +5,11 @@
     the reply cache (answering duplicates immediately), and feeds fresh
     requests to the RequestQueue; replies produced by the ServiceManager
     are handed back to the owning thread, which serialises them and
-    invokes the connection's send function.
+    invokes the connection's send function. The one exception is a
+    batch the ServiceManager's scheduler runs itself on an idle
+    executor pool: it writes those replies directly ({!write_replies}),
+    through the same grouping code. Sinks must therefore be callable
+    from any thread.
 
     Each worker waits on one source, its ingress channel. The
     ServiceManager never blocks handing a reply over: it pushes onto the
@@ -66,6 +70,13 @@ val deliver_reply : t -> Msmr_wire.Client_msg.reply -> unit
 (** Called by the ServiceManager: route the reply to the thread owning
     the client and return immediately. Replies for unknown clients are
     dropped (the client reconnected elsewhere). *)
+
+val write_replies : t -> Msmr_wire.Client_msg.reply list -> unit
+(** Called by the ServiceManager's scheduler for a batch it ran itself
+    (DESIGN.md section 9): encode the replies and write them to their
+    connections on the calling thread, grouped per connection as a
+    worker's drain groups them, skipping the reply queue and its
+    [Kick]. Replies for unknown clients are dropped. *)
 
 val ingress_length : t -> int
 (** Total queued ingress items across workers, pending reply kicks

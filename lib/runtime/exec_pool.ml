@@ -62,11 +62,11 @@ let create ~n_exec () =
     n_exec;
     n_lanes;
     lanes =
-      Array.init n_lanes (fun _ -> Ch.create ~kind:Ch.Spsc ~capacity:lane_capacity);
+      Array.init n_lanes (fun _ -> Ch.create ~name:"exec_lane" ~kind:Ch.Spsc ~capacity:lane_capacity);
     lane_pending = Array.init n_lanes (fun _ -> Atomic.make 0);
     (* Every live token could in principle sit in one ring. *)
     token_qs =
-      Array.init n_exec (fun _ -> Ch.create ~kind:Ch.Mpmc ~capacity:n_lanes);
+      Array.init n_exec (fun _ -> Ch.create ~name:"exec_tokens" ~kind:Ch.Mpmc ~capacity:n_lanes);
     seeds = Array.init n_exec (fun i -> (i * 2654435761) lor 1);
     pending = Atomic.make 0;
     mu = Mutex.create ();
@@ -84,6 +84,8 @@ let dispatched t = Counter.get t.dispatched
 let barriers t = Counter.get t.barriers
 let steals t = Counter.get t.steals
 let steal_fails t = Counter.get t.steal_fails
+
+let idle t = Atomic.get t.pending = 0
 
 let depth t = Array.fold_left (fun acc l -> acc + Ch.length l) 0 t.lanes
 

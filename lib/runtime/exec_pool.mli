@@ -38,6 +38,10 @@ val send : ?st:Msmr_platform.Thread_state.t -> 'a t -> lane:int -> 'a -> unit
 val send_rr : ?st:Msmr_platform.Thread_state.t -> 'a t -> 'a -> unit
 (** Dispatch a conflict-free request to the next lane round-robin. *)
 
+val idle : 'a t -> bool
+(** Every {!send}-dispatched request has finished executing: the
+    non-blocking form of {!quiesce}'s condition. *)
+
 val quiesce : 'a t -> Msmr_platform.Thread_state.t -> unit
 (** Block (accounted [Waiting]) until the pool is idle. *)
 

@@ -74,7 +74,9 @@ type stable = {
    keys run concurrently. The pool runs many lanes over the executors
    (one by default) and idle executors steal lane tokens from busy
    siblings. Global / multi-lane commands and snapshots first quiesce the
-   pool, then run inline on the scheduler. *)
+   pool, then run inline on the scheduler. A batch decided while the pool
+   is idle and nothing is queued behind it runs inline too, replies
+   included (see [exec_inline]). *)
 
 (* Lease runtime state (Config.lease_enabled). The pure {!Lease} policy
    is Protocol-thread private — every mutation happens while handling a
@@ -132,6 +134,7 @@ type t = {
   am_leader : bool Atomic.t;
   executed : Counter.t;
   decided : Counter.t;
+  exec_inline : Counter.t;      (* batches the scheduler ran itself *)
   send_q_drops : Counter.t;
   sender_flushes : Counter.t;   (* coalesced sender-drain passes *)
   view_changes : Counter.t;     (* views installed after view 0 *)
@@ -181,6 +184,8 @@ let is_leader t = Atomic.get t.am_leader
 let current_view t = Atomic.get t.view_now
 let executed_count t = Counter.get t.executed
 let decided_count t = Counter.get t.decided
+let exec_inline_count t = Counter.get t.exec_inline
+let executor_dispatched_count t = Exec_pool.dispatched t.pool
 let view_changes_count t = Counter.get t.view_changes
 let suspects_count t = Counter.get t.suspects
 let reconnects_count t = t.reconnects ()
@@ -918,14 +923,19 @@ let fd_loop t st =
    pool runs every lane on that executor. *)
 
 (* Execute one decided request unconditionally: service call, reply
-   cache update, reply hand-off. At-most-once was already decided at
-   dispatch time, in decide order (see [exec_frontier]). *)
-let exec_request t (req : Client_msg.request) =
+   cache update. At-most-once was already decided at dispatch time, in
+   decide order (see [exec_frontier]). *)
+let execute t (req : Client_msg.request) : Client_msg.reply =
   let result = t.service.execute req in
   Reply_cache.store t.reply_cache req.id result;
   Counter.incr t.executed;
+  { id = req.id; result }
+
+(* [execute], then hand the reply to its ClientIO worker. *)
+let exec_request t req =
+  let reply = execute t req in
   match t.client_io with
-  | Some cio -> Client_io.deliver_reply cio { id = req.id; result }
+  | Some cio -> Client_io.deliver_reply cio reply
   | None -> ()
 
 (* Serve one read popped off the DecisionQueue, on the scheduler
@@ -1063,6 +1073,24 @@ let dispatch t st (req : Client_msg.request) =
       Exec_pool.quiesce pool st;
       exec_request t req
 
+(* The idle path. With no dispatched request unfinished and no decision
+   queued behind this batch, no executor could overlap with it, so the
+   scheduler runs the batch itself and writes its replies straight to
+   the client sinks: no executor wake, no ClientIO reply [Kick]. Per-key
+   decide order holds as on the pool path: every earlier request has
+   finished ([Exec_pool.idle]) and the scheduler, the only dispatcher,
+   runs this batch to completion before it pops the next decision. *)
+let exec_inline t (requests : Client_msg.request list) =
+  Counter.incr t.exec_inline;
+  let replies =
+    List.filter_map
+      (fun req -> if frontier_admit t req then Some (execute t req) else None)
+      requests
+  in
+  match t.client_io with
+  | Some cio -> Client_io.write_replies cio replies
+  | None -> ()
+
 let scheduler_loop t st =
   let pool = t.pool in
   let instances_executed = ref 0 in
@@ -1084,7 +1112,10 @@ let scheduler_loop t st =
        (* Reconfig instances mutate the engine's membership (adopted on
           the Protocol thread), not the service state. *)
        | Value.Noop | Value.Reconfig _ -> ()
-       | Value.Batch batch -> List.iter (dispatch t st) batch.requests);
+       | Value.Batch batch ->
+         if Exec_pool.idle pool && Bq.is_empty t.decision_q then
+           exec_inline t batch.requests
+         else List.iter (dispatch t st) batch.requests);
       if Option.is_some t.lease_ctx then note_applied t ~iid;
       incr instances_executed;
       if t.cfg.snapshot_every > 0
@@ -1118,6 +1149,7 @@ let metric_names =
     "msmr_replica_client_ingress_depth";
     "msmr_replica_executor_queue_depth";
     "msmr_replica_executor_dispatched";
+    "msmr_replica_exec_inline_total";
     "msmr_replica_executor_barriers";
     "msmr_executor_steal_total";
     "msmr_executor_steal_fail_total";
@@ -1166,16 +1198,25 @@ let register_metrics t =
   g "msmr_replica_executor_queue_depth" (fun () -> fi (Exec_pool.depth t.pool));
   g "msmr_replica_executor_dispatched" (fun () ->
       fi (Exec_pool.dispatched t.pool));
+  g "msmr_replica_exec_inline_total" (fun () -> fi (Counter.get t.exec_inline));
   g "msmr_replica_executor_barriers" (fun () -> fi (Exec_pool.barriers t.pool));
   g "msmr_executor_steal_total" (fun () -> fi (Exec_pool.steals t.pool));
   g "msmr_executor_steal_fail_total" (fun () ->
       fi (Exec_pool.steal_fails t.pool));
-  (* Process-wide park accounting for the channels. Registered with
+  (* Process-wide park accounting for the channels, in total and per
+     channel name (every name created so far). Registered with
      process-global labels: re-registration by another replica is a
-     no-op replace of an identical closure, and the gauge is
+     no-op replace of an identical closure, and the gauges are
      deliberately not removed on [stop]. *)
   Msmr_obs.Metrics.gauge ~labels:[ ("mode", "live") ] "msmr_queue_park_total"
     (fun () -> fi (Waitstats.park_total ()));
+  List.iter
+    (fun c ->
+       Msmr_obs.Metrics.gauge
+         ~labels:[ ("mode", "live"); ("queue", Waitstats.name c) ]
+         "msmr_channel_park_total"
+         (fun () -> fi (Waitstats.parks_of c)))
+    (Waitstats.counters ());
   g "msmr_replica_sender_flushes" (fun () -> fi (Counter.get t.sender_flushes));
   g "msmr_replica_log_queue_depth" (fun () ->
       match t.stable with
@@ -1255,7 +1296,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       Some
         { log_q =
             (* Protocol produces, StableStorage consumes. *)
-            Bq.create ~kind:Bq.Spsc ~capacity:8192;
+            Bq.create ~name:"log_queue" ~kind:Bq.Spsc ~capacity:8192;
           ss_periodic = sync = Msmr_storage.Wal.Sync_periodic;
           ss_lsn = Atomic.make 0;
           ss_stall = Atomic.make false;
@@ -1286,18 +1327,23 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
      several producer threads (MPMC). *)
   let t =
     { cfg; me; service;
-      dispatcher_q = Bq.create ~kind:Bq.Mpmc ~capacity:4096;
-      proposal_q = Bq.create ~kind:Bq.Spsc ~capacity:proposal_queue_capacity;
-      request_q = Bq.create ~kind:Bq.Mpmc ~capacity:request_queue_capacity;
+      dispatcher_q =
+        Bq.create ~name:"dispatcher_queue" ~kind:Bq.Mpmc ~capacity:4096;
+      proposal_q =
+        Bq.create ~name:"proposal_queue" ~kind:Bq.Spsc
+          ~capacity:proposal_queue_capacity;
+      request_q =
+        Bq.create ~name:"request_queue" ~kind:Bq.Mpmc
+          ~capacity:request_queue_capacity;
       decision_q =
         (* Lease mode adds client threads as read producers (submit_read);
            otherwise the Protocol thread is the only producer. *)
-        Bq.create
+        Bq.create ~name:"decision_queue"
           ~kind:(if cfg.Config.lease_enabled then Bq.Mpmc else Bq.Spsc)
           ~capacity:1024;
       send_qs =
         Array.init cfg.Config.n (fun _ ->
-            Bq.create ~kind:Bq.Mpmc ~capacity:4096);
+            Bq.create ~name:"send_queue" ~kind:Bq.Mpmc ~capacity:4096);
       links;
       store;
       stable;
@@ -1322,6 +1368,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       am_leader = Atomic.make false;
       executed = Counter.create ();
       decided = Counter.create ();
+      exec_inline = Counter.create ();
       send_q_drops = Counter.create ();
       sender_flushes = Counter.create ();
       view_changes = Counter.create ();

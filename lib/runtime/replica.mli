@@ -120,6 +120,14 @@ val executed_count : t -> int
 
 val decided_count : t -> int
 
+val exec_inline_count : t -> int
+(** Decided batches the scheduler executed itself on an idle executor
+    pool (the value behind [msmr_replica_exec_inline_total]). *)
+
+val executor_dispatched_count : t -> int
+(** Requests the scheduler handed to the executor pool (the value behind
+    [msmr_replica_executor_dispatched]). *)
+
 val view_changes_count : t -> int
 (** Views this replica has installed beyond its starting one (the value
     behind [msmr_replica_view_changes_total]). *)

@@ -38,7 +38,7 @@ module Hub = struct
         pipes =
           Array.init n (fun src ->
               Array.init n (fun dst ->
-                  { queue = Bq.create ~kind:Bq.Spsc ~capacity;
+                  { queue = Bq.create ~name:"hub_pipe" ~kind:Bq.Spsc ~capacity;
                     drop_rate = 0.;
                     severed = false;
                     rng = Random.State.make [| (src * 131) + dst |] }));
@@ -90,7 +90,8 @@ module Hub = struct
   let renew t node =
     for p = 0 to t.n - 1 do
       if p <> node then
-        t.pipes.(p).(node).queue <- Bq.create ~kind:Bq.Spsc ~capacity:t.capacity
+        t.pipes.(p).(node).queue <-
+          Bq.create ~name:"hub_pipe" ~kind:Bq.Spsc ~capacity:t.capacity
     done
 
   let close t =

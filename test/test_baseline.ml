@@ -65,7 +65,7 @@ let mono_cfg =
 
 (* Simple synchronous call helper against a mono replica. *)
 let mono_call replica ~client_id ~seq payload =
-  let reply_box = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
+  let reply_box = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:1 in
   let raw =
     Client_msg.request_to_bytes { id = { client_id; seq }; payload }
   in

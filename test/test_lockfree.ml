@@ -225,7 +225,7 @@ let test_mc_mpmc_push_pop_race () =
 (* ------------------------------------------------------------------ *)
 (* Channel facade: blocking semantics on the ring path. *)
 
-let ch kind capacity = Channel.create ~kind ~capacity
+let ch kind capacity = Channel.create ~name:"test" ~kind ~capacity
 
 let test_ch_fifo () =
   let q = ch Channel.Mpmc 8 in
@@ -529,7 +529,7 @@ let prop_mpmc_channel_exactly_once =
     QCheck.(
       triple (int_range 1 3) (int_range 0 60) (int_range 1 8))
     (fun (n_producers, per, capacity) ->
-      let q = Channel.create ~kind:Channel.Mpmc ~capacity in
+      let q = Channel.create ~name:"test" ~kind:Channel.Mpmc ~capacity in
       let out = Array.init 2 (fun _ -> ref []) in
       let consumers =
         Array.to_list
@@ -592,7 +592,7 @@ let prop_spsc_channel_fifo =
     ~count:stress_count
     QCheck.(pair (int_range 0 200) (int_range 1 8))
     (fun (n, capacity) ->
-      let q = Channel.create ~kind:Channel.Spsc ~capacity in
+      let q = Channel.create ~name:"test" ~kind:Channel.Spsc ~capacity in
       let producer =
         Thread.create
           (fun () ->
@@ -623,7 +623,7 @@ let prop_channel_take_timeout =
     (fun steps ->
       let steps = Array.of_list steps in
       let n = Array.length steps in
-      let q = Channel.create ~kind:Channel.Spsc ~capacity:4 in
+      let q = Channel.create ~name:"test" ~kind:Channel.Spsc ~capacity:4 in
       let producer =
         Thread.create
           (fun () ->

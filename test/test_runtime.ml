@@ -158,7 +158,7 @@ let test_cluster_duplicate_suppression () =
   (* Send the exact same serialised request three times. *)
   let req = { Client_msg.id = rid 7 1; payload = Bytes.of_string "5" } in
   let raw = Client_msg.request_to_bytes req in
-  let replies = Ch.create ~kind:Ch.Mpmc ~capacity:8 in
+  let replies = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:8 in
   let sink b = ignore (Ch.try_put replies b) in
   Replica.submit leader ~raw ~reply_to:sink;
   await ~what:"first execution" (fun () -> Replica.executed_count leader = 1);
@@ -217,7 +217,7 @@ let test_cluster_retransmit_recovers_accept () =
     Transport.Hub.set_drop_rate hub ~src:0 ~dst:2 rate
   in
   drop 1.0;
-  let result = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
+  let result = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:1 in
   let caller =
     Thread.create
       (fun () -> Ch.put result (Client.call client (Bytes.of_string "2")))
@@ -491,13 +491,13 @@ let suite =
    around the worker's return to its park exercises the race between
    the worker lowering the Kick flag and a deliverer raising it. *)
 let test_client_io_reply_wakes_worker () =
-  let request_queue = Ch.create ~kind:Ch.Mpmc ~capacity:16 in
+  let request_queue = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:16 in
   let cio =
     Client_io.create ~pool_size:1 ~request_queue
       ~reply_cache:(Reply_cache.create ()) ()
   in
   Fun.protect ~finally:(fun () -> Client_io.stop cio) @@ fun () ->
-  let box = Ch.create ~kind:Ch.Mpmc ~capacity:4 in
+  let box = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:4 in
   for seq = 1 to 200 do
     let id = rid 1 seq in
     let raw = Client_msg.request_to_bytes { id; payload = Bytes.empty } in
@@ -659,7 +659,7 @@ let test_cluster_executors_pipelined_client () =
   @@ fun cluster ->
   let leader = Replica.Cluster.await_leader cluster in
   let n = 300 in
-  let replies = Ch.create ~kind:Ch.Mpmc ~capacity:(n + 8) in
+  let replies = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:(n + 8) in
   let sink b = ignore (Ch.try_put replies b) in
   for s = 1 to n do
     let raw =
@@ -695,7 +695,7 @@ let test_cluster_executors_duplicate_suppression () =
     Client_msg.request_to_bytes
       { id = rid 7 1; payload = Kv.encode_command (Kv.Incr { key = "k"; by = 3 }) }
   in
-  let replies = Ch.create ~kind:Ch.Mpmc ~capacity:8 in
+  let replies = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:8 in
   let sink b = ignore (Ch.try_put replies b) in
   Replica.submit leader ~raw ~reply_to:sink;
   await ~what:"first execution" (fun () -> Replica.executed_count leader = 1);
@@ -1127,7 +1127,7 @@ let test_follower_rejects_linearizable_read () =
       { Client_msg.id = rid 1 1; staleness_ns = Client_msg.linearizable;
         payload = Bytes.of_string "0" }
   in
-  let box = Ch.create ~kind:Ch.Mpmc ~capacity:1 in
+  let box = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:1 in
   Replica.submit follower ~raw ~reply_to:(fun b ->
       ignore (Ch.try_put box b));
   (match Ch.take_timeout box ~timeout_s:5.0 with
@@ -1184,7 +1184,7 @@ let test_read_storm_keeps_reply_cache () =
     Client_msg.request_to_bytes
       { Client_msg.id = rid 7 1; payload = Bytes.of_string "5" }
   in
-  let replies = Ch.create ~kind:Ch.Mpmc ~capacity:4 in
+  let replies = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:4 in
   let sink b = ignore (Ch.try_put replies b) in
   Replica.submit leader ~raw:wraw ~reply_to:sink;
   await ~what:"write executed" (fun () -> Replica.executed_count leader = 1);
@@ -1293,3 +1293,219 @@ let suite =
         test_cluster_idle_seal_skips_delay_cap;
       Alcotest.test_case "cluster: burst still batches" `Quick
         test_cluster_burst_still_batches ]
+
+(* ------------------------------------------------------------------ *)
+(* The ServiceManager's idle path: a batch decided while the executor
+   pool is idle and the DecisionQueue empty runs on the scheduler. *)
+
+let test_cluster_idle_decision_inline () =
+  with_cluster ~executor_threads:2 ~service:(fun () -> Kv.make ())
+  @@ fun cluster ->
+  let leader = Replica.Cluster.await_leader cluster in
+  let client = Client.create ~cluster ~client_id:1 () in
+  let put = Kv.Put { key = "k"; value = "v"; ephemeral = false } in
+  (match kv_call client put with
+   | Kv.Error e -> Alcotest.failf "put failed: %s" e
+   | _ -> ());
+  let replicas = Replica.Cluster.replicas cluster in
+  await ~what:"every replica executed the put" (fun () ->
+      Array.for_all (fun r -> Replica.executed_count r = 1) replicas);
+  Array.iter
+    (fun r ->
+       Alcotest.(check bool)
+         (Printf.sprintf "replica %d ran the batch inline" (Replica.me r))
+         true
+         (Replica.exec_inline_count r >= 1))
+    replicas;
+  Alcotest.(check int) "leader dispatched nothing to the pool" 0
+    (Replica.executor_dispatched_count leader)
+
+(* A test service over "<key>:<tag>" payloads: each command appends its
+   tag to its key's history and answers with that history, joined by
+   commas. A command whose tag has a latch first counts itself in
+   [entered], then waits until the test opens the latch. *)
+let latched_service ~latches ~entered () =
+  let mu = Mutex.create () in
+  let history : (string, string list) Hashtbl.t = Hashtbl.create 8 in
+  let split (req : Client_msg.request) =
+    match String.split_on_char ':' (Bytes.to_string req.payload) with
+    | [ key; tag ] -> (key, tag)
+    | _ -> invalid_arg "latched_service: payload"
+  in
+  let execute req =
+    let key, tag = split req in
+    (match List.assoc_opt tag latches with
+     | Some latch ->
+       Atomic.incr (List.assoc tag entered);
+       while not (Atomic.get latch) do Thread.delay 0.001 done
+     | None -> ());
+    Mutex.lock mu;
+    let h = tag :: Option.value (Hashtbl.find_opt history key) ~default:[] in
+    Hashtbl.replace history key h;
+    Mutex.unlock mu;
+    Bytes.of_string (String.concat "," (List.rev h))
+  in
+  Service.make
+    ~conflict_keys:(fun req -> Service.Keys [ fst (split req) ])
+    ~execute
+    ~snapshot:(fun () -> Bytes.empty)
+    ~restore:(fun _ -> ())
+    ()
+
+(* The pool must still own a key while it runs one of its commands. P
+   holds every scheduler (it runs inline and waits on a latch) while A
+   and then F are decided, so A is popped with F queued behind it and
+   goes to the pool, where it waits on a second latch. B, on A's key,
+   is then decided with the DecisionQueue empty: only the pool's
+   pending count says that B must queue behind A. A and B use clients
+   that map to the same ClientIO worker, so their replies share one
+   FIFO. *)
+let test_cluster_inline_waits_for_busy_pool () =
+  let open_p = Atomic.make false and open_a = Atomic.make false in
+  let entered_p = Atomic.make 0 and entered_a = Atomic.make 0 in
+  let ran_b = Atomic.make 0 in
+  let service () =
+    let s =
+      latched_service
+        ~latches:[ ("P", open_p); ("A", open_a) ]
+        ~entered:[ ("P", entered_p); ("A", entered_a) ]
+        ()
+    in
+    { s with
+      execute =
+        (fun req ->
+           if Bytes.to_string req.payload = "k:B" then Atomic.incr ran_b;
+           s.execute req) }
+  in
+  with_cluster ~executor_threads:2 ~service @@ fun cluster ->
+  (* A failed check must not leave a thread on a latch: stopping the
+     cluster joins every thread. *)
+  Fun.protect ~finally:(fun () ->
+      Atomic.set open_p true;
+      Atomic.set open_a true)
+  @@ fun () ->
+  let leader = Replica.Cluster.await_leader cluster in
+  let replicas = Replica.Cluster.replicas cluster in
+  let n = Array.length replicas in
+  let mu = Mutex.create () in
+  let replies = ref [] in
+  let submit client_id payload =
+    let raw =
+      Client_msg.request_to_bytes
+        { id = rid client_id 1; payload = Bytes.of_string payload }
+    in
+    Replica.submit leader ~raw ~reply_to:(fun b ->
+        let rep = Client_msg.reply_of_bytes b in
+        Mutex.lock mu;
+        replies := (payload, Bytes.to_string rep.result) :: !replies;
+        Mutex.unlock mu)
+  in
+  let decided_all k =
+    Array.for_all (fun r -> Replica.decided_count r >= k) replicas
+  in
+  submit 1 "p:P";
+  await ~what:"P running everywhere" (fun () -> Atomic.get entered_p = n);
+  let d0 =
+    Array.fold_left (fun m r -> min m (Replica.decided_count r)) max_int
+      replicas
+  in
+  submit 2 "k:A";
+  await ~what:"A decided" (fun () -> decided_all (d0 + 1));
+  submit 4 "f:F";
+  await ~what:"F decided" (fun () -> decided_all (d0 + 2));
+  Atomic.set open_p true;
+  await ~what:"A running everywhere" (fun () -> Atomic.get entered_a = n);
+  submit 5 "k:B";
+  await ~what:"B scheduled everywhere" (fun () ->
+      Atomic.get ran_b > 0
+      || Array.for_all
+           (fun r -> Replica.executor_dispatched_count r >= 3)
+           replicas);
+  Alcotest.(check int) "B has not run while A holds its key" 0
+    (Atomic.get ran_b);
+  Atomic.set open_a true;
+  await ~what:"four replies" (fun () ->
+      Mutex.lock mu;
+      let k = List.length !replies in
+      Mutex.unlock mu;
+      k = 4);
+  await ~what:"every replica executed all four" (fun () ->
+      Array.for_all (fun r -> Replica.executed_count r = 4) replicas);
+  let replies = List.rev !replies in
+  let on_k =
+    List.filter (fun (p, _) -> p = "k:A" || p = "k:B") replies
+  in
+  Alcotest.(check (list (pair string string)))
+    "replies on k in decide order, state A then B"
+    [ ("k:A", "A"); ("k:B", "A,B") ]
+    on_k
+
+(* Under a burst, decisions queue up and the pool still does the work;
+   per-key order holds: every key's increments answer 1..50 exactly
+   once, and the replicas end in the same state. *)
+let test_cluster_burst_uses_pool () =
+  let instances = ref [] and mu = Mutex.create () in
+  let service () =
+    let s = Kv.make () in
+    Mutex.lock mu;
+    instances := s :: !instances;
+    Mutex.unlock mu;
+    s
+  in
+  with_cluster ~executor_threads:2 ~service @@ fun cluster ->
+  let leader = Replica.Cluster.await_leader cluster in
+  let keys = 4 and total = 200 in
+  let results = Array.make keys [] and rmu = Mutex.create () in
+  for i = 1 to total do
+    let key = i mod keys in
+    let raw =
+      Client_msg.request_to_bytes
+        { id = rid i 1;
+          payload =
+            Kv.encode_command
+              (Kv.Incr { key = Printf.sprintf "burst-%d" key; by = 1 }) }
+    in
+    Replica.submit leader ~raw ~reply_to:(fun b ->
+        match Kv.decode_reply (Client_msg.reply_of_bytes b).result with
+        | Kv.Ok_int v ->
+          Mutex.lock rmu;
+          results.(key) <- v :: results.(key);
+          Mutex.unlock rmu
+        | _ -> ())
+  done;
+  await ~what:"200 replies" (fun () ->
+      Mutex.lock rmu;
+      let k = Array.fold_left (fun a l -> a + List.length l) 0 results in
+      Mutex.unlock rmu;
+      k = total);
+  let replicas = Replica.Cluster.replicas cluster in
+  await ~what:"every replica executed the burst" (fun () ->
+      Array.for_all (fun r -> Replica.executed_count r = total) replicas);
+  let dispatched = Replica.executor_dispatched_count leader in
+  Alcotest.(check bool)
+    (Printf.sprintf "the pool ran part of the burst (%d dispatched)" dispatched)
+    true (dispatched > 0);
+  Array.iteri
+    (fun key vs ->
+       Alcotest.(check (list int))
+         (Printf.sprintf "burst-%d answers 1..50" key)
+         (List.init (total / keys) (fun i -> i + 1))
+         (List.sort compare vs))
+    results;
+  match List.map (fun (s : Service.t) -> s.snapshot ()) !instances with
+  | first :: rest ->
+    List.iter
+      (fun snap ->
+         Alcotest.(check bool) "replica states equal" true
+           (Bytes.equal first snap))
+      rest
+  | [] -> Alcotest.fail "no service instances"
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "cluster: idle decision runs inline" `Quick
+        test_cluster_idle_decision_inline;
+      Alcotest.test_case "cluster: inline waits for a busy pool" `Quick
+        test_cluster_inline_waits_for_busy_pool;
+      Alcotest.test_case "cluster: burst still uses the pool" `Quick
+        test_cluster_burst_uses_pool ]

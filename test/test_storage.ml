@@ -470,8 +470,8 @@ let test_stable_storage_gates_sends () =
     Mutex.unlock sent_mu;
     List.map Msg.decode l
   in
-  let inboxes = [ (0, Bq.create ~kind:Bq.Mpmc ~capacity:64);
-      (2, Bq.create ~kind:Bq.Mpmc ~capacity:64) ] in
+  let inboxes = [ (0, Bq.create ~name:"test" ~kind:Bq.Mpmc ~capacity:64);
+      (2, Bq.create ~name:"test" ~kind:Bq.Mpmc ~capacity:64) ] in
   let links =
     List.map
       (fun (peer, inbox) ->
