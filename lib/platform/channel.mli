@@ -11,9 +11,10 @@
     monotonic-clock timed wait (OCaml 5.1's [Condition] has none), so
     a channel holds no file descriptor. Every park is counted in
     {!Waitstats}, in total and under the channel's name, and, given a
-    {!Thread_state.t}, accounted as [Waiting]. The bound is what makes back-pressure flow control work
-    (Section V-E of the paper): a stage that cannot keep up fills its
-    input channel and its producers block.
+    {!Thread_state.t}, accounted as [Waiting]. The bound is what makes
+    back-pressure flow control work (Section V-E of the paper): a stage
+    that cannot keep up fills its input channel and its producers
+    block.
 
     [close] makes [put] raise {!Closed} and lets [take] drain the
     remainder before raising it, with one carve-out: a [put] racing

@@ -4,15 +4,13 @@
     python3 scripts/ab_perfbench.py --parent REV [--change REV] \
         --work DIR [--pairs 10] [--seeds 1,2,...] \
         [--workloads null-hub,kv-zipf-rw] [--seconds 40] [--trace 0] \
-        [--patch FILE] [--log FILE]
+        [--log FILE]
 
 Run from the repository root. Exports the two revisions (the change
 defaults to HEAD) with `git archive` into DIR/parent and DIR/change,
 then runs `perfbench/run.py` in each, pair by pair and workload by
 workload, alternating which side goes first. Pair i uses the i-th seed
-of --seeds (default 1..pairs). --patch applies the same patch to both
-checkouts after export, for benchmark-side instrumentation that must
-not differ between the sides.
+of --seeds (default 1..pairs).
 
 Prints one line per run as it ends, then, per workload:
 - for every end-to-end metric of the change's BENCHMARK.json: each
@@ -50,16 +48,12 @@ def log(msg):
     print(msg, file=sys.stderr, flush=True)
 
 
-def export(rev, dest, patch):
+def export(rev, dest):
     shutil.rmtree(dest, ignore_errors=True)
     os.makedirs(dest)
     archive = subprocess.run(["git", "archive", rev], check=True,
                              stdout=subprocess.PIPE).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
-    if patch:
-        subprocess.run(["patch", "-p1", "-d", dest, "-i",
-                        os.path.abspath(patch)], check=True,
-                       stdout=subprocess.DEVNULL)
 
 
 def run_one(checkout, workload, seed, seconds, trace):
@@ -161,7 +155,6 @@ def main():
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--seconds", type=int, default=40)
     ap.add_argument("--trace", choices=("0", "1"), default="0")
-    ap.add_argument("--patch", default="")
     ap.add_argument("--log", default="")
     args = ap.parse_args()
 
@@ -176,8 +169,8 @@ def main():
 
     sides = {s: os.path.join(os.path.abspath(args.work), s)
              for s in ("parent", "change")}
-    export(args.parent, sides["parent"], args.patch)
-    export(args.change, sides["change"], args.patch)
+    export(args.parent, sides["parent"])
+    export(args.change, sides["change"])
     with open(os.path.join(sides["change"], "BENCHMARK.json")) as f:
         end_to_end = json.load(f)["end_to_end"]
 

@@ -1322,9 +1322,10 @@ let test_cluster_idle_decision_inline () =
 
 (* A test service over "<key>:<tag>" payloads: each command appends its
    tag to its key's history and answers with that history, joined by
-   commas. A command whose tag has a latch first counts itself in
-   [entered], then waits until the test opens the latch. *)
-let latched_service ~latches ~entered () =
+   commas. A command whose tag has a counter in [counts] bumps it on
+   entry; one whose tag has a latch then waits until the test opens
+   it. *)
+let latched_service ~latches ~counts () =
   let mu = Mutex.create () in
   let history : (string, string list) Hashtbl.t = Hashtbl.create 8 in
   let split (req : Client_msg.request) =
@@ -1334,11 +1335,10 @@ let latched_service ~latches ~entered () =
   in
   let execute req =
     let key, tag = split req in
-    (match List.assoc_opt tag latches with
-     | Some latch ->
-       Atomic.incr (List.assoc tag entered);
-       while not (Atomic.get latch) do Thread.delay 0.001 done
-     | None -> ());
+    Option.iter Atomic.incr (List.assoc_opt tag counts);
+    Option.iter
+      (fun latch -> while not (Atomic.get latch) do Thread.delay 0.001 done)
+      (List.assoc_opt tag latches);
     Mutex.lock mu;
     let h = tag :: Option.value (Hashtbl.find_opt history key) ~default:[] in
     Hashtbl.replace history key h;
@@ -1364,18 +1364,10 @@ let test_cluster_inline_waits_for_busy_pool () =
   let open_p = Atomic.make false and open_a = Atomic.make false in
   let entered_p = Atomic.make 0 and entered_a = Atomic.make 0 in
   let ran_b = Atomic.make 0 in
-  let service () =
-    let s =
-      latched_service
-        ~latches:[ ("P", open_p); ("A", open_a) ]
-        ~entered:[ ("P", entered_p); ("A", entered_a) ]
-        ()
-    in
-    { s with
-      execute =
-        (fun req ->
-           if Bytes.to_string req.payload = "k:B" then Atomic.incr ran_b;
-           s.execute req) }
+  let service =
+    latched_service
+      ~latches:[ ("P", open_p); ("A", open_a) ]
+      ~counts:[ ("P", entered_p); ("A", entered_a); ("B", ran_b) ]
   in
   with_cluster ~executor_threads:2 ~service @@ fun cluster ->
   (* A failed check must not leave a thread on a latch: stopping the
@@ -1442,7 +1434,8 @@ let test_cluster_inline_waits_for_busy_pool () =
 
 (* Under a burst, decisions queue up and the pool still does the work;
    per-key order holds: every key's increments answer 1..50 exactly
-   once, and the replicas end in the same state. *)
+   once, and the replicas end in the same state. Each command takes a
+   millisecond, so decisions reliably queue behind the one executing. *)
 let test_cluster_burst_uses_pool () =
   let instances = ref [] and mu = Mutex.create () in
   let service () =
@@ -1450,7 +1443,7 @@ let test_cluster_burst_uses_pool () =
     Mutex.lock mu;
     instances := s :: !instances;
     Mutex.unlock mu;
-    s
+    { s with execute = (fun req -> Thread.delay 0.001; s.execute req) }
   in
   with_cluster ~executor_threads:2 ~service @@ fun cluster ->
   let leader = Replica.Cluster.await_leader cluster in
