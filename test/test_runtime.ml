@@ -1392,19 +1392,17 @@ let test_cluster_inline_waits_for_busy_pool () =
         replies := (payload, Bytes.to_string rep.result) :: !replies;
         Mutex.unlock mu)
   in
-  let decided_all k =
-    Array.for_all (fun r -> Replica.decided_count r >= k) replicas
+  let queued_all k =
+    Array.for_all
+      (fun r -> (Replica.queue_stats r).decision_queue >= k)
+      replicas
   in
   submit 1 "p:P";
   await ~what:"P running everywhere" (fun () -> Atomic.get entered_p = n);
-  let d0 =
-    Array.fold_left (fun m r -> min m (Replica.decided_count r)) max_int
-      replicas
-  in
   submit 2 "k:A";
-  await ~what:"A decided" (fun () -> decided_all (d0 + 1));
+  await ~what:"A queued behind P" (fun () -> queued_all 1);
   submit 4 "f:F";
-  await ~what:"F decided" (fun () -> decided_all (d0 + 2));
+  await ~what:"F queued behind A" (fun () -> queued_all 2);
   Atomic.set open_p true;
   await ~what:"A running everywhere" (fun () -> Atomic.get entered_a = n);
   submit 5 "k:B";
