@@ -10,24 +10,40 @@ module Codec = Msmr_wire.Codec
 type sink = bytes -> unit
 type batch_sink = bytes list -> unit
 
+(* Where a client's replies go: its owning worker and its connection's
+   sinks. [blocks]: the sinks may block their caller (a socket write),
+   so only the owning worker calls them. *)
+type route = {
+  worker : int;
+  sink : sink;
+  many : batch_sink option;
+  blocks : bool;
+}
+
 (* A worker waits on its ingress alone: a reply hand-off adds a [Kick]
    so the worker wakes to drain the reply queue. *)
 type ingress =
-  | Request of bytes * sink * batch_sink option
+  | Request of bytes * route
   | Kick
+
+(* A queued reply: encoded by the worker, or already encoded (a lease
+   read answered by the scheduler). *)
+type payload =
+  | Reply of Client_msg.reply
+  | Encoded of bytes
 
 type worker_ctx = {
   ingress : ingress Bq.t;
-  replies : (Client_msg.reply * sink * batch_sink option) Mpsc.t;
+  replies : (payload * sink * batch_sink option) Mpsc.t;
   kicked : bool Atomic.t; (* a Kick is queued and not yet taken *)
 }
 
 type t = {
   workers : worker_ctx array;
   threads : Worker.t list;
-  (* client_id -> (worker index, reply sinks); written by ClientIO threads,
-     read by the ServiceManager. *)
-  routes : (int, int * sink * batch_sink option) Cmap.t;
+  (* client_id -> route; written by ClientIO threads, read by the
+     ServiceManager. *)
+  routes : (int, route) Cmap.t;
   request_queue : Client_msg.request Bq.t;
   reply_cache : Reply_cache.t;
   (* Early-scheduling hook: called once per fresh request (no cached
@@ -58,8 +74,12 @@ let flush t items =
       ref []
     in
     List.iter
-      (fun (reply, sink, many) ->
-         let payload = Client_msg.reply_to_bytes reply in
+      (fun (payload, sink, many) ->
+         let payload =
+           match payload with
+           | Reply reply -> Client_msg.reply_to_bytes reply
+           | Encoded b -> b
+         in
          Msmr_obs.Metrics.incr t.m_replies;
          match List.find_opt (fun (s, _, _) -> s == sink) !groups with
          | Some (_, _, payloads) -> payloads := payload :: !payloads
@@ -86,22 +106,24 @@ let drain_replies t (ctx : worker_ctx) =
    Batcher. The hand-off is a blocking [put]: a full RequestQueue stops
    this worker from taking new ingress, and a full ingress blocks
    [submit] (back-pressure, Section V-E). Nothing downstream of the
-   RequestQueue waits on ClientIO — replies come back through the
-   non-blocking [deliver_reply] — so the wait always ends. *)
-let accept t idx st ~raw ~sink ~many =
+   RequestQueue waits on ClientIO or on a sink that may block — replies
+   come back through the non-blocking [deliver_reply], or from
+   [write_replies] through sinks that do not block — so the wait always
+   ends. *)
+let accept t st ~raw ~(route : route) =
   match Client_msg.request_of_bytes raw with
   | req -> (
       Msmr_obs.Metrics.incr t.m_requests;
       match Reply_cache.lookup t.reply_cache req.id with
       | Reply_cache.Cached result ->
-        sink (Client_msg.reply_to_bytes { id = req.id; result })
+        route.sink (Client_msg.reply_to_bytes { id = req.id; result })
       | Reply_cache.Stale -> ()
       | Reply_cache.Fresh ->
         (* Hook before the Batcher hand-off: the pre-dispatch event must
            precede the request's own decide in the DecisionQueue, and
            queue FIFO gives exactly that. *)
         (match t.on_fresh with Some f -> f req | None -> ());
-        Cmap.set t.routes req.id.client_id (idx, sink, many);
+        Cmap.set t.routes req.id.client_id route;
         Bq.put ~st t.request_queue req)
   | exception (Codec.Underflow | Codec.Malformed _) ->
     (* Malformed request: drop it, as a server would drop a corrupt
@@ -115,7 +137,7 @@ let worker_loop t idx st =
   let running = ref true in
   while !running do
     (match Bq.take ~st ctx.ingress with
-     | Request (raw, sink, many) -> accept t idx st ~raw ~sink ~many
+     | Request (raw, route) -> accept t st ~raw ~route
      | Kick -> ()
      | exception Bq.Closed -> running := false);
     (* Lower the flag before draining: a reply queued after this drain
@@ -164,36 +186,52 @@ let create ?(name_prefix = "") ?on_fresh ~pool_size
   in
   { t with threads }
 
-let submit ?reply_many t ~raw ~reply_to =
+let submit ?reply_many ?(sink_blocks = false) t ~raw ~reply_to =
   (* Cheap peek at the client id (first i32) to pick the owning worker,
      without a full decode — the worker does that. *)
   let client_id =
     if Bytes.length raw >= 4 then Int32.to_int (Bytes.get_int32_be raw 0)
     else 0
   in
-  let idx = worker_of_client t (abs client_id) in
-  Bq.put t.workers.(idx).ingress (Request (raw, reply_to, reply_many))
+  let worker = worker_of_client t (abs client_id) in
+  Bq.put t.workers.(worker).ingress
+    (Request
+       ( raw,
+         { worker; sink = reply_to; many = reply_many; blocks = sink_blocks }
+       ))
 
 (* Never blocks: the ServiceManager must not wait on ClientIO. When the
    ingress is full the Kick is skipped and the flag stays up; the worker
    has items to take and drains replies after each one. *)
+let hand_over t idx item =
+  let w = t.workers.(idx) in
+  Mpsc.push w.replies item;
+  if not (Atomic.exchange w.kicked true) then (
+    try ignore (Bq.try_put w.ingress Kick) with Bq.Closed -> ())
+
 let deliver_reply t (reply : Client_msg.reply) =
   match Cmap.find_opt t.routes reply.id.client_id with
-  | Some (idx, sink, many) ->
-    let w = t.workers.(idx) in
-    Mpsc.push w.replies (reply, sink, many);
-    if not (Atomic.exchange w.kicked true) then (
-      try ignore (Bq.try_put w.ingress Kick) with Bq.Closed -> ())
+  | Some r -> hand_over t r.worker (Reply reply, r.sink, r.many)
   | None -> ()
 
+(* The caller's own thread writes to sinks that do not block; a
+   connection whose sinks may block gets its replies through its
+   worker, as [deliver_reply] hands them over. *)
 let write_replies t (replies : Client_msg.reply list) =
   flush t
     (List.filter_map
        (fun (reply : Client_msg.reply) ->
           match Cmap.find_opt t.routes reply.id.client_id with
-          | Some (_, sink, many) -> Some (reply, sink, many)
+          | Some { blocks = false; sink; many; _ } ->
+            Some (Reply reply, sink, many)
+          | Some r ->
+            hand_over t r.worker (Reply reply, r.sink, r.many);
+            None
           | None -> None)
        replies)
+
+let deliver_encoded t ~client_id ~sink payload =
+  hand_over t (worker_of_client t (abs client_id)) (Encoded payload, sink, None)
 
 let ingress_length t =
   Array.fold_left (fun acc w -> acc + Bq.length w.ingress) 0 t.workers

@@ -8,18 +8,23 @@
     invokes the connection's send function. The one exception is a
     batch the ServiceManager's scheduler runs itself on an idle
     executor pool: it writes those replies directly ({!write_replies}),
-    through the same grouping code. Sinks must therefore be callable
-    from any thread.
+    through the same grouping code, to every connection whose sinks do
+    not block. Such sinks must therefore be callable from any thread
+    and return without waiting on the client; a connection whose sinks
+    may block (a socket write) says so at {!submit}, and only its
+    worker ever calls them.
 
     Each worker waits on one source, its ingress channel. The
     ServiceManager never blocks handing a reply over: it pushes onto the
     worker's unbounded lock-free MPSC reply queue and adds one [Kick] to
-    the ingress, unless one is still pending. A worker hands a fresh
-    request to the bounded RequestQueue with a blocking [put], so a
-    saturated pipeline stops it taking new ingress and, once the ingress
-    fills, blocks {!submit} — the back-pressure that ultimately pushes
-    back on clients (Section V-E). This cannot deadlock: nothing
-    downstream of the RequestQueue waits on ClientIO. *)
+    the ingress, unless one is still pending, or calls a sink that does
+    not block. A worker hands a fresh request to the bounded
+    RequestQueue with a blocking [put], so a saturated pipeline stops it
+    taking new ingress and, once the ingress fills, blocks {!submit} —
+    the back-pressure that ultimately pushes back on clients (Section
+    V-E). This cannot deadlock: nothing downstream of the RequestQueue
+    waits on ClientIO or on a sink that may block. A client that stops
+    reading stalls only the worker that owns its connection. *)
 
 type t
 
@@ -52,6 +57,7 @@ val create :
 
 val submit :
   ?reply_many:batch_sink ->
+  ?sink_blocks:bool ->
   t ->
   raw:bytes ->
   reply_to:sink ->
@@ -64,7 +70,14 @@ val submit :
     back-pressure on a real connection. When
     [reply_many] is given, runs of replies destined for this connection
     that are drained in the same pass are delivered through it instead of
-    one [reply_to] call each. *)
+    one [reply_to] call each.
+
+    [sink_blocks] (default [false]) says that [reply_to] and
+    [reply_many] may block their caller, as a socket write to a client
+    that stops reading does: this connection's replies are then only
+    ever written by its ClientIO thread. With the default, the sinks
+    must not block, since the ServiceManager's scheduler may call them
+    ({!write_replies}). *)
 
 val deliver_reply : t -> Msmr_wire.Client_msg.reply -> unit
 (** Called by the ServiceManager: route the reply to the thread owning
@@ -76,7 +89,17 @@ val write_replies : t -> Msmr_wire.Client_msg.reply list -> unit
     (DESIGN.md section 9): encode the replies and write them to their
     connections on the calling thread, grouped per connection as a
     worker's drain groups them, skipping the reply queue and its
-    [Kick]. Replies for unknown clients are dropped. *)
+    [Kick]. A reply whose connection's sinks may block
+    ([~sink_blocks:true] at {!submit}) is handed over as by
+    {!deliver_reply} instead. Never blocks on a client. Replies for
+    unknown clients are dropped. *)
+
+val deliver_encoded :
+  t -> client_id:int -> sink:sink -> bytes -> unit
+(** Like {!deliver_reply} for a payload already serialised (a lease
+    read's reply): queue it for the thread that owns [client_id], which
+    passes it to [sink], and return immediately. The ServiceManager uses
+    it for sinks that may block. *)
 
 val ingress_length : t -> int
 (** Total queued ingress items across workers, pending reply kicks

@@ -41,13 +41,15 @@ let batch_sink_of conn raws =
 let conn_reader t conn =
   (* One closure pair per connection: the ClientIO drain groups replies by
      the sink's physical identity, so the identity must be stable across
-     this connection's requests for coalescing to engage. *)
+     this connection's requests for coalescing to engage. The sinks block
+     while the client is not reading, so only ClientIO calls them. *)
   let reply_to = sink_of conn in
   let reply_many = batch_sink_of conn in
   let continue = ref true in
   while !continue && conn.alive do
     match Msmr_wire.Frame.read conn.fd with
-    | Some raw -> Replica.submit t.replica ~raw ~reply_to ~reply_many
+    | Some raw ->
+      Replica.submit t.replica ~raw ~reply_to ~reply_many ~sink_blocks:true
     | None -> continue := false
     | exception (End_of_file | Unix.Unix_error _ | Msmr_wire.Frame.Oversized _)
       ->

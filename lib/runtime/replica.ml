@@ -29,7 +29,11 @@ type event =
 type decision =
   | Exec of { iid : Types.iid; value : Value.t }
   | Install of { state : bytes }
-  | Read_exec of { read : Client_msg.read; reply_to : bytes -> unit }
+  | Read_exec of {
+      read : Client_msg.read;
+      reply_to : bytes -> unit;
+      sink_blocks : bool; (* see [Client_io.submit] *)
+    }
       (** Lease read riding the DecisionQueue (DESIGN.md section 15): FIFO
           behind every decided instance enqueued before it, so by the time
           the ServiceManager pops it the apply frontier has reached the
@@ -237,7 +241,7 @@ let queue_stats t =
    pending write's cached reply). The queue put is the linearizability
    wait (see [Read_exec]); called from client threads, hence the MPMC
    DecisionQueue in lease mode. *)
-let submit_read t ~raw ~reply_to =
+let submit_read t ~raw ~reply_to ~sink_blocks =
   match Client_msg.read_of_bytes raw with
   | exception (Msmr_wire.Codec.Underflow | Msmr_wire.Codec.Malformed _) ->
     Log_.warn (fun m -> m "replica %d: bad read frame" t.me)
@@ -249,15 +253,15 @@ let submit_read t ~raw ~reply_to =
       match t.lease_ctx with
       | None -> reject Client_msg.Read_unsupported
       | Some _ -> (
-          try Bq.put t.decision_q (Read_exec { read; reply_to })
+          try Bq.put t.decision_q (Read_exec { read; reply_to; sink_blocks })
           with Bq.Closed ->
             reject (Client_msg.Not_leaseholder (Atomic.get t.leader_now))))
 
-let submit ?reply_many t ~raw ~reply_to =
-  if Client_msg.is_read_raw raw then submit_read t ~raw ~reply_to
+let submit ?reply_many ?(sink_blocks = false) t ~raw ~reply_to =
+  if Client_msg.is_read_raw raw then submit_read t ~raw ~reply_to ~sink_blocks
   else
     match t.client_io with
-    | Some cio -> Client_io.submit ?reply_many cio ~raw ~reply_to
+    | Some cio -> Client_io.submit ?reply_many ~sink_blocks cio ~raw ~reply_to
     | None -> invalid_arg "Replica.submit: stopped"
 
 let inject_suspect t = Bq.put t.dispatcher_q Suspect
@@ -958,7 +962,7 @@ let exec_request t req =
    execution), hence concurrent with this read, and the service stores
    are per-key atomic — so serving the pre-write value linearizes the
    read before that write. *)
-let exec_read t (read : Client_msg.read) reply_to =
+let exec_read t (read : Client_msg.read) reply_to ~sink_blocks =
   let lc = Option.get t.lease_ctx in
   let now = now_int_ns () in
   let member = Membership.is_member (Atomic.get t.membership_now) t.me in
@@ -1008,7 +1012,13 @@ let exec_read t (read : Client_msg.read) reply_to =
       end
     end
   in
-  reply_to (Client_msg.read_reply_to_bytes { rid = read.id; status })
+  let payload = Client_msg.read_reply_to_bytes { rid = read.id; status } in
+  match t.client_io with
+  | Some cio when sink_blocks ->
+    (* The scheduler never waits on a client. *)
+    Client_io.deliver_encoded cio ~client_id:read.id.client_id ~sink:reply_to
+      payload
+  | _ -> reply_to payload
 
 (* Apply-frontier bookkeeping. *)
 let note_applied t ~iid =
@@ -1076,7 +1086,8 @@ let dispatch t st (req : Client_msg.request) =
 (* The idle path. With no dispatched request unfinished and no decision
    queued behind this batch, no executor could overlap with it, so the
    scheduler runs the batch itself and writes its replies straight to
-   the client sinks: no executor wake, no ClientIO reply [Kick]. Per-key
+   the client sinks that do not block: no executor wake, no ClientIO
+   reply [Kick] ([Client_io.write_replies] hands the others over). Per-key
    decide order holds as on the pool path: every earlier request has
    finished ([Exec_pool.idle]) and the scheduler, the only dispatcher,
    runs this batch to completion before it pops the next decision. *)
@@ -1102,11 +1113,11 @@ let scheduler_loop t st =
       (* State transfer replaces the whole service state. *)
       Exec_pool.quiesce pool st;
       t.service.restore state
-    | Read_exec { read; reply_to } ->
+    | Read_exec { read; reply_to; sink_blocks } ->
       (* Inline, no quiesce: see [exec_read] for why racing an
          executor-resident (un-replied, hence concurrent) write is a
          legal linearization. *)
-      exec_read t read reply_to
+      exec_read t read reply_to ~sink_blocks
     | Exec { iid; value } ->
       (match value with
        (* Reconfig instances mutate the engine's membership (adopted on

@@ -87,6 +87,7 @@ val me : t -> Msmr_consensus.Types.node_id
 
 val submit :
   ?reply_many:Client_io.batch_sink ->
+  ?sink_blocks:bool ->
   t ->
   raw:bytes ->
   reply_to:Client_io.sink ->
@@ -94,7 +95,11 @@ val submit :
 (** Inject one serialised client request ({!Msmr_wire.Client_msg}); the
     reply is delivered, serialised, to [reply_to]. Blocks under overload
     (back-pressure). [reply_many], when given, receives coalesced runs of
-    replies instead (see {!Client_io.submit}).
+    replies instead (see {!Client_io.submit}). [sink_blocks] (default
+    [false]) says the sinks may block their caller, as a socket write
+    does: the ServiceManager then never calls them itself, and a
+    ClientIO thread writes every reply, lease reads' included. With the
+    default, the sinks must return without waiting on the client.
 
     A client has at most one request outstanding: the reply cache keeps
     only each client's newest executed sequence number.

@@ -1500,3 +1500,69 @@ let suite =
         test_cluster_inline_waits_for_busy_pool;
       Alcotest.test_case "cluster: burst still uses the pool" `Quick
         test_cluster_burst_uses_pool ]
+
+(* A client whose sink blocks (a socket write to a client that stops
+   reading) must not stall the ServiceManager, on the idle path or on a
+   lease read: only its ClientIO thread may wait on it. Clients 3 and 6
+   share ClientIO thread 0 and block in their sinks until the test opens
+   a latch; client 1, owned by another thread, must keep being
+   answered, and its writes must keep running on the scheduler. *)
+let test_cluster_blocking_sink_spares_scheduler () =
+  let latch = Atomic.make false and entered = Atomic.make 0 in
+  with_cluster ~executor_threads:2 ~cfg:(lease_test_cfg 3) @@ fun cluster ->
+  Fun.protect ~finally:(fun () -> Atomic.set latch true) @@ fun () ->
+  let leader = await_lease cluster in
+  let replies = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:8 in
+  let sink b = ignore (Ch.try_put replies b) in
+  let blocking_sink b =
+    Atomic.incr entered;
+    while not (Atomic.get latch) do Thread.delay 0.001 done;
+    sink b
+  in
+  let write ?sink_blocks client_id seq reply_to =
+    let raw =
+      Client_msg.request_to_bytes
+        { id = rid client_id seq; payload = Bytes.of_string "1" }
+    in
+    Replica.submit ?sink_blocks leader ~raw ~reply_to
+  in
+  let answered ~what =
+    match Ch.take_timeout replies ~timeout_s:5.0 with
+    | Some b -> b
+    | None -> Alcotest.failf "no reply: %s" what
+  in
+  let client_1_answered seq =
+    let rep = Client_msg.reply_of_bytes (answered ~what:"client 1") in
+    Alcotest.(check (pair int int)) "client 1's reply"
+      (1, seq) (rep.id.client_id, rep.id.seq)
+  in
+  write ~sink_blocks:true 3 1 blocking_sink;
+  await ~what:"client 3's sink blocks" (fun () -> Atomic.get entered = 1);
+  let inline_before = Replica.exec_inline_count leader in
+  write 1 1 sink;
+  client_1_answered 1;
+  Alcotest.(check bool) "client 1's write ran on the scheduler" true
+    (Replica.exec_inline_count leader > inline_before);
+  let read =
+    Client_msg.read_to_bytes
+      { Client_msg.id = rid 6 1; staleness_ns = Client_msg.linearizable;
+        payload = Bytes.of_string "0" }
+  in
+  Replica.submit ~sink_blocks:true leader ~raw:read ~reply_to:blocking_sink;
+  await ~what:"client 6's read served" (fun () ->
+      Replica.reads_served_count leader >= 1);
+  write 1 2 sink;
+  client_1_answered 2;
+  Atomic.set latch true;
+  let from_blocked =
+    List.init 2 (fun _ -> answered ~what:"a blocked client")
+  in
+  Alcotest.(check int) "both blocked sinks were entered" 2
+    (Atomic.get entered);
+  Alcotest.(check int) "both blocked clients answered" 2
+    (List.length from_blocked)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "cluster: a blocking sink spares the scheduler"
+        `Quick test_cluster_blocking_sink_spares_scheduler ]
