@@ -97,11 +97,23 @@ let service_name =
     & opt (enum (List.map (fun (s, _) -> (s, s)) services)) "kv"
     & info [ "service" ] ~doc:"Service: null, acc, kv or lock.")
 
+(* WND and BSZ defaults do not depend on the group size. *)
+let defaults = Msmr_consensus.Config.default ~n:1
+
 let window =
-  Arg.(value & opt int 10 & info [ "window" ] ~doc:"Max parallel ballots (WND).")
+  Arg.(
+    value
+    & opt int defaults.window
+    & info [ "window" ] ~doc:"Max parallel ballots (WND).")
 
 let batch_bytes =
-  Arg.(value & opt int 1300 & info [ "batch-bytes" ] ~doc:"Max batch bytes (BSZ).")
+  Arg.(
+    value
+    & opt int defaults.max_batch_bytes
+    & info [ "batch-bytes" ]
+        ~doc:
+          "Max batch bytes (BSZ). The limit grows to 8 times the mean \
+           request size when that is larger.")
 
 let batch_delay_ms =
   Arg.(

@@ -41,15 +41,6 @@ let default_params =
     backoff = 0.7;
   }
 
-let params_of_config (cfg : Config.t) =
-  {
-    default_params with
-    bsz_min = cfg.Config.bsz_min;
-    bsz_max = cfg.Config.bsz_max;
-    wnd_min = cfg.Config.wnd_min;
-    wnd_max = cfg.Config.wnd_max;
-  }
-
 type signals = {
   s_window_in_use : int;
   s_proposal_queue : int;
@@ -88,10 +79,6 @@ let create ?(params = default_params) ~bsz0 ~wnd0 () =
     cool_wnd = 0;
     ticks = 0;
   }
-
-let of_config (cfg : Config.t) =
-  create ~params:(params_of_config cfg) ~bsz0:cfg.Config.max_batch_bytes
-    ~wnd0:cfg.Config.window ()
 
 let bsz t = t.bsz
 let wnd t = t.wnd

@@ -35,10 +35,10 @@
     The module is pure state-machine policy: no clock, no threads, no
     I/O. Drivers decide the epoch cadence and feed {!tick}; identical
     signal sequences produce identical trajectories (the simulator's
-    determinism tests rely on this). Cross-thread publication of the
-    tuned values is the driver's job — the live runtime copies
-    {!bsz}/{!wnd} into [Atomic]s after each tick, honouring the no-lock
-    rule of the ReplicationCore. *)
+    determinism tests rely on this). The simulator ([Params.auto_tune])
+    is the only driver: the controller is kept there as a prediction.
+    The live runtime has no controller; its Batcher scales BSZ with the
+    mean request size instead (DESIGN.md §11). *)
 
 type params = {
   bsz_min : int;
@@ -60,10 +60,6 @@ val default_params : params
 (** bounds 256..65536 bytes / 1..64 instances, 50 ms latency bound,
     LogQueue high mark 512, grow ×1.25 / +3, shrink ×0.8, backoff ×0.7. *)
 
-val params_of_config : Config.t -> params
-(** {!default_params} with the bounds taken from the config
-    ([bsz_min]/[bsz_max]/[wnd_min]/[wnd_max]). *)
-
 type signals = {
   s_window_in_use : int;   (** {!Paxos.window_in_use} at the tick *)
   s_proposal_queue : int;  (** ProposalQueue depth at the tick *)
@@ -84,10 +80,6 @@ type t
 
 val create : ?params:params -> bsz0:int -> wnd0:int -> unit -> t
 (** Start from [bsz0]/[wnd0] (clamped into the bounds). *)
-
-val of_config : Config.t -> t
-(** [create] seeded from [cfg.max_batch_bytes]/[cfg.window] with
-    {!params_of_config}. *)
 
 val bsz : t -> int
 val wnd : t -> int

@@ -18,8 +18,9 @@ type t = {
   mutable open_count : int;                     (* = length open_reqs *)
   mutable open_bytes : int;
   mutable oldest_ns : int64;                    (* arrival of oldest request *)
-  (* Monotone seal accounting, read cross-thread by the autotune
-     controller (plain word reads: benign staleness, no tearing). *)
+  (* Monotone seal accounting, read cross-thread by metrics and the
+     simulator's controller (plain word reads: benign staleness, no
+     tearing). *)
   mutable seals_size : int;
   mutable seals_delay : int;
   mutable seals_idle : int;

@@ -14,9 +14,10 @@ type t
 
 val create : ?tuned_bsz:int Atomic.t -> Config.t -> src:Types.node_id -> t
 (** [tuned_bsz] makes BSZ dynamic: the limit is re-read from the atomic
-    on every {!add} / flush, so an {!Autotune} controller on another
-    thread can retune it without locks. Without it the limit is the
-    static [cfg.max_batch_bytes] — the exact pre-autotune behaviour. *)
+    on every {!add} / flush, and whoever writes it publishes a new limit
+    without locks (the live Batcher thread's size-scaled limit, the
+    simulator's {!Autotune} controller). Without it the limit is the
+    static [cfg.max_batch_bytes]. *)
 
 val bsz_limit : t -> int
 (** The size limit currently in force ([tuned_bsz] if dynamic). *)

@@ -9,12 +9,6 @@ type t = {
   catchup_interval_s : float;
   snapshot_every : int;
   log_retain : int;
-  auto_tune : bool;
-  bsz_min : int;
-  bsz_max : int;
-  wnd_min : int;
-  wnd_max : int;
-  tune_epoch_s : float;
   lease_enabled : bool;
   lease_duration_s : float;
   clock_skew_bound_s : float;
@@ -33,12 +27,6 @@ let default ~n =
     catchup_interval_s = 0.05;
     snapshot_every = 10_000;
     log_retain = 1_000;
-    auto_tune = false;
-    bsz_min = 256;
-    bsz_max = 65536;
-    wnd_min = 1;
-    wnd_max = 64;
-    tune_epoch_s = 0.01;
     lease_enabled = false;
     lease_duration_s = 2.0;
     clock_skew_bound_s = 0.1;
@@ -55,7 +43,6 @@ let non_finite t =
       ("fd_interval_s", t.fd_interval_s);
       ("fd_timeout_s", t.fd_timeout_s);
       ("catchup_interval_s", t.catchup_interval_s);
-      ("tune_epoch_s", t.tune_epoch_s);
       ("lease_duration_s", t.lease_duration_s);
       ("clock_skew_bound_s", t.clock_skew_bound_s) ]
 
@@ -72,20 +59,6 @@ let validate_ranges t =
   else if t.catchup_interval_s <= 0. then Error "catchup_interval_s must be > 0"
   else if t.snapshot_every < 0 then Error "snapshot_every must be >= 0"
   else if t.log_retain < 0 then Error "log_retain must be >= 0"
-  else if t.auto_tune && t.bsz_min < 1 then
-    Error "bsz_min must be >= 1 when auto_tune is on"
-  else if t.auto_tune && not (t.bsz_min <= t.max_batch_bytes) then
-    Error "bsz_min must be <= max_batch_bytes when auto_tune is on"
-  else if t.auto_tune && not (t.max_batch_bytes <= t.bsz_max) then
-    Error "max_batch_bytes must be <= bsz_max when auto_tune is on"
-  else if t.auto_tune && t.wnd_min < 1 then
-    Error "wnd_min must be >= 1 when auto_tune is on"
-  else if t.auto_tune && not (t.wnd_min <= t.window) then
-    Error "wnd_min must be <= window when auto_tune is on"
-  else if t.auto_tune && not (t.window <= t.wnd_max) then
-    Error "window must be <= wnd_max when auto_tune is on"
-  else if t.auto_tune && t.tune_epoch_s <= 0. then
-    Error "tune_epoch_s must be > 0 when auto_tune is on"
   else if t.lease_enabled && t.lease_duration_s <= 0. then
     Error "lease_duration_s must be > 0 when lease_enabled"
   else if t.lease_enabled && t.clock_skew_bound_s < 0. then

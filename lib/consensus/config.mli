@@ -8,7 +8,10 @@
 type t = {
   n : int;                        (** number of replicas (2f + 1) *)
   window : int;                   (** WND: max concurrent instances *)
-  max_batch_bytes : int;          (** BSZ: max payload bytes per batch *)
+  max_batch_bytes : int;          (** BSZ: max payload bytes per batch;
+                                      the live Batcher raises its limit
+                                      to 8 × the mean request size when
+                                      that is larger *)
   max_batch_delay_s : float;      (** flush an underfull batch after this
                                       while Paxos is busy *)
   retransmit_interval_s : float;  (** protocol message retransmission *)
@@ -19,14 +22,6 @@ type t = {
                                       many executed instances; 0 = never *)
   log_retain : int;               (** decided entries kept below the last
                                       snapshot point (for cheap catch-up) *)
-  auto_tune : bool;               (** adapt BSZ/WND online ({!Autotune});
-                                      [window]/[max_batch_bytes] become the
-                                      starting point instead of a fixture *)
-  bsz_min : int;                  (** static lower bound for tuned BSZ *)
-  bsz_max : int;                  (** static upper bound for tuned BSZ *)
-  wnd_min : int;                  (** static lower bound for tuned WND *)
-  wnd_max : int;                  (** static upper bound for tuned WND *)
-  tune_epoch_s : float;           (** controller epoch (tick cadence) *)
   lease_enabled : bool;           (** quorum-granted leader lease enabling
                                       the local read fast path (DESIGN.md
                                       section 15); [false] leaves the
@@ -55,12 +50,11 @@ val default : n:int -> t
 (** Paper settings: WND = 10, BSZ = 1300, 50 ms batch delay cap,
     retransmission 100 ms, heartbeats 100 ms / timeout 500 ms, catch-up
     50 ms, snapshot every 10_000 instances, retain 1_000 entries.
-    Auto-tuning off; bounds 256..65536 bytes, 1..64 instances, 10 ms
-    controller epoch.
     Leases off (duration 2 s, skew bound 100 ms when enabled).
     The delay cap binds only while the ordering pipeline is busy: the
     live Batcher seals its open batch at once when Paxos has nothing in
-    flight. The simulator always waits for BSZ or the cap. *)
+    flight. The simulator always waits for BSZ or the cap, and keeps
+    BSZ at [max_batch_bytes]. *)
 
 val validate : t -> (unit, string) result
 (** Check invariants (n >= 1 and odd for the usual f derivation,

@@ -135,11 +135,10 @@ let membership_at t iid =
    below i - window + 1 .. is within its window of first_undecided)
    guarantees whoever opens instance d + alpha has already decided —
    and hence executed — instance d, so every replica switches at the
-   same instance. Alpha is computed from the *static* config (never the
-   retuned window, which could diverge across replicas): under
-   auto-tuning the window is bounded by wnd_max, so that bound is the
-   lag. *)
-let alpha t = if t.cfg.auto_tune then t.cfg.wnd_max else t.cfg.window
+   same instance. Alpha is the *static* window, never a retuned one,
+   which could diverge across replicas; the simulator therefore refuses
+   a reconfiguration schedule while its controller retunes WND. *)
+let alpha t = t.cfg.window
 
 (* Drop configs that no longer govern any undecided instance. *)
 let prune_configs t =

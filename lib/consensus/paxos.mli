@@ -127,19 +127,20 @@ val reconfig_in_flight : t -> bool
 
 val reconfig_alpha : t -> int
 (** The decide-to-effect lag α: a Reconfig decided at instance d
-    governs instances from d + α. α is the window ([wnd_max] under
-    [auto_tune]), the smallest lag the pipelining invariant allows. *)
+    governs instances from d + α. α is [cfg.window], the smallest lag
+    the pipelining invariant allows. *)
 
 val window : t -> int
 (** WND currently in force ([cfg.window] unless retuned). *)
 
 val set_window : t -> int -> unit
-(** Retune WND online (clamped to >= 1). Must be called from the thread
-    that owns the engine (the Protocol thread) — the engine is
-    single-threaded state, and the {!Autotune} controller runs on that
-    same thread's tick, so no synchronisation is needed. Shrinking below
-    the current in-flight count stops new proposals until enough
-    instances decide; nothing in flight is cancelled. *)
+(** Retune WND online (clamped to >= 1); the simulator's {!Autotune}
+    controller is the only caller. Must be called from the thread that
+    owns the engine — the engine is single-threaded state. Shrinking
+    below the current in-flight count stops new proposals until enough
+    instances decide; nothing in flight is cancelled. A window above
+    [cfg.window] outruns {!reconfig_alpha}, so a retuned engine must not
+    order reconfigurations. *)
 
 (** {1 Events} *)
 

@@ -168,22 +168,24 @@ type t = {
   mutable threads : Worker.t list;
   window_now : int Atomic.t;
   first_undecided_now : int Atomic.t;
-  (* Autotune (Config.auto_tune): tuned values published by the Protocol
-     thread's controller tick, read lock-free by the Batcher thread
-     (tuned_bsz) and by metrics. The engine's window is retuned directly
-     on the Protocol thread via [Paxos.set_window]. *)
-  tuned_bsz : int Atomic.t;
-  tuned_wnd : int Atomic.t;
+  (* The BSZ limit in force, scaled with the mean request size by the
+     Batcher thread (see [batcher_loop]); read by the policy and by
+     metrics. *)
+  bsz_now : int Atomic.t;
   batcher : Batcher.t;
-  (* Commit-latency accumulators for the current controller epoch.
-     Protocol-thread private (written in protocol_apply, read/reset by
-     the controller tick on the same thread) — no synchronisation. *)
-  mutable tune_lat_sum : float;
-  mutable tune_lat_n : int;
+  (* The Batcher holds an open batch that only the pipeline draining
+     should seal: set by the Batcher thread, cleared by the Protocol
+     thread when it sends [idle_wake]. *)
+  batch_open : bool Atomic.t;
 }
 
+(* Put on the RequestQueue by the Protocol thread to wake the Batcher
+   for an idle seal; never batched. Compared physically. *)
+let idle_wake : Client_msg.request =
+  { id = { client_id = -1; seq = -1 }; payload = Bytes.empty }
+
 let me t = t.me
-let tuned_now t = (Atomic.get t.tuned_bsz, Atomic.get t.tuned_wnd)
+let bsz_now t = Atomic.get t.bsz_now
 let is_leader t = Atomic.get t.am_leader
 let current_view t = Atomic.get t.view_now
 let executed_count t = Counter.get t.executed
@@ -327,19 +329,7 @@ let protocol_apply t rtx actions =
           with Bq.Closed -> ())
        | Paxos.Schedule_rtx { key; dest; msg } ->
          Retransmit.schedule rtx ~now_ns:now key ~dest msg
-       | Paxos.Cancel_rtx key -> (
-           match Retransmit.cancel rtx key with
-           | Some t0 ->
-             (* A cancelled Rtx_accept means the instance decided:
-                schedule-to-cancel is the leader's commit latency. *)
-             (if t.cfg.Config.auto_tune then
-                match key with
-                | Paxos.Rtx_accept _ ->
-                  t.tune_lat_sum <-
-                    t.tune_lat_sum +. Mclock.s_of_ns (Int64.sub now t0);
-                  t.tune_lat_n <- t.tune_lat_n + 1
-                | _ -> ())
-           | None -> ())
+       | Paxos.Cancel_rtx key -> ignore (Retransmit.cancel rtx key)
        | Paxos.View_changed { view; leader; i_am_leader } ->
          if view <> Atomic.get t.view_now then Counter.incr t.view_changes;
          Atomic.set t.view_now view;
@@ -441,63 +431,6 @@ let protocol_loop t st =
       (* Replays rebuild the service state; do not re-log them. *)
       protocol_apply t rtx replays;
       engine
-  in
-  (* Autotune controller: pure policy ticked here, on the engine-owning
-     thread, every [tune_epoch_s]. Tuned BSZ is published through the
-     [tuned_bsz] atomic for the Batcher thread; tuned WND is applied
-     directly with [Paxos.set_window] (same thread, no synchronisation).
-     No locks anywhere on the path, per the ReplicationCore rule. *)
-  let tuner =
-    if t.cfg.Config.auto_tune then Some (Autotune.of_config t.cfg) else None
-  in
-  let tune_last_ns = ref (Mclock.now_ns ()) in
-  let tune_executed = ref (Counter.get t.executed) in
-  let tune_seals = ref Batcher.{
-      seals_size = 0; seals_delay = 0; seals_idle = 0; sealed_bytes = 0;
-      limit_bytes = 0 }
-  in
-  let tick_tuner engine =
-    match tuner with
-    | None -> ()
-    | Some at ->
-      let now = Mclock.now_ns () in
-      let dt = Mclock.s_of_ns (Int64.sub now !tune_last_ns) in
-      if dt >= t.cfg.Config.tune_epoch_s then begin
-        let seals = Batcher.seal_stats t.batcher in
-        let prev = !tune_seals in
-        let d_bytes = seals.Batcher.sealed_bytes - prev.Batcher.sealed_bytes in
-        let d_limit = seals.Batcher.limit_bytes - prev.Batcher.limit_bytes in
-        let executed = Counter.get t.executed in
-        let signals =
-          Autotune.{
-            s_window_in_use = Paxos.window_in_use engine;
-            s_proposal_queue = Bq.length t.proposal_q;
-            s_log_queue =
-              (match t.stable with
-               | Some ss -> Bq.length ss.log_q
-               | None -> 0);
-            s_seals_size = seals.Batcher.seals_size - prev.Batcher.seals_size;
-            s_seals_delay =
-              seals.Batcher.seals_delay - prev.Batcher.seals_delay;
-            s_batch_fill =
-              (if d_limit = 0 then 0.
-               else float_of_int d_bytes /. float_of_int d_limit);
-            s_throughput = float_of_int (executed - !tune_executed) /. dt;
-            s_commit_latency_s =
-              (if t.tune_lat_n = 0 then 0.
-               else t.tune_lat_sum /. float_of_int t.tune_lat_n);
-          }
-        in
-        Autotune.tick at signals;
-        Atomic.set t.tuned_bsz (Autotune.bsz at);
-        Atomic.set t.tuned_wnd (Autotune.wnd at);
-        Paxos.set_window engine (Autotune.wnd at);
-        tune_last_ns := now;
-        tune_executed := executed;
-        tune_seals := seals;
-        t.tune_lat_sum <- 0.;
-        t.tune_lat_n <- 0
-      end
   in
   (* Lease protocol (Config.lease_enabled): every Lease.t transition
      happens here, on the engine-owning thread, so the pure policy needs
@@ -689,8 +622,16 @@ let protocol_loop t st =
     in
     feed ();
     lease_tick ();
-    tick_tuner engine;
-    Atomic.set t.window_now (Paxos.window_in_use engine);
+    let in_use = Paxos.window_in_use engine in
+    Atomic.set t.window_now in_use;
+    (* The pipeline has drained under a batch the Batcher kept open: wake
+       it to seal now rather than at the delay cap. [window_now] is set
+       before [batch_open] is read, and the Batcher sets them in the
+       other order, so one of the two threads sees the other's write. *)
+    if
+      in_use = 0 && Atomic.get t.batch_open && Bq.is_empty t.proposal_q
+      && Atomic.compare_and_set t.batch_open true false
+    then (try ignore (Bq.try_put t.request_q idle_wake) with Bq.Closed -> ());
     Atomic.set t.first_undecided_now
       (Msmr_consensus.Log.first_undecided (Paxos.log engine))
   done
@@ -781,6 +722,12 @@ let stable_storage_loop t (ss : stable) st =
 
 let batcher_burst = 32
 
+(* BSZ scales with the request size: the limit is at least this many
+   mean-sized requests, so large requests still share an instance under
+   load. Requests up to [max_batch_bytes / 8] bytes (162 at the paper's
+   1300) keep the configured limit. *)
+let bsz_requests = 8
+
 let batcher_loop t st =
   let policy = t.batcher in
   (* Scratch buffer for the post-wakeup burst drain: once one request
@@ -788,6 +735,8 @@ let batcher_loop t st =
      further blocking (or list allocation). *)
   let buf = Array.make batcher_burst None in
   let running = ref true in
+  (* Wire bytes and count of every request this thread has batched. *)
+  let seen_bytes = ref 0 and seen = ref 0 in
   let publish batch =
     try
       Bq.put ~st t.proposal_q batch;
@@ -795,9 +744,32 @@ let batcher_loop t st =
     with Bq.Closed -> running := false
   in
   let add req =
-    match Batcher.add policy req ~now_ns:(Mclock.now_ns ()) with
-    | Some batch -> publish batch
-    | None -> ()
+    if req != idle_wake then begin
+      seen_bytes := !seen_bytes + Client_msg.request_wire_size req;
+      incr seen;
+      let limit =
+        max t.cfg.Config.max_batch_bytes
+          (bsz_requests * !seen_bytes / !seen)
+      in
+      if limit <> Atomic.get t.bsz_now then Atomic.set t.bsz_now limit;
+      match Batcher.add policy req ~now_ns:(Mclock.now_ns ()) with
+      | Some batch -> publish batch
+      | None -> ()
+    end
+  in
+  (* Idle seal: with nothing queued for Paxos and no instance in flight,
+     waiting for BSZ or the delay cap only adds latency. Otherwise flag
+     the open batch, so the Protocol thread sends [idle_wake] once the
+     pipeline drains. Under saturation the window never empties and
+     neither fires. *)
+  let seal_if_idle () =
+    let open_ = Batcher.pending_requests policy > 0 in
+    if open_ <> Atomic.get t.batch_open then Atomic.set t.batch_open open_;
+    if open_ && Bq.is_empty t.proposal_q && Atomic.get t.window_now = 0
+    then begin
+      Atomic.set t.batch_open false;
+      Option.iter publish (Batcher.flush_idle policy)
+    end
   in
   while !running do
     (* With no open batch there is nothing to time out: block. With one,
@@ -819,15 +791,12 @@ let batcher_loop t st =
           | Some req -> add req; buf.(i) <- None
           | None -> ()
       done;
-      (* Idle seal: with nothing queued for Paxos and no instance in
-         flight, waiting for BSZ or the delay cap only adds latency.
-         Under saturation the window never empties and this never fires. *)
-      if !running && Bq.is_empty t.proposal_q && Atomic.get t.window_now = 0
-      then Option.iter publish (Batcher.flush_idle policy)
-    | None -> (
-        match Batcher.flush_due policy ~now_ns:(Mclock.now_ns ()) with
-        | Some batch -> publish batch
-        | None -> ())
+      if !running then seal_if_idle ()
+    | None ->
+      (match Batcher.flush_due policy ~now_ns:(Mclock.now_ns ()) with
+       | Some batch -> publish batch
+       | None -> ());
+      if !running then seal_if_idle ()
     | exception Bq.Closed ->
       (* Flush the open batch on shutdown. *)
       (match Batcher.force_flush policy with
@@ -1168,7 +1137,6 @@ let metric_names =
     "msmr_replica_log_queue_depth";
     "msmr_replica_durable_hold_s";
     "msmr_replica_bsz_now";
-    "msmr_replica_wnd_now";
     "msmr_replica_batch_fill";
     "msmr_replica_flush_size_total";
     "msmr_replica_flush_delay_total";
@@ -1234,8 +1202,7 @@ let register_metrics t =
       | Some ss -> fi (Bq.length ss.log_q)
       | None -> 0.);
   let seals () = Batcher.seal_stats t.batcher in
-  g "msmr_replica_bsz_now" (fun () -> fi (Atomic.get t.tuned_bsz));
-  g "msmr_replica_wnd_now" (fun () -> fi (Atomic.get t.tuned_wnd));
+  g "msmr_replica_bsz_now" (fun () -> fi (Atomic.get t.bsz_now));
   g "msmr_replica_batch_fill" (fun () ->
       (* cumulative mean fill ratio: payload bytes over the BSZ limit in
          force at each seal *)
@@ -1313,8 +1280,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
           ss_stall = Atomic.make false;
           ss_hold = Msmr_obs.Metrics.histogram ~labels "msmr_replica_durable_hold_s" }
   in
-  let tuned_bsz = Atomic.make cfg.Config.max_batch_bytes in
-  let tuned_wnd = Atomic.make cfg.Config.window in
+  let bsz_now = Atomic.make cfg.Config.max_batch_bytes in
   (* Membership history seed: the checkpoint's configs if one was
      recovered, else the boot membership. Reconfigs decided after the
      checkpoint re-adopt during log replay (Membership_changed actions). *)
@@ -1323,13 +1289,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
     | Some { Msmr_storage.Replica_store.r_configs = (_ :: _) as cs; _ } -> cs
     | Some _ | None -> [ (0, Membership.initial cfg) ]
   in
-  let batcher =
-    (* With auto_tune the policy reads the tuned limit through the
-       atomic; without it it takes the static-config path, untouched. *)
-    Batcher.create
-      ?tuned_bsz:(if cfg.Config.auto_tune then Some tuned_bsz else None)
-      cfg ~src:me
-  in
+  let batcher = Batcher.create ~tuned_bsz:bsz_now cfg ~src:me in
   (* Producer/consumer discipline per edge: receivers, FD, the Batcher
      and the scheduler all feed the dispatcher (MPMC); the Batcher feeds
      the Protocol thread (SPSC); ClientIO workers feed the RequestQueue
@@ -1399,11 +1359,9 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       threads = [];
       window_now = Atomic.make 0;
       first_undecided_now = Atomic.make 0;
-      tuned_bsz;
-      tuned_wnd;
+      bsz_now;
       batcher;
-      tune_lat_sum = 0.;
-      tune_lat_n = 0 }
+      batch_open = Atomic.make false }
   in
   let on_fresh (req : Client_msg.request) =
     (* Classify once, on the ClientIO worker threads (see

@@ -115,10 +115,9 @@ val submit :
 val is_leader : t -> bool
 val current_view : t -> Msmr_consensus.Types.view
 
-val tuned_now : t -> int * int
-(** [(bsz, wnd)] currently in force. With [cfg.auto_tune] these are the
-    autotune controller's latest published values (the Batcher thread
-    reads the same atomics); without it they stay at the static config. *)
+val bsz_now : t -> int
+(** The Batcher's BSZ limit in force: [cfg.max_batch_bytes], or 8 × the
+    mean wire size of the requests batched so far when that is larger. *)
 
 val executed_count : t -> int
 (** Client requests executed so far (excludes duplicates and noops). *)

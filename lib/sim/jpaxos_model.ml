@@ -180,6 +180,10 @@ let run ?(trace = false) (p : Params.t) =
      rather than run a reconfiguration it cannot order. *)
   if p.groups > 1 && p.reconfig_at <> [] then
     invalid_arg "Jpaxos_model.run: reconfig_at requires groups = 1";
+  (* A Reconfig takes effect [Config.window] instances after its
+     decision, but the controller may open up to [wnd_max] instances. *)
+  if p.auto_tune && p.reconfig_at <> [] then
+    invalid_arg "Jpaxos_model.run: reconfig_at requires auto_tune = false";
   let n_groups = p.groups in
   (* Group [g] bootstraps in view [g], so its home (initial leader) is
      node [g mod n]; a boot membership without it could never activate

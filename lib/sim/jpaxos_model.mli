@@ -155,5 +155,7 @@ val run : ?trace:bool -> Params.t -> result
 
     @raise Invalid_argument if [groups < 1]; or if [groups > 1] and
     [reconfig_at <> []] (the model does not coordinate epoch walks
-    across groups); or if [groups > 1] and [members0] lacks a group's
-    home node [g mod n]. *)
+    across groups); or if [auto_tune] and [reconfig_at <> []] (a
+    Reconfig takes effect [wnd] instances after its decision, and the
+    controller may open more than [wnd]); or if [groups > 1] and
+    [members0] lacks a group's home node [g mod n]. *)

@@ -142,7 +142,8 @@ type t = {
           simulated time: [wnd]/[bsz] become the starting point and the
           controller retunes them every [tune_epoch]. [false] (the
           default) is byte-for-byte the static path. Runs stay fully
-          deterministic either way. *)
+          deterministic either way. Requires [reconfig_at = []]. The
+          live runtime has no such controller (DESIGN.md §11). *)
   tune_epoch : float;  (** controller epoch in simulated seconds *)
   read_ratio : float;
       (** fraction of each client's operations that are reads (the

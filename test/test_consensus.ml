@@ -412,31 +412,6 @@ let test_autotune_clamps_at_bounds () =
   Alcotest.(check int) "bsz capped" 2000 (Autotune.bsz t);
   Alcotest.(check int) "wnd capped" 12 (Autotune.wnd t)
 
-let test_autotune_of_config () =
-  let cfg =
-    { (Config.default ~n:3) with
-      auto_tune = true; max_batch_bytes = 4096; window = 8;
-      bsz_min = 512; bsz_max = 8192; wnd_min = 2; wnd_max = 16 }
-  in
-  let t = Autotune.of_config cfg in
-  Alcotest.(check int) "seeded bsz" 4096 (Autotune.bsz t);
-  Alcotest.(check int) "seeded wnd" 8 (Autotune.wnd t);
-  Alcotest.(check int) "no ticks yet" 0 (Autotune.ticks t)
-
-let test_config_autotune_validate () =
-  let ok = { (Config.default ~n:3) with auto_tune = true } in
-  Alcotest.(check bool) "auto defaults ok" true (Config.validate ok = Ok ());
-  Alcotest.(check bool) "bsz above bsz_max" true
-    (Config.validate { ok with max_batch_bytes = 100_000 } |> Result.is_error);
-  Alcotest.(check bool) "window above wnd_max" true
-    (Config.validate { ok with window = 100 } |> Result.is_error);
-  Alcotest.(check bool) "bad tune epoch" true
-    (Config.validate { ok with tune_epoch_s = 0. } |> Result.is_error);
-  (* the bounds only bind when the controller is on *)
-  Alcotest.(check bool) "unchecked when off" true
-    (Config.validate { ok with auto_tune = false; max_batch_bytes = 100_000 }
-     = Ok ())
-
 (* ------------------------------------------------------------------ *)
 (* Failure detector *)
 
@@ -1493,9 +1468,6 @@ let suite =
     Alcotest.test_case "autotune: demand shrink" `Quick test_autotune_demand_shrink;
     Alcotest.test_case "autotune: clamps at bounds" `Quick
       test_autotune_clamps_at_bounds;
-    Alcotest.test_case "autotune: of_config" `Quick test_autotune_of_config;
-    Alcotest.test_case "config: autotune validation" `Quick
-      test_config_autotune_validate;
     Alcotest.test_case "fd: leader heartbeats" `Quick test_fd_leader_heartbeats;
     Alcotest.test_case "fd: follower suspects" `Quick test_fd_follower_suspects;
     Alcotest.test_case "fd: recv defers suspicion" `Quick test_fd_recv_defers_suspicion;
@@ -1883,7 +1855,6 @@ let test_config_rejects_non_finite () =
       ("fd_interval_s", fun x -> { ok with fd_interval_s = x });
       ("fd_timeout_s", fun x -> { ok with fd_timeout_s = x });
       ("catchup_interval_s", fun x -> { ok with catchup_interval_s = x });
-      ("tune_epoch_s", fun x -> { ok with auto_tune = true; tune_epoch_s = x });
       ("lease_duration_s",
        fun x -> { ok with lease_enabled = true; lease_duration_s = x });
       ("clock_skew_bound_s",

@@ -362,24 +362,35 @@ let test_ephemeral_stall_is_noop () =
     (Bytes.to_string (Client.call client (Bytes.of_string "5")));
   Replica.stall_stable_storage leader false
 
-let test_cluster_autotune_live () =
-  (* Live wiring sanity: the controller ticks on the Protocol thread and
-     the published knobs stay inside the configured bounds. *)
-  let cfg = { (test_cfg 3) with auto_tune = true; tune_epoch_s = 0.02 } in
-  with_cluster ~cfg @@ fun cluster ->
+(* BSZ scales with the request size: at the default config a burst of
+   8 KiB requests still shares instances, where a fixed 1300-byte limit
+   would give each its own. *)
+let test_cluster_large_requests_share_instances () =
+  with_cluster ~cfg:(Config.default ~n:3) ~service:(fun () -> Service.null ())
+  @@ fun cluster ->
   let leader = Replica.Cluster.await_leader cluster in
-  let bsz0, wnd0 = Replica.tuned_now leader in
-  Alcotest.(check int) "starts at static bsz" cfg.Config.max_batch_bytes bsz0;
-  Alcotest.(check int) "starts at static wnd" cfg.Config.window wnd0;
-  let client = Client.create ~cluster ~client_id:77 () in
-  for i = 1 to 100 do
-    ignore (Client.call client (Bytes.of_string (string_of_int i)))
+  Alcotest.(check int) "starts at max_batch_bytes" 1300
+    (Replica.bsz_now leader);
+  let requests = 40 in
+  let payload = Bytes.make 8192 'x' in
+  let done_count = Atomic.make 0 in
+  let sink _ = Atomic.incr done_count in
+  let decided0 = Replica.decided_count leader in
+  for i = 1 to requests do
+    let raw =
+      Client_msg.request_to_bytes
+        { id = { client_id = i; seq = 1 }; payload }
+    in
+    Replica.submit leader ~raw ~reply_to:sink
   done;
-  let bsz, wnd = Replica.tuned_now leader in
-  Alcotest.(check bool) "bsz within bounds" true
-    (bsz >= cfg.Config.bsz_min && bsz <= cfg.Config.bsz_max);
-  Alcotest.(check bool) "wnd within bounds" true
-    (wnd >= cfg.Config.wnd_min && wnd <= cfg.Config.wnd_max)
+  await ~what:"all replies" (fun () -> Atomic.get done_count >= requests);
+  let instances = Replica.decided_count leader - decided0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer instances (%d) than requests (%d)" instances
+       requests)
+    true (instances < requests);
+  Alcotest.(check int) "bsz is 8 mean requests" (8 * (16 + 8192))
+    (Replica.bsz_now leader)
 
 let test_hub_fault_injection () =
   let hub = Transport.Hub.create ~n:2 () in
@@ -483,7 +494,8 @@ let suite =
     Alcotest.test_case "cluster: null service burst" `Quick test_cluster_null_service_throughput_smoke;
     Alcotest.test_case "cluster: sender flushes counted" `Quick test_sender_flushes_counted;
     Alcotest.test_case "cluster: ephemeral stall no-op" `Quick test_ephemeral_stall_is_noop;
-    Alcotest.test_case "cluster: autotune live" `Quick test_cluster_autotune_live;
+    Alcotest.test_case "cluster: large requests share instances" `Quick
+      test_cluster_large_requests_share_instances;
   ]
 
 (* ClientIO waits on its ingress alone; a reply handed over from another
@@ -1566,3 +1578,52 @@ let suite =
   suite
   @ [ Alcotest.test_case "cluster: a blocking sink spares the scheduler"
         `Quick test_cluster_blocking_sink_spares_scheduler ]
+
+(* A request that arrives while an instance is in flight is sealed as
+   soon as the pipeline drains, even when nothing arrives after it: the
+   Protocol thread wakes the Batcher rather than leaving the request to
+   the delay cap. *)
+let test_cluster_drained_pipeline_seals () =
+  let cfg =
+    { (test_cfg 3) with
+      max_batch_delay_s = 1.0;
+      fd_timeout_s = 30.;
+      catchup_interval_s = 30. }
+  in
+  with_cluster ~cfg @@ fun cluster ->
+  let leader = Replica.Cluster.await_leader cluster in
+  let me = Replica.me leader in
+  let hub = Replica.Cluster.hub cluster in
+  let peers = List.filter (fun p -> p <> me) [ 0; 1; 2 ] in
+  let replied = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:2 in
+  let submit c =
+    let raw =
+      Client_msg.request_to_bytes
+        { id = { client_id = c; seq = 1 }; payload = Bytes.of_string "1" }
+    in
+    Replica.submit leader ~raw ~reply_to:(fun _ -> Ch.put replied c)
+  in
+  List.iter (fun p -> Transport.Hub.sever hub ~src:me ~dst:p) peers;
+  submit 1;
+  await ~what:"request A in flight" (fun () ->
+      (Replica.queue_stats leader).window_in_use = 1);
+  let t0 = Mclock.now_ns () in
+  submit 2;
+  Mclock.sleep_s 0.05;
+  List.iter (fun p -> Transport.Hub.heal_link hub ~src:me ~dst:p) peers;
+  let next () =
+    match Ch.take_timeout replied ~timeout_s:2.0 with
+    | Some c -> c
+    | None -> Alcotest.fail "no reply within 2 s of the heal"
+  in
+  Alcotest.(check int) "A answered first" 1 (next ());
+  Alcotest.(check int) "then B" 2 (next ());
+  let elapsed = Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "B answered in %.3f s, under 0.5 s of a 1 s cap" elapsed)
+    true (elapsed < 0.5)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "cluster: drained pipeline seals the open batch"
+        `Quick test_cluster_drained_pipeline_seals ]
