@@ -177,6 +177,10 @@ type t = {
      should seal: set by the Batcher thread, cleared by the Protocol
      thread when it sends [idle_wake]. *)
   batch_open : bool Atomic.t;
+  (* Time between the Batcher's last two wake-ups that brought
+     requests, in ns: how long the Protocol thread lets a drained
+     pipeline wait for the next request before it sends [idle_wake]. *)
+  arrival_gap_ns : int Atomic.t;
 }
 
 (* Put on the RequestQueue by the Protocol thread to wake the Batcher
@@ -571,8 +575,11 @@ let protocol_loop t st =
     | Snapshot_taken { next_iid; state } ->
       apply (Paxos.note_snapshot engine ~next_iid ~state)
   in
-  (* Park until the earliest timer: a retransmission, the catch-up tick
-     or the held lease's next renewal. *)
+  (* When to send [idle_wake], if the pipeline stays drained under an
+     open batch; see the end of the loop. *)
+  let idle_wake_at = ref None in
+  (* Park until the earliest timer: a retransmission, the catch-up tick,
+     the held lease's next renewal or a pending idle wake. *)
   let catchup_ns = Mclock.ns_of_s t.cfg.catchup_interval_s in
   let next_catchup = ref (Int64.add (Mclock.now_ns ()) catchup_ns) in
   let timeout_s () =
@@ -585,6 +592,7 @@ let protocol_loop t st =
       | Some lc -> Int64.min at (Int64.of_int (Lease.next_ping_ns lc.lease))
       | None -> at
     in
+    let at = Option.fold ~none:at ~some:(Int64.min at) !idle_wake_at in
     Mclock.s_of_ns (Int64.sub at (Mclock.now_ns ()))
   in
   while Atomic.get t.running do
@@ -624,14 +632,28 @@ let protocol_loop t st =
     lease_tick ();
     let in_use = Paxos.window_in_use engine in
     Atomic.set t.window_now in_use;
-    (* The pipeline has drained under a batch the Batcher kept open: wake
-       it to seal now rather than at the delay cap. [window_now] is set
-       before [batch_open] is read, and the Batcher sets them in the
-       other order, so one of the two threads sees the other's write. *)
-    if
-      in_use = 0 && Atomic.get t.batch_open && Bq.is_empty t.proposal_q
-      && Atomic.compare_and_set t.batch_open true false
-    then (try ignore (Bq.try_put t.request_q idle_wake) with Bq.Closed -> ());
+    (* The pipeline has drained under a batch the Batcher kept open.
+       Under load the next request seals it, so wait one inter-arrival
+       gap for that; then wake the Batcher to seal it rather than leave
+       it to the delay cap. [window_now] is set before [batch_open] is
+       read, and the Batcher sets them in the other order, so one of
+       the two threads sees the other's write. *)
+    if in_use = 0 && Atomic.get t.batch_open && Bq.is_empty t.proposal_q
+    then begin
+      let now = Mclock.now_ns () in
+      let due =
+        match !idle_wake_at with
+        | Some due -> due
+        | None -> Int64.add now (Int64.of_int (Atomic.get t.arrival_gap_ns))
+      in
+      if Int64.compare now due < 0 then idle_wake_at := Some due
+      else begin
+        idle_wake_at := None;
+        if Atomic.compare_and_set t.batch_open true false then
+          try ignore (Bq.try_put t.request_q idle_wake) with Bq.Closed -> ()
+      end
+    end
+    else idle_wake_at := None;
     Atomic.set t.first_undecided_now
       (Msmr_consensus.Log.first_undecided (Paxos.log engine))
   done
@@ -737,6 +759,7 @@ let batcher_loop t st =
   let running = ref true in
   (* Wire bytes and count of every request this thread has batched. *)
   let seen_bytes = ref 0 and seen = ref 0 in
+  let last_arrival = ref (now_int_ns ()) in
   let publish batch =
     try
       Bq.put ~st t.proposal_q batch;
@@ -759,9 +782,8 @@ let batcher_loop t st =
   in
   (* Idle seal: with nothing queued for Paxos and no instance in flight,
      waiting for BSZ or the delay cap only adds latency. Otherwise flag
-     the open batch, so the Protocol thread sends [idle_wake] once the
-     pipeline drains. Under saturation the window never empties and
-     neither fires. *)
+     the open batch, so the Protocol thread sends [idle_wake] if the
+     pipeline drains and no request follows. *)
   let seal_if_idle () =
     let open_ = Batcher.pending_requests policy > 0 in
     if open_ <> Atomic.get t.batch_open then Atomic.set t.batch_open open_;
@@ -783,6 +805,11 @@ let batcher_loop t st =
     in
     match next with
     | Some req ->
+      if req != idle_wake then begin
+        let now = now_int_ns () in
+        Atomic.set t.arrival_gap_ns (now - !last_arrival);
+        last_arrival := now
+      end;
       add req;
       let n = Bq.drain_into t.request_q ~buf in
       for i = 0 to n - 1 do
@@ -1361,7 +1388,8 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       first_undecided_now = Atomic.make 0;
       bsz_now;
       batcher;
-      batch_open = Atomic.make false }
+      batch_open = Atomic.make false;
+      arrival_gap_ns = Atomic.make 0 }
   in
   let on_fresh (req : Client_msg.request) =
     (* Classify once, on the ClientIO worker threads (see
