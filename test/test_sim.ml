@@ -795,7 +795,9 @@ let test_multigroup_rejects_reconfig () =
    | exception Invalid_argument _ -> ());
   (* A Reconfig takes effect [wnd] instances after its decision, but the
      controller can open more instances than that. *)
-  let p = { (reconfig_params [ (0.3, [ 0; 1; 2; 3; 4 ]) ]) with auto_tune = true } in
+  let p =
+    { (reconfig_params [ (0.3, [ 0; 1; 2; 3; 4 ]) ]) with auto_tune = true }
+  in
   match Jpaxos_model.run p with
   | _ -> Alcotest.fail "auto_tune with reconfig_at must be rejected"
   | exception Invalid_argument _ -> ()
