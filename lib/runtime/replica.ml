@@ -803,33 +803,32 @@ let batcher_loop t st =
         Bq.take_timeout ~st t.request_q
           ~timeout_s:(Mclock.s_of_ns (Int64.sub d (Mclock.now_ns ())))
     in
-    match next with
-    | Some req ->
-      if req != idle_wake then begin
-        let now = now_int_ns () in
-        Atomic.set t.arrival_gap_ns (now - !last_arrival);
-        last_arrival := now
-      end;
-      add req;
-      let n = Bq.drain_into t.request_q ~buf in
-      for i = 0 to n - 1 do
-        if !running then
-          match buf.(i) with
-          | Some req -> add req; buf.(i) <- None
-          | None -> ()
-      done;
-      if !running then seal_if_idle ()
-    | None ->
-      (match Batcher.flush_due policy ~now_ns:(Mclock.now_ns ()) with
-       | Some batch -> publish batch
-       | None -> ());
-      if !running then seal_if_idle ()
-    | exception Bq.Closed ->
-      (* Flush the open batch on shutdown. *)
-      (match Batcher.force_flush policy with
-       | Some batch -> (try Bq.put t.proposal_q batch with Bq.Closed -> ())
-       | None -> ());
-      running := false
+    (match next with
+     | Some req ->
+       if req != idle_wake then begin
+         let now = now_int_ns () in
+         Atomic.set t.arrival_gap_ns (now - !last_arrival);
+         last_arrival := now
+       end;
+       add req;
+       let n = Bq.drain_into t.request_q ~buf in
+       for i = 0 to n - 1 do
+         if !running then
+           match buf.(i) with
+           | Some req -> add req; buf.(i) <- None
+           | None -> ()
+       done
+     | None -> (
+         match Batcher.flush_due policy ~now_ns:(Mclock.now_ns ()) with
+         | Some batch -> publish batch
+         | None -> ())
+     | exception Bq.Closed ->
+       (* Flush the open batch on shutdown. *)
+       (match Batcher.force_flush policy with
+        | Some batch -> (try Bq.put t.proposal_q batch with Bq.Closed -> ())
+        | None -> ());
+       running := false);
+    if !running then seal_if_idle ()
   done
 
 (* ------------------------------------------------------------------ *)
