@@ -493,9 +493,8 @@ let live () =
     n_clients duration_s tput;
   Format.printf "latency: %a@." Msmr_platform.Histogram.pp_summary hist;
   Printf.printf
-    "leader queues at end: request=%d proposal=%d dispatcher=%d window=%d\n"
-    stats.request_queue stats.proposal_queue stats.dispatcher_queue
-    stats.window_in_use;
+    "leader queues at end: request=%d dispatcher=%d window=%d\n"
+    stats.request_queue stats.dispatcher_queue stats.window_in_use;
   Printf.printf "decided instances: %d, executed requests: %d\n%!"
     (R.Replica.decided_count leader)
     (R.Replica.executed_count leader);

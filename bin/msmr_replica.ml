@@ -43,13 +43,12 @@ let serve ~id ~nodes ~cfg ~client_port ~service_name ~executors ~verbose =
     let stats = Msmr_runtime.Replica.queue_stats replica in
     let exec = Msmr_runtime.Replica.executed_count replica in
     Printf.printf
-      "[r%d] view=%d leader=%b executed=%d (+%d) reqq=%d propq=%d window=%d \
+      "[r%d] view=%d leader=%b executed=%d (+%d) reqq=%d window=%d \
        conns=%d reconnects=%d\n%!"
       id
       (Msmr_runtime.Replica.current_view replica)
       (Msmr_runtime.Replica.is_leader replica)
-      exec (exec - last_exec) stats.request_queue stats.proposal_queue
-      stats.window_in_use
+      exec (exec - last_exec) stats.request_queue stats.window_in_use
       (Msmr_runtime.Client_server.connections server)
       (Msmr_runtime.Tcp_mesh.reconnects mesh);
     status exec

@@ -19,8 +19,8 @@ let () =
   in
 
   (* 2. Start the cluster. Each replica runs the full threading
-     architecture: ClientIO pool, Batcher, Protocol (which also runs the
-     retransmission timers), FailureDetector, ReplicaIO send/receive
+     architecture: ClientIO pool, Protocol (which also batches and runs
+     the retransmission timers), FailureDetector, ReplicaIO send/receive
      pairs and the ServiceManager. *)
   let cluster =
     R.Replica.Cluster.create ~cfg

@@ -37,7 +37,7 @@
     signal sequences produce identical trajectories (the simulator's
     determinism tests rely on this). The simulator ([Params.auto_tune])
     is the only driver: the controller is kept there as a prediction.
-    The live runtime has no controller; its Batcher scales BSZ with the
+    The live runtime has no controller; its batching scales BSZ with the
     mean request size instead (DESIGN.md §11). *)
 
 type params = {

@@ -1,13 +1,14 @@
 (** Batching policy (pure).
 
-    The Batcher thread (Section V-C1) turns the stream of client requests
+    The paper's Batcher thread (Section V-C1) turns the stream of client requests
     into batches bounded by BSZ bytes ([max_batch_bytes]) or by a delay
     cap: an underfull batch is flushed once its oldest request has waited
-    [max_batch_delay_s]. The live runtime adds a third trigger: its
-    Batcher thread seals the open batch with {!flush_idle} as soon as the
-    ordering pipeline is idle, so batches form only while Paxos is busy.
-    This module is the policy only; the thread around it lives in the
-    runtime ([batcher_loop] in [Msmr_runtime.Replica]), and the simulator
+    [max_batch_delay_s]. The live runtime adds a third trigger: it seals
+    the open batch with {!flush_idle} as soon as the ordering pipeline is
+    idle, so batches form only while Paxos is busy. This module is the
+    policy only. The live runtime runs it on the Protocol thread, beside
+    the Paxos engine ([protocol_loop] in [Msmr_runtime.Replica]); the
+    simulator runs it on a Batcher thread of its own, as the paper does,
     models its cost separately and seals on BSZ or the delay cap only. *)
 
 type t
@@ -15,7 +16,7 @@ type t
 val create : ?tuned_bsz:int Atomic.t -> Config.t -> src:Types.node_id -> t
 (** [tuned_bsz] makes BSZ dynamic: the limit is re-read from the atomic
     on every {!add} / flush, and whoever writes it publishes a new limit
-    without locks (the live Batcher thread's size-scaled limit, the
+    without locks (the live runtime's size-scaled limit, the
     simulator's {!Autotune} controller). Without it the limit is the
     static [cfg.max_batch_bytes]. *)
 
@@ -39,8 +40,9 @@ type seal_stats = {
 
 val seal_stats : t -> seal_stats
 (** Monotone counters since [create]; callers diff snapshots for
-    per-epoch figures. Written only by the owning Batcher thread; a
-    cross-thread reader sees benignly-stale word-consistent values. *)
+    per-epoch figures. Written only by the thread that owns the policy
+    (live: the Protocol thread; simulator: its Batcher); a cross-thread
+    reader sees benignly-stale word-consistent values. *)
 
 val add :
   t -> Msmr_wire.Client_msg.request -> now_ns:int64 -> Batch.t option

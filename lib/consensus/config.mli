@@ -9,7 +9,7 @@ type t = {
   n : int;                        (** number of replicas (2f + 1) *)
   window : int;                   (** WND: max concurrent instances *)
   max_batch_bytes : int;          (** BSZ: max payload bytes per batch;
-                                      the live Batcher raises its limit
+                                      live batching raises the limit
                                       to 8 × the mean request size when
                                       that is larger *)
   max_batch_delay_s : float;      (** flush an underfull batch after this
@@ -52,7 +52,7 @@ val default : n:int -> t
     50 ms, snapshot every 10_000 instances, retain 1_000 entries.
     Leases off (duration 2 s, skew bound 100 ms when enabled).
     The delay cap binds only while the ordering pipeline is busy: the
-    live Batcher seals its open batch at once when Paxos has nothing in
+    live runtime seals its open batch at once when Paxos has nothing in
     flight. The simulator always waits for BSZ or the cap, and keeps
     BSZ at [max_batch_bytes]. *)
 

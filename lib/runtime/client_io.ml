@@ -44,7 +44,8 @@ type t = {
   (* client_id -> route; written by ClientIO threads, read by the
      ServiceManager. *)
   routes : (int, route) Cmap.t;
-  request_queue : Client_msg.request Bq.t;
+  (* Passes a fresh request on to be ordered; may block (back-pressure). *)
+  hand_off : Thread_state.t -> Client_msg.request -> unit;
   reply_cache : Reply_cache.t;
   (* Early-scheduling hook: called once per fresh request (no cached
      reply, not stale). Runs on the ClientIO worker thread. *)
@@ -102,10 +103,10 @@ let drain_replies t (ctx : worker_ctx) =
   in
   flush t (collect [])
 
-(* Decode one request, answer it from the reply cache or hand it to the
-   Batcher. The hand-off is a blocking [put]: a full RequestQueue stops
-   this worker from taking new ingress, and a full ingress blocks
-   [submit] (back-pressure, Section V-E). Nothing downstream of the
+(* Decode one request, answer it from the reply cache or hand it on
+   to be ordered. The hand-off blocks while the RequestQueue is full:
+   that stops this worker from taking new ingress, and a full ingress
+   blocks [submit] (back-pressure, Section V-E). Nothing downstream of the
    RequestQueue waits on ClientIO or on a sink that may block — replies
    come back through the non-blocking [deliver_reply], or from
    [write_replies] through sinks that do not block — so the wait always
@@ -119,12 +120,12 @@ let accept t st ~raw ~(route : route) =
         route.sink (Client_msg.reply_to_bytes { id = req.id; result })
       | Reply_cache.Stale -> ()
       | Reply_cache.Fresh ->
-        (* Hook before the Batcher hand-off: the pre-dispatch event must
+        (* Hook before the hand-off: the pre-dispatch event must
            precede the request's own decide in the DecisionQueue, and
            queue FIFO gives exactly that. *)
         (match t.on_fresh with Some f -> f req | None -> ());
         Cmap.set t.routes req.id.client_id route;
-        Bq.put ~st t.request_queue req)
+        t.hand_off st req)
   | exception (Codec.Underflow | Codec.Malformed _) ->
     (* Malformed request: drop it, as a server would drop a corrupt
        frame. *)
@@ -150,8 +151,8 @@ let metric_names =
   [ "msmr_client_io_requests_total"; "msmr_client_io_replies_total";
     "msmr_client_io_malformed_total"; "msmr_client_io_flushes" ]
 
-let create ?(name_prefix = "") ?on_fresh ~pool_size
-    ~request_queue ~reply_cache () =
+let create ?(name_prefix = "") ?on_fresh ~pool_size ~hand_off ~reply_cache
+    () =
   if pool_size <= 0 then invalid_arg "Client_io.create: pool_size <= 0";
   let workers =
     (* Ingress is many connection threads -> one worker: MPMC ring. *)
@@ -167,7 +168,7 @@ let create ?(name_prefix = "") ?on_fresh ~pool_size
   in
   let t =
     { workers; threads = []; routes = Cmap.create ~shards:16 ();
-      request_queue; reply_cache; on_fresh;
+      hand_off; reply_cache; on_fresh;
       m_labels;
       m_requests =
         Msmr_obs.Metrics.counter ~labels:m_labels "msmr_client_io_requests_total";

@@ -18,9 +18,10 @@
     ServiceManager never blocks handing a reply over: it pushes onto the
     worker's unbounded lock-free MPSC reply queue and adds one [Kick] to
     the ingress, unless one is still pending, or calls a sink that does
-    not block. A worker hands a fresh request to the bounded
-    RequestQueue with a blocking [put], so a saturated pipeline stops it
-    taking new ingress and, once the ingress fills, blocks {!submit} —
+    not block. A worker passes a fresh request to [hand_off], which the
+    replica backs with a blocking [put] on its bounded RequestQueue, so a
+    saturated pipeline stops the worker taking new ingress and, once the
+    ingress fills, blocks {!submit} —
     the back-pressure that ultimately pushes back on clients (Section
     V-E). This cannot deadlock: nothing downstream of the RequestQueue
     waits on ClientIO or on a sink that may block. A client that stops
@@ -42,15 +43,20 @@ val create :
   ?name_prefix:string ->
   ?on_fresh:(Msmr_wire.Client_msg.request -> unit) ->
   pool_size:int ->
-  request_queue:Msmr_wire.Client_msg.request Msmr_platform.Channel.t ->
+  hand_off:
+    (Msmr_platform.Thread_state.t -> Msmr_wire.Client_msg.request -> unit) ->
   reply_cache:Reply_cache.t ->
   unit ->
   t
 (** Starts [pool_size] threads named [<prefix>ClientIO-<i>].
 
+    [hand_off st req] passes each fresh request on to be ordered, on the
+    worker thread whose state is [st]. It may block, which is how the
+    pool feels back-pressure; it must not wait on ClientIO itself.
+
     [on_fresh] (default none) is the early-scheduling hook: it runs on
     the worker thread for every fresh request — after the reply cache
-    said [Fresh], before the request is handed toward the Batcher. The
+    said [Fresh], before the request is passed to [hand_off]. The
     replica uses it to classify the request's conflict keys once, off
     the scheduler thread (DESIGN.md section 16); nothing executes
     before the request is decided. *)

@@ -16,9 +16,10 @@ type event =
   | Peer_msg of { from : Types.node_id; msg : Msg.t }
   | Suspect
   | Snapshot_taken of { next_iid : Types.iid; state : bytes }
-  | Proposal_ready
-      (** Batcher signal: the ProposalQueue has something for the
-          Protocol thread (keeps the event loop fully blocking). *)
+  | Requests_ready
+      (** ClientIO signal: the RequestQueue has requests for the
+          Protocol thread to batch (keeps the event loop fully
+          blocking). *)
   | Reconfig_request of Membership.t
       (** Administrative membership change: hand the target epoch to the
           engine-owning thread, which orders it through the log
@@ -105,8 +106,12 @@ type t = {
   service : Service.t;
   (* Queues (Figure 3). *)
   dispatcher_q : event Bq.t;
-  proposal_q : Batch.t Bq.t;
   request_q : Client_msg.request Bq.t;
+  requests_kicked : bool Atomic.t;
+      (* up: the Protocol thread will drain the RequestQueue without
+         another [Requests_ready], since one is queued or requests were
+         left there for it (see [create]'s [hand_off] and the Protocol
+         thread's [feed]) *)
   decision_q : decision Bq.t;
   send_qs : Msg.t Bq.t array;           (* one per node id; own slot unused *)
   (* Modules. *)
@@ -169,24 +174,11 @@ type t = {
   window_now : int Atomic.t;
   first_undecided_now : int Atomic.t;
   (* The BSZ limit in force, scaled with the mean request size by the
-     Batcher thread (see [batcher_loop]); read by the policy and by
-     metrics. *)
+     Protocol thread (see [protocol_loop]'s [add]); read by the policy
+     and by metrics. *)
   bsz_now : int Atomic.t;
-  batcher : Batcher.t;
-  (* The Batcher holds an open batch that only the pipeline draining
-     should seal: set by the Batcher thread, cleared by the Protocol
-     thread when it sends [idle_wake]. *)
-  batch_open : bool Atomic.t;
-  (* Time between the Batcher's last two wake-ups that brought
-     requests, in ns: how long the Protocol thread lets a drained
-     pipeline wait for the next request before it sends [idle_wake]. *)
-  arrival_gap_ns : int Atomic.t;
+  batcher : Batcher.t;  (* Protocol-thread private; metrics read it *)
 }
-
-(* Put on the RequestQueue by the Protocol thread to wake the Batcher
-   for an idle seal; never batched. Compared physically. *)
-let idle_wake : Client_msg.request =
-  { id = { client_id = -1; seq = -1 }; payload = Bytes.empty }
 
 let me t = t.me
 let bsz_now t = Atomic.get t.bsz_now
@@ -228,7 +220,6 @@ let lease_renewals_count t =
 
 type queue_stats = {
   request_queue : int;
-  proposal_queue : int;
   dispatcher_queue : int;
   decision_queue : int;
   window_in_use : int;
@@ -236,13 +227,12 @@ type queue_stats = {
 
 let queue_stats t =
   { request_queue = Bq.length t.request_q;
-    proposal_queue = Bq.length t.proposal_q;
     dispatcher_queue = Bq.length t.dispatcher_q;
     decision_queue = Bq.length t.decision_q;
     window_in_use = Atomic.get t.window_now }
 
 (* Read ingress: decode and put the read on the DecisionQueue. No
-   Batcher, no Paxos, no ReplyCache — reads are idempotent, so they must
+   batching, no Paxos, no ReplyCache — reads are idempotent, so they must
    not occupy at-most-once dedup slots (a read storm cannot evict a
    pending write's cached reply). The queue put is the linearizability
    wait (see [Read_exec]); called from client threads, hence the MPMC
@@ -371,6 +361,15 @@ let protocol_apply t rtx actions =
                membership.Membership.epoch effective_iid
                (Format.asprintf "%a" Membership.pp membership)))
     actions
+
+(* Requests the Protocol thread batches per loop pass at most. *)
+let feed_burst = 256
+
+(* BSZ scales with the request size: the limit is at least this many
+   mean-sized requests, so large requests still share an instance under
+   load. Requests up to [max_batch_bytes / 8] bytes (162 at the paper's
+   1300) keep the configured limit. *)
+let bsz_requests = 8
 
 let protocol_loop t st =
   (* Owned here, with the engine: a cancel takes no lock (Section V-C4). *)
@@ -516,7 +515,7 @@ let protocol_loop t st =
       Lease.promise_blocks lc.lease ~candidate:t.me ~now_ns:(now_int_ns ())
   in
   let handle = function
-    | Proposal_ready -> ()
+    | Requests_ready -> ()
     | Reconfig_request m -> apply (Paxos.propose_reconfig engine m)
     | Peer_msg { from; msg = (Msg.Lease_ping _ | Msg.Lease_grant _) as msg }
       when Option.is_some t.lease_ctx ->
@@ -575,24 +574,109 @@ let protocol_loop t st =
     | Snapshot_taken { next_iid; state } ->
       apply (Paxos.note_snapshot engine ~next_iid ~state)
   in
-  (* When to send [idle_wake], if the pipeline stays drained under an
-     open batch; see the end of the loop. *)
-  let idle_wake_at = ref None in
+  (* Batching (Section V-C1) runs here too, beside the engine whose
+     window tells when an open batch may be sealed at once. The policy
+     and its state are private to this thread. *)
+  let policy = t.batcher in
+  (* Wire bytes and count of every request batched so far. *)
+  let seen_bytes = ref 0 and seen = ref 0 in
+  (* Time between the last two passes that drained requests, and when
+     the last one ran, in ns. *)
+  let arrival_gap = ref 0 and last_arrival = ref (now_int_ns ()) in
+  (* When the drain seal is due; see [seal]. *)
+  let drain_seal_at = ref None in
+  let propose = Option.iter (fun batch -> apply (Paxos.propose engine batch)) in
+  (* Batch [req]; [true] if that sealed and proposed a batch. *)
+  let add req =
+    seen_bytes := !seen_bytes + Client_msg.request_wire_size req;
+    incr seen;
+    let limit =
+      max t.cfg.Config.max_batch_bytes (bsz_requests * !seen_bytes / !seen)
+    in
+    if limit <> Atomic.get t.bsz_now then Atomic.set t.bsz_now limit;
+    let sealed = Batcher.add policy req ~now_ns:(Mclock.now_ns ()) in
+    propose sealed;
+    Option.is_some sealed
+  in
+  (* Seal the open batch on the delay cap, or once nothing is in flight:
+     at once when requests just arrived (the idle seal), else one
+     inter-arrival gap after the pipeline drained, since under load the
+     next request comes within it and joins the batch (the drain seal). *)
+  let seal ~arrived =
+    let now = Mclock.now_ns () in
+    propose (Batcher.flush_due policy ~now_ns:now);
+    drain_seal_at :=
+      if Batcher.pending_requests policy = 0 || Paxos.window_in_use engine > 0
+      then None
+      else
+        let due =
+          if arrived then now
+          else
+            Option.value !drain_seal_at
+              ~default:(Int64.add now (Int64.of_int !arrival_gap))
+        in
+        if Int64.compare now due < 0 then Some due
+        else begin
+          propose (Batcher.flush_idle policy);
+          None
+        end
+  in
+  (* Drain a bounded burst of the RequestQueue through the policy while
+     the window allows, proposing each sealed batch at once. With the
+     window full the rest stays queued, and ClientIO feels it as
+     back-pressure. *)
+  let feed () =
+    if Paxos.can_propose engine then begin
+      (* Lower the flag before draining: a request put after the drain
+         finds it down and queues a fresh [Requests_ready]. *)
+      Atomic.set t.requests_kicked false;
+      let rec drain k =
+        if k = 0 then k
+        else
+          match Bq.try_take t.request_q with
+          | None -> k
+          | Some req ->
+            (* Only a proposal can fill the window. *)
+            if add req && not (Paxos.can_propose engine) then k - 1
+            else drain (k - 1)
+      in
+      let arrived = drain feed_burst < feed_burst in
+      if arrived then begin
+        let now = now_int_ns () in
+        arrival_gap := now - !last_arrival;
+        last_arrival := now
+      end;
+      let room = Paxos.can_propose engine in
+      if not (Bq.is_empty t.request_q) then begin
+        (* Left queued, so ClientIO need not signal. A full window gets
+           its next pass from the messages that free it; an open one
+           takes the rest on the next pass. *)
+        Atomic.set t.requests_kicked true;
+        if room then
+          try ignore (Bq.try_put t.dispatcher_q Requests_ready)
+          with Bq.Closed -> ()
+      end;
+      if room then seal ~arrived
+    end
+  in
   (* Park until the earliest timer: a retransmission, the catch-up tick,
-     the held lease's next renewal or a pending idle wake. *)
+     the held lease's next renewal or, while a batch may be proposed,
+     its delay cap or drain seal. *)
   let catchup_ns = Mclock.ns_of_s t.cfg.catchup_interval_s in
   let next_catchup = ref (Int64.add (Mclock.now_ns ()) catchup_ns) in
   let timeout_s () =
-    let at =
-      Option.fold ~none:!next_catchup ~some:(Int64.min !next_catchup)
-        (Retransmit.next_due_ns rtx)
-    in
+    let earliest at = Option.fold ~none:at ~some:(Int64.min at) in
+    let at = earliest !next_catchup (Retransmit.next_due_ns rtx) in
     let at =
       match held_lease () with
       | Some lc -> Int64.min at (Int64.of_int (Lease.next_ping_ns lc.lease))
       | None -> at
     in
-    let at = Option.fold ~none:at ~some:(Int64.min at) !idle_wake_at in
+    let at =
+      if Paxos.can_propose engine then
+        earliest (earliest at (Batcher.deadline_ns policy)) !drain_seal_at
+      else at
+    in
     Mclock.s_of_ns (Int64.sub at (Mclock.now_ns ()))
   in
   while Atomic.get t.running do
@@ -619,41 +703,9 @@ let protocol_loop t st =
       next_catchup := Int64.add now catchup_ns;
       apply (Paxos.tick_catchup engine)
     end;
-    (* Start new ballots while the window allows (pipelining). *)
-    let rec feed () =
-      if Paxos.can_propose engine then
-        match Bq.try_take t.proposal_q with
-        | Some batch ->
-          apply (Paxos.propose engine batch);
-          feed ()
-        | None -> ()
-    in
     feed ();
     lease_tick ();
-    let in_use = Paxos.window_in_use engine in
-    Atomic.set t.window_now in_use;
-    (* The pipeline has drained under a batch the Batcher kept open.
-       Under load the next request seals it, so wait one inter-arrival
-       gap for that; then wake the Batcher to seal it rather than leave
-       it to the delay cap. [window_now] is set before [batch_open] is
-       read, and the Batcher sets them in the other order, so one of
-       the two threads sees the other's write. *)
-    if in_use = 0 && Atomic.get t.batch_open && Bq.is_empty t.proposal_q
-    then begin
-      let now = Mclock.now_ns () in
-      let due =
-        match !idle_wake_at with
-        | Some due -> due
-        | None -> Int64.add now (Int64.of_int (Atomic.get t.arrival_gap_ns))
-      in
-      if Int64.compare now due < 0 then idle_wake_at := Some due
-      else begin
-        idle_wake_at := None;
-        if Atomic.compare_and_set t.batch_open true false then
-          try ignore (Bq.try_put t.request_q idle_wake) with Bq.Closed -> ()
-      end
-    end
-    else idle_wake_at := None;
+    Atomic.set t.window_now (Paxos.window_in_use engine);
     Atomic.set t.first_undecided_now
       (Msmr_consensus.Log.first_undecided (Paxos.log engine))
   done
@@ -737,98 +789,6 @@ let stable_storage_loop t (ss : stable) st =
       ignore (Msmr_storage.Replica_store.sync ~st store);
       next_sync := Int64.add now sync_interval_ns
     end
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Batcher thread. *)
-
-let batcher_burst = 32
-
-(* BSZ scales with the request size: the limit is at least this many
-   mean-sized requests, so large requests still share an instance under
-   load. Requests up to [max_batch_bytes / 8] bytes (162 at the paper's
-   1300) keep the configured limit. *)
-let bsz_requests = 8
-
-let batcher_loop t st =
-  let policy = t.batcher in
-  (* Scratch buffer for the post-wakeup burst drain: once one request
-     arrives, siblings queued behind it are folded into the batch without
-     further blocking (or list allocation). *)
-  let buf = Array.make batcher_burst None in
-  let running = ref true in
-  (* Wire bytes and count of every request this thread has batched. *)
-  let seen_bytes = ref 0 and seen = ref 0 in
-  let last_arrival = ref (now_int_ns ()) in
-  let publish batch =
-    try
-      Bq.put ~st t.proposal_q batch;
-      ignore (Bq.try_put t.dispatcher_q Proposal_ready)
-    with Bq.Closed -> running := false
-  in
-  let add req =
-    if req != idle_wake then begin
-      seen_bytes := !seen_bytes + Client_msg.request_wire_size req;
-      incr seen;
-      let limit =
-        max t.cfg.Config.max_batch_bytes
-          (bsz_requests * !seen_bytes / !seen)
-      in
-      if limit <> Atomic.get t.bsz_now then Atomic.set t.bsz_now limit;
-      match Batcher.add policy req ~now_ns:(Mclock.now_ns ()) with
-      | Some batch -> publish batch
-      | None -> ()
-    end
-  in
-  (* Idle seal: with nothing queued for Paxos and no instance in flight,
-     waiting for BSZ or the delay cap only adds latency. Otherwise flag
-     the open batch, so the Protocol thread sends [idle_wake] if the
-     pipeline drains and no request follows. *)
-  let seal_if_idle () =
-    let open_ = Batcher.pending_requests policy > 0 in
-    if open_ <> Atomic.get t.batch_open then Atomic.set t.batch_open open_;
-    if open_ && Bq.is_empty t.proposal_q && Atomic.get t.window_now = 0
-    then begin
-      Atomic.set t.batch_open false;
-      Option.iter publish (Batcher.flush_idle policy)
-    end
-  in
-  while !running do
-    (* With no open batch there is nothing to time out: block. With one,
-       park only until its deadline. *)
-    let next =
-      match Batcher.deadline_ns policy with
-      | None -> Some (Bq.take ~st t.request_q)
-      | Some d ->
-        Bq.take_timeout ~st t.request_q
-          ~timeout_s:(Mclock.s_of_ns (Int64.sub d (Mclock.now_ns ())))
-    in
-    (match next with
-     | Some req ->
-       if req != idle_wake then begin
-         let now = now_int_ns () in
-         Atomic.set t.arrival_gap_ns (now - !last_arrival);
-         last_arrival := now
-       end;
-       add req;
-       let n = Bq.drain_into t.request_q ~buf in
-       for i = 0 to n - 1 do
-         if !running then
-           match buf.(i) with
-           | Some req -> add req; buf.(i) <- None
-           | None -> ()
-       done
-     | None -> (
-         match Batcher.flush_due policy ~now_ns:(Mclock.now_ns ()) with
-         | Some batch -> publish batch
-         | None -> ())
-     | exception Bq.Closed ->
-       (* Flush the open batch on shutdown. *)
-       (match Batcher.force_flush policy with
-        | Some batch -> (try Bq.put t.proposal_q batch with Bq.Closed -> ())
-        | None -> ());
-       running := false);
-    if !running then seal_if_idle ()
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1145,7 +1105,6 @@ let metric_labels t = [ ("mode", "live"); ("replica", string_of_int t.me) ]
 
 let metric_names =
   [ "msmr_replica_request_queue_depth";
-    "msmr_replica_proposal_queue_depth";
     "msmr_replica_dispatcher_queue_depth";
     "msmr_replica_decision_queue_depth";
     "msmr_replica_window_in_use";
@@ -1188,7 +1147,6 @@ let register_metrics t =
   let g name f = Msmr_obs.Metrics.gauge ~labels name f in
   let fi x = float_of_int x in
   g "msmr_replica_request_queue_depth" (fun () -> fi (Bq.length t.request_q));
-  g "msmr_replica_proposal_queue_depth" (fun () -> fi (Bq.length t.proposal_q));
   g "msmr_replica_dispatcher_queue_depth" (fun () ->
       fi (Bq.length t.dispatcher_q));
   g "msmr_replica_decision_queue_depth" (fun () -> fi (Bq.length t.decision_q));
@@ -1267,10 +1225,9 @@ let unregister_metrics t =
   let labels = metric_labels t in
   List.iter (fun name -> Msmr_obs.Metrics.remove ~labels name) metric_names
 
-(* RequestQueue capacity in requests (the paper's setting);
-   ProposalQueue capacity in batches. *)
+(* RequestQueue capacity in requests (the paper's setting; the MPMC ring
+   rounds it up to 1024). *)
 let request_queue_capacity = 1000
-let proposal_queue_capacity = 20
 
 let create ?(client_io_threads = 3) ?(executor_threads = 1)
     ?(durability = Ephemeral) ?(reconnects = fun () -> 0) ~cfg ~me ~links
@@ -1316,22 +1273,20 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
     | Some _ | None -> [ (0, Membership.initial cfg) ]
   in
   let batcher = Batcher.create ~tuned_bsz:bsz_now cfg ~src:me in
-  (* Producer/consumer discipline per edge: receivers, FD, the Batcher
-     and the scheduler all feed the dispatcher (MPMC); the Batcher feeds
-     the Protocol thread (SPSC); ClientIO workers feed the RequestQueue
-     (MPMC); the DecisionQueue is strictly Protocol -> scheduler (SPSC)
+  (* Producer/consumer discipline per edge: receivers, FD, ClientIO,
+     the scheduler and the Protocol thread itself all feed the
+     dispatcher (MPMC); ClientIO workers feed the RequestQueue (MPMC);
+     the DecisionQueue is strictly Protocol -> scheduler (SPSC)
      unless leases add the read producers; send and log queues have
      several producer threads (MPMC). *)
   let t =
     { cfg; me; service;
       dispatcher_q =
         Bq.create ~name:"dispatcher_queue" ~kind:Bq.Mpmc ~capacity:4096;
-      proposal_q =
-        Bq.create ~name:"proposal_queue" ~kind:Bq.Spsc
-          ~capacity:proposal_queue_capacity;
       request_q =
         Bq.create ~name:"request_queue" ~kind:Bq.Mpmc
           ~capacity:request_queue_capacity;
+      requests_kicked = Atomic.make false;
       decision_q =
         (* Lease mode adds client threads as read producers (submit_read);
            otherwise the Protocol thread is the only producer. *)
@@ -1386,9 +1341,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       window_now = Atomic.make 0;
       first_undecided_now = Atomic.make 0;
       bsz_now;
-      batcher;
-      batch_open = Atomic.make false;
-      arrival_gap_ns = Atomic.make 0 }
+      batcher }
   in
   let on_fresh (req : Client_msg.request) =
     (* Classify once, on the ClientIO worker threads (see
@@ -1396,11 +1349,20 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
     Cmap.set t.conflict_cache req.id.client_id
       (req.id.seq, service.Service.conflict_keys req)
   in
+  (* Queue the request (blocking while the RequestQueue is full), then
+     wake the Protocol thread; the flag keeps one [Requests_ready]
+     queued per drain, as ClientIO's own [Kick] flag does. *)
+  let hand_off st req =
+    Bq.put ~st t.request_q req;
+    if not (Atomic.exchange t.requests_kicked true) then
+      try ignore (Bq.try_put t.dispatcher_q Requests_ready)
+      with Bq.Closed -> ()
+  in
   let cio =
     Client_io.create
       ~name_prefix:(Printf.sprintf "r%d/" me)
-      ~on_fresh ~pool_size:client_io_threads
-      ~request_queue:t.request_q ~reply_cache:t.reply_cache ()
+      ~on_fresh ~pool_size:client_io_threads ~hand_off
+      ~reply_cache:t.reply_cache ()
   in
   t.client_io <- Some cio;
   let spawn name f =
@@ -1432,7 +1394,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
     [ spawn "Protocol" protocol_loop; spawn "FailureDetector" fd_loop ]
     @ stable_storage
     @ (spawn "Replica" scheduler_loop :: executors)
-    @ (spawn "Batcher" batcher_loop :: io_threads);
+    @ io_threads;
   register_metrics t;
   t
 
@@ -1442,9 +1404,11 @@ let stop t =
        Fault_controller). *)
     Atomic.set t.am_leader false;
     unregister_metrics t;
-    (match t.client_io with Some cio -> Client_io.stop cio | None -> ());
+    (* Close the RequestQueue first: a ClientIO worker parked on it while
+       it is full (the window full, the Protocol thread gone) must wake
+       before [Client_io.stop] joins it. *)
     Bq.close t.request_q;
-    Bq.close t.proposal_q;
+    (match t.client_io with Some cio -> Client_io.stop cio | None -> ());
     Bq.close t.dispatcher_q;
     Bq.close t.decision_q;
     (match t.stable with Some ss -> Bq.close ss.log_q | None -> ());

@@ -3,10 +3,10 @@
     Threads and queues (Figure 3):
 
     {v
-      clients -> [ClientIO-0..k]  --RequestQueue-->  [Batcher]
-                    ^                                   |
-                    | replies                     ProposalQueue
-                    |                                   v
+      clients -> [ClientIO-0..k] ------+
+                    ^                  | RequestQueue
+                    | replies          | (+ Requests_ready on the DispatcherQueue)
+                    |                  v
       [Replica] <--DecisionQueue-- [Protocol] <--DispatcherQueue-- [ReplicaIORcv-p]
                                       |  \--SendQueue-p--> [ReplicaIOSnd-p] --> peer p
                                       |
@@ -20,10 +20,14 @@
     exclusively; every other thread communicates with it through queues
     (or, for the failure-detector timestamps, through single-word shared
     state), enforcing the paper's no-lock rule inside the
-    ReplicationCore. Protocol also fires the retransmission, catch-up
-    and lease-renewal timers (the paper's retransmission thread is
-    folded in, DESIGN.md §2); the FailureDetector keeps its own thread
-    so the leader heartbeats while Protocol is blocked on back-pressure.
+    ReplicationCore. Protocol also batches: it drains the RequestQueue
+    through the {!Msmr_consensus.Batcher} policy while the window has
+    room and proposes each sealed batch itself (the paper's Batcher
+    thread and ProposalQueue are folded in, DESIGN.md §11). It fires the
+    retransmission, catch-up, lease-renewal and batch timers (the
+    paper's retransmission thread is folded in as well, DESIGN.md §2);
+    the FailureDetector keeps its own thread so the leader heartbeats
+    while Protocol is blocked on back-pressure.
 
     In [Durable] mode the Protocol thread never touches the disk: WAL
     events ride a bounded LogQueue to a dedicated StableStorage thread,
@@ -57,8 +61,9 @@ val create :
   t
 (** Build and start a replica. [links] must contain one link per peer
     (every node in [0, cfg.n) except [me]). Defaults: 3 ClientIO threads
-    and 1 executor. There is one Batcher thread. The RequestQueue holds
-    1000 requests (the paper's setting), the ProposalQueue 20 batches.
+    and 1 executor. The Protocol thread batches requests itself. The
+    RequestQueue is created for 1000 requests (the paper's setting),
+    which its ring rounds up to 1024.
 
     [executor_threads] sizes the ServiceManager: the Replica thread is a
     scheduler over [executor_threads] Executor threads. Decided requests
@@ -105,7 +110,7 @@ val submit :
     only each client's newest executed sequence number.
 
     Read frames ({!Msmr_wire.Client_msg.is_read_raw}) take the lease fast
-    path instead: they bypass ClientIO/Batcher/Paxos and ride the
+    path instead: they bypass ClientIO, batching and Paxos and ride the
     DecisionQueue straight to the state machine, which answers through
     [reply_to] with a serialised {!Msmr_wire.Client_msg.read_reply}
     ([Read_unsupported] when the replica runs with
@@ -116,7 +121,7 @@ val is_leader : t -> bool
 val current_view : t -> Msmr_consensus.Types.view
 
 val bsz_now : t -> int
-(** The Batcher's BSZ limit in force: [cfg.max_batch_bytes], or 8 × the
+(** The batching policy's BSZ limit in force: [cfg.max_batch_bytes], or 8 × the
     mean wire size of the requests batched so far when that is larger. *)
 
 val executed_count : t -> int
@@ -198,7 +203,6 @@ val first_undecided : t -> int
 
 type queue_stats = {
   request_queue : int;
-  proposal_queue : int;
   dispatcher_queue : int;
   decision_queue : int;
   window_in_use : int;

@@ -505,7 +505,8 @@ let suite =
 let test_client_io_reply_wakes_worker () =
   let request_queue = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:16 in
   let cio =
-    Client_io.create ~pool_size:1 ~request_queue
+    Client_io.create ~pool_size:1
+      ~hand_off:(fun st req -> Ch.put ~st request_queue req)
       ~reply_cache:(Reply_cache.create ()) ()
   in
   Fun.protect ~finally:(fun () -> Client_io.stop cio) @@ fun () ->
@@ -1261,14 +1262,14 @@ let test_cluster_idle_seal_skips_delay_cap () =
     (Printf.sprintf "answered in %.3f s, under 1 s of a 5 s cap" elapsed)
     true (elapsed < 1.0)
 
-let flush_idle_total leader =
-  let me = string_of_int (Replica.me leader) in
+(* A replica's gauge [name], summed over its series. *)
+let replica_gauge name r =
+  let me = string_of_int (Replica.me r) in
   List.fold_left
     (fun acc (s : Msmr_obs.Metrics.sample) ->
        match s.value with
        | Msmr_obs.Metrics.Gauge_v v
-         when s.name = "msmr_replica_flush_idle_total"
-              && List.assoc_opt "replica" s.labels = Some me ->
+         when s.name = name && List.assoc_opt "replica" s.labels = Some me ->
          acc +. v
        | _ -> acc)
     0.
@@ -1294,7 +1295,7 @@ let test_cluster_burst_still_batches () =
   Alcotest.(check bool)
     (Printf.sprintf "fewer instances (%d) than requests (%d)" decided executed)
     true (decided < executed);
-  let idle = flush_idle_total leader in
+  let idle = replica_gauge "msmr_replica_flush_idle_total" leader in
   Alcotest.(check bool)
     (Printf.sprintf "idle seals counted (%.0f)" idle)
     true (idle > 0.)
@@ -1627,3 +1628,146 @@ let suite =
   suite
   @ [ Alcotest.test_case "cluster: drained pipeline seals the open batch"
         `Quick test_cluster_drained_pipeline_seals ]
+
+(* The delay cap is one of the Protocol thread's timers. With an
+   instance held in flight, a request that arrives behind it can be
+   sealed neither idle nor on a drain, and no other timer is due for
+   seconds: only the cap's deadline wakes the thread to seal it. *)
+let test_cluster_delay_cap_live () =
+  let cfg =
+    { (test_cfg 3) with
+      max_batch_delay_s = 0.05;
+      retransmit_interval_s = 2.0;
+      fd_timeout_s = 30.;
+      catchup_interval_s = 30. }
+  in
+  with_cluster ~cfg @@ fun cluster ->
+  let leader = Replica.Cluster.await_leader cluster in
+  let me = Replica.me leader in
+  let hub = Replica.Cluster.hub cluster in
+  let peers = List.filter (fun p -> p <> me) [ 0; 1; 2 ] in
+  let replied = Ch.create ~name:"test" ~kind:Ch.Mpmc ~capacity:2 in
+  let submit c =
+    let raw =
+      Client_msg.request_to_bytes
+        { id = { client_id = c; seq = 1 }; payload = Bytes.of_string "1" }
+    in
+    Replica.submit leader ~raw ~reply_to:(fun _ -> Ch.put replied c)
+  in
+  let delay_seals () = replica_gauge "msmr_replica_flush_delay_total" leader in
+  List.iter (fun p -> Transport.Hub.sever hub ~src:me ~dst:p) peers;
+  submit 1;
+  await ~what:"request A in flight" (fun () ->
+      (Replica.queue_stats leader).window_in_use = 1);
+  let before = delay_seals () in
+  let t0 = Mclock.now_ns () in
+  submit 2;
+  await ~timeout_s:0.5 ~what:"a delay-cap seal within 0.5 s" (fun () ->
+      delay_seals () > before);
+  let elapsed = Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "B sealed after %.3f s, no sooner than its 0.05 s cap"
+       elapsed)
+    true (elapsed >= 0.05);
+  List.iter (fun p -> Transport.Hub.heal_link hub ~src:me ~dst:p) peers;
+  (* Both Accepts were lost: they go out again on retransmission. *)
+  let next () =
+    match Ch.take_timeout replied ~timeout_s:5.0 with
+    | Some c -> c
+    | None -> Alcotest.fail "no reply within 5 s of the heal"
+  in
+  let got = List.sort compare [ next (); next () ] in
+  Alcotest.(check (list int)) "A and B answered" [ 1; 2 ] got
+
+(* With the window full the Protocol thread stops draining the
+   RequestQueue: requests wait there, bounded, rather than in batches
+   nothing may propose yet. *)
+let test_cluster_full_window_backpressure () =
+  let cfg =
+    { (test_cfg 3) with fd_timeout_s = 30.; catchup_interval_s = 30. }
+  in
+  with_cluster ~cfg ~service:(fun () -> Service.null ()) @@ fun cluster ->
+  let leader = Replica.Cluster.await_leader cluster in
+  let me = Replica.me leader in
+  let hub = Replica.Cluster.hub cluster in
+  let peers = List.filter (fun p -> p <> me) [ 0; 1; 2 ] in
+  let n = 300 in
+  (* 1 KiB payloads: the size-scaled BSZ holds about 8 of them, so the
+     window absorbs some 80 requests and the rest must queue. *)
+  let payload = Bytes.make 1024 'x' in
+  let replies = Array.init (n + 1) (fun _ -> Atomic.make 0) in
+  List.iter (fun p -> Transport.Hub.sever hub ~src:me ~dst:p) peers;
+  for c = 1 to n do
+    let raw =
+      Client_msg.request_to_bytes { id = { client_id = c; seq = 1 }; payload }
+    in
+    Replica.submit leader ~raw ~reply_to:(fun _ -> Atomic.incr replies.(c))
+  done;
+  await ~what:"a full window" (fun () ->
+      (Replica.queue_stats leader).window_in_use = cfg.window);
+  let queued = (Replica.queue_stats leader).request_queue in
+  Alcotest.(check bool)
+    (Printf.sprintf "requests wait in the RequestQueue (%d)" queued)
+    true (queued > 0);
+  List.iter (fun p -> Transport.Hub.heal_link hub ~src:me ~dst:p) peers;
+  await ~timeout_s:10.0 ~what:"every request answered" (fun () ->
+      Array.for_all (fun a -> Atomic.get a >= 1) (Array.sub replies 1 n));
+  let replicas = Replica.Cluster.replicas cluster in
+  await ~timeout_s:10.0 ~what:"replicas converge" (fun () ->
+      Array.for_all (fun r -> Replica.executed_count r = n) replicas);
+  let not_once =
+    List.filter (fun c -> Atomic.get replies.(c) <> 1) (List.init n succ)
+  in
+  Alcotest.(check (list int)) "clients not answered exactly once" [] not_once
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "cluster: live delay cap seals a held batch" `Quick
+        test_cluster_delay_cap_live;
+      Alcotest.test_case "cluster: full window leaves requests queued" `Quick
+        test_cluster_full_window_backpressure ]
+
+(* Stopping a replica whose RequestQueue is full must not wait for the
+   ClientIO worker parked on it: with the window full nothing drains the
+   queue once the Protocol thread has gone. *)
+let test_cluster_stop_with_full_request_queue () =
+  let cfg =
+    { (test_cfg 3) with fd_timeout_s = 30.; catchup_interval_s = 30. }
+  in
+  let cluster =
+    Replica.Cluster.create ~cfg ~service:(fun () -> Service.null ()) ()
+  in
+  let leader = Replica.Cluster.await_leader cluster in
+  let me = Replica.me leader in
+  let hub = Replica.Cluster.hub cluster in
+  List.iter
+    (fun p -> if p <> me then Transport.Hub.sever hub ~src:me ~dst:p)
+    [ 0; 1; 2 ];
+  (* As in the full-window test, the window absorbs some 80 of these
+     1 KiB requests; 1000 or more fill the RequestQueue (its ring rounds
+     the capacity up to 1024), and the ClientIO ingress takes the rest
+     without blocking this loop. *)
+  let payload = Bytes.make 1024 'x' in
+  for c = 1 to 1300 do
+    let raw =
+      Client_msg.request_to_bytes { id = { client_id = c; seq = 1 }; payload }
+    in
+    Replica.submit leader ~raw ~reply_to:ignore
+  done;
+  await ~what:"a full RequestQueue" (fun () ->
+      (Replica.queue_stats leader).request_queue >= 1000);
+  let stopped = Atomic.make false in
+  let stopper =
+    Thread.create
+      (fun () ->
+         Replica.Cluster.stop cluster;
+         Atomic.set stopped true)
+      ()
+  in
+  await ~what:"the cluster to stop" (fun () -> Atomic.get stopped);
+  Thread.join stopper
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "cluster: stop with a full request queue" `Quick
+        test_cluster_stop_with_full_request_queue ]
