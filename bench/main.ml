@@ -1064,7 +1064,7 @@ let bench004_gates =
      - soak: a seeded randomized fault schedule (crash + partition +
        lossy links) run twice, checking the linearizability verdict,
        replica convergence, and bit-identical reproducibility;
-     - live: the real runtime — Fault_controller kills the leader of a
+     - live: the real runtime — kills the leader of a
        Durable in-process cluster, restarts it through WAL recovery, and
        reports the replica fault counters and per-client retry/redirect
        counts (informational; the sim sections carry the gates). *)
@@ -1183,7 +1183,6 @@ let bench005 ~quick =
       ~service:(fun () -> R.Service.null ())
       ()
   in
-  let fc = R.Fault_controller.create ~cluster () in
   let live_json =
     Fun.protect
       ~finally:(fun () ->
@@ -1220,9 +1219,10 @@ let bench005 ~quick =
             ())
     in
     Msmr_platform.Mclock.sleep_s (0.3 *. live_dur);
-    let victim = R.Fault_controller.kill_leader fc in
+    let victim = R.Replica.me (R.Replica.Cluster.leader cluster) in
+    R.Replica.Cluster.kill cluster victim;
     Msmr_platform.Mclock.sleep_s (0.2 *. live_dur);
-    ignore (R.Fault_controller.restart fc victim);
+    ignore (R.Replica.Cluster.restart cluster victim);
     List.iter Thread.join workers;
     let sum f =
       Array.fold_left
@@ -1243,8 +1243,9 @@ let bench005 ~quick =
        views %d | suspects %d | client retries %d redirects %d\n%!"
       victim (Atomic.get completed) view_changes suspects retries redirects;
     J.Obj
-      [ ("kills", J.Int (R.Fault_controller.kills fc));
-        ("restarts", J.Int (R.Fault_controller.restarts fc));
+      [ (* The one kill and restart above. *)
+        ("kills", J.Int 1);
+        ("restarts", J.Int 1);
         ("killed_replica", J.Int victim);
         ("completed", J.Int (Atomic.get completed));
         ("view_changes", J.Int view_changes);

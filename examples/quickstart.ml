@@ -20,8 +20,8 @@ let () =
 
   (* 2. Start the cluster. Each replica runs the full threading
      architecture: ClientIO pool, Protocol (which also batches and runs
-     the retransmission timers), FailureDetector, ReplicaIO send/receive
-     pairs and the ServiceManager. *)
+     the retransmission timers and the failure detector), ReplicaIO
+     send/receive pairs and the ServiceManager. *)
   let cluster =
     R.Replica.Cluster.create ~cfg
       ~service:(fun () -> R.Service.accumulator ())

@@ -65,11 +65,15 @@ let validate_ranges t =
     Error "clock_skew_bound_s must be >= 0 when lease_enabled"
   else if t.lease_enabled && not (t.clock_skew_bound_s < t.lease_duration_s)
   then Error "clock_skew_bound_s must be < lease_duration_s when lease_enabled"
+  (* Renewals run on their own deadline, every lease_duration_s / 3
+     (Lease.next_ping_ns); the bound keeps that period longer than the
+     leader's heartbeat interval. *)
   else if t.lease_enabled && not (t.lease_duration_s > 3. *. t.fd_interval_s)
   then
     Error
       "lease_duration_s must exceed 3 * fd_interval_s when lease_enabled \
-       (renewals ride the failure-detector tick)"
+       (the renewal period, lease_duration_s / 3, must exceed the \
+       heartbeat interval)"
   else if
     t.members0 <> []
     && not

@@ -87,10 +87,15 @@ let poll t ~now_ns =
 let next_wake_ns t ~now_ns =
   let now = ns64 now_ns in
   let at =
-    if leader t = t.me then begin
+    if not (Membership.is_member t.membership t.me) then
+      (* Fenced: [poll] stays silent until the next membership change. *)
+      max_int
+    else if leader t = t.me then begin
+      (* Only the peers [poll] heartbeats: a non-member's timestamp is
+         never refreshed and would keep the wake due. *)
       let earliest = ref max_int in
       for p = 0 to t.cfg.n - 1 do
-        if p <> t.me then
+        if p <> t.me && Membership.is_member t.membership p then
           earliest := min !earliest (t.last_send.(p) + interval_ns t)
       done;
       if !earliest = max_int then now + interval_ns t else !earliest

@@ -4,9 +4,11 @@
     talked to recently; followers suspect the leader after a period of
     silence. The per-peer timestamps are plain [int] nanosecond values
     updated directly by the ReplicaIO threads without notifying the
-    detector thread — safe because timestamps only increase, so a missed
-    update merely delays the corresponding event, never inverts it (the
-    paper makes exactly this argument). *)
+    thread that polls the detector — safe because timestamps only
+    increase, so a missed update merely delays the corresponding event,
+    never inverts it (the paper makes exactly this argument). Everything
+    else ({!set_view}, {!set_membership}, {!poll}, {!next_wake_ns})
+    belongs to that one polling thread. *)
 
 type t
 
@@ -40,4 +42,8 @@ val poll : t -> now_ns:int64 -> verdict list
     fresh timeout so it does not re-suspect on every poll. *)
 
 val next_wake_ns : t -> now_ns:int64 -> int64
-(** Earliest time at which {!poll} could have something new to say. *)
+(** Earliest time at which {!poll} could have something new to say, and
+    never before [now_ns]. A leader's wake stays due until each member
+    peer's heartbeat is recorded with {!note_send}. Never due while
+    this node is not a member: it is fenced until the next
+    {!set_membership}. *)

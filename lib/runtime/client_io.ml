@@ -47,9 +47,6 @@ type t = {
   (* Passes a fresh request on to be ordered; may block (back-pressure). *)
   hand_off : Thread_state.t -> Client_msg.request -> unit;
   reply_cache : Reply_cache.t;
-  (* Early-scheduling hook: called once per fresh request (no cached
-     reply, not stale). Runs on the ClientIO worker thread. *)
-  on_fresh : (Client_msg.request -> unit) option;
   (* Registry counters (docs/OBSERVABILITY.md): atomic adds, no locks. *)
   m_labels : Msmr_obs.Metrics.labels;
   m_requests : Msmr_obs.Metrics.counter;
@@ -120,10 +117,6 @@ let accept t st ~raw ~(route : route) =
         route.sink (Client_msg.reply_to_bytes { id = req.id; result })
       | Reply_cache.Stale -> ()
       | Reply_cache.Fresh ->
-        (* Hook before the hand-off: the pre-dispatch event must
-           precede the request's own decide in the DecisionQueue, and
-           queue FIFO gives exactly that. *)
-        (match t.on_fresh with Some f -> f req | None -> ());
         Cmap.set t.routes req.id.client_id route;
         t.hand_off st req)
   | exception (Codec.Underflow | Codec.Malformed _) ->
@@ -151,8 +144,7 @@ let metric_names =
   [ "msmr_client_io_requests_total"; "msmr_client_io_replies_total";
     "msmr_client_io_malformed_total"; "msmr_client_io_flushes" ]
 
-let create ?(name_prefix = "") ?on_fresh ~pool_size ~hand_off ~reply_cache
-    () =
+let create ?(name_prefix = "") ~pool_size ~hand_off ~reply_cache () =
   if pool_size <= 0 then invalid_arg "Client_io.create: pool_size <= 0";
   let workers =
     (* Ingress is many connection threads -> one worker: MPMC ring. *)
@@ -168,7 +160,7 @@ let create ?(name_prefix = "") ?on_fresh ~pool_size ~hand_off ~reply_cache
   in
   let t =
     { workers; threads = []; routes = Cmap.create ~shards:16 ();
-      hand_off; reply_cache; on_fresh;
+      hand_off; reply_cache;
       m_labels;
       m_requests =
         Msmr_obs.Metrics.counter ~labels:m_labels "msmr_client_io_requests_total";

@@ -41,7 +41,6 @@ type batch_sink = bytes list -> unit
 
 val create :
   ?name_prefix:string ->
-  ?on_fresh:(Msmr_wire.Client_msg.request -> unit) ->
   pool_size:int ->
   hand_off:
     (Msmr_platform.Thread_state.t -> Msmr_wire.Client_msg.request -> unit) ->
@@ -52,14 +51,7 @@ val create :
 
     [hand_off st req] passes each fresh request on to be ordered, on the
     worker thread whose state is [st]. It may block, which is how the
-    pool feels back-pressure; it must not wait on ClientIO itself.
-
-    [on_fresh] (default none) is the early-scheduling hook: it runs on
-    the worker thread for every fresh request — after the reply cache
-    said [Fresh], before the request is passed to [hand_off]. The
-    replica uses it to classify the request's conflict keys once, off
-    the scheduler thread (DESIGN.md section 16); nothing executes
-    before the request is decided. *)
+    pool feels back-pressure; it must not wait on ClientIO itself. *)
 
 val submit :
   ?reply_many:batch_sink ->

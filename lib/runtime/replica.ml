@@ -4,7 +4,6 @@ module Worker = Msmr_platform.Worker
 module Thread_state = Msmr_platform.Thread_state
 module Mclock = Msmr_platform.Mclock
 module Counter = Msmr_platform.Rate_meter.Counter
-module Cmap = Msmr_platform.Concurrent_map
 module Client_msg = Msmr_wire.Client_msg
 open Msmr_consensus
 
@@ -15,6 +14,8 @@ module Log_ = (val Logs.src_log log_src : Logs.LOG)
 type event =
   | Peer_msg of { from : Types.node_id; msg : Msg.t }
   | Suspect
+      (** [inject_suspect]: handled as the failure detector's own
+          suspicion, which the Protocol thread acts on directly. *)
   | Snapshot_taken of { next_iid : Types.iid; state : bytes }
   | Requests_ready
       (** ClientIO signal: the RequestQueue has requests for the
@@ -129,14 +130,10 @@ type t = {
          different executors, so an executor-side newest-seq check could
          race with a later command of the same client finishing first
          and wrongly suppress a fresh one. Scheduler-private. *)
-  conflict_cache : (int, int * Service.conflict) Cmap.t;
-      (* client_id -> (seq, conflict class), written once per fresh
-         request by the ClientIO ingress hook so the spine classifies
-         each request exactly once; the scheduler reads it at dispatch
-         and falls back to classifying only on a miss (cache overwritten
-         by a newer request of the same client, or ingress raced). *)
   lease_ctx : lease_ctx option;  (* Some iff cfg.lease_enabled *)
   fd : Failure_detector.t;
+      (* Protocol-thread private, except the per-peer timestamps that the
+         ReplicaIO threads store ([note_recv], [note_send]). *)
   (* Shared introspection state (single-word, lock-free). *)
   leader_now : int Atomic.t;
   view_now : int Atomic.t;
@@ -565,14 +562,41 @@ let protocol_loop t st =
        | _ -> ());
       apply (Paxos.receive engine ~from msg)
     | Suspect when promise_defers_suspect () ->
-      (* The FD re-arms after a verdict, so the suspicion re-fires after
-         the promise has lapsed; a live leader will have renewed by then. *)
+      (* The detector re-arms after a verdict, so the suspicion re-fires
+         after the promise has lapsed; a live leader will have renewed by
+         then. *)
       ()
     | Suspect ->
       Counter.incr t.suspects;
       apply (Paxos.suspect_leader engine)
     | Snapshot_taken { next_iid; state } ->
       apply (Paxos.note_snapshot engine ~next_iid ~state)
+  in
+  (* Failure detection (Section V-C3) runs here too: the detector is
+     this thread's, and the ReplicaIO threads only store per-peer
+     timestamps into it. Heartbeats therefore prove that the ordering
+     thread itself is alive. *)
+  let detect now =
+    List.iter
+      (function
+        | Failure_detector.Heartbeat_to peers ->
+          (* Only an ACTIVE leader advertises liveness: a recovered or
+             deposed node that still sits in a view it nominally leads
+             must not suppress the other replicas' suspicion. *)
+          if Atomic.get t.am_leader then
+            enqueue_send t peers
+              (Msg.Heartbeat
+                 { view = Atomic.get t.view_now;
+                   first_undecided =
+                     Msmr_consensus.Log.first_undecided (Paxos.log engine) });
+          (* Sent as of now, even when not sent or dropped by a full send
+             queue (like a frame lost on the wire): the next heartbeat is
+             an interval away, not due again on the next pass. *)
+          List.iter
+            (fun p -> Failure_detector.note_send t.fd ~dest:p ~now_ns:now)
+            peers
+        | Failure_detector.Suspect _ -> handle Suspect)
+      (Failure_detector.poll t.fd ~now_ns:now)
   in
   (* Batching (Section V-C1) runs here too, beside the engine whose
      window tells when an open batch may be sealed at once. The policy
@@ -660,13 +684,18 @@ let protocol_loop t st =
     end
   in
   (* Park until the earliest timer: a retransmission, the catch-up tick,
-     the held lease's next renewal or, while a batch may be proposed,
-     its delay cap or drain seal. *)
+     the failure detector's next heartbeat or suspicion, the held lease's
+     next renewal or, while a batch may be proposed, its delay cap or
+     drain seal. *)
   let catchup_ns = Mclock.ns_of_s t.cfg.catchup_interval_s in
   let next_catchup = ref (Int64.add (Mclock.now_ns ()) catchup_ns) in
   let timeout_s () =
     let earliest at = Option.fold ~none:at ~some:(Int64.min at) in
-    let at = earliest !next_catchup (Retransmit.next_due_ns rtx) in
+    let now = Mclock.now_ns () in
+    let at =
+      Int64.min !next_catchup (Failure_detector.next_wake_ns t.fd ~now_ns:now)
+    in
+    let at = earliest at (Retransmit.next_due_ns rtx) in
     let at =
       match held_lease () with
       | Some lc -> Int64.min at (Int64.of_int (Lease.next_ping_ns lc.lease))
@@ -677,7 +706,7 @@ let protocol_loop t st =
         earliest (earliest at (Batcher.deadline_ns policy)) !drain_seal_at
       else at
     in
-    Mclock.s_of_ns (Int64.sub at (Mclock.now_ns ()))
+    Mclock.s_of_ns (Int64.sub at now)
   in
   while Atomic.get t.running do
     (match Bq.take_timeout ~st t.dispatcher_q ~timeout_s:(timeout_s ()) with
@@ -703,6 +732,7 @@ let protocol_loop t st =
       next_catchup := Int64.add now catchup_ns;
       apply (Paxos.tick_catchup engine)
     end;
+    detect now;
     feed ();
     lease_tick ();
     Atomic.set t.window_now (Paxos.window_in_use engine);
@@ -843,40 +873,6 @@ let receiver_loop t peer (link : Transport.link) st =
   done
 
 (* ------------------------------------------------------------------ *)
-(* FailureDetector thread: apart from Protocol, so the leader keeps
-   heartbeating while Protocol is blocked on back-pressure. *)
-
-let fd_loop t st =
-  while Atomic.get t.running do
-    let now = Mclock.now_ns () in
-    List.iter
-      (fun verdict ->
-         match verdict with
-         | Failure_detector.Heartbeat_to peers ->
-           (* Only an ACTIVE leader advertises liveness: a recovered or
-              deposed node that still sits in a view it nominally leads
-              must not suppress the other replicas' suspicion. *)
-           if Atomic.get t.am_leader then begin
-             let msg =
-               Msg.Heartbeat
-                 { view = Atomic.get t.view_now;
-                   first_undecided = Atomic.get t.first_undecided_now }
-             in
-             List.iter (fun p -> ignore (Bq.try_put t.send_qs.(p) msg)) peers
-           end
-         | Failure_detector.Suspect _leader -> (
-             try Bq.put t.dispatcher_q Suspect with Bq.Closed -> ()))
-      (Failure_detector.poll t.fd ~now_ns:now);
-    (* The cap: a view change to leader is seen within one interval. *)
-    let wake = Failure_detector.next_wake_ns t.fd ~now_ns:now in
-    let nap =
-      Float.min t.cfg.fd_interval_s
-        (Float.max 0.001 (Mclock.s_of_ns (Int64.sub wake now)))
-    in
-    Thread_state.enter st Thread_state.Other (fun () -> Mclock.sleep_s nap)
-  done
-
-(* ------------------------------------------------------------------ *)
 (* ServiceManager: the Replica thread schedules decided requests over the
    executor pool (see [pool] above). With one executor (the default) the
    pool runs every lane on that executor. *)
@@ -1006,16 +1002,6 @@ let frontier_admit t (req : Client_msg.request) =
     Hashtbl.replace t.exec_frontier req.id.client_id req.id.seq;
     true
 
-(* Classify once: the ingress hook cached the conflict class keyed by
-   (client, seq); a hit saves classifying again here, on the scheduler
-   thread. Miss = the cache entry was overwritten by a newer request of
-   the same client, or this replica executed a request it never saw at
-   ingress (forwarded batch) — classify locally. *)
-let conflict_of t (req : Client_msg.request) =
-  match Cmap.find_opt t.conflict_cache req.id.client_id with
-  | Some (seq, c) when seq = req.id.seq -> c
-  | Some _ | None -> t.service.conflict_keys req
-
 (* Route one decided request. Same key -> same lane -> decide order
    preserved among conflicting commands; disjoint keys run concurrently.
    Commands spanning several lanes, and Global ones, are executed inline
@@ -1023,7 +1009,7 @@ let conflict_of t (req : Client_msg.request) =
 let dispatch t st (req : Client_msg.request) =
   if frontier_admit t req then
     let pool = t.pool in
-    match conflict_of t req with
+    match t.service.conflict_keys req with
     | Service.Keys [] ->
       (* Conflicts with nothing: spread over the pool. *)
       Exec_pool.send_rr ~st pool req
@@ -1273,9 +1259,9 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
     | Some _ | None -> [ (0, Membership.initial cfg) ]
   in
   let batcher = Batcher.create ~tuned_bsz:bsz_now cfg ~src:me in
-  (* Producer/consumer discipline per edge: receivers, FD, ClientIO,
-     the scheduler and the Protocol thread itself all feed the
-     dispatcher (MPMC); ClientIO workers feed the RequestQueue (MPMC);
+  (* Producer/consumer discipline per edge: receivers, ClientIO, the
+     scheduler and the Protocol thread itself all feed the dispatcher
+     (MPMC); ClientIO workers feed the RequestQueue (MPMC);
      the DecisionQueue is strictly Protocol -> scheduler (SPSC)
      unless leases add the read producers; send and log queues have
      several producer threads (MPMC). *)
@@ -1304,7 +1290,6 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       client_io = None;
       pool = Exec_pool.create ~n_exec:executor_threads ();
       exec_frontier = Hashtbl.create 256;
-      conflict_cache = Cmap.create ~shards:16 ();
       lease_ctx =
         (if cfg.Config.lease_enabled then
            Some
@@ -1343,12 +1328,6 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       bsz_now;
       batcher }
   in
-  let on_fresh (req : Client_msg.request) =
-    (* Classify once, on the ClientIO worker threads (see
-       [conflict_cache]). *)
-    Cmap.set t.conflict_cache req.id.client_id
-      (req.id.seq, service.Service.conflict_keys req)
-  in
   (* Queue the request (blocking while the RequestQueue is full), then
      wake the Protocol thread; the flag keeps one [Requests_ready]
      queued per drain, as ClientIO's own [Kick] flag does. *)
@@ -1361,7 +1340,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
   let cio =
     Client_io.create
       ~name_prefix:(Printf.sprintf "r%d/" me)
-      ~on_fresh ~pool_size:client_io_threads ~hand_off
+      ~pool_size:client_io_threads ~hand_off
       ~reply_cache:t.reply_cache ()
   in
   t.client_io <- Some cio;
@@ -1391,8 +1370,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
              Exec_pool.executor_loop t.pool ~idx:i ~exec:(exec_request t) ~st))
   in
   t.threads <-
-    [ spawn "Protocol" protocol_loop; spawn "FailureDetector" fd_loop ]
-    @ stable_storage
+    (spawn "Protocol" protocol_loop :: stable_storage)
     @ (spawn "Replica" scheduler_loop :: executors)
     @ io_threads;
   register_metrics t;
@@ -1401,7 +1379,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
 let stop t =
   if Atomic.exchange t.running false then begin
     (* A dead replica must not be reported as leader (Cluster.leader,
-       Fault_controller). *)
+       and through it a caller that kills the leader). *)
     Atomic.set t.am_leader false;
     unregister_metrics t;
     (* Close the RequestQueue first: a ClientIO worker parked on it while

@@ -9,25 +9,29 @@
                     |                  v
       [Replica] <--DecisionQueue-- [Protocol] <--DispatcherQueue-- [ReplicaIORcv-p]
                                       |  \--SendQueue-p--> [ReplicaIOSnd-p] --> peer p
-                                      |
-                     [FailureDetector]--heartbeats--> SendQueues
-                                      |
+                                      |      (heartbeats included)
                             LogQueue  v  (Durable mode)
                              [StableStorage] --(released sends)--> SendQueues
     v}
 
     The Protocol thread owns the {!Msmr_consensus.Paxos} engine
     exclusively; every other thread communicates with it through queues
-    (or, for the failure-detector timestamps, through single-word shared
-    state), enforcing the paper's no-lock rule inside the
-    ReplicationCore. Protocol also batches: it drains the RequestQueue
-    through the {!Msmr_consensus.Batcher} policy while the window has
-    room and proposes each sealed batch itself (the paper's Batcher
-    thread and ProposalQueue are folded in, DESIGN.md §11). It fires the
-    retransmission, catch-up, lease-renewal and batch timers (the
-    paper's retransmission thread is folded in as well, DESIGN.md §2);
-    the FailureDetector keeps its own thread so the leader heartbeats
-    while Protocol is blocked on back-pressure.
+    (or, for the failure-detector timestamps that the ReplicaIO threads
+    record, through single-word shared state), enforcing the paper's
+    no-lock rule inside the ReplicationCore. Protocol also batches: it
+    drains the RequestQueue through the {!Msmr_consensus.Batcher} policy
+    while the window has room and proposes each sealed batch itself (the
+    paper's Batcher thread and ProposalQueue are folded in, DESIGN.md
+    §11). It fires the retransmission, catch-up, lease-renewal and batch
+    timers, and runs the {!Msmr_consensus.Failure_detector}: it queues
+    the leader's heartbeats and acts on its own suspicions (the paper's
+    retransmission and FailureDetector threads are folded in as well,
+    DESIGN.md §2).
+
+    Heartbeats therefore show that the ordering thread itself is alive.
+    A leader whose Protocol thread is blocked (on a full LogQueue, say)
+    for longer than [fd_timeout_s] stops heartbeating and is replaced,
+    just as a crashed one would be.
 
     In [Durable] mode the Protocol thread never touches the disk: WAL
     events ride a bounded LogQueue to a dedicated StableStorage thread,
@@ -79,9 +83,8 @@ val create :
     quiescent. Parallel execution only helps services that classify
     commands with [Keys]; a service using the default [Global]
     classifier executes every command on the scheduler, in decide
-    order. Only decided requests execute: the ClientIO hook classifies
-    a fresh request's conflict keys once at ingress (early scheduling),
-    but nothing runs ahead of commit.
+    order. Only decided requests execute, and the scheduler classifies
+    each one's conflict keys as it dispatches it.
 
     [reconnects] supplies the transport's reconnection counter (see
     {!Tcp_mesh}); it backs [msmr_replica_reconnect_total] and
@@ -223,7 +226,9 @@ val stall_stable_storage : t -> bool -> unit
     replica. *)
 
 val stop : t -> unit
-(** Stop all threads and close the peer links. Idempotent. *)
+(** Stop all threads and close the peer links. Idempotent. It does not
+    wait out a failure-detector period: the detector's timers are the
+    Protocol thread's, which wakes when its queue closes. *)
 
 module Cluster : sig
   (** Convenience: an n-replica in-process cluster over a {!Transport.Hub}. *)

@@ -220,8 +220,8 @@ let create ?(connect_timeout_s = 30.) ~me ~addrs () =
       addrs
   in
   t.threads <- acceptor :: dialers;
-  (* Block until the whole mesh is up once, as [establish] always did —
-     replicas expect working links from the first send. *)
+  (* Block until the whole mesh is up once: replicas expect working
+     links from the first send. *)
   let deadline =
     Int64.add (Mclock.now_ns ()) (Mclock.ns_of_s connect_timeout_s)
   in
@@ -317,6 +317,3 @@ let close t =
       t.slots;
     List.iter Thread.join t.threads
   end
-
-let establish ?connect_timeout_s ~me ~addrs () =
-  links (create ?connect_timeout_s ~me ~addrs ())

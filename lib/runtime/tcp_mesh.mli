@@ -53,13 +53,3 @@ val remove_peer : t -> peer:Msmr_consensus.Types.node_id -> unit
 val close : t -> unit
 (** Stop the acceptor and dialer threads and close every connection.
     Idempotent. *)
-
-val establish :
-  ?connect_timeout_s:float ->
-  me:Msmr_consensus.Types.node_id ->
-  addrs:(Msmr_consensus.Types.node_id * Unix.sockaddr) list ->
-  unit ->
-  (Msmr_consensus.Types.node_id * Transport.link) list
-(** Compatibility shim: [links (create ...)]. The mesh handle is not
-    returned, so it lives (and keeps reconnecting) until the process
-    exits. *)

@@ -474,6 +474,31 @@ let test_fd_next_wake () =
   let wake = Failure_detector.next_wake_ns fd ~now_ns:0L in
   Alcotest.(check int64) "timeout edge" (s_to_ns 0.5) wake
 
+(* The wake follows [poll]: a leader's heartbeats go to member peers
+   only, so a non-member's stale timestamp must not keep the wake due
+   (the caller would re-poll without pause), and a fenced node has
+   nothing to wake for. *)
+let test_fd_next_wake_members_only () =
+  let cfg = { (Config.default ~n:4) with members0 = [ 0; 1; 2 ] } in
+  let fd = Failure_detector.create cfg ~me:0 ~now_ns:0L in
+  Failure_detector.set_view fd ~view:0 ~now_ns:0L;
+  let now = s_to_ns 0.2 in
+  (match Failure_detector.poll fd ~now_ns:now with
+   | [ Failure_detector.Heartbeat_to peers ] ->
+     Alcotest.(check (list int)) "members only" [ 1; 2 ] peers;
+     List.iter
+       (fun p -> Failure_detector.note_send fd ~dest:p ~now_ns:now)
+       peers
+   | _ -> Alcotest.fail "expected heartbeat verdict");
+  Alcotest.(check int64) "next heartbeat an interval away" (s_to_ns 0.3)
+    (Failure_detector.next_wake_ns fd ~now_ns:now);
+  let fenced = Failure_detector.create cfg ~me:2 ~now_ns:0L in
+  Failure_detector.set_membership fenced
+    (Option.get (Membership.remove (Membership.initial cfg) 2))
+    ~now_ns:0L;
+  Alcotest.(check int64) "fenced: no wake" (Int64.of_int max_int)
+    (Failure_detector.next_wake_ns fenced ~now_ns:(s_to_ns 1.0))
+
 (* Regression suite for the poll re-arm path: a Suspect verdict arms a
    fresh timeout, and that re-armed state must behave exactly like the
    initial armed state — re-suspect after a full silent timeout, stand
@@ -1473,6 +1498,8 @@ let suite =
     Alcotest.test_case "fd: recv defers suspicion" `Quick test_fd_recv_defers_suspicion;
     Alcotest.test_case "fd: view change grace" `Quick test_fd_view_change_grace;
     Alcotest.test_case "fd: next wake" `Quick test_fd_next_wake;
+    Alcotest.test_case "fd: next wake follows the members" `Quick
+      test_fd_next_wake_members_only;
     Alcotest.test_case "fd: re-arm re-suspects after full timeout" `Quick
       test_fd_rearm_resuspects_after_full_timeout;
     Alcotest.test_case "fd: suspected-then-recovered leader not disarmed"

@@ -40,6 +40,21 @@ let await ?(timeout_s = 5.0) ~what pred =
   in
   go ()
 
+(* Sum of a gauge over the registry, over the samples carrying [label]
+   when it is given. *)
+let gauge_sum ?label name =
+  List.fold_left
+    (fun acc (s : Msmr_obs.Metrics.sample) ->
+       match s.value with
+       | Msmr_obs.Metrics.Gauge_v v
+         when s.name = name
+              && (match label with
+                  | Some (k, x) -> List.assoc_opt k s.labels = Some x
+                  | None -> true) ->
+         acc +. v
+       | _ -> acc)
+    0. (Msmr_obs.Metrics.snapshot ())
+
 (* ------------------------------------------------------------------ *)
 (* Reply cache *)
 
@@ -256,6 +271,66 @@ let test_cluster_leader_failover_live () =
   Alcotest.(check string) "state preserved" "15" (Bytes.to_string r);
   Alcotest.(check bool) "client had to retry" true (Client.retries client >= 1)
 
+(* The Protocol thread runs the failure detector and parks on the
+   DispatcherQueue until the detector's next deadline, so stopping a
+   replica never waits out a detector period, even a long one. *)
+let test_stop_does_not_wait_out_fd_period () =
+  let cfg = { (test_cfg 3) with fd_interval_s = 2.0; fd_timeout_s = 4.0 } in
+  (* [with_cluster] stops it again; a second stop returns at once. *)
+  with_cluster ~cfg @@ fun cluster ->
+  ignore (Replica.Cluster.await_leader cluster);
+  (* Idle long enough for the first heartbeats to go out. *)
+  Mclock.sleep_s 0.1;
+  let t0 = Mclock.now_ns () in
+  Replica.Cluster.stop cluster;
+  let took_s = Mclock.s_of_ns (Int64.sub (Mclock.now_ns ()) t0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped in %.3f s (bound 0.5 s)" took_s)
+    true (took_s < 0.5)
+
+(* An idle cluster keeps its view on heartbeats alone, and the detector
+   does not spin the Protocol thread. Idle, a Protocol thread parks once
+   per wake: at most once per heartbeat interval for its own detector
+   deadline and once per heartbeat it receives, once per catch-up tick
+   and once per retransmission interval. And idle, the only frames sent
+   are the leader's heartbeats, one per peer per interval. A leader that
+   queued heartbeats on every pass instead (its deadline staying due
+   until a sender thread recorded the send) floods its send queues, and
+   the flush count shows it. *)
+let test_idle_heartbeats_keep_view_without_spinning () =
+  let cfg = test_cfg 3 in
+  with_cluster ~cfg @@ fun cluster ->
+  ignore (Replica.Cluster.await_leader cluster);
+  let quiet_s = 1.5 in
+  let parks () =
+    gauge_sum ~label:("queue", "dispatcher_queue") "msmr_channel_park_total"
+  and flushes () = gauge_sum "msmr_replica_sender_flushes" in
+  let parks0 = parks () and flushes0 = flushes () in
+  Mclock.sleep_s quiet_s;
+  let parks = parks () -. parks0 and flushes = flushes () -. flushes0 in
+  Array.iter
+    (fun r ->
+       Alcotest.(check int)
+         (Printf.sprintf "replica %d view changes" (Replica.me r))
+         0 (Replica.view_changes_count r))
+    (Replica.Cluster.replicas cluster);
+  let per_replica_per_s =
+    (2. /. cfg.fd_interval_s) +. (1. /. cfg.catchup_interval_s)
+    +. (1. /. cfg.retransmit_interval_s)
+  in
+  (* Every replica's DispatcherQueue shares one park counter. *)
+  let park_bound = 3. *. per_replica_per_s *. quiet_s in
+  Alcotest.(check bool)
+    (Printf.sprintf "dispatcher parks %.0f <= %.0f over %.1f s" parks
+       park_bound quiet_s)
+    true (parks <= park_bound);
+  (* Two peers, with twice the heartbeat count as slack for timer edges. *)
+  let flush_bound = 2. *. 2. *. quiet_s /. cfg.fd_interval_s in
+  Alcotest.(check bool)
+    (Printf.sprintf "sender flushes %.0f <= %.0f over %.1f s" flushes
+       flush_bound quiet_s)
+    true (flushes <= flush_bound)
+
 let test_cluster_queue_stats () =
   with_cluster @@ fun cluster ->
   let leader = Replica.Cluster.await_leader cluster in
@@ -336,17 +411,7 @@ let test_sender_flushes_counted () =
   done;
   (* Every inter-replica message went through a coalesced sender drain;
      the per-replica flush counters must have moved. *)
-  let flushes =
-    List.fold_left
-      (fun acc (s : Msmr_obs.Metrics.sample) ->
-         if s.name = "msmr_replica_sender_flushes" then
-           match s.value with
-           | Msmr_obs.Metrics.Gauge_v v -> acc +. v
-           | _ -> acc
-         else acc)
-      0.
-      (Msmr_obs.Metrics.snapshot ())
-  in
+  let flushes = gauge_sum "msmr_replica_sender_flushes" in
   Alcotest.(check bool)
     (Printf.sprintf "sender flushes counted (%.0f)" flushes)
     true (flushes > 0.)
@@ -486,6 +551,10 @@ let suite =
     Alcotest.test_case "cluster: duplicate suppression" `Quick test_cluster_duplicate_suppression;
     Alcotest.test_case "cluster: message loss recovery" `Quick test_cluster_message_loss_recovery;
     Alcotest.test_case "cluster: leader failover (live)" `Quick test_cluster_leader_failover_live;
+    Alcotest.test_case "cluster: stop does not wait out a detector period" `Quick
+      test_stop_does_not_wait_out_fd_period;
+    Alcotest.test_case "cluster: idle heartbeats keep the view without spinning"
+      `Quick test_idle_heartbeats_keep_view_without_spinning;
     Alcotest.test_case "cluster: queue stats" `Quick test_cluster_queue_stats;
     Alcotest.test_case "cluster: n=5" `Quick test_cluster_n5_live;
     Alcotest.test_case "cluster: single node" `Quick test_cluster_single_node;
@@ -851,12 +920,12 @@ let fresh_wal_dirs tag n =
   in
   (root, dirs)
 
-(* Kill the leader of a durable cluster through the fault controller,
-   let the survivors elect, then restart the victim: the new incarnation
-   re-enters WAL recovery and must catch back up to the live tail. The
-   survivors' fault counters and the client's retry/redirect counters
-   must all have registered the crash. *)
-let test_fault_controller_kill_restart_durable () =
+(* Kill the leader of a durable cluster, let the survivors elect, then
+   restart the victim: the new incarnation re-enters WAL recovery and
+   must catch back up to the live tail. The survivors' fault counters
+   and the client's retry/redirect counters must all have registered the
+   crash. *)
+let test_cluster_kill_restart_durable () =
   let root, dirs = fresh_wal_dirs "fc" 3 in
   Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
   let durability i =
@@ -864,12 +933,11 @@ let test_fault_controller_kill_restart_durable () =
   in
   with_cluster ~durability @@ fun cluster ->
   ignore (Replica.Cluster.await_leader cluster);
-  let fc = Fault_controller.create ~cluster () in
   let client = Client.create ~timeout_s:0.3 ~cluster ~client_id:1 () in
   ignore (Client.call client (Bytes.of_string "10"));
-  let victim = Fault_controller.kill_leader fc in
+  let victim = Replica.me (Replica.Cluster.leader cluster) in
+  Replica.Cluster.kill cluster victim;
   Alcotest.(check int) "killed the initial leader" 0 victim;
-  Alcotest.(check int) "one kill" 1 (Fault_controller.kills fc);
   await ~what:"new leader after crash" (fun () ->
       let rs = Replica.Cluster.replicas cluster in
       Replica.is_leader rs.(1) || Replica.is_leader rs.(2));
@@ -886,8 +954,7 @@ let test_fault_controller_kill_restart_durable () =
     (Replica.view_changes_count rs.(1) >= 1
      || Replica.view_changes_count rs.(2) >= 1);
   (* Restart: WAL recovery plus catchup back to the live tail. *)
-  let restarted = Fault_controller.restart fc victim in
-  Alcotest.(check int) "one restart" 1 (Fault_controller.restarts fc);
+  let restarted = Replica.Cluster.restart cluster victim in
   Alcotest.(check bool) "restart replaced the cluster slot" true
     ((Replica.Cluster.replicas cluster).(victim) == restarted);
   ignore (Client.call client (Bytes.of_string "3"));
@@ -1032,25 +1099,23 @@ let test_cluster_grow_shrink_live () =
 let test_cluster_join_crash_during_transfer () =
   with_cluster ~cfg:(reconfig_cfg 4) ~n:4 @@ fun cluster ->
   ignore (Replica.Cluster.await_leader cluster);
-  let fc = Fault_controller.create ~cluster () in
   let client = Client.create ~timeout_s:0.5 ~cluster ~client_id:1 () in
   for _ = 1 to 30 do
     ignore (Client.call client (Bytes.of_string "1"))
   done;
   (* Learner only — state transfer starts, no voting rights yet. *)
-  Fault_controller.join fc ~promote:false 3;
-  Alcotest.(check int) "one join" 1 (Fault_controller.joins fc);
+  Replica.Cluster.join cluster ~promote:false 3;
   (* Crash the joiner mid-transfer; the cluster must not notice: its
      quorums never included the learner. *)
-  Fault_controller.kill fc 3;
+  Replica.Cluster.kill cluster 3;
   for _ = 1 to 10 do
     ignore (Client.call client (Bytes.of_string "1"))
   done;
-  ignore (Fault_controller.restart fc 3);
+  ignore (Replica.Cluster.restart cluster 3);
   (* Completing the join is idempotent: the add_learner step is already
      adopted, so this waits out the (restarted) state transfer and
      promotes. *)
-  Fault_controller.join fc 3;
+  Replica.Cluster.join cluster 3;
   let ld = Replica.Cluster.leader cluster in
   Alcotest.(check bool) "joiner reached the voting set" true
     (Msmr_consensus.Membership.is_voter (Replica.membership ld) 3);
@@ -1067,8 +1132,7 @@ let test_cluster_join_crash_during_transfer () =
      once, across learner crash, restart and promotion. *)
   Alcotest.(check string) "exactly-once sum" "45"
     (Bytes.to_string (Client.call client (Bytes.of_string "0")));
-  Fault_controller.decommission fc 3;
-  Alcotest.(check int) "one decommission" 1 (Fault_controller.decommissions fc);
+  Replica.Cluster.decommission cluster 3;
   Alcotest.(check bool) "removed again" false
     (Msmr_consensus.Membership.is_member
        (Replica.membership (Replica.Cluster.leader cluster)) 3)
@@ -1082,7 +1146,7 @@ let suite =
       Alcotest.test_case "cluster: joiner crash during state transfer" `Quick
         test_cluster_join_crash_during_transfer;
       Alcotest.test_case "cluster: fault controller kill/restart (durable)"
-        `Quick test_fault_controller_kill_restart_durable;
+        `Quick test_cluster_kill_restart_durable;
       Alcotest.test_case "cluster: catchup under loss (live)" `Quick
         test_cluster_catchup_under_loss_live;
       Alcotest.test_case "cluster: kill/restart ephemeral follower" `Quick
@@ -1264,16 +1328,7 @@ let test_cluster_idle_seal_skips_delay_cap () =
 
 (* A replica's gauge [name], summed over its series. *)
 let replica_gauge name r =
-  let me = string_of_int (Replica.me r) in
-  List.fold_left
-    (fun acc (s : Msmr_obs.Metrics.sample) ->
-       match s.value with
-       | Msmr_obs.Metrics.Gauge_v v
-         when s.name = name && List.assoc_opt "replica" s.labels = Some me ->
-         acc +. v
-       | _ -> acc)
-    0.
-    (Msmr_obs.Metrics.snapshot ())
+  gauge_sum ~label:("replica", string_of_int (Replica.me r)) name
 
 (* Idle seals do not end batching: requests that arrive while an
    instance is in flight still share batches. *)

@@ -733,19 +733,19 @@ let check_thread_set ~what prefix expected count =
   Alcotest.(check int) (what ^ " thread count") count n
 
 let live_classes =
-  [ "ClientIO-*"; "Executor-*"; "FailureDetector"; "Protocol";
-    "Replica"; "ReplicaIORcv-*"; "ReplicaIOSnd-*" ]
+  [ "ClientIO-*"; "Executor-*"; "Protocol"; "Replica"; "ReplicaIORcv-*";
+    "ReplicaIOSnd-*" ]
 
 let test_live_thread_set () =
   let cfg = Msmr_consensus.Config.default ~n:3 in
   let service () = R.Service.accumulator () in
-  (* Ephemeral: 3 ClientIO + Protocol + FailureDetector +
-     Replica + 1 executor + a sender and a receiver per peer. *)
+  (* Ephemeral: 3 ClientIO + Protocol + Replica + 1 executor + a sender
+     and a receiver per peer. *)
   (let cluster = R.Replica.Cluster.create ~cfg ~service () in
    Fun.protect ~finally:(fun () -> R.Replica.Cluster.stop cluster)
    @@ fun () ->
    ignore (R.Replica.Cluster.await_leader cluster);
-   check_thread_set ~what:"ephemeral" "r0/" live_classes 11);
+   check_thread_set ~what:"ephemeral" "r0/" live_classes 10);
   (* Durable under Sync_periodic adds only StableStorage, which also
      runs the periodic fsync: the last-sync gauge keeps moving on an
      idle replica. *)
@@ -760,7 +760,7 @@ let test_live_thread_set () =
       ignore (R.Replica.Cluster.await_leader cluster);
       check_thread_set ~what:"durable" "r0/"
         (List.sort compare ("StableStorage" :: live_classes))
-        12;
+        11;
       let last_sync () =
         List.find_map
           (fun (s : Msmr_obs.Metrics.sample) ->

@@ -24,6 +24,19 @@ let free_ports k =
   List.iter Unix.close socks;
   ports
 
+(* One mesh per node, built concurrently: [Tcp_mesh.create] blocks until
+   the full mesh is up. *)
+let create_meshes addrs =
+  let meshes = Array.make (List.length addrs) None in
+  List.iter Thread.join
+    (List.map
+       (fun (me, _) ->
+          Thread.create
+            (fun () -> meshes.(me) <- Some (R.Tcp_mesh.create ~me ~addrs ()))
+            ())
+       addrs);
+  Array.map Option.get meshes
+
 let test_tcp_cluster_end_to_end () =
   let n = 3 in
   let ports = free_ports n in
@@ -35,16 +48,8 @@ let test_tcp_cluster_end_to_end () =
   let cfg =
     { (Msmr_consensus.Config.default ~n) with max_batch_delay_s = 0.004 }
   in
-  (* Meshes must be established concurrently (establish blocks until the
-     full mesh is up). *)
-  let links = Array.make n [] in
-  let mesh_threads =
-    List.init n (fun me ->
-        Thread.create
-          (fun () -> links.(me) <- R.Tcp_mesh.establish ~me ~addrs ())
-          ())
-  in
-  List.iter Thread.join mesh_threads;
+  let meshes = create_meshes addrs in
+  let links = Array.map R.Tcp_mesh.links meshes in
   Array.iteri
     (fun me ls ->
        Alcotest.(check int)
@@ -62,7 +67,8 @@ let test_tcp_cluster_end_to_end () =
   Fun.protect
     ~finally:(fun () ->
         Array.iter R.Client_server.stop servers;
-        Array.iter R.Replica.stop replicas)
+        Array.iter R.Replica.stop replicas;
+        Array.iter R.Tcp_mesh.close meshes)
   @@ fun () ->
   (* Wait for the leader. *)
   let deadline = Unix.gettimeofday () +. 5. in
@@ -128,14 +134,8 @@ let with_tcp_cluster ~cfg f =
       (fun i p -> (i, Unix.ADDR_INET (Unix.inet_addr_loopback, p)))
       ports
   in
-  let links = Array.make n [] in
-  let mesh_threads =
-    List.init n (fun me ->
-        Thread.create
-          (fun () -> links.(me) <- R.Tcp_mesh.establish ~me ~addrs ())
-          ())
-  in
-  List.iter Thread.join mesh_threads;
+  let meshes = create_meshes addrs in
+  let links = Array.map R.Tcp_mesh.links meshes in
   let replicas =
     Array.init n (fun me ->
         R.Replica.create ~cfg ~me ~links:links.(me)
@@ -147,7 +147,8 @@ let with_tcp_cluster ~cfg f =
   Fun.protect
     ~finally:(fun () ->
         Array.iter R.Client_server.stop servers;
-        Array.iter R.Replica.stop replicas)
+        Array.iter R.Replica.stop replicas;
+        Array.iter R.Tcp_mesh.close meshes)
   @@ fun () ->
   let deadline = Unix.gettimeofday () +. 5. in
   while
@@ -193,15 +194,8 @@ let test_tcp_mesh_reconnect () =
       (fun i p -> (i, Unix.ADDR_INET (Unix.inet_addr_loopback, p)))
       ports
   in
-  let meshes = Array.make 2 None in
-  let mesh_threads =
-    List.init 2 (fun me ->
-        Thread.create
-          (fun () -> meshes.(me) <- Some (R.Tcp_mesh.create ~me ~addrs ()))
-          ())
-  in
-  List.iter Thread.join mesh_threads;
-  let m0 = Option.get meshes.(0) and m1 = Option.get meshes.(1) in
+  let meshes = create_meshes addrs in
+  let m0 = meshes.(0) and m1 = meshes.(1) in
   let l10 = List.assoc 0 (R.Tcp_mesh.links m1) in
   (List.assoc 1 (R.Tcp_mesh.links m0)).send_bytes (Bytes.of_string "before");
   (match l10.recv_bytes () with
@@ -241,16 +235,8 @@ let test_tcp_mesh_add_remove_peer () =
   let ports = free_ports 3 in
   let addr i = Unix.ADDR_INET (Unix.inet_addr_loopback, List.nth ports i) in
   let base_addrs = [ (0, addr 0); (1, addr 1) ] in
-  let meshes = Array.make 2 None in
-  let mesh_threads =
-    List.init 2 (fun me ->
-        Thread.create
-          (fun () ->
-             meshes.(me) <- Some (R.Tcp_mesh.create ~me ~addrs:base_addrs ()))
-          ())
-  in
-  List.iter Thread.join mesh_threads;
-  let m0 = Option.get meshes.(0) and m1 = Option.get meshes.(1) in
+  let meshes = create_meshes base_addrs in
+  let m0 = meshes.(0) and m1 = meshes.(1) in
   (* Node 2 boots alone (its address set is just itself), then dials the
      existing members; they splice its slot in on their side. *)
   let m2 = R.Tcp_mesh.create ~me:2 ~addrs:[ (2, addr 2) ] () in
