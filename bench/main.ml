@@ -1067,7 +1067,9 @@ let bench004_gates =
      - live: the real runtime — kills the leader of a
        Durable in-process cluster, restarts it through WAL recovery, and
        reports the replica fault counters and per-client retry/redirect
-       counts (informational; the sim sections carry the gates). *)
+       counts. The leader stays down longer than [fd_timeout_s] even on a
+       quick run, so a survivor's failure detector must suspect it (gate
+       live_suspects); the sim sections carry the other gates. *)
 
 let bench005 ~quick =
   let module F = Msmr_sim.Sfault in
@@ -1221,7 +1223,10 @@ let bench005 ~quick =
     Msmr_platform.Mclock.sleep_s (0.3 *. live_dur);
     let victim = R.Replica.me (R.Replica.Cluster.leader cluster) in
     R.Replica.Cluster.kill cluster victim;
-    Msmr_platform.Mclock.sleep_s (0.2 *. live_dur);
+    (* Down for twice the detection timeout on a quick run (0.5 s of its
+       1 s), 0.4 s on a full one. *)
+    Msmr_platform.Mclock.sleep_s
+      (if quick then 2. *. cfg.fd_timeout_s else 0.2 *. live_dur);
     ignore (R.Replica.Cluster.restart cluster victim);
     List.iter Thread.join workers;
     let sum f =
@@ -1300,7 +1305,8 @@ let bench005 ~quick =
           ("runs_identical", J.Bool runs_identical) ] );
     ("live", live_json) ]
 
-(* Even a quick run must leave a safe, converged, reproducible cluster;
+(* Even a quick run must leave a safe, converged, reproducible cluster,
+   and a live survivor must have suspected the killed leader;
    the crash must actually have happened (a recovery was measured,
    views moved), recovery must be bounded and post-recovery throughput
    must reach >= 90% of pre-crash on the full run. *)
@@ -1317,7 +1323,8 @@ let bench005_gates =
     full_gate "recovery_bounded" (fun j ->
         let s = num "crash.recovery_s" j in
         s > 0. && s <= 2.);
-    full_gate "view_change" (fun j -> num "crash.view_changes" j >= 1.) ]
+    full_gate "view_change" (fun j -> num "crash.view_changes" j >= 1.);
+    gate "live_suspects" (fun j -> num "live.suspects" j >= 1.) ]
 
 (* ------------------------------------------------------------------ *)
 (* bench006: compartmentalized multi-group Paxos. A single group is

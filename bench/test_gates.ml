@@ -71,6 +71,7 @@ let gates =
     breaks "003" "points.2.group_rps" (set (J.Float 1.)) "group_commit_3x";
     breaks "004" "points.0.adaptive_vs_best" (set (J.Float 0.85)) "adaptive_near_best";
     breaks "005" "crash.recovery_s" drop "crash_fields";
+    breaks "005" "live.suspects" (set (J.Int 0)) "live_suspects";
     breaks "006" "barrier.globals_executed" (set (J.Int 0)) "globals";
     breaks "007" "sim.steal_speedup_hot" (set (J.Float 1.2)) "steal_speedup";
     (* points.6 is the 50/50, one-group ordered baseline *)

@@ -19,9 +19,10 @@ let () =
   in
 
   (* 2. Start the cluster. Each replica runs the full threading
-     architecture: ClientIO pool, Protocol (which also batches and runs
-     the retransmission timers and the failure detector), ReplicaIO
-     send/receive pairs and the ServiceManager. *)
+     architecture: ClientIO pool, Protocol (which also batches, runs the
+     retransmission timers and the failure detector, and on this
+     in-process hub hands each message straight to the peer) and the
+     ServiceManager. *)
   let cluster =
     R.Replica.Cluster.create ~cfg
       ~service:(fun () -> R.Service.accumulator ())

@@ -1,6 +1,5 @@
 module Bq = Msmr_platform.Channel
 module Worker = Msmr_platform.Worker
-module Thread_state = Msmr_platform.Thread_state
 module Mclock = Msmr_platform.Mclock
 module Client_msg = Msmr_wire.Client_msg
 module Transport = Msmr_runtime.Transport
@@ -16,7 +15,6 @@ type t = {
   me : Types.node_id;
   service : Msmr_runtime.Service.t;
   events : event Bq.t;                 (* THE queue: everything funnels here *)
-  send_qs : Msg.t Bq.t array;
   links : (Types.node_id * Transport.link) list;
   fd : Failure_detector.t;
   view_now : int Atomic.t;
@@ -43,13 +41,16 @@ let event_loop t st =
   let rtx = Retransmit.create ~interval_s:t.cfg.retransmit_interval_s in
   (* client_id -> reply sink *)
   let routes : (int, bytes -> unit) Hashtbl.t = Hashtbl.create 256 in
+  (* Encoded once per message; the links never block the loop. *)
   let send dest msg =
+    let frame = lazy (Msg.encode msg) and now = Mclock.now_ns () in
     List.iter
       (fun d ->
-         if d <> t.me then
-           match Bq.try_put t.send_qs.(d) msg with
-           | true | false -> ()
-           | exception Bq.Closed -> ())
+         match List.assoc_opt d t.links with
+         | Some (link : Transport.link) ->
+           ignore (link.send (Lazy.force frame));
+           Failure_detector.note_send t.fd ~dest:d ~now_ns:now
+         | None -> ())
       dest
   in
   let execute_value value =
@@ -155,41 +156,21 @@ let event_loop t st =
     end
   done
 
-let sender_loop t peer (link : Transport.link) st =
-  let continue = ref true in
-  while !continue do
-    match Bq.take ~st t.send_qs.(peer) with
-    | msg ->
-      link.send_bytes (Msg.encode msg);
-      Failure_detector.note_send t.fd ~dest:peer ~now_ns:(Mclock.now_ns ())
-    | exception Bq.Closed -> continue := false
-  done
-
-let receiver_loop t peer (link : Transport.link) st =
-  let continue = ref true in
-  while !continue do
-    match
-      Thread_state.enter st Thread_state.Other (fun () -> link.recv_bytes ())
-    with
-    | None -> continue := false
-    | Some raw -> (
-        match Msg.decode raw with
-        | msg ->
-          Failure_detector.note_recv t.fd ~from:peer ~now_ns:(Mclock.now_ns ());
-          (try Bq.put ~st t.events (Peer_msg { from = peer; msg })
-           with Bq.Closed -> continue := false)
-        | exception (Msmr_wire.Codec.Underflow | Msmr_wire.Codec.Malformed _)
-          ->
-          ())
-  done
+(* Peer frames, on the delivering thread (the peer's event loop on the
+   Hub): a full event queue drops the frame, and retransmission recovers
+   it. *)
+let receive t peer raw =
+  match Msg.decode raw with
+  | msg -> (
+      Failure_detector.note_recv t.fd ~from:peer ~now_ns:(Mclock.now_ns ());
+      try ignore (Bq.try_put t.events (Peer_msg { from = peer; msg }))
+      with Bq.Closed -> ())
+  | exception (Msmr_wire.Codec.Underflow | Msmr_wire.Codec.Malformed _) -> ()
 
 let create ~cfg ~me ~links ~service () =
   let t =
     { cfg; me; service;
       events = Bq.create ~name:"mono_events" ~kind:Bq.Mpmc ~capacity:8192;
-      send_qs =
-        Array.init cfg.Config.n (fun _ ->
-            Bq.create ~name:"mono_send_queue" ~kind:Bq.Mpmc ~capacity:4096);
       links;
       fd = Failure_detector.create cfg ~me ~now_ns:(Mclock.now_ns ());
       view_now = Atomic.make 0;
@@ -198,27 +179,17 @@ let create ~cfg ~me ~links ~service () =
       running = Atomic.make true;
       threads = [] }
   in
-  let spawn name f =
-    Worker.spawn ~name:(Printf.sprintf "mono-r%d/%s" me name) (fun st ->
-        f t st)
-  in
-  let io =
-    List.concat_map
-      (fun (peer, link) ->
-         [ Worker.spawn ~name:(Printf.sprintf "mono-r%d/Snd-%d" me peer)
-             (fun st -> sender_loop t peer link st);
-           Worker.spawn ~name:(Printf.sprintf "mono-r%d/Rcv-%d" me peer)
-             (fun st -> receiver_loop t peer link st) ])
-      links
-  in
+  List.iter
+    (fun (peer, (link : Transport.link)) -> link.on_receive (receive t peer))
+    links;
   t.threads <-
-    spawn "EventLoop" event_loop :: io;
+    [ Worker.spawn ~name:(Printf.sprintf "mono-r%d/EventLoop" me) (fun st ->
+          event_loop t st) ];
   t
 
 let stop t =
   if Atomic.exchange t.running false then begin
     Bq.close t.events;
-    Array.iter Bq.close t.send_qs;
     List.iter (fun (_, (l : Transport.link)) -> l.close ()) t.links;
     Worker.join_all t.threads
   end
@@ -264,7 +235,5 @@ module Cluster = struct
     in
     go ()
 
-  let stop t =
-    Array.iter stop t.replicas;
-    Transport.Hub.close t.hub
+  let stop t = Array.iter stop t.replicas
 end

@@ -1,8 +1,10 @@
 (** The "traditional" monolithic RSM the paper argues against
     (Sections I and III): one event-loop thread does everything —
     deserialise client requests, check the reply cache, batch, run the
-    replication protocol, execute the service and produce replies — with
-    only raw socket I/O offloaded to reader/sender threads.
+    replication protocol, execute the service and produce replies. Peer
+    I/O is the links': over the in-process Hub a send runs the peer's
+    frame handler inline, so the event loop is the only replica
+    thread.
 
     It runs the same pure {!Msmr_consensus.Paxos} engine and the same
     {!Msmr_runtime.Transport} links as the staged runtime, so the two

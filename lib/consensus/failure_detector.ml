@@ -2,7 +2,8 @@ type t = {
   cfg : Config.t;
   me : Types.node_id;
   (* Timestamps in ns, stored as [int] so that concurrent single-word
-     stores from ReplicaIO threads are atomic (no tearing). *)
+     stores from the sending and delivering threads are atomic (no
+     tearing). *)
   last_recv : int array;
   last_send : int array;
   mutable view : Types.view;

@@ -3,12 +3,12 @@
     Mirrors Section V-C3: the leader sends heartbeats to peers it has not
     talked to recently; followers suspect the leader after a period of
     silence. The per-peer timestamps are plain [int] nanosecond values
-    updated directly by the ReplicaIO threads without notifying the
-    thread that polls the detector — safe because timestamps only
-    increase, so a missed update merely delays the corresponding event,
-    never inverts it (the paper makes exactly this argument). Everything
-    else ({!set_view}, {!set_membership}, {!poll}, {!next_wake_ns})
-    belongs to that one polling thread. *)
+    updated directly by whichever thread sends or delivers a frame,
+    without notifying the thread that polls the detector — safe because
+    timestamps only increase, so a missed update merely delays the
+    corresponding event, never inverts it (the paper makes exactly this
+    argument). Everything else ({!set_view}, {!set_membership},
+    {!poll}, {!next_wake_ns}) belongs to that one polling thread. *)
 
 type t
 
@@ -19,7 +19,8 @@ val note_recv : t -> from:Types.node_id -> now_ns:int64 -> unit
     from any thread (single word store). *)
 
 val note_send : t -> dest:Types.node_id -> now_ns:int64 -> unit
-(** Any message sent to [dest] postpones the need for a heartbeat. *)
+(** Any message sent to [dest] postpones the need for a heartbeat.
+    Callable from any thread (single word store). *)
 
 val set_view : t -> view:Types.view -> now_ns:int64 -> unit
 (** View change: reset the leader's liveness grace period. *)

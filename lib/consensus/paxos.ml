@@ -477,6 +477,10 @@ let make_catchup_reply t ~from_iid ~to_iid =
   in
   Msg.Catchup_reply { entries; snapshot }
 
+let catchup_due t =
+  t.catchup_outstanding > 0
+  || (t.decided_hint > Log.first_undecided t.log && not (is_leader t))
+
 let tick_catchup t =
   if t.catchup_outstanding > 0 then begin
     t.catchup_outstanding <- t.catchup_outstanding - 1;

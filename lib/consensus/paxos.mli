@@ -170,6 +170,12 @@ val tick_catchup : t -> action list
     has not decided locally, ask the leader for them (rate-limited to one
     outstanding query). *)
 
+val catchup_due : t -> bool
+(** Whether {!tick_catchup} has work: a query is outstanding (its
+    rate-limit ticks are running down), or this replica is not the
+    leader and knows of decided instances it has not decided locally.
+    Pure. A runtime arms its catch-up timer only while this holds. *)
+
 val note_snapshot : t -> next_iid:Types.iid -> state:bytes -> action list
 (** The service took a snapshot covering every instance below [next_iid].
     The engine retains it for catch-up replies and truncates the log,

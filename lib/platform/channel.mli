@@ -2,9 +2,9 @@
     rings of {!Lf_queue}. It is the only blocking queue of the live
     runtime.
 
-    Every inter-stage edge of the replica (RequestQueue, ProposalQueue,
-    DispatcherQueue, DecisionQueue, SendQueues, LogQueue), the in-process
-    transport's pipes and the executor pool's lanes and token rings go
+    Every inter-stage edge of the replica (RequestQueue, DispatcherQueue,
+    DecisionQueue, LogQueue), the TCP transport's writer queues and the
+    executor pool's lanes and token rings go
     through this type. The data path is a few atomic operations. A
     thread that cannot proceed parks at once on a condition variable;
     {!take_timeout} parks on the same one as {!take}, through a

@@ -114,7 +114,6 @@ type t = {
          left there for it (see [create]'s [hand_off] and the Protocol
          thread's [feed]) *)
   decision_q : decision Bq.t;
-  send_qs : Msg.t Bq.t array;           (* one per node id; own slot unused *)
   (* Modules. *)
   links : (Types.node_id * Transport.link) list;
   store : Msmr_storage.Replica_store.t option;
@@ -132,8 +131,9 @@ type t = {
          and wrongly suppress a fresh one. Scheduler-private. *)
   lease_ctx : lease_ctx option;  (* Some iff cfg.lease_enabled *)
   fd : Failure_detector.t;
-      (* Protocol-thread private, except the per-peer timestamps that the
-         ReplicaIO threads store ([note_recv], [note_send]). *)
+      (* Protocol-thread private, except the per-peer timestamps stored
+         by the peer-frame handler ([note_recv]) and by StableStorage's
+         releases ([note_send]). *)
   (* Shared introspection state (single-word, lock-free). *)
   leader_now : int Atomic.t;
   view_now : int Atomic.t;
@@ -141,8 +141,7 @@ type t = {
   executed : Counter.t;
   decided : Counter.t;
   exec_inline : Counter.t;      (* batches the scheduler ran itself *)
-  send_q_drops : Counter.t;
-  sender_flushes : Counter.t;   (* coalesced sender-drain passes *)
+  send_q_drops : Counter.t;     (* peer frames dropped for back-pressure *)
   view_changes : Counter.t;     (* views installed after view 0 *)
   suspects : Counter.t;         (* local failure-detector verdicts acted on *)
   (* Read fast path accounting + follower freshness (lease mode). *)
@@ -267,18 +266,21 @@ let stall_stable_storage t stalled =
 (* ------------------------------------------------------------------ *)
 (* Protocol thread: executes engine actions. *)
 
+(* Encode once and hand the same frame to every destination's link
+   ([Msg.encode] returns a fresh copy, so sharing it is safe; [t.links]
+   has no entry for [t.me]). A send never blocks (Section V-B): a
+   transport that cannot take the frame drops it, and retransmission and
+   catch-up recover. *)
 let enqueue_send t dest msg =
+  let frame = lazy (Msg.encode msg) and now = Mclock.now_ns () in
   List.iter
     (fun d ->
-       if d <> t.me then begin
-         (* Never block the Protocol thread on a send queue (Section V-B):
-            if a peer's sender is saturated, drop — retransmission and
-            catch-up recover. *)
-         match Bq.try_put t.send_qs.(d) msg with
-         | true -> ()
-         | false -> Counter.incr t.send_q_drops
-         | exception Bq.Closed -> ()
-       end)
+       match List.assoc_opt d t.links with
+       | Some (link : Transport.link) ->
+         if link.send (Lazy.force frame) then
+           Failure_detector.note_send t.fd ~dest:d ~now_ns:now
+         else Counter.incr t.send_q_drops
+       | None -> ())
     dest
 
 (* Which messages witness state that must be on stable storage before
@@ -294,9 +296,8 @@ let durability_gated = function
 (* Route a send through the durability gate. In Durable mode a gated
    message rides the StableStorage queue tagged with the current LSN —
    every event logged so far, in particular the one it depends on, is
-   covered — and is forwarded to the send queues only once that LSN is
-   durable. Ephemeral mode ([stable = None]) is the direct path,
-   unchanged. *)
+   covered — and is sent only once that LSN is durable. Ephemeral mode
+   ([stable = None]) is the direct path, unchanged. *)
 let enqueue_send_gated t dest msg =
   match t.stable with
   | Some ss when durability_gated msg ->
@@ -573,9 +574,9 @@ let protocol_loop t st =
       apply (Paxos.note_snapshot engine ~next_iid ~state)
   in
   (* Failure detection (Section V-C3) runs here too: the detector is
-     this thread's, and the ReplicaIO threads only store per-peer
-     timestamps into it. Heartbeats therefore prove that the ordering
-     thread itself is alive. *)
+     this thread's, and the frame handler and StableStorage only store
+     per-peer timestamps into it. Heartbeats therefore prove that the
+     ordering thread itself is alive. *)
   let detect now =
     List.iter
       (function
@@ -589,9 +590,10 @@ let protocol_loop t st =
                  { view = Atomic.get t.view_now;
                    first_undecided =
                      Msmr_consensus.Log.first_undecided (Paxos.log engine) });
-          (* Sent as of now, even when not sent or dropped by a full send
-             queue (like a frame lost on the wire): the next heartbeat is
-             an interval away, not due again on the next pass. *)
+          (* Sent as of now, even when not sent or dropped for
+             back-pressure (like a frame lost on the wire): the next
+             heartbeat is an interval away, not due again on the next
+             pass. *)
           List.iter
             (fun p -> Failure_detector.note_send t.fd ~dest:p ~now_ns:now)
             peers
@@ -686,15 +688,16 @@ let protocol_loop t st =
   (* Park until the earliest timer: a retransmission, the catch-up tick,
      the failure detector's next heartbeat or suspicion, the held lease's
      next renewal or, while a batch may be proposed, its delay cap or
-     drain seal. *)
+     drain seal. The catch-up tick is armed only while the engine has
+     catch-up work ({!Paxos.catchup_due}), so a caught-up replica does
+     not wake for it. *)
   let catchup_ns = Mclock.ns_of_s t.cfg.catchup_interval_s in
-  let next_catchup = ref (Int64.add (Mclock.now_ns ()) catchup_ns) in
+  let next_catchup = ref None in
   let timeout_s () =
     let earliest at = Option.fold ~none:at ~some:(Int64.min at) in
     let now = Mclock.now_ns () in
-    let at =
-      Int64.min !next_catchup (Failure_detector.next_wake_ns t.fd ~now_ns:now)
-    in
+    let at = Failure_detector.next_wake_ns t.fd ~now_ns:now in
+    let at = earliest at !next_catchup in
     let at = earliest at (Retransmit.next_due_ns rtx) in
     let at =
       match held_lease () with
@@ -728,13 +731,17 @@ let protocol_loop t st =
     List.iter
       (fun (dest, msg) -> enqueue_send_gated t dest msg)
       (Retransmit.pop_due rtx ~now_ns:now);
-    if Int64.compare now !next_catchup >= 0 then begin
-      next_catchup := Int64.add now catchup_ns;
-      apply (Paxos.tick_catchup engine)
-    end;
+    (match !next_catchup with
+     | Some at when Int64.compare now at >= 0 ->
+       next_catchup := None;
+       apply (Paxos.tick_catchup engine)
+     | Some _ | None -> ());
     detect now;
     feed ();
     lease_tick ();
+    if not (Paxos.catchup_due engine) then next_catchup := None
+    else if Option.is_none !next_catchup then
+      next_catchup := Some (Int64.add now catchup_ns);
     Atomic.set t.window_now (Paxos.window_in_use engine);
     Atomic.set t.first_undecided_now
       (Msmr_consensus.Log.first_undecided (Paxos.log engine))
@@ -822,55 +829,21 @@ let stable_storage_loop t (ss : stable) st =
   done
 
 (* ------------------------------------------------------------------ *)
-(* ReplicaIO threads. *)
+(* Peer frames. Each link runs this handler on the thread that delivers
+   the frame: on the Hub the sending replica's Protocol (or
+   StableStorage) thread, over TCP the link's reader thread. It never
+   blocks: a full DispatcherQueue drops the frame, and retransmission
+   and catch-up recover it. *)
 
-(* Sender coalescing: drain a bounded burst per pass, encode each
-   message through the Codec writer pool, and hand the whole run to the
-   link in one [send_many] (a single write(2) over TCP) — the
-   inter-replica mirror of ClientIO's reply coalescing. The bound keeps
-   one pass from monopolising the link when the queue is deep. *)
-let sender_burst = 32
-
-let sender_loop t peer (link : Transport.link) st =
-  let q = t.send_qs.(peer) in
-  (* One scratch buffer per sender thread: the hottest drain edge stops
-     allocating a list per pass. *)
-  let buf = Array.make sender_burst None in
-  let continue = ref true in
-  while !continue do
-    match Bq.take_batch_into ~st q ~buf with
-    | n ->
-      let frames = ref [] in
-      for i = n - 1 downto 0 do
-        match buf.(i) with
-        | Some msg ->
-          frames := Msg.encode msg :: !frames;
-          buf.(i) <- None
-        | None -> ()
-      done;
-      Thread_state.enter st Thread_state.Other (fun () ->
-          link.send_many !frames);
-      Counter.incr t.sender_flushes;
-      Failure_detector.note_send t.fd ~dest:peer ~now_ns:(Mclock.now_ns ())
-    | exception Bq.Closed -> continue := false
-  done
-
-let receiver_loop t peer (link : Transport.link) st =
-  let continue = ref true in
-  while !continue do
-    match
-      Thread_state.enter st Thread_state.Other (fun () -> link.recv_bytes ())
-    with
-    | None -> continue := false
-    | Some raw -> (
-        match Msg.decode raw with
-        | msg ->
-          Failure_detector.note_recv t.fd ~from:peer ~now_ns:(Mclock.now_ns ());
-          (try Bq.put ~st t.dispatcher_q (Peer_msg { from = peer; msg })
-           with Bq.Closed -> continue := false)
-        | exception (Msmr_wire.Codec.Underflow | Msmr_wire.Codec.Malformed _) ->
-          Log_.warn (fun m -> m "replica %d: bad frame from %d" t.me peer))
-  done
+let receive t peer raw =
+  match Msg.decode raw with
+  | msg -> (
+      Failure_detector.note_recv t.fd ~from:peer ~now_ns:(Mclock.now_ns ());
+      match Bq.try_put t.dispatcher_q (Peer_msg { from = peer; msg }) with
+      | false -> Counter.incr t.send_q_drops
+      | true | (exception Bq.Closed) -> ())
+  | exception (Msmr_wire.Codec.Underflow | Msmr_wire.Codec.Malformed _) ->
+    Log_.warn (fun m -> m "replica %d: bad frame from %d" t.me peer)
 
 (* ------------------------------------------------------------------ *)
 (* ServiceManager: the Replica thread schedules decided requests over the
@@ -1104,7 +1077,6 @@ let metric_names =
     "msmr_replica_executor_barriers";
     "msmr_executor_steal_total";
     "msmr_executor_steal_fail_total";
-    "msmr_replica_sender_flushes";
     "msmr_replica_log_queue_depth";
     "msmr_replica_durable_hold_s";
     "msmr_replica_bsz_now";
@@ -1166,7 +1138,6 @@ let register_metrics t =
          "msmr_channel_park_total"
          (fun () -> fi (Waitstats.parks_of c)))
     (Waitstats.counters ());
-  g "msmr_replica_sender_flushes" (fun () -> fi (Counter.get t.sender_flushes));
   g "msmr_replica_log_queue_depth" (fun () ->
       match t.stable with
       | Some ss -> fi (Bq.length ss.log_q)
@@ -1259,12 +1230,12 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
     | Some _ | None -> [ (0, Membership.initial cfg) ]
   in
   let batcher = Batcher.create ~tuned_bsz:bsz_now cfg ~src:me in
-  (* Producer/consumer discipline per edge: receivers, ClientIO, the
-     scheduler and the Protocol thread itself all feed the dispatcher
-     (MPMC); ClientIO workers feed the RequestQueue (MPMC);
-     the DecisionQueue is strictly Protocol -> scheduler (SPSC)
-     unless leases add the read producers; send and log queues have
-     several producer threads (MPMC). *)
+  (* Producer/consumer discipline per edge: the peers' sending threads
+     (through [receive]), ClientIO, the scheduler and the Protocol thread
+     itself all feed the dispatcher (MPMC); ClientIO workers feed the
+     RequestQueue (MPMC); the DecisionQueue is strictly Protocol ->
+     scheduler (SPSC) unless leases add the read producers; the log
+     queue is Protocol -> StableStorage (SPSC). *)
   let t =
     { cfg; me; service;
       dispatcher_q =
@@ -1279,9 +1250,6 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
         Bq.create ~name:"decision_queue"
           ~kind:(if cfg.Config.lease_enabled then Bq.Mpmc else Bq.Spsc)
           ~capacity:1024;
-      send_qs =
-        Array.init cfg.Config.n (fun _ ->
-            Bq.create ~name:"send_queue" ~kind:Bq.Mpmc ~capacity:4096);
       links;
       store;
       stable;
@@ -1307,7 +1275,6 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       decided = Counter.create ();
       exec_inline = Counter.create ();
       send_q_drops = Counter.create ();
-      sender_flushes = Counter.create ();
       view_changes = Counter.create ();
       suspects = Counter.create ();
       reads_served = Counter.create ();
@@ -1347,15 +1314,10 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
   let spawn name f =
     Worker.spawn ~name:(Printf.sprintf "r%d/%s" me name) (fun st -> f t st)
   in
-  let io_threads =
-    List.concat_map
-      (fun (peer, link) ->
-         [ Worker.spawn ~name:(Printf.sprintf "r%d/ReplicaIOSnd-%d" me peer)
-             (fun st -> sender_loop t peer link st);
-           Worker.spawn ~name:(Printf.sprintf "r%d/ReplicaIORcv-%d" me peer)
-             (fun st -> receiver_loop t peer link st) ])
-      links
-  in
+  (* Before Protocol starts: its first sends can draw replies at once. *)
+  List.iter
+    (fun (peer, (link : Transport.link)) -> link.on_receive (receive t peer))
+    links;
   let stable_storage =
     match t.stable with
     | Some ss -> [ spawn "StableStorage" (fun t st -> stable_storage_loop t ss st) ]
@@ -1371,8 +1333,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
   in
   t.threads <-
     (spawn "Protocol" protocol_loop :: stable_storage)
-    @ (spawn "Replica" scheduler_loop :: executors)
-    @ io_threads;
+    @ (spawn "Replica" scheduler_loop :: executors);
   register_metrics t;
   t
 
@@ -1393,7 +1354,6 @@ let stop t =
     (* The scheduler also closes the pool on exit; closing here too
        unblocks it even if the scheduler is wedged. Close is idempotent. *)
     Exec_pool.close t.pool;
-    Array.iter Bq.close t.send_qs;
     List.iter (fun (_, (link : Transport.link)) -> link.close ()) t.links;
     Worker.join_all t.threads;
     (match t.store with
@@ -1437,13 +1397,12 @@ module Cluster = struct
   let kill t i = stop t.replicas.(i)
 
   let restart t i =
-    (* The dying replica closed its inbound hub queues; give the new
-       incarnation fresh ones, then rebuild it through the stored
-       factory. With Durable durability the factory re-runs
+    (* The dying replica swapped its hub handlers for drops; the new
+       incarnation, rebuilt through the stored factory, installs fresh
+       ones. With Durable durability the factory re-runs
        [Replica_store.recover] on the same directory — the WAL crash
        recovery path. *)
     stop t.replicas.(i);
-    Transport.Hub.renew t.hub i;
     t.replicas.(i) <- t.make i;
     t.replicas.(i)
 
@@ -1525,7 +1484,5 @@ module Cluster = struct
       (fun m -> Membership.remove m i)
       (fun m -> not (Membership.is_member m i))
 
-  let stop t =
-    Array.iter stop t.replicas;
-    Transport.Hub.close t.hub
+  let stop t = Array.iter stop t.replicas
 end

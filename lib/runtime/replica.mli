@@ -7,23 +7,30 @@
                     ^                  | RequestQueue
                     | replies          | (+ Requests_ready on the DispatcherQueue)
                     |                  v
-      [Replica] <--DecisionQueue-- [Protocol] <--DispatcherQueue-- [ReplicaIORcv-p]
-                                      |  \--SendQueue-p--> [ReplicaIOSnd-p] --> peer p
-                                      |      (heartbeats included)
+      [Replica] <--DecisionQueue-- [Protocol] <--DispatcherQueue-- link handler <-- peer p
+                                      |  \--link.send--> peer p (heartbeats included)
                             LogQueue  v  (Durable mode)
-                             [StableStorage] --(released sends)--> SendQueues
+                             [StableStorage] --(released sends)--> link.send
     v}
+
+    A link send never blocks ({!Transport.link}): on the in-process
+    {!Transport.Hub} it runs the peer's frame handler inline, so one
+    Protocol thread puts a message straight on the next one's
+    DispatcherQueue; over TCP the link carries the paper's ReplicaIO
+    threads ({!Tcp_mesh}). A frame that finds a queue full is dropped,
+    counted in [msmr_replica_send_queue_drops], and recovered by
+    retransmission and catch-up.
 
     The Protocol thread owns the {!Msmr_consensus.Paxos} engine
     exclusively; every other thread communicates with it through queues
-    (or, for the failure-detector timestamps that the ReplicaIO threads
-    record, through single-word shared state), enforcing the paper's
-    no-lock rule inside the ReplicationCore. Protocol also batches: it
-    drains the RequestQueue through the {!Msmr_consensus.Batcher} policy
-    while the window has room and proposes each sealed batch itself (the
-    paper's Batcher thread and ProposalQueue are folded in, DESIGN.md
-    §11). It fires the retransmission, catch-up, lease-renewal and batch
-    timers, and runs the {!Msmr_consensus.Failure_detector}: it queues
+    (or, for the failure-detector timestamps that the frame handler and
+    StableStorage record, through single-word shared state), enforcing
+    the paper's no-lock rule inside the ReplicationCore. Protocol also
+    batches: it drains the RequestQueue through the
+    {!Msmr_consensus.Batcher} policy while the window has room and
+    proposes each sealed batch itself (the paper's Batcher thread and
+    ProposalQueue are folded in, DESIGN.md §11). It fires the retransmission, catch-up, lease-renewal and batch
+    timers, and runs the {!Msmr_consensus.Failure_detector}: it sends
     the leader's heartbeats and acts on its own suspicions (the paper's
     retransmission and FailureDetector threads are folded in as well,
     DESIGN.md §2).
@@ -64,7 +71,9 @@ val create :
   unit ->
   t
 (** Build and start a replica. [links] must contain one link per peer
-    (every node in [0, cfg.n) except [me]). Defaults: 3 ClientIO threads
+    (every node in [0, cfg.n) except [me]); the replica installs its
+    frame handler on each before its Protocol thread starts, and
+    {!stop} closes them. Defaults: 3 ClientIO threads
     and 1 executor. The Protocol thread batches requests itself. The
     RequestQueue is created for 1000 requests (the paper's setting),
     which its ring rounds up to 1024.
@@ -221,7 +230,7 @@ val inject_suspect : t -> unit
 val stall_stable_storage : t -> bool -> unit
 (** Test hook: [stall_stable_storage t true] parks the StableStorage
     thread — no WAL append, no fsync, and no durability-gated message
-    ([Prepare_ok]/[Accepted]/[Accept]) is released to the send queues —
+    ([Prepare_ok]/[Accepted]/[Accept]) is released to the links —
     until [stall_stable_storage t false]. No-op on an [Ephemeral]
     replica. *)
 
@@ -262,12 +271,12 @@ module Cluster : sig
 
   val kill : t -> int -> unit
   (** Crash replica [i] in place: stop all its threads and close its
-      links. Peers see dead connections; their sends drop silently until
-      {!restart}. *)
+      links. Peers' sends to it drop silently until {!restart}. *)
 
   val restart : t -> int -> replica
   (** Rebuild replica [i] (idempotently stopping the old incarnation)
-      with fresh hub queues and the same construction parameters. Under
+      with the same construction parameters; the new incarnation
+      installs fresh handlers on its hub links. Under
       [Durable] durability the new incarnation recovers from the WAL in
       the same directory — the live crash-recovery path. Returns the new
       replica, which also replaces slot [i] of {!replicas}. *)

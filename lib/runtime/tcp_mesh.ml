@@ -14,15 +14,15 @@ let id_of_hello b =
   id
 
 (* One peer's connection state. [conn] is the current physical
-   connection (wrapped as a Transport.Tcp link, whose own error handling
-   turns a dead socket into dropped sends / [None] reads); it flips to
-   [None] when the reader observes the death, and back to [Some] when
-   the dialer or acceptor installs a replacement. *)
+   connection (a Transport.Tcp conn, whose own error handling turns a
+   dead socket into dropped writes / [None] reads); it flips to [None]
+   when the reader observes the death, and back to [Some] when the
+   dialer or acceptor installs a replacement. *)
 type slot = {
   peer : int;
   mu : Mutex.t;
   cv : Condition.t;
-  mutable conn : Transport.link option;
+  mutable conn : Transport.Tcp.conn option;
   mutable ever_connected : bool;
   mutable closed : bool;          (* facade closed: stop reconnecting *)
 }
@@ -31,6 +31,8 @@ type t = {
   me : int;
   listener : Unix.file_descr;
   mutable slots : (int * slot) list;  (* every peer <> me *)
+  mutable pumps : (int * (Transport.link * (unit -> unit))) list;
+      (* each slot's facade and the stop of its ReplicaIO pump *)
   slots_mu : Mutex.t;             (* orders add_peer/remove_peer *)
   closing : bool Atomic.t;
   reconnects : int Atomic.t;
@@ -39,85 +41,96 @@ type t = {
 
 let reconnects t = Atomic.get t.reconnects
 
-let install t slot link =
+let install t slot conn =
   Mutex.lock slot.mu;
   if slot.closed || Atomic.get t.closing then begin
     Mutex.unlock slot.mu;
-    link.Transport.close ()
+    Transport.Tcp.close_conn conn
   end
   else begin
-    (match slot.conn with Some old -> old.Transport.close () | None -> ());
-    slot.conn <- Some link;
+    (match slot.conn with Some old -> Transport.Tcp.close_conn old | None -> ());
+    slot.conn <- Some conn;
     if slot.ever_connected then Atomic.incr t.reconnects;
     slot.ever_connected <- true;
     Condition.broadcast slot.cv;
     Mutex.unlock slot.mu
   end
 
-(* Called by the reader when [link]'s recv returned [None]: clear the
-   slot (if this link is still the installed one) so senders stop using
-   it and the dialer knows to redial. *)
-let retire slot link =
+(* Called by the reader when [conn]'s read returned [None]: clear the
+   slot (if this conn is still the installed one) so the writer stops
+   using it and the dialer knows to redial. *)
+let retire slot conn =
   Mutex.lock slot.mu;
   (match slot.conn with
-   | Some c when c == link ->
+   | Some c when c == conn ->
      slot.conn <- None;
      Condition.broadcast slot.cv
    | _ -> ());
   Mutex.unlock slot.mu;
-  link.Transport.close ()
+  Transport.Tcp.close_conn conn
 
-let facade t slot =
-  let current () =
-    Mutex.lock slot.mu;
-    let c = slot.conn in
-    Mutex.unlock slot.mu;
-    c
-  in
-  let send_bytes b =
-    (* While disconnected, frames drop silently — exactly how a broken
-       TCP link looks to the sender thread; the retransmitter covers the
-       gap until the dialer brings the link back. *)
-    match current () with
-    | Some c -> c.Transport.send_bytes b
+(* Close [slot] for good: no more redials, the connection goes. *)
+let close_slot slot =
+  Mutex.lock slot.mu;
+  slot.closed <- true;
+  let c = slot.conn in
+  slot.conn <- None;
+  Condition.broadcast slot.cv;
+  Mutex.unlock slot.mu;
+  Option.iter Transport.Tcp.close_conn c
+
+(* The slot's ReplicaIO pump (Transport.Tcp.pump), running for the
+   mesh's lifetime. While disconnected, the writer drops frames — exactly
+   how a broken TCP link looks to a sender; the retransmitter covers the
+   gap until the dialer brings the link back. The reader parks until a
+   connection is installed rather than reporting end-of-link —
+   reconnection is this module's whole point — and ends only when the
+   mesh closes. *)
+let pump t slot =
+  let write frames =
+    match Mutex.protect slot.mu (fun () -> slot.conn) with
+    | Some c -> Transport.Tcp.write c frames
     | None -> ()
   in
-  let send_many bs =
-    match current () with
-    | Some c -> c.Transport.send_many bs
-    | None -> ()
-  in
-  let rec recv_bytes () =
+  let rec read () =
     Mutex.lock slot.mu;
-    while
-      slot.conn = None && not slot.closed && not (Atomic.get t.closing)
-    do
+    while slot.conn = None && not (Atomic.get t.closing) do
       Condition.wait slot.cv slot.mu
     done;
     let c = slot.conn in
     Mutex.unlock slot.mu;
     match c with
-    | None -> None                          (* closed for good *)
+    | None -> None                          (* the mesh closed *)
     | Some c -> (
-        match c.Transport.recv_bytes () with
+        match Transport.Tcp.read c with
         | Some _ as frame -> frame
         | None ->
-          (* Connection died; park until a replacement is installed
-             rather than reporting end-of-link — reconnection is this
-             module's whole point. *)
           retire slot c;
-          recv_bytes ())
+          read ())
+  in
+  let name role = Printf.sprintf "r%d/ReplicaIO%s-%d" t.me role slot.peer in
+  let link, stop =
+    Transport.Tcp.pump ~sender:(name "Snd") ~receiver:(name "Rcv") ~write ~read
   in
   let close () =
-    Mutex.lock slot.mu;
-    slot.closed <- true;
-    let c = slot.conn in
-    slot.conn <- None;
-    Condition.broadcast slot.cv;
-    Mutex.unlock slot.mu;
-    match c with Some c -> c.Transport.close () | None -> ()
+    link.Transport.close ();
+    close_slot slot
   in
-  { Transport.send_bytes; send_many; recv_bytes; close }
+  ({ link with Transport.close }, stop)
+
+(* A new peer's slot, not yet connected, and its running pump. *)
+let open_slot t peer =
+  let slot =
+    { peer;
+      mu = Mutex.create ();
+      cv = Condition.create ();
+      conn = None;
+      ever_connected = false;
+      closed = false }
+  in
+  t.slots <- (peer, slot) :: t.slots;
+  t.pumps <- (peer, pump t slot) :: t.pumps;
+  slot
 
 let acceptor_loop t =
   let continue = ref true in
@@ -133,7 +146,7 @@ let acceptor_loop t =
             let slot = List.assoc_opt id t.slots in
             Mutex.unlock t.slots_mu;
             match slot with
-            | Some slot -> install t slot (Transport.Tcp.link_of_fd fd)
+            | Some slot -> install t slot (Transport.Tcp.conn_of_fd fd)
             | None -> ( try Unix.close fd with Unix.Unix_error _ -> ()))
         | None | (exception _) -> (
             try Unix.close fd with Unix.Unix_error _ -> ()))
@@ -168,7 +181,7 @@ let dialer_loop t slot addr =
             Msmr_wire.Frame.write fd (hello_frame t.me)
           with
           | () ->
-            install t slot (Transport.Tcp.link_of_fd fd);
+            install t slot (Transport.Tcp.conn_of_fd fd);
             backoff := base
           | exception _ ->
             (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -176,6 +189,19 @@ let dialer_loop t slot addr =
             backoff := Float.min cap (!backoff *. 2.))
     end
   done
+
+let close t =
+  if not (Atomic.exchange t.closing true) then begin
+    (* Shutdown wakes a thread parked in [accept] (Linux); close alone
+       may not. *)
+    (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL
+     with Unix.Unix_error _ -> ());
+    (try Unix.close t.listener with Unix.Unix_error _ -> ());
+    List.iter (fun (_, slot) -> close_slot slot) t.slots;
+    (* Every reader now sees the mesh closing. *)
+    List.iter (fun (_, (_, stop)) -> stop ()) t.pumps;
+    List.iter Thread.join t.threads
+  end
 
 let create ?(connect_timeout_s = 30.) ~me ~addrs () =
   let my_addr = List.assoc me addrs in
@@ -185,29 +211,20 @@ let create ?(connect_timeout_s = 30.) ~me ~addrs () =
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
   Unix.bind listener my_addr;
   Unix.listen listener 8;
-  let slots =
-    List.filter_map
-      (fun (id, _) ->
-         if id = me then None
-         else
-           Some
-             ( id,
-               { peer = id;
-                 mu = Mutex.create ();
-                 cv = Condition.create ();
-                 conn = None;
-                 ever_connected = false;
-                 closed = false } ))
-      addrs
-  in
   let t =
     { me;
       listener;
-      slots;
+      slots = [];
+      pumps = [];
       slots_mu = Mutex.create ();
       closing = Atomic.make false;
       reconnects = Atomic.make 0;
       threads = [] }
+  in
+  let slots =
+    List.filter_map
+      (fun (id, _) -> if id = me then None else Some (id, open_slot t id))
+      addrs
   in
   let acceptor = Thread.create acceptor_loop t in
   (* Lower-id peers listen; we dial them. Higher-id peers dial us. *)
@@ -236,15 +253,16 @@ let create ?(connect_timeout_s = 30.) ~me ~addrs () =
   in
   while not (all_up ()) do
     if Int64.compare (Mclock.now_ns ()) deadline > 0 then begin
-      Atomic.set t.closing true;
-      (try Unix.close listener with Unix.Unix_error _ -> ());
+      close t;
       failwith "Tcp_mesh: cannot complete mesh within connect timeout"
     end;
     Mclock.sleep_s 0.02
   done;
   t
 
-let links t = List.map (fun (id, slot) -> (id, facade t slot)) t.slots
+let links t =
+  Mutex.protect t.slots_mu (fun () ->
+      List.map (fun (id, (link, _)) -> (id, link)) t.pumps)
 
 (* Online membership change: splice a peer's slot in (or back in)
    mid-run, and retire a decommissioned one. The universe of node ids is
@@ -264,56 +282,20 @@ let add_peer t ~peer ~addr =
       Condition.broadcast slot.cv;
       Mutex.unlock slot.mu;
       (slot, was_closed)
-    | None ->
-      let slot =
-        { peer;
-          mu = Mutex.create ();
-          cv = Condition.create ();
-          conn = None;
-          ever_connected = false;
-          closed = false }
-      in
-      t.slots <- (peer, slot) :: t.slots;
-      (slot, true)
+    | None -> (open_slot t peer, true)
   in
   (* Same dial direction rule as the initial mesh: we dial lower ids,
      higher ids dial us. *)
   if need_dialer && peer < t.me then
     t.threads <-
       Thread.create (fun () -> dialer_loop t slot addr) () :: t.threads;
+  let link = fst (List.assoc peer t.pumps) in
   Mutex.unlock t.slots_mu;
-  facade t slot
+  link
 
 let remove_peer t ~peer =
   Mutex.lock t.slots_mu;
   (match List.assoc_opt peer t.slots with
-   | Some slot ->
-     Mutex.lock slot.mu;
-     slot.closed <- true;
-     let c = slot.conn in
-     slot.conn <- None;
-     Condition.broadcast slot.cv;
-     Mutex.unlock slot.mu;
-     (match c with Some c -> c.Transport.close () | None -> ())
+   | Some slot -> close_slot slot
    | None -> ());
   Mutex.unlock t.slots_mu
-
-let close t =
-  if not (Atomic.exchange t.closing true) then begin
-    (* Shutdown wakes a thread parked in [accept] (Linux); close alone
-       may not. *)
-    (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL
-     with Unix.Unix_error _ -> ());
-    (try Unix.close t.listener with Unix.Unix_error _ -> ());
-    List.iter
-      (fun (_, slot) ->
-         Mutex.lock slot.mu;
-         slot.closed <- true;
-         let c = slot.conn in
-         slot.conn <- None;
-         Condition.broadcast slot.cv;
-         Mutex.unlock slot.mu;
-         match c with Some c -> c.Transport.close () | None -> ())
-      t.slots;
-    List.iter Thread.join t.threads
-  end

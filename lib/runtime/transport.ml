@@ -1,47 +1,46 @@
 module Bq = Msmr_platform.Channel
+module Worker = Msmr_platform.Worker
+module Thread_state = Msmr_platform.Thread_state
 
 type link = {
-  send_bytes : bytes -> unit;
-  send_many : bytes list -> unit;
-      (* coalesced send: one syscall for the whole run where the
-         transport supports it (TCP uses Frame.write_many) *)
-  recv_bytes : unit -> bytes option;
+  send : bytes -> bool;
+  on_receive : (bytes -> unit) -> unit;
   close : unit -> unit;
 }
 
+let drop (_ : bytes) = ()
+
 module Hub = struct
-  (* A pipe has one sender thread and one reader (ReplicaIO's), so its
-     queue is SPSC; [rng] relies on the single sender too. *)
+  (* One directed pair: its fault state and the handler the receiving
+     endpoint installed for frames on it. *)
   type pipe = {
-    mutable queue : bytes Bq.t;
-        (* replaced wholesale by [renew] when the destination replica
-           restarts — senders read the field per call, so they pick up
-           the fresh queue; a reader blocked on the old (closed) queue
-           wakes with [Closed] and exits *)
+    deliver : (bytes -> unit) Atomic.t;
+        (* [drop] until the receiver installs its handler, and again once
+           it closes its endpoint *)
     mutable drop_rate : float;
     mutable severed : bool;        (* fault injection: link cut one-way *)
     rng : Random.State.t;
+    rng_mu : Mutex.t;
+        (* a link has two sending threads (Protocol and StableStorage),
+           and [Random.State] is not safe to share between them *)
   }
 
   type t = {
-    n : int;
-    capacity : int;
     pipes : pipe array array;      (* pipes.(src).(dst) *)
     cut_nodes : bool array;
     sent : Msmr_platform.Rate_meter.Counter.t;
   }
 
-  let create ?(capacity = 4096) ~n () =
+  let create ~n () =
     let t =
-      { n;
-        capacity;
-        pipes =
+      { pipes =
           Array.init n (fun src ->
               Array.init n (fun dst ->
-                  { queue = Bq.create ~name:"hub_pipe" ~kind:Bq.Spsc ~capacity;
+                  { deliver = Atomic.make drop;
                     drop_rate = 0.;
                     severed = false;
-                    rng = Random.State.make [| (src * 131) + dst |] }));
+                    rng = Random.State.make [| (src * 131) + dst |];
+                    rng_mu = Mutex.create () }));
         cut_nodes = Array.make n false;
         sent = Msmr_platform.Rate_meter.Counter.create () }
     in
@@ -52,50 +51,29 @@ module Hub = struct
           float_of_int (Msmr_platform.Rate_meter.Counter.get t.sent));
     t
 
+  let dropped p =
+    p.drop_rate > 0.
+    && Mutex.protect p.rng_mu (fun () -> Random.State.float p.rng 1.0)
+       < p.drop_rate
+
   let link t ~me ~peer =
     if me = peer then invalid_arg "Hub.link: self link";
     let out = t.pipes.(me).(peer) and inc = t.pipes.(peer).(me) in
-    let send_bytes b =
-      Msmr_platform.Rate_meter.Counter.incr t.sent;
-      if t.cut_nodes.(me) || t.cut_nodes.(peer) || out.severed then ()
-      else if out.drop_rate > 0.
-              && Random.State.float out.rng 1.0 < out.drop_rate then ()
-      else
-        (* A closed queue means shutdown: drop silently like a broken
-           TCP connection would. *)
-        try Bq.put out.queue b with Bq.Closed -> ()
-    in
-    { send_bytes;
-      send_many = (fun bs -> List.iter send_bytes bs);
-      recv_bytes =
-        (fun () ->
-           (* A cut only blocks new sends; frames already queued were "in
-              flight" and still arrive. *)
-           match Bq.take inc.queue with
-           | b -> Some b
-           | exception Bq.Closed -> None);
-      close = (fun () -> Bq.close inc.queue) }
+    { send =
+        (fun b ->
+           Msmr_platform.Rate_meter.Counter.incr t.sent;
+           if not (t.cut_nodes.(me) || t.cut_nodes.(peer) || out.severed
+                   || dropped out)
+           then (Atomic.get out.deliver) b;
+           true);
+      on_receive = Atomic.set inc.deliver;
+      close = (fun () -> Atomic.set inc.deliver drop) }
 
   let set_drop_rate t ~src ~dst rate = t.pipes.(src).(dst).drop_rate <- rate
   let cut t node = t.cut_nodes.(node) <- true
   let heal t node = t.cut_nodes.(node) <- false
   let sever t ~src ~dst = t.pipes.(src).(dst).severed <- true
   let heal_link t ~src ~dst = t.pipes.(src).(dst).severed <- false
-
-  (* Give a restarting replica fresh incoming queues: the dying replica
-     closed pipes.(p).(node) (its inbound side), which peers see only as
-     silently-dropped sends. Only the inbound direction is replaced — a
-     peer's reader may be parked inside [Bq.take] on pipes.(node).(p) and
-     would never observe a swap. *)
-  let renew t node =
-    for p = 0 to t.n - 1 do
-      if p <> node then
-        t.pipes.(p).(node).queue <-
-          Bq.create ~name:"hub_pipe" ~kind:Bq.Spsc ~capacity:t.capacity
-    done
-
-  let close t =
-    Array.iter (fun row -> Array.iter (fun p -> Bq.close p.queue) row) t.pipes
 
   let frames_sent t = Msmr_platform.Rate_meter.Counter.get t.sent
 end
@@ -109,38 +87,99 @@ module Tcp = struct
          try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
          with Invalid_argument _ | Sys_error _ -> ())
 
-  let link_of_fd fd =
+  type conn = {
+    fd : Unix.file_descr;
+    dead : bool Atomic.t;     (* an I/O error or [close_conn] was seen *)
+    closed : bool Atomic.t;   (* the descriptor was closed *)
+  }
+
+  let conn_of_fd fd =
     Lazy.force ignore_sigpipe;
-    let closed = Atomic.make false in
-    { send_bytes =
-        (fun b ->
-           if not (Atomic.get closed) then
-             try Msmr_wire.Frame.write fd b
-             with Unix.Unix_error _ -> Atomic.set closed true);
-      send_many =
-        (fun bs ->
-           if not (Atomic.get closed) then
-             try Msmr_wire.Frame.write_many fd bs
-             with Unix.Unix_error _ -> Atomic.set closed true);
-      recv_bytes =
-        (fun () ->
-           if Atomic.get closed then None
-           else
-             try Msmr_wire.Frame.read fd with
-             | End_of_file | Unix.Unix_error _ ->
-               Atomic.set closed true;
-               None);
+    { fd; dead = Atomic.make false; closed = Atomic.make false }
+
+  let write c frames =
+    if not (Atomic.get c.dead) then
+      try Msmr_wire.Frame.write_many c.fd frames
+      with Unix.Unix_error _ -> Atomic.set c.dead true
+
+  let read c =
+    if Atomic.get c.dead then None
+    else
+      try Msmr_wire.Frame.read c.fd with
+      | End_of_file | Unix.Unix_error _ ->
+        Atomic.set c.dead true;
+        None
+
+  let close_conn c =
+    Atomic.set c.dead true;
+    if not (Atomic.exchange c.closed true) then begin
+      (* [shutdown] first: unlike [close], it wakes a thread blocked in
+         [read]/[write] on this fd (Linux semantics), which is what lets
+         the reader thread of a closed link exit. *)
+      (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      try Unix.close c.fd with Unix.Unix_error _ -> ()
+    end
+
+  (* Frames the writer thread hands to one [write] at most: the bound
+     keeps one pass from monopolising the socket when the queue is deep. *)
+  let writer_burst = 32
+
+  let pump ~sender ~receiver ~write ~read =
+    let q = Bq.create ~name:"tcp_writer_queue" ~kind:Bq.Mpmc ~capacity:4096 in
+    let deliver = Atomic.make drop and reader = ref None in
+    let writer =
+      Worker.spawn ~name:sender (fun st ->
+          while true do
+            let frames = Bq.take_batch ~st q ~max:writer_burst in
+            Thread_state.enter st Thread_state.Other (fun () -> write frames)
+          done)
+    in
+    let on_receive f =
+      Atomic.set deliver f;
+      (* The reader starts with the first handler: until then frames
+         wait in the socket. *)
+      if Option.is_none !reader then
+        reader :=
+          Some
+            (Worker.spawn ~name:receiver (fun st ->
+                 let rec loop () =
+                   match Thread_state.enter st Thread_state.Other read with
+                   | None -> ()
+                   | Some b ->
+                     (Atomic.get deliver) b;
+                     loop ()
+                 in
+                 loop ()))
+    in
+    let link =
+      { send =
+          (fun b ->
+             (* A full writer queue drops the frame; a closed one means
+                shutdown, where frames drop like on a dead socket. *)
+             try Bq.try_put q b with Bq.Closed -> true);
+        on_receive;
+        close = (fun () -> Atomic.set deliver drop) }
+    in
+    let stop () =
+      Atomic.set deliver drop;
+      Bq.close q;
+      Worker.join writer;
+      Option.iter Worker.join !reader
+    in
+    (link, stop)
+
+  let link_of_fd fd =
+    let c = conn_of_fd fd in
+    let link, stop =
+      pump ~sender:"tcp/Snd" ~receiver:"tcp/Rcv" ~write:(write c)
+        ~read:(fun () -> read c)
+    in
+    { link with
       close =
         (fun () ->
-           if not (Atomic.exchange closed true) then begin
-             (* [shutdown] first: unlike [close], it wakes a thread
-                blocked in [read]/[write] on this fd (Linux semantics),
-                which is what lets Replica.stop join its ReplicaIO
-                threads. *)
-             (try Unix.shutdown fd Unix.SHUTDOWN_ALL
-              with Unix.Unix_error _ -> ());
-             try Unix.close fd with Unix.Unix_error _ -> ()
-           end) }
+           link.close ();
+           close_conn c;
+           stop ()) }
 
   let connect_link addr =
     let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in

@@ -1,47 +1,44 @@
 (** Replica-to-replica byte transport.
 
-    A {!link} is one direction-agnostic connection to a peer, carrying
-    framed byte blobs. The ReplicaIO threads (one reader + one sender per
-    peer, Section V-B) are written against this interface, so the same
-    runtime runs over an in-process {!Hub} (tests, examples, fault
-    injection) or real TCP sockets ({!Tcp}). *)
+    A {!link} is one push-based connection to a peer, carrying framed
+    byte blobs: a send never blocks, and received frames go to the
+    handler the replica installed. The same runtime runs over an
+    in-process {!Hub} (tests, examples, fault injection) or real TCP
+    sockets ({!Tcp}). *)
 
 type link = {
-  send_bytes : bytes -> unit;
-      (** Blocking write of one frame. May block when the peer is slow —
-          this is why only the dedicated sender thread calls it. Silently
-          drops the frame when the connection is down (the retransmitter
-          recovers). *)
-  send_many : bytes list -> unit;
-      (** Blocking write of a run of frames, coalesced into one syscall
-          where the transport supports it ({!Tcp} uses
-          [Frame.write_many]); same drop semantics as {!send_bytes}.
-          The sender thread drains its queue in bounded bursts through
-          this. *)
-  recv_bytes : unit -> bytes option;
-      (** Blocking read of one frame; [None] when the link is closed. *)
+  send : bytes -> bool;
+      (** Hand one frame to the transport without blocking; safe from
+          several threads, and one thread's frames arrive in order.
+          [false] when the transport dropped it for back-pressure (a full
+          TCP writer queue). A frame lost to fault injection or a down
+          connection returns [true], as one lost on the wire would. *)
+  on_receive : (bytes -> unit) -> unit;
+      (** Install the handler for the peer's frames, replacing any
+          earlier one. It runs on the sender's thread over the {!Hub},
+          on the link's reader thread over {!Tcp}, and must not block. *)
   close : unit -> unit;
+      (** Swap the handler for a drop, atomically. *)
 }
 
 module Hub : sig
-  (** In-process network between [n] replicas with fault injection. *)
+  (** In-process network between [n] replicas with fault injection. A
+      send runs the receiving endpoint's handler on the sender's
+      thread: nothing here can block, so there is no queue and no I/O
+      thread. *)
 
   type t
 
-  val create : ?capacity:int -> n:int -> unit -> t
-  (** [capacity] bounds each directed byte queue (default 4096 frames).
-      A queue is a single-producer single-consumer {!Msmr_platform.Channel}:
-      each link endpoint has one sending and one receiving thread at a
-      time, as ReplicaIO runs them. *)
+  val create : n:int -> unit -> t
 
   val link : t -> me:int -> peer:int -> link
-  (** The link endpoint at [me] towards [peer]. Each ordered pair has one
-      queue; calling [link] twice returns endpoints backed by the same
-      queues. *)
+  (** The link endpoint at [me] towards [peer]. A restarted replica
+      calls [link] again and installs its own handler. *)
 
   val set_drop_rate : t -> src:int -> dst:int -> float -> unit
   (** Probability of silently dropping each frame from [src] to [dst]
-      (deterministic PRNG seeded per pair). *)
+      (deterministic PRNG seeded per pair, shared by the sending
+      threads under a lock). *)
 
   val cut : t -> int -> unit
   (** Disconnect a node: all its incoming and outgoing frames are dropped
@@ -56,23 +53,45 @@ module Hub : sig
 
   val heal_link : t -> src:int -> dst:int -> unit
 
-  val renew : t -> int -> unit
-  (** Prepare the hub for an in-process restart of [node]: replace its
-      inbound queues (closed when the previous incarnation shut down)
-      with fresh ones so peers' sends flow again. Call before creating
-      the replacement replica. *)
-
-  val close : t -> unit
-
   val frames_sent : t -> int
-  (** Total frames accepted into the hub (dropped ones included). *)
+  (** Total frames handed to the hub, one per destination (dropped ones
+      included). *)
 end
 
 module Tcp : sig
+  type conn
+  (** One socket, written and read by blocking calls. After an I/O
+      error it is dead: writes drop and reads return [None]. *)
+
+  val conn_of_fd : Unix.file_descr -> conn
+
+  val write : conn -> bytes list -> unit
+  (** Frames in one syscall ([Frame.write_many]). *)
+
+  val read : conn -> bytes option
+  val close_conn : conn -> unit
+  (** Shut down and close the socket, waking a thread blocked on it.
+      Idempotent. *)
+
+  val pump :
+    sender:string ->
+    receiver:string ->
+    write:(bytes list -> unit) ->
+    read:(unit -> bytes option) ->
+    link * (unit -> unit)
+  (** A link over blocking I/O, with Section V-B's ReplicaIO threads:
+      [send] puts the frame on a bounded writer queue (4096 frames) that
+      the [sender] thread drains into [write], up to 32 frames a call;
+      the [receiver] thread starts with the first handler and hands it
+      every frame [read] returns until [None]. The second component
+      stops the pump (closes the queue, joins both threads); call it
+      once [read] returns [None]. *)
+
+  val link_of_fd : Unix.file_descr -> link
+  (** A {!pump} over one socket; [close] closes the socket and stops
+      the pump. *)
+
   val connect_link : Unix.sockaddr -> link
   (** Client side of a replica connection; raises [Unix.Unix_error] on
       failure. *)
-
-  val link_of_fd : Unix.file_descr -> link
-  (** Wrap an accepted socket. *)
 end

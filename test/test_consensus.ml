@@ -1615,32 +1615,34 @@ let suite =
       [ prop_msg_decode_total; prop_msg_decode_truncations;
         prop_log_matches_model ]
 
+(* Deliver every in-flight packet not addressed to node 2, and drop
+   those that are: node 2 is partitioned. *)
+let deliver_not_to_2 t =
+  let continue = ref true in
+  while !continue do
+    let idx = ref (-1) in
+    for i = 0 to t.Cluster.inflight_len - 1 do
+      if !idx < 0 && t.Cluster.inflight.(i).Cluster.dst <> 2 then idx := i
+    done;
+    if !idx < 0 then continue := false else Cluster.deliver t !idx
+  done;
+  let keep = ref [] in
+  for i = 0 to t.Cluster.inflight_len - 1 do
+    if t.Cluster.inflight.(i).Cluster.dst <> 2 then
+      keep := t.Cluster.inflight.(i) :: !keep
+  done;
+  t.Cluster.inflight_len <- 0;
+  List.iter (Cluster.push_packet t) !keep
+
 (* Catch-up pagination: replies are capped at 200 entries, so a replica
    that is far behind needs several query rounds. *)
 let test_cluster_deep_catchup_paginates () =
   let cfg = { (Config.default ~n:3) with window = 50 } in
   let t = Cluster.create cfg in
-  let deliver_not_to_2 () =
-    let continue = ref true in
-    while !continue do
-      let idx = ref (-1) in
-      for i = 0 to t.Cluster.inflight_len - 1 do
-        if !idx < 0 && t.Cluster.inflight.(i).Cluster.dst <> 2 then idx := i
-      done;
-      if !idx < 0 then continue := false else Cluster.deliver t !idx
-    done;
-    let keep = ref [] in
-    for i = 0 to t.Cluster.inflight_len - 1 do
-      if t.Cluster.inflight.(i).Cluster.dst <> 2 then
-        keep := t.Cluster.inflight.(i) :: !keep
-    done;
-    t.Cluster.inflight_len <- 0;
-    List.iter (Cluster.push_packet t) !keep
-  in
   (* Decide 500 instances while node 2 is partitioned. *)
   for _ = 1 to 500 do
     Cluster.propose_at t 0;
-    deliver_not_to_2 ()
+    deliver_not_to_2 t
   done;
   Alcotest.(check int) "majority at 500" 500
     (List.length (Cluster.executed_seq t 0));
@@ -1656,10 +1658,43 @@ let test_cluster_deep_catchup_paginates () =
   Alcotest.(check bool) "took several catch-up queries" true
     ((Paxos.stats t.Cluster.engines.(2)).Paxos.catchup_queries_sent >= 3)
 
+(* [catchup_due] holds exactly while the catch-up tick has work: a
+   follower that learnt of decided instances it lacks, until a reply
+   catches it up; never a leader or a caught-up node. *)
+let test_catchup_due () =
+  let t = Cluster.create (Config.default ~n:3) in
+  let due i = Paxos.catchup_due t.Cluster.engines.(i) in
+  let none_due what =
+    for i = 0 to 2 do
+      Alcotest.(check bool) (Printf.sprintf "%s: node %d not due" what i)
+        false (due i)
+    done
+  in
+  none_due "fresh";
+  for _ = 1 to 5 do
+    Cluster.propose_at t 0;
+    deliver_not_to_2 t
+  done;
+  (* Node 2 missed everything but has not heard of it yet. *)
+  none_due "partitioned";
+  Cluster.apply t 2
+    (Paxos.receive t.Cluster.engines.(2) ~from:0
+       (Msg.Heartbeat { view = 0; first_undecided = 5 }));
+  Alcotest.(check bool) "behind the heartbeat's frontier" true (due 2);
+  Alcotest.(check bool) "leader never due" false (due 0);
+  Cluster.apply t 2 (Paxos.tick_catchup t.Cluster.engines.(2));
+  Alcotest.(check bool) "query outstanding" true (due 2);
+  Cluster.converge ~rounds:50 t;
+  Alcotest.(check int) "node 2 caught up" 5
+    (List.length (Cluster.executed_seq t 2));
+  none_due "converged"
+
 let suite =
   suite
   @ [ Alcotest.test_case "cluster: deep catch-up paginates" `Quick
-        test_cluster_deep_catchup_paginates ]
+        test_cluster_deep_catchup_paginates;
+      Alcotest.test_case "paxos: catchup_due tracks catch-up work" `Quick
+        test_catchup_due ]
 
 (* Multi-group Paxos: a group bootstrapping at view0 = gid is led by
    node gid mod n from the first action, with no Phase 1. *)

@@ -446,7 +446,6 @@ let await ?(timeout_s = 5.0) ~what pred =
 
 let test_stable_storage_gates_sends () =
   with_tmp_dir @@ fun dir ->
-  let module Bq = Msmr_platform.Channel in
   let module Msg = Msmr_consensus.Msg in
   (* Slow timers: nothing but our injected messages drives the replica. *)
   let cfg =
@@ -470,21 +469,17 @@ let test_stable_storage_gates_sends () =
     Mutex.unlock sent_mu;
     List.map Msg.decode l
   in
-  let inboxes = [ (0, Bq.create ~name:"test" ~kind:Bq.Mpmc ~capacity:64);
-      (2, Bq.create ~name:"test" ~kind:Bq.Mpmc ~capacity:64) ] in
+  (* Each fake link keeps the handler the replica installs, so the test
+     can deliver a frame from that peer. *)
+  let handlers = [ (0, ref ignore); (2, ref ignore) ] in
   let links =
     List.map
-      (fun (peer, inbox) ->
+      (fun (peer, handler) ->
          ( peer,
-           { R.Transport.send_bytes = push;
-             send_many = (fun bs -> List.iter push bs);
-             recv_bytes =
-               (fun () ->
-                  match Bq.take inbox with
-                  | b -> Some b
-                  | exception Bq.Closed -> None);
-             close = (fun () -> Bq.close inbox) } ))
-      inboxes
+           { R.Transport.send = (fun b -> push b; true);
+             on_receive = (fun f -> handler := f);
+             close = (fun () -> handler := ignore) } ))
+      handlers
   in
   (* Replica 1 is a follower of the view-0 leader (node 0). *)
   let replica =
@@ -494,7 +489,7 @@ let test_stable_storage_gates_sends () =
   in
   Fun.protect ~finally:(fun () -> R.Replica.stop replica) @@ fun () ->
   R.Replica.stall_stable_storage replica true;
-  Bq.put (List.assoc 0 inboxes)
+  !(List.assoc 0 handlers)
     (Msg.encode (Msg.Accept { view = 0; iid = 0; value = batch_value 0 }));
   (* The acceptance is processed but its LSN never becomes durable, so
      nothing durability-gated may appear on the wire. *)
@@ -523,6 +518,68 @@ let test_stable_storage_gates_sends () =
        (fun (iid, view, value) ->
           iid = 0 && view = 0 && Value.equal value (batch_value 0))
        r.r_accepted)
+
+(* Back-pressure on the Hub: a replica whose DispatcherQueue is full
+   drops the frames that find it full, counts them, and the sending
+   thread never blocks (the Hub runs the receiver's handler on it). A
+   stalled StableStorage stops replica 1's Protocol thread once the log
+   queue is full; every Accept logs an acceptance and gates an
+   Accepted, so the Protocol thread takes at most one log queue's worth
+   (8192) of frames, the DispatcherQueue holds 4096 more, and the rest
+   are dropped. *)
+let test_full_dispatcher_drops () =
+  with_tmp_dir @@ fun dir ->
+  let module Msg = Msmr_consensus.Msg in
+  let module Hub = R.Transport.Hub in
+  let cfg =
+    { (Msmr_consensus.Config.default ~n:3) with
+      retransmit_interval_s = 30.0;
+      fd_interval_s = 30.0;
+      fd_timeout_s = 120.0;
+      catchup_interval_s = 30.0 }
+  in
+  let hub = Hub.create ~n:3 () in
+  let links = List.map (fun peer -> (peer, Hub.link hub ~me:1 ~peer)) [ 0; 2 ] in
+  let replica =
+    R.Replica.create ~cfg ~me:1 ~links
+      ~durability:(R.Replica.Durable { dir; sync = Wal.Sync_every_write })
+      ~service:(R.Service.accumulator ()) ()
+  in
+  Fun.protect ~finally:(fun () -> R.Replica.stop replica) @@ fun () ->
+  R.Replica.stall_stable_storage replica true;
+  let from_leader = Hub.link hub ~me:0 ~peer:1 in
+  let frame =
+    Msg.encode (Msg.Accept { view = 0; iid = 0; value = batch_value 0 })
+  in
+  let frames = 20_000 in
+  let t0 = Msmr_platform.Mclock.now_ns () in
+  for _ = 1 to frames do
+    ignore (from_leader.send frame)
+  done;
+  let took_s =
+    Msmr_platform.Mclock.s_of_ns
+      (Int64.sub (Msmr_platform.Mclock.now_ns ()) t0)
+  in
+  let drops =
+    List.fold_left
+      (fun acc (s : Msmr_obs.Metrics.sample) ->
+         match s.value with
+         | Msmr_obs.Metrics.Gauge_v v
+           when s.name = "msmr_replica_send_queue_drops"
+                && List.assoc_opt "replica" s.labels = Some "1" ->
+           acc +. v
+         | _ -> acc)
+      0. (Msmr_obs.Metrics.snapshot ())
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d sends returned in %.3f s (bound 2 s)" frames took_s)
+    true (took_s < 2.0);
+  let least = float_of_int (frames - 8192 - 4096) in
+  Alcotest.(check bool)
+    (Printf.sprintf "dropped frames counted: %.0f in [%.0f, %d]" drops least
+       frames)
+    true
+    (drops >= least && drops <= float_of_int frames)
 
 (* ------------------------------------------------------------------ *)
 (* Paxos recovery *)
@@ -683,6 +740,8 @@ let suite =
       test_store_crash_mid_group_commit;
     Alcotest.test_case "stable storage: gates sends until durable" `Quick
       test_stable_storage_gates_sends;
+    Alcotest.test_case "live: a full DispatcherQueue drops and counts"
+      `Quick test_full_dispatcher_drops;
     Alcotest.test_case "paxos: recover" `Quick test_paxos_recover;
     Alcotest.test_case "paxos: recover with snapshot" `Quick test_paxos_recover_with_snapshot;
     Alcotest.test_case "cluster: restart from disk" `Quick test_cluster_restart_from_disk;
@@ -732,20 +791,19 @@ let check_thread_set ~what prefix expected count =
   Alcotest.(check (list string)) (what ^ " thread classes") expected got;
   Alcotest.(check int) (what ^ " thread count") count n
 
-let live_classes =
-  [ "ClientIO-*"; "Executor-*"; "Protocol"; "Replica"; "ReplicaIORcv-*";
-    "ReplicaIOSnd-*" ]
+(* On the Hub a replica has no ReplicaIO threads: the Protocol thread
+   delivers each frame to the peer inline. *)
+let live_classes = [ "ClientIO-*"; "Executor-*"; "Protocol"; "Replica" ]
 
 let test_live_thread_set () =
   let cfg = Msmr_consensus.Config.default ~n:3 in
   let service () = R.Service.accumulator () in
-  (* Ephemeral: 3 ClientIO + Protocol + Replica + 1 executor + a sender
-     and a receiver per peer. *)
+  (* Ephemeral: 3 ClientIO + Protocol + Replica + 1 executor. *)
   (let cluster = R.Replica.Cluster.create ~cfg ~service () in
    Fun.protect ~finally:(fun () -> R.Replica.Cluster.stop cluster)
    @@ fun () ->
    ignore (R.Replica.Cluster.await_leader cluster);
-   check_thread_set ~what:"ephemeral" "r0/" live_classes 10);
+   check_thread_set ~what:"ephemeral" "r0/" live_classes 6);
   (* Durable under Sync_periodic adds only StableStorage, which also
      runs the periodic fsync: the last-sync gauge keeps moving on an
      idle replica. *)
@@ -760,7 +818,7 @@ let test_live_thread_set () =
       ignore (R.Replica.Cluster.await_leader cluster);
       check_thread_set ~what:"durable" "r0/"
         (List.sort compare ("StableStorage" :: live_classes))
-        11;
+        7;
       let last_sync () =
         List.find_map
           (fun (s : Msmr_obs.Metrics.sample) ->
@@ -786,12 +844,12 @@ let test_live_thread_set () =
         (match (before, after) with
          | Some b, Some a -> a > b
          | _ -> false));
-  (* The monolithic baseline: one event loop and the raw link I/O. *)
+  (* The monolithic baseline: one event loop, nothing else. *)
   let mono = Msmr_baseline.Mono_replica.Cluster.create ~cfg ~service () in
   Fun.protect ~finally:(fun () -> Msmr_baseline.Mono_replica.Cluster.stop mono)
   @@ fun () ->
   ignore (Msmr_baseline.Mono_replica.Cluster.await_leader mono);
-  check_thread_set ~what:"mono" "mono-r0/" [ "EventLoop"; "Rcv-*"; "Snd-*" ] 5
+  check_thread_set ~what:"mono" "mono-r0/" [ "EventLoop" ] 1
 
 let suite =
   suite

@@ -24,6 +24,15 @@ let free_ports k =
   List.iter Unix.close socks;
   ports
 
+(* A link's frames, collected in arrival order for a test to take. *)
+let inbox (link : R.Transport.link) =
+  let module Ch = Msmr_platform.Channel in
+  let q = Ch.create ~name:"test_inbox" ~kind:Ch.Mpmc ~capacity:1024 in
+  link.on_receive (fun b -> ignore (Ch.try_put q b));
+  fun ?(timeout_s = 5.0) () -> Ch.take_timeout q ~timeout_s
+
+let send (link : R.Transport.link) s = ignore (link.send (Bytes.of_string s))
+
 (* One mesh per node, built concurrently: [Tcp_mesh.create] blocks until
    the full mesh is up. *)
 let create_meshes addrs =
@@ -197,16 +206,15 @@ let test_tcp_mesh_reconnect () =
   let meshes = create_meshes addrs in
   let m0 = meshes.(0) and m1 = meshes.(1) in
   let l10 = List.assoc 0 (R.Tcp_mesh.links m1) in
-  (List.assoc 1 (R.Tcp_mesh.links m0)).send_bytes (Bytes.of_string "before");
-  (match l10.recv_bytes () with
+  (* The handler keeps node 1's reader running, so the dead connection
+     is noticed and the dialer re-arms. *)
+  let recv10 = inbox l10 in
+  send (List.assoc 1 (R.Tcp_mesh.links m0)) "before";
+  (match recv10 () with
    | Some b -> Alcotest.(check string) "before crash" "before" (Bytes.to_string b)
    | None -> Alcotest.fail "expected frame before crash");
-  (* Node 0 crashes: its listener and connections all go away. A reader
-     must be parked on node 1's facade so the dead connection is noticed
-     and the dialer re-arms (in a replica that reader is ReplicaIO). *)
+  (* Node 0 crashes: its listener and connections all go away. *)
   R.Tcp_mesh.close m0;
-  let got = ref None in
-  let reader = Thread.create (fun () -> got := l10.recv_bytes ()) () in
   (* Node 0 comes back on the same address; create blocks until node 1's
      dialer has found it again. *)
   let m0' = R.Tcp_mesh.create ~me:0 ~addrs () in
@@ -215,11 +223,10 @@ let test_tcp_mesh_reconnect () =
         R.Tcp_mesh.close m0';
         R.Tcp_mesh.close m1)
   @@ fun () ->
-  (List.assoc 1 (R.Tcp_mesh.links m0')).send_bytes (Bytes.of_string "after");
-  Thread.join reader;
-  (match !got with
+  send (List.assoc 1 (R.Tcp_mesh.links m0')) "after";
+  (match recv10 () with
    | Some b -> Alcotest.(check string) "after reconnect" "after" (Bytes.to_string b)
-   | None -> Alcotest.fail "facade closed instead of reconnecting");
+   | None -> Alcotest.fail "facade stopped delivering instead of reconnecting");
   Alcotest.(check bool) "survivor counted the reconnect" true
     (R.Tcp_mesh.reconnects m1 >= 1);
   Alcotest.(check int) "fresh mesh counts no reconnect" 0
@@ -246,62 +253,57 @@ let test_tcp_mesh_add_remove_peer () =
         R.Tcp_mesh.close m1;
         R.Tcp_mesh.close m0)
   @@ fun () ->
-  let await_frame what cell =
-    let deadline = Unix.gettimeofday () +. 10. in
-    while !cell = None && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.01
-    done;
-    match !cell with
-    | Some (Some b) -> b
-    | Some None -> Alcotest.failf "%s: facade closed" what
-    | None -> Alcotest.failf "%s: no frame arrived" what
-  in
   let l02 = R.Tcp_mesh.add_peer m0 ~peer:2 ~addr:(addr 2) in
   (* 2 > 0, so node 2's dialer initiates; node 0's acceptor splices. *)
   let l20 = R.Tcp_mesh.add_peer m2 ~peer:0 ~addr:(addr 0) in
-  let up = ref None in
-  ignore (Thread.create (fun () -> up := Some (l02.recv_bytes ())) ());
+  let recv02 = inbox l02 and recv20 = inbox l20 in
   (* Pump until the dial lands. *)
   let rec pump_up n =
-    if !up = None && n > 0 then begin
-      l20.send_bytes (Bytes.of_string "hello-up");
-      Unix.sleepf 0.02;
-      pump_up (n - 1)
-    end
+    if n = 0 then Alcotest.fail "join up: no frame arrived"
+    else
+      match recv02 ~timeout_s:0.02 () with
+      | Some b -> b
+      | None ->
+        send l20 "hello-up";
+        pump_up (n - 1)
   in
-  pump_up 400;
   Alcotest.(check string) "joiner's frame arrives" "hello-up"
-    (Bytes.to_string (await_frame "join up" up));
-  (* Reverse direction over the now-established pair; also parks the
-     reader that lets node 2 notice the upcoming decommission. *)
-  let down = ref None in
-  ignore (Thread.create (fun () -> down := Some (l20.recv_bytes ())) ());
-  l02.send_bytes (Bytes.of_string "hello-down");
-  Alcotest.(check string) "reverse frame arrives" "hello-down"
-    (Bytes.to_string (await_frame "join down" down));
-  (* Keep a reader parked on node 2's side: it observes the connection
-     death at decommission, retiring the slot so the dialer re-arms. *)
-  ignore (Thread.create (fun () -> ignore (l20.recv_bytes ())) ());
-  (* Decommission: node 0 retires the slot; reads end, sends drop. *)
+    (Bytes.to_string (pump_up 400));
+  (* Reverse direction over the now-established pair. *)
+  send l02 "hello-down";
+  (match recv20 () with
+   | Some b ->
+     Alcotest.(check string) "reverse frame arrives" "hello-down"
+       (Bytes.to_string b)
+   | None -> Alcotest.fail "join down: no frame arrived");
+  (* Spare pumped frames may still be arriving. *)
+  while recv02 ~timeout_s:0.1 () <> None do () done;
+  (* Decommission: node 0 retires the slot; its handler receives nothing
+     more and its sends drop. *)
   R.Tcp_mesh.remove_peer m0 ~peer:2;
-  Alcotest.(check bool) "retired facade reads None" true
-    (l02.recv_bytes () = None);
-  l02.send_bytes (Bytes.of_string "dropped");
+  send l20 "after-removal";
+  Alcotest.(check bool) "retired facade receives nothing" true
+    (recv02 ~timeout_s:0.2 () = None);
+  send l02 "dropped";
   (* Re-admission over the same slot: node 2's dialer keeps redialing,
-     node 0 reopens with add_peer and the pair comes back. *)
+     node 0 reopens with add_peer and the pair comes back under the same
+     facade and handler. *)
   let l02' = R.Tcp_mesh.add_peer m0 ~peer:2 ~addr:(addr 2) in
-  let back = ref None in
-  ignore (Thread.create (fun () -> back := Some (l02'.recv_bytes ())) ());
+  Alcotest.(check bool) "same facade" true (l02' == l02);
   let rec pump_back n =
-    if !back = None && n > 0 then begin
-      l20.send_bytes (Bytes.of_string "rejoin");
-      Unix.sleepf 0.05;
-      pump_back (n - 1)
-    end
+    if n > 0 then
+      match recv02 ~timeout_s:0.05 () with
+      | Some b when Bytes.to_string b = "rejoin" -> Some b
+      | Some _ | None ->
+        send l20 "rejoin";
+        pump_back (n - 1)
+    else None
   in
-  pump_back 200;
-  Alcotest.(check string) "re-admitted link carries traffic" "rejoin"
-    (Bytes.to_string (await_frame "re-admission" back));
+  (match pump_back 200 with
+   | Some b ->
+     Alcotest.(check string) "re-admitted link carries traffic" "rejoin"
+       (Bytes.to_string b)
+   | None -> Alcotest.fail "re-admission: no frame arrived");
   Alcotest.(check int) "mesh 1 untouched" 0 (R.Tcp_mesh.reconnects m1)
 
 (* Client endpoint refresh on membership change: the client keeps its
@@ -443,8 +445,9 @@ let test_tcp_mesh_rejects_malformed_hello () =
         R.Tcp_mesh.close m0;
         R.Tcp_mesh.close m1)
   @@ fun () ->
-  (List.assoc 1 (R.Tcp_mesh.links m0)).send_bytes (Bytes.of_string "hi");
-  match (List.assoc 0 (R.Tcp_mesh.links m1)).recv_bytes () with
+  let recv = inbox (List.assoc 0 (R.Tcp_mesh.links m1)) in
+  send (List.assoc 1 (R.Tcp_mesh.links m0)) "hi";
+  match recv () with
   | Some b -> Alcotest.(check string) "real peer linked" "hi" (Bytes.to_string b)
   | None -> Alcotest.fail "no frame from node 0"
 
