@@ -651,13 +651,6 @@ let micro () =
            Msmr_platform.Channel.put ch 42;
            ignore (Msmr_platform.Channel.take ch)))
   in
-  let mpsc = Msmr_platform.Mpsc_queue.create () in
-  let bench_mpsc =
-    Test.make ~name:"mpsc push+pop"
-      (Staged.stage (fun () ->
-           Msmr_platform.Mpsc_queue.push mpsc 42;
-           ignore (Msmr_platform.Mpsc_queue.pop mpsc)))
-  in
   let cmap = Msmr_platform.Concurrent_map.create () in
   let key = ref 0 in
   let bench_cmap =
@@ -723,7 +716,7 @@ let micro () =
   in
   let test =
     Test.make_grouped ~name:"substrate"
-      [ bench_ch; bench_mpsc; bench_cmap; bench_cache; bench_req_codec;
+      [ bench_ch; bench_cmap; bench_cache; bench_req_codec;
         bench_msg_codec; bench_batcher; bench_rtx ]
   in
   let ols =

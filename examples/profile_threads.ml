@@ -12,9 +12,7 @@ let () =
     { (Msmr_consensus.Config.default ~n:3) with max_batch_delay_s = 0.002 }
   in
   let cluster =
-    R.Replica.Cluster.create ~client_io_threads:2 ~cfg
-      ~service:(fun () -> R.Service.null ())
-      ()
+    R.Replica.Cluster.create ~cfg ~service:(fun () -> R.Service.null ()) ()
   in
   Fun.protect ~finally:(fun () -> R.Replica.Cluster.stop cluster)
   @@ fun () ->

@@ -18,11 +18,11 @@ let () =
       fd_timeout_s = 0.25 }
   in
 
-  (* 2. Start the cluster. Each replica runs the full threading
-     architecture: ClientIO pool, Protocol (which also batches, runs the
+  (* 2. Start the cluster. Each replica runs the threading
+     architecture: Protocol (which also batches, runs the
      retransmission timers and the failure detector, and on this
      in-process hub hands each message straight to the peer) and the
-     ServiceManager. *)
+     ServiceManager. A client's own thread does the ClientIO work. *)
   let cluster =
     R.Replica.Cluster.create ~cfg
       ~service:(fun () -> R.Service.accumulator ())

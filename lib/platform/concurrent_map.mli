@@ -2,8 +2,8 @@
 
     This is the OCaml equivalent of [java.util.concurrent.ConcurrentHashMap]
     used by the paper for the reply cache (Section V-D): queried by every
-    ClientIO thread on request arrival and updated by the ServiceManager on
-    execution. Coarse-grained locking performs poorly here; the map is
+    submitting thread on request arrival and updated by the ServiceManager
+    on execution. Coarse-grained locking performs poorly here; the map is
     split into [shards] independent hash tables, each protected by its own
     mutex, so threads touching different shards never contend. *)
 

@@ -2,6 +2,7 @@ module Bq = Msmr_platform.Channel
 module Waitstats = Msmr_platform.Waitstats
 module Worker = Msmr_platform.Worker
 module Thread_state = Msmr_platform.Thread_state
+module Cmap = Msmr_platform.Concurrent_map
 module Mclock = Msmr_platform.Mclock
 module Counter = Msmr_platform.Rate_meter.Counter
 module Client_msg = Msmr_wire.Client_msg
@@ -18,7 +19,7 @@ type event =
           suspicion, which the Protocol thread acts on directly. *)
   | Snapshot_taken of { next_iid : Types.iid; state : bytes }
   | Requests_ready
-      (** ClientIO signal: the RequestQueue has requests for the
+      (** [submit]'s signal: the RequestQueue has requests for the
           Protocol thread to batch (keeps the event loop fully
           blocking). *)
   | Reconfig_request of Membership.t
@@ -31,11 +32,7 @@ type event =
 type decision =
   | Exec of { iid : Types.iid; value : Value.t }
   | Install of { state : bytes }
-  | Read_exec of {
-      read : Client_msg.read;
-      reply_to : bytes -> unit;
-      sink_blocks : bool; (* see [Client_io.submit] *)
-    }
+  | Read_exec of { read : Client_msg.read; reply_to : bytes -> unit }
       (** Lease read riding the DecisionQueue (DESIGN.md section 15): FIFO
           behind every decided instance enqueued before it, so by the time
           the ServiceManager pops it the apply frontier has reached the
@@ -111,8 +108,8 @@ type t = {
   requests_kicked : bool Atomic.t;
       (* up: the Protocol thread will drain the RequestQueue without
          another [Requests_ready], since one is queued or requests were
-         left there for it (see [create]'s [hand_off] and the Protocol
-         thread's [feed]) *)
+         left there for it (see [submit] and the Protocol thread's
+         [feed]) *)
   decision_q : decision Bq.t;
   (* Modules. *)
   links : (Types.node_id * Transport.link) list;
@@ -120,7 +117,9 @@ type t = {
   stable : stable option;   (* Some iff [store] is Some *)
   recovered : Msmr_storage.Replica_store.recovered option;
   reply_cache : Reply_cache.t;
-  mutable client_io : Client_io.t option;
+  routes : (int, bytes -> unit) Cmap.t;
+      (* client_id -> the sink of its newest fresh request; written by
+         submitting threads, read by whichever thread replies *)
   pool : Client_msg.request Exec_pool.t;
   exec_frontier : (int, int) Hashtbl.t;
       (* client_id -> newest seq dispatched, maintained by the scheduler
@@ -140,6 +139,10 @@ type t = {
   am_leader : bool Atomic.t;
   executed : Counter.t;
   decided : Counter.t;
+  (* Client ingress and egress, registry counters (atomic adds). *)
+  m_requests : Msmr_obs.Metrics.counter;
+  m_replies : Msmr_obs.Metrics.counter;
+  m_malformed : Msmr_obs.Metrics.counter;
   exec_inline : Counter.t;      (* batches the scheduler ran itself *)
   send_q_drops : Counter.t;     (* peer frames dropped for back-pressure *)
   view_changes : Counter.t;     (* views installed after view 0 *)
@@ -233,7 +236,7 @@ let queue_stats t =
    pending write's cached reply). The queue put is the linearizability
    wait (see [Read_exec]); called from client threads, hence the MPMC
    DecisionQueue in lease mode. *)
-let submit_read t ~raw ~reply_to ~sink_blocks =
+let submit_read t ~raw ~reply_to =
   match Client_msg.read_of_bytes raw with
   | exception (Msmr_wire.Codec.Underflow | Msmr_wire.Codec.Malformed _) ->
     Log_.warn (fun m -> m "replica %d: bad read frame" t.me)
@@ -245,16 +248,43 @@ let submit_read t ~raw ~reply_to ~sink_blocks =
       match t.lease_ctx with
       | None -> reject Client_msg.Read_unsupported
       | Some _ -> (
-          try Bq.put t.decision_q (Read_exec { read; reply_to; sink_blocks })
+          try Bq.put t.decision_q (Read_exec { read; reply_to })
           with Bq.Closed ->
             reject (Client_msg.Not_leaseholder (Atomic.get t.leader_now))))
 
-let submit ?reply_many ?(sink_blocks = false) t ~raw ~reply_to =
-  if Client_msg.is_read_raw raw then submit_read t ~raw ~reply_to ~sink_blocks
+(* A reply leaves on the thread that produced it: every sink returns
+   without waiting on its client (see [submit]). *)
+let send_reply t sink (reply : Client_msg.reply) =
+  Msmr_obs.Metrics.incr t.m_replies;
+  sink (Client_msg.reply_to_bytes reply)
+
+(* Write ingress, on the submitting thread: decode, answer a retry from
+   the reply cache, and queue a fresh request for the Protocol thread.
+   The put blocks while the RequestQueue is full, the back-pressure that
+   reaches clients (Section V-E). The wait always ends: nothing
+   downstream of the queue waits on a submitter or on a sink, and [stop]
+   closes the queue first. *)
+let submit t ~raw ~reply_to =
+  if Client_msg.is_read_raw raw then submit_read t ~raw ~reply_to
+  else if not (Atomic.get t.running) then invalid_arg "Replica.submit: stopped"
   else
-    match t.client_io with
-    | Some cio -> Client_io.submit ?reply_many ~sink_blocks cio ~raw ~reply_to
-    | None -> invalid_arg "Replica.submit: stopped"
+    match Client_msg.request_of_bytes raw with
+    | exception (Msmr_wire.Codec.Underflow | Msmr_wire.Codec.Malformed _) ->
+      (* Dropped, as a server drops a corrupt frame. *)
+      Msmr_obs.Metrics.incr t.m_malformed
+    | req -> (
+        Msmr_obs.Metrics.incr t.m_requests;
+        match Reply_cache.lookup t.reply_cache req.id with
+        | Reply_cache.Cached result ->
+          send_reply t reply_to { id = req.id; result }
+        | Reply_cache.Stale -> ()
+        | Reply_cache.Fresh ->
+          Cmap.set t.routes req.id.client_id reply_to;
+          Bq.put t.request_q req;
+          (* The flag keeps one [Requests_ready] queued per drain. *)
+          if not (Atomic.exchange t.requests_kicked true) then
+            try ignore (Bq.try_put t.dispatcher_q Requests_ready)
+            with Bq.Closed -> ())
 
 let inject_suspect t = Bq.put t.dispatcher_q Suspect
 
@@ -649,7 +679,7 @@ let protocol_loop t st =
   in
   (* Drain a bounded burst of the RequestQueue through the policy while
      the window allows, proposing each sealed batch at once. With the
-     window full the rest stays queued, and ClientIO feels it as
+     window full the rest stays queued, and submitters feel it as
      back-pressure. *)
   let feed () =
     if Paxos.can_propose engine then begin
@@ -674,7 +704,7 @@ let protocol_loop t st =
       end;
       let room = Paxos.can_propose engine in
       if not (Bq.is_empty t.request_q) then begin
-        (* Left queued, so ClientIO need not signal. A full window gets
+        (* Left queued, so [submit] need not signal. A full window gets
            its next pass from the messages that free it; an open one
            takes the rest on the next pass. *)
         Atomic.set t.requests_kicked true;
@@ -859,11 +889,13 @@ let execute t (req : Client_msg.request) : Client_msg.reply =
   Counter.incr t.executed;
   { id = req.id; result }
 
-(* [execute], then hand the reply to its ClientIO worker. *)
+(* [execute], then write the reply to its client's sink. A client
+   with no route here submitted elsewhere (this replica learned the
+   request as a follower): its reply is dropped. *)
 let exec_request t req =
   let reply = execute t req in
-  match t.client_io with
-  | Some cio -> Client_io.deliver_reply cio reply
+  match Cmap.find_opt t.routes reply.id.client_id with
+  | Some sink -> send_reply t sink reply
   | None -> ()
 
 (* Serve one read popped off the DecisionQueue, on the scheduler
@@ -886,7 +918,7 @@ let exec_request t req =
    execution), hence concurrent with this read, and the service stores
    are per-key atomic — so serving the pre-write value linearizes the
    read before that write. *)
-let exec_read t (read : Client_msg.read) reply_to ~sink_blocks =
+let exec_read t (read : Client_msg.read) reply_to =
   let lc = Option.get t.lease_ctx in
   let now = now_int_ns () in
   let member = Membership.is_member (Atomic.get t.membership_now) t.me in
@@ -936,13 +968,7 @@ let exec_read t (read : Client_msg.read) reply_to ~sink_blocks =
       end
     end
   in
-  let payload = Client_msg.read_reply_to_bytes { rid = read.id; status } in
-  match t.client_io with
-  | Some cio when sink_blocks ->
-    (* The scheduler never waits on a client. *)
-    Client_io.deliver_encoded cio ~client_id:read.id.client_id ~sink:reply_to
-      payload
-  | _ -> reply_to payload
+  reply_to (Client_msg.read_reply_to_bytes { rid = read.id; status })
 
 (* Apply-frontier bookkeeping. *)
 let note_applied t ~iid =
@@ -967,7 +993,7 @@ let route pool key = Hashtbl.hash key mod Exec_pool.lanes pool
 (* At-most-once, decided by the scheduler in decide order (see
    [exec_frontier]). Returns [true] when the request is fresh and must be
    dispatched. Duplicates are skipped silently: resending cached replies
-   is ClientIO's job at ingress. *)
+   is [submit]'s job at ingress. *)
 let frontier_admit t (req : Client_msg.request) =
   match Hashtbl.find_opt t.exec_frontier req.id.client_id with
   | Some newest when req.id.seq <= newest -> false
@@ -999,22 +1025,16 @@ let dispatch t st (req : Client_msg.request) =
 
 (* The idle path. With no dispatched request unfinished and no decision
    queued behind this batch, no executor could overlap with it, so the
-   scheduler runs the batch itself and writes its replies straight to
-   the client sinks that do not block: no executor wake, no ClientIO
-   reply [Kick] ([Client_io.write_replies] hands the others over). Per-key
-   decide order holds as on the pool path: every earlier request has
-   finished ([Exec_pool.idle]) and the scheduler, the only dispatcher,
-   runs this batch to completion before it pops the next decision. *)
+   scheduler runs the batch itself, replies included: no executor wake.
+   Per-key decide order holds as on the pool path: every earlier request
+   has finished ([Exec_pool.idle]) and the scheduler, the only
+   dispatcher, runs this batch to completion before it pops the next
+   decision. *)
 let exec_inline t (requests : Client_msg.request list) =
   Counter.incr t.exec_inline;
-  let replies =
-    List.filter_map
-      (fun req -> if frontier_admit t req then Some (execute t req) else None)
-      requests
-  in
-  match t.client_io with
-  | Some cio -> Client_io.write_replies cio replies
-  | None -> ()
+  List.iter
+    (fun req -> if frontier_admit t req then exec_request t req)
+    requests
 
 let scheduler_loop t st =
   let pool = t.pool in
@@ -1027,11 +1047,11 @@ let scheduler_loop t st =
       (* State transfer replaces the whole service state. *)
       Exec_pool.quiesce pool st;
       t.service.restore state
-    | Read_exec { read; reply_to; sink_blocks } ->
+    | Read_exec { read; reply_to } ->
       (* Inline, no quiesce: see [exec_read] for why racing an
          executor-resident (un-replied, hence concurrent) write is a
          legal linearization. *)
-      exec_read t read reply_to ~sink_blocks
+      exec_read t read reply_to
     | Exec { iid; value } ->
       (match value with
        (* Reconfig instances mutate the engine's membership (adopted on
@@ -1070,7 +1090,9 @@ let metric_names =
     "msmr_replica_decided";
     "msmr_replica_executed";
     "msmr_replica_send_queue_drops";
-    "msmr_replica_client_ingress_depth";
+    "msmr_client_io_requests_total";
+    "msmr_client_io_replies_total";
+    "msmr_client_io_malformed_total";
     "msmr_replica_executor_queue_depth";
     "msmr_replica_executor_dispatched";
     "msmr_replica_exec_inline_total";
@@ -1112,10 +1134,6 @@ let register_metrics t =
   g "msmr_replica_decided" (fun () -> fi (Counter.get t.decided));
   g "msmr_replica_executed" (fun () -> fi (Counter.get t.executed));
   g "msmr_replica_send_queue_drops" (fun () -> fi (Counter.get t.send_q_drops));
-  g "msmr_replica_client_ingress_depth" (fun () ->
-      match t.client_io with
-      | Some cio -> fi (Client_io.ingress_length cio)
-      | None -> 0.);
   g "msmr_replica_executor_queue_depth" (fun () -> fi (Exec_pool.depth t.pool));
   g "msmr_replica_executor_dispatched" (fun () ->
       fi (Exec_pool.dispatched t.pool));
@@ -1186,7 +1204,7 @@ let unregister_metrics t =
    rounds it up to 1024). *)
 let request_queue_capacity = 1000
 
-let create ?(client_io_threads = 3) ?(executor_threads = 1)
+let create ?(executor_threads = 1)
     ?(durability = Ephemeral) ?(reconnects = fun () -> 0) ~cfg ~me ~links
     ~service () =
   (match Config.validate cfg with
@@ -1230,10 +1248,14 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
     | Some _ | None -> [ (0, Membership.initial cfg) ]
   in
   let batcher = Batcher.create ~tuned_bsz:bsz_now cfg ~src:me in
+  let counter name =
+    Msmr_obs.Metrics.counter
+      ~labels:[ ("mode", "live"); ("replica", string_of_int me) ] name
+  in
   (* Producer/consumer discipline per edge: the peers' sending threads
-     (through [receive]), ClientIO, the scheduler and the Protocol thread
-     itself all feed the dispatcher (MPMC); ClientIO workers feed the
-     RequestQueue (MPMC); the DecisionQueue is strictly Protocol ->
+     (through [receive]), submitters, the scheduler and the Protocol
+     thread itself all feed the dispatcher (MPMC); submitting threads
+     feed the RequestQueue (MPMC); the DecisionQueue is strictly Protocol ->
      scheduler (SPSC) unless leases add the read producers; the log
      queue is Protocol -> StableStorage (SPSC). *)
   let t =
@@ -1255,7 +1277,7 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       stable;
       recovered;
       reply_cache = Reply_cache.create ();
-      client_io = None;
+      routes = Cmap.create ~shards:16 ();
       pool = Exec_pool.create ~n_exec:executor_threads ();
       exec_frontier = Hashtbl.create 256;
       lease_ctx =
@@ -1273,6 +1295,9 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       am_leader = Atomic.make false;
       executed = Counter.create ();
       decided = Counter.create ();
+      m_requests = counter "msmr_client_io_requests_total";
+      m_replies = counter "msmr_client_io_replies_total";
+      m_malformed = counter "msmr_client_io_malformed_total";
       exec_inline = Counter.create ();
       send_q_drops = Counter.create ();
       view_changes = Counter.create ();
@@ -1295,22 +1320,6 @@ let create ?(client_io_threads = 3) ?(executor_threads = 1)
       bsz_now;
       batcher }
   in
-  (* Queue the request (blocking while the RequestQueue is full), then
-     wake the Protocol thread; the flag keeps one [Requests_ready]
-     queued per drain, as ClientIO's own [Kick] flag does. *)
-  let hand_off st req =
-    Bq.put ~st t.request_q req;
-    if not (Atomic.exchange t.requests_kicked true) then
-      try ignore (Bq.try_put t.dispatcher_q Requests_ready)
-      with Bq.Closed -> ()
-  in
-  let cio =
-    Client_io.create
-      ~name_prefix:(Printf.sprintf "r%d/" me)
-      ~pool_size:client_io_threads ~hand_off
-      ~reply_cache:t.reply_cache ()
-  in
-  t.client_io <- Some cio;
   let spawn name f =
     Worker.spawn ~name:(Printf.sprintf "r%d/%s" me name) (fun st -> f t st)
   in
@@ -1343,11 +1352,10 @@ let stop t =
        and through it a caller that kills the leader). *)
     Atomic.set t.am_leader false;
     unregister_metrics t;
-    (* Close the RequestQueue first: a ClientIO worker parked on it while
-       it is full (the window full, the Protocol thread gone) must wake
-       before [Client_io.stop] joins it. *)
+    (* Close the RequestQueue first: a submitter parked on it while it
+       is full (the window full, the Protocol thread gone) wakes with
+       [Bq.Closed]. *)
     Bq.close t.request_q;
-    (match t.client_io with Some cio -> Client_io.stop cio | None -> ());
     Bq.close t.dispatcher_q;
     Bq.close t.decision_q;
     (match t.stable with Some ss -> Bq.close ss.log_q | None -> ());
@@ -1358,8 +1366,7 @@ let stop t =
     Worker.join_all t.threads;
     (match t.store with
      | Some store -> Msmr_storage.Replica_store.close store
-     | None -> ());
-    t.client_io <- None
+     | None -> ())
   end
 
 module Cluster = struct
@@ -1371,7 +1378,7 @@ module Cluster = struct
     make : int -> replica;   (* factory, reused by [restart] *)
   }
 
-  let create ?client_io_threads ?executor_threads ?durability ~cfg ~service
+  let create ?client_io_threads:_ ?executor_threads ?durability ~cfg ~service
       () =
     let n = cfg.Config.n in
     let hub = Transport.Hub.create ~n () in
@@ -1386,7 +1393,7 @@ module Cluster = struct
       let durability =
         match durability with Some f -> f me | None -> Ephemeral
       in
-      create ?client_io_threads ?executor_threads ~durability ~cfg ~me ~links
+      create ?executor_threads ~durability ~cfg ~me ~links
         ~service:(service ()) ()
     in
     { hub; replicas = Array.init n make; make }

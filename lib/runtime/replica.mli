@@ -3,15 +3,22 @@
     Threads and queues (Figure 3):
 
     {v
-      clients -> [ClientIO-0..k] ------+
-                    ^                  | RequestQueue
-                    | replies          | (+ Requests_ready on the DispatcherQueue)
-                    |                  v
+      client thread --submit--------+
+         ^                          | RequestQueue
+         | reply sink               | (+ Requests_ready on the DispatcherQueue)
+         |                          v
       [Replica] <--DecisionQueue-- [Protocol] <--DispatcherQueue-- link handler <-- peer p
                                       |  \--link.send--> peer p (heartbeats included)
                             LogQueue  v  (Durable mode)
                              [StableStorage] --(released sends)--> link.send
     v}
+
+    The paper's ClientIO pool is not a thread here: the submitting
+    thread does its ingress work ({!submit}), and whichever thread
+    produces a reply (the Replica thread or an executor) writes it to
+    the client's sink. At this runtime's decode and encode costs (well
+    under a microsecond) on one OCaml domain, a pool would only add a
+    hand-off to each write (DESIGN.md §2).
 
     A link send never blocks ({!Transport.link}): on the in-process
     {!Transport.Hub} it runs the peer's frame handler inline, so one
@@ -60,7 +67,6 @@ type durability =
           there *)
 
 val create :
-  ?client_io_threads:int ->
   ?executor_threads:int ->
   ?durability:durability ->
   ?reconnects:(unit -> int) ->
@@ -73,8 +79,8 @@ val create :
 (** Build and start a replica. [links] must contain one link per peer
     (every node in [0, cfg.n) except [me]); the replica installs its
     frame handler on each before its Protocol thread starts, and
-    {!stop} closes them. Defaults: 3 ClientIO threads
-    and 1 executor. The Protocol thread batches requests itself. The
+    {!stop} closes them. Default: 1 executor. The Protocol thread
+    batches requests itself. The
     RequestQueue is created for 1000 requests (the paper's setting),
     which its ring rounds up to 1024.
 
@@ -102,29 +108,34 @@ val create :
 
 val me : t -> Msmr_consensus.Types.node_id
 
-val submit :
-  ?reply_many:Client_io.batch_sink ->
-  ?sink_blocks:bool ->
-  t ->
-  raw:bytes ->
-  reply_to:Client_io.sink ->
-  unit
+val submit : t -> raw:bytes -> reply_to:(bytes -> unit) -> unit
 (** Inject one serialised client request ({!Msmr_wire.Client_msg}); the
-    reply is delivered, serialised, to [reply_to]. Blocks under overload
-    (back-pressure). [reply_many], when given, receives coalesced runs of
-    replies instead (see {!Client_io.submit}). [sink_blocks] (default
-    [false]) says the sinks may block their caller, as a socket write
-    does: the ServiceManager then never calls them itself, and a
-    ClientIO thread writes every reply, lease reads' included. With the
-    default, the sinks must return without waiting on the client.
+    reply is delivered, serialised, to [reply_to]. The calling thread
+    decodes the request and checks the reply cache: a retry of the
+    client's newest executed request is answered at once, through
+    [reply_to] on this thread; an older one is dropped, as is a
+    malformed frame (counted in [msmr_client_io_malformed_total]). A
+    fresh request is queued on the RequestQueue, blocking while it is
+    full (back-pressure, Section V-E).
+
+    [reply_to] must return without waiting on the client, and may be
+    called from any of the replica's threads, from inside [submit]
+    included: the Replica thread and the executors write replies
+    themselves. {!Client_server} meets this with a bounded outbox per
+    connection.
 
     A client has at most one request outstanding: the reply cache keeps
     only each client's newest executed sequence number.
 
+    @raise Invalid_argument once the replica is stopped, and
+    [Msmr_platform.Channel.Closed] if it stops while the call waits on
+    the full RequestQueue.
+
     Read frames ({!Msmr_wire.Client_msg.is_read_raw}) take the lease fast
-    path instead: they bypass ClientIO, batching and Paxos and ride the
-    DecisionQueue straight to the state machine, which answers through
-    [reply_to] with a serialised {!Msmr_wire.Client_msg.read_reply}
+    path instead: they bypass the reply cache, batching and Paxos and
+    ride the DecisionQueue straight to the state machine, which answers
+    through [reply_to] with a serialised
+    {!Msmr_wire.Client_msg.read_reply}
     ([Read_unsupported] when the replica runs with
     [lease_enabled = false]). The read's payload must be a non-mutating
     command of the service — executing it locally must not change state. *)
@@ -256,7 +267,10 @@ module Cluster : sig
     t
   (** Fresh service instance per replica; [durability] maps a node id to
       its storage mode (default: all ephemeral); [executor_threads] is
-      passed to every replica's {!create}. *)
+      passed to every replica's {!create}. [client_io_threads] is
+      ignored: a replica has no ClientIO pool. The argument stays only
+      because the benchmark ([perfbench/perf.ml]) passes it; the
+      benchmark's next revision drops it. *)
 
   val replicas : t -> replica array
   val hub : t -> Transport.Hub.t

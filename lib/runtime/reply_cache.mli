@@ -1,7 +1,8 @@
 (** Reply cache: at-most-once execution.
 
-    Queried by every ClientIO thread when a request arrives and updated by
-    the ServiceManager thread after execution (Section V-D). Backed by the
+    Queried by {!Replica.submit} on the client's thread when a request
+    arrives (the paper's ClientIO work) and updated by the thread that
+    executes the request (Section V-D). Backed by the
     sharded {!Msmr_platform.Concurrent_map} — the paper found a
     coarse-locked table collapses under this access pattern and switched
     to [ConcurrentHashMap].

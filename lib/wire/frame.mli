@@ -1,8 +1,8 @@
 (** Length-prefixed framing over file descriptors.
 
-    Both the ClientIO and ReplicaIO TCP transports carry frames: a 4-byte
-    big-endian payload length followed by the payload. [read] handles
-    short reads; [write] handles short writes. *)
+    Both the client front-end and the ReplicaIO TCP transport carry
+    frames: a 4-byte big-endian payload length followed by the payload.
+    [read] handles short reads; [write] handles short writes. *)
 
 exception Oversized of int
 (** Raised when a peer announces a frame larger than [max_frame]. *)
@@ -16,8 +16,8 @@ val write : Unix.file_descr -> bytes -> unit
 
 val write_many : Unix.file_descr -> bytes list -> unit
 (** Write several frames with a single [write(2)] (one coalesced buffer).
-    Equivalent to [List.iter (write fd)] but cheaper; the ClientIO reply
-    drain uses it to flush a whole pass at once.
+    Equivalent to [List.iter (write fd)] but cheaper; a client
+    connection's writer uses it to flush the replies queued together.
     @raise Unix.Unix_error on I/O failure. *)
 
 val read : Unix.file_descr -> bytes option

@@ -22,6 +22,11 @@ Prints one line per run as it ends, then, per workload:
 - the trial medians of light-phase cores, closed-loop CPU per op and
   saturated throughput that perf.exe prints on stderr.
 
+A run that reports `correct: false`, or no result at all, is followed
+by why: every `CHECK FAILED:` line and the `ops:` line perf.exe wrote,
+or, when it wrote none, the last lines of its stderr. Each run's record
+keeps them under "checks".
+
 With --log every run is also appended to FILE as one JSON line.
 """
 
@@ -71,7 +76,10 @@ def run_one(checkout, workload, seed, seconds, trace):
         result = None
     cores = []
     extra = {}
+    checks = []
     for line in p.stderr.splitlines():
+        if line.startswith(("CHECK FAILED:", "ops:")):
+            checks.append(line)
         m = TRIAL.match(line)
         if m and "(traced)" not in line:
             cores.append(float(m.group(1)))
@@ -81,7 +89,7 @@ def run_one(checkout, workload, seed, seconds, trace):
     if cores:
         extra["light_cores"] = statistics.median(cores)
     return {"code": p.returncode, "result": result, "extra": extra,
-            "stderr_tail": p.stderr.splitlines()[-5:]}
+            "checks": checks, "stderr_tail": p.stderr.splitlines()[-5:]}
 
 
 def quartiles(xs):
@@ -193,8 +201,8 @@ def main():
                              if metric(run, m["name"]) is not None),
                     " ".join("%s=%.4g" % kv for kv in sorted(run["extra"].items())),
                     time.monotonic() - t0))
-                if run["result"] is None:
-                    log("\n".join(run["stderr_tail"]))
+                if not r.get("correct"):
+                    log("\n".join(run["checks"] or run["stderr_tail"]))
                 if args.log:
                     with open(args.log, "a") as f:
                         f.write(json.dumps({"pair": i, "workload": w,

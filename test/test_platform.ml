@@ -1,4 +1,4 @@
-(* Tests for msmr_platform: heap, MPSC queue, concurrent map,
+(* Tests for msmr_platform: heap, concurrent map,
    thread-state accounting. *)
 
 open Msmr_platform
@@ -36,39 +36,6 @@ let prop_heap_sorts =
          | Some x -> drain (x :: acc)
        in
        drain [] = List.sort compare xs)
-
-let test_mpsc_fifo () =
-  let q = Mpsc_queue.create () in
-  Alcotest.(check bool) "empty" true (Mpsc_queue.is_empty q);
-  List.iter (Mpsc_queue.push q) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "drain" [ 1; 2; 3 ] (Mpsc_queue.drain q);
-  Alcotest.(check (option int)) "then empty" None (Mpsc_queue.pop q)
-
-let test_mpsc_concurrent () =
-  let q = Mpsc_queue.create () in
-  let per = 2000 and nprod = 4 in
-  let producers =
-    List.init nprod (fun p ->
-        Worker.spawn ~name:(Printf.sprintf "mpsc-prod-%d" p) (fun _ ->
-            for i = 0 to per - 1 do
-              Mpsc_queue.push q ((p, i))
-            done))
-  in
-  (* Single consumer: per-producer order must be preserved. *)
-  let last = Array.make nprod (-1) in
-  let count = ref 0 in
-  let ok = ref true in
-  while !count < per * nprod do
-    match Mpsc_queue.pop q with
-    | None -> Thread.yield ()
-    | Some (p, i) ->
-      if i <> last.(p) + 1 then ok := false;
-      last.(p) <- i;
-      incr count
-  done;
-  Worker.join_all producers;
-  Alcotest.(check bool) "per-producer FIFO" true !ok;
-  Alcotest.(check int) "all received" (per * nprod) !count
 
 let test_cmap_basic () =
   let m = Concurrent_map.create () in
@@ -182,8 +149,6 @@ let suite =
   [
     Alcotest.test_case "heap: ordering" `Quick test_heap_ordering;
     Alcotest.test_case "heap: duplicates" `Quick test_heap_duplicates;
-    Alcotest.test_case "mpsc: fifo" `Quick test_mpsc_fifo;
-    Alcotest.test_case "mpsc: concurrent producers" `Quick test_mpsc_concurrent;
     Alcotest.test_case "cmap: basic" `Quick test_cmap_basic;
     Alcotest.test_case "cmap: update" `Quick test_cmap_update;
     Alcotest.test_case "cmap: concurrent counters" `Quick test_cmap_concurrent_counters;

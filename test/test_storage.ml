@@ -753,7 +753,7 @@ let suite =
 (* Live thread set *)
 
 (* The classes of the running threads named [prefix]..., a numeric
-   suffix folded to "*" ("r0/ClientIO-2" -> "ClientIO-*"), and their
+   suffix folded to "*" ("r0/Executor-2" -> "Executor-*"), and their
    count. *)
 let thread_set prefix =
   let names =
@@ -791,19 +791,20 @@ let check_thread_set ~what prefix expected count =
   Alcotest.(check (list string)) (what ^ " thread classes") expected got;
   Alcotest.(check int) (what ^ " thread count") count n
 
-(* On the Hub a replica has no ReplicaIO threads: the Protocol thread
-   delivers each frame to the peer inline. *)
-let live_classes = [ "ClientIO-*"; "Executor-*"; "Protocol"; "Replica" ]
+(* On the Hub a replica has no ReplicaIO threads, since the Protocol
+   thread delivers each frame to the peer inline, and no ClientIO
+   threads, since the submitting thread queues each request. *)
+let live_classes = [ "Executor-*"; "Protocol"; "Replica" ]
 
 let test_live_thread_set () =
   let cfg = Msmr_consensus.Config.default ~n:3 in
   let service () = R.Service.accumulator () in
-  (* Ephemeral: 3 ClientIO + Protocol + Replica + 1 executor. *)
+  (* Ephemeral: Protocol + Replica + 1 executor. *)
   (let cluster = R.Replica.Cluster.create ~cfg ~service () in
    Fun.protect ~finally:(fun () -> R.Replica.Cluster.stop cluster)
    @@ fun () ->
    ignore (R.Replica.Cluster.await_leader cluster);
-   check_thread_set ~what:"ephemeral" "r0/" live_classes 6);
+   check_thread_set ~what:"ephemeral" "r0/" live_classes 3);
   (* Durable under Sync_periodic adds only StableStorage, which also
      runs the periodic fsync: the last-sync gauge keeps moving on an
      idle replica. *)
@@ -818,7 +819,7 @@ let test_live_thread_set () =
       ignore (R.Replica.Cluster.await_leader cluster);
       check_thread_set ~what:"durable" "r0/"
         (List.sort compare ("StableStorage" :: live_classes))
-        7;
+        4;
       let last_sync () =
         List.find_map
           (fun (s : Msmr_obs.Metrics.sample) ->

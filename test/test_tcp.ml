@@ -135,7 +135,7 @@ let fast_fd_cfg = { tcp_cfg with fd_interval_s = 0.04; fd_timeout_s = 0.2 }
 
 (* A 3-replica accumulator cluster over Tcp_mesh + Client_server, with
    a leader elected; [f] gets the replicas and their client servers. *)
-let with_tcp_cluster ~cfg f =
+let with_tcp_cluster ?(service = R.Service.accumulator) ~cfg f =
   let n = cfg.Msmr_consensus.Config.n in
   let ports = free_ports n in
   let addrs =
@@ -147,8 +147,7 @@ let with_tcp_cluster ~cfg f =
   let links = Array.map R.Tcp_mesh.links meshes in
   let replicas =
     Array.init n (fun me ->
-        R.Replica.create ~cfg ~me ~links:links.(me)
-          ~service:(R.Service.accumulator ()) ())
+        R.Replica.create ~cfg ~me ~links:links.(me) ~service:(service ()) ())
   in
   let servers =
     Array.map (fun r -> R.Client_server.start r ~port:0) replicas
@@ -455,3 +454,131 @@ let suite =
   suite
   @ [ Alcotest.test_case "tcp: mesh rejects a malformed hello" `Quick
         test_tcp_mesh_rejects_malformed_hello ]
+
+(* Polls [cond] every 5 ms; fails the test after [timeout_s]. *)
+let await ?(timeout_s = 5.0) ~what cond =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+
+let dial server =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (client_addr server);
+  fd
+
+(* The next frame on [fd] within [timeout_s]; [None] on EOF. *)
+let read_within ~what ~timeout_s fd =
+  match Unix.select [ fd ] [] [] timeout_s with
+  | [], _, _ -> Alcotest.failf "%s: nothing within %.1f s" what timeout_s
+  | _ -> Msmr_wire.Frame.read fd
+
+let write_req fd ~client_id ~seq =
+  Msmr_wire.Frame.write fd
+    (Client_msg.request_to_bytes
+       { id = { client_id; seq }; payload = Bytes.of_string "1" })
+
+(* A client that stops reading holds up only its own connection.
+   Socket A sends requests for clients 3, 6, 9, 15, ... (multiples of 3
+   but 12) and never reads their 64 KiB replies. Its receive buffer is
+   shrunk, so the first 200 replies (12.5 MiB) are more than the
+   sockets hold and the connection stalls; they are fewer than the
+   sockets plus the connection's 256-reply outbox, so it stays open.
+   Meanwhile client 12, on connection B, gets a write and a lease read
+   answered within 1 s, the write still on the scheduler's idle path.
+   Further requests on A pass the outbox bound and the server closes A.
+   (A pool of three ClientIO threads would put clients 3, 6, ... and 12
+   on one thread, blocked in A's write.) *)
+let test_tcp_stalled_reader_spares_others () =
+  let cfg =
+    { tcp_cfg with
+      lease_enabled = true; lease_duration_s = 0.4; clock_skew_bound_s = 0.02 }
+  in
+  with_tcp_cluster ~cfg ~service:(fun () -> R.Service.null ~reply_size:65536 ())
+  @@ fun replicas servers ->
+  let leader_idx = ref 0 in
+  Array.iteri (fun i r -> if R.Replica.is_leader r then leader_idx := i) replicas;
+  let leader = replicas.(!leader_idx) and server = servers.(!leader_idx) in
+  await ~what:"the leader's lease" (fun () -> R.Replica.lease_held leader);
+  let a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int a Unix.SO_RCVBUF 4096;
+  Unix.connect a (client_addr server);
+  let b = dial server in
+  Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b) @@ fun () ->
+  let a_client i = 3 * if i < 4 then i else i + 1 in
+  let stalled = 200 in
+  for i = 1 to stalled do write_req a ~client_id:(a_client i) ~seq:1 done;
+  await ~timeout_s:10.0 ~what:"A's requests executed" (fun () ->
+      R.Replica.executed_count leader >= stalled);
+  let inline_before = R.Replica.exec_inline_count leader in
+  write_req b ~client_id:12 ~seq:1;
+  (match read_within ~what:"client 12's write" ~timeout_s:1.0 b with
+   | Some raw ->
+     let rep = Client_msg.reply_of_bytes raw in
+     Alcotest.(check (pair int int)) "client 12's reply" (12, 1)
+       (rep.id.client_id, rep.id.seq)
+   | None -> Alcotest.fail "B closed");
+  Alcotest.(check bool) "client 12's write ran on the scheduler" true
+    (R.Replica.exec_inline_count leader > inline_before);
+  Msmr_wire.Frame.write b
+    (Client_msg.read_to_bytes
+       { Client_msg.id = { client_id = 12; seq = 2 };
+         staleness_ns = Client_msg.linearizable; payload = Bytes.empty });
+  (match read_within ~what:"client 12's lease read" ~timeout_s:1.0 b with
+   | Some raw -> (
+       match (Client_msg.read_reply_of_bytes raw).status with
+       | Client_msg.Read_ok _ -> ()
+       | _ -> Alcotest.fail "client 12's read refused")
+   | None -> Alcotest.fail "B closed");
+  Alcotest.(check int) "A is stalled, not closed" 2
+    (R.Client_server.connections server);
+  (* Rounds of 100 more replies on A, until the server closes it. *)
+  let rec flood seq =
+    if seq <= 10 && R.Client_server.connections server = 2 then
+      match
+        for i = 1 to 100 do write_req a ~client_id:(a_client i) ~seq done
+      with
+      | () ->
+        Thread.delay 0.2;
+        flood (seq + 1)
+      | exception Unix.Unix_error _ -> ()
+  in
+  flood 2;
+  await ~what:"A closed past its outbox bound" (fun () ->
+      R.Client_server.connections server = 1)
+
+(* A replica stopped under a live client server: the next frame on a
+   connection closes it (EOF at the client), and the server forgets
+   it. *)
+let test_tcp_connection_outlives_replica () =
+  let cfg = Msmr_consensus.Config.default ~n:1 in
+  let replica =
+    R.Replica.create ~cfg ~me:0 ~links:[] ~service:(R.Service.accumulator ())
+      ()
+  in
+  let server = R.Client_server.start replica ~port:0 in
+  Fun.protect
+    ~finally:(fun () ->
+        R.Client_server.stop server;
+        R.Replica.stop replica)
+  @@ fun () ->
+  await ~what:"leadership" (fun () -> R.Replica.is_leader replica);
+  let fd = dial server in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  write_req fd ~client_id:5 ~seq:1;
+  Alcotest.(check bool) "answered while the replica runs" true
+    (read_within ~what:"the first reply" ~timeout_s:5.0 fd <> None);
+  R.Replica.stop replica;
+  write_req fd ~client_id:5 ~seq:2;
+  Alcotest.(check bool) "EOF after the replica stopped" true
+    (read_within ~what:"EOF" ~timeout_s:5.0 fd = None);
+  await ~what:"no connection left" (fun () ->
+      R.Client_server.connections server = 0)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "tcp: a stalled reader spares other clients" `Quick
+        test_tcp_stalled_reader_spares_others;
+      Alcotest.test_case "tcp: a connection outlives its replica" `Quick
+        test_tcp_connection_outlives_replica ]
